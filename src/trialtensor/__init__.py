@@ -40,7 +40,6 @@ from .sampler import (
     Hyperprior,
     ModelState,
     ModeParams,
-    PredictionAccumulator,
     RunResult,
     SamplerSchedule,
     gibbs_step,

@@ -3,8 +3,7 @@
 Subcommands: ``ingest``, ``train``, ``evaluate``, ``phase-analysis`` and
 ``simulate``. Exit codes: 0 success, 1 usage error, 2 data error,
 3 numerical error. Every output file is written atomically, and every
-subcommand is deterministic given ``--seed`` (and ``--threads 1``; the
-counter-based sampler streams make threaded runs match serial ones anyway).
+subcommand is deterministic given ``--seed``.
 
 An optional ``--config FILE`` supplies ``key = value`` defaults for any
 optional flag of the subcommand; explicit flags win.
@@ -52,7 +51,6 @@ def _add_sampler_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--burnin", type=int, default=500, help="burn-in sweeps (default 500)")
     parser.add_argument("--samples", type=int, default=3500, help="post-burn-in sweeps (default 3500)")
     parser.add_argument("--thin", type=int, default=350, help="retain every thin-th sweep (default 350)")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for row updates")
     parser.add_argument("--seed", type=int, default=0, help="random seed")
 
 
@@ -260,7 +258,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
     queries = [
         (i, j, 0) for i in range(tensor.dims[0]) for j in range(tensor.dims[1])
     ]
-    result = run(state, tensor, schedule, queries, n_threads=ns.threads)
+    result = run(state, tensor, schedule, queries)
     save_checkpoint(out_dir / "checkpoint", state, schedule, result.retained)
     write_tsv(
         out_dir / "predictions.tsv",
@@ -299,7 +297,6 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
             schedule=schedule,
             heldout_fraction=ns.heldout_fraction,
             threshold=ns.threshold,
-            n_threads=ns.threads,
         )
         reports.append(repeated_eval(tensor, config, ns.n_repeats, seeds))
         logger.info(

@@ -15,16 +15,25 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
+from .errors import DataError
+
 
 @contextmanager
 def atomic_write(path: str | Path) -> Iterator[TextIO]:
     """Open a temp file for writing and rename it onto ``path`` on success."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             yield handle
+        # mkstemp creates the file 0600; give it the mode open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp_name, 0o666 & ~umask)
         os.replace(tmp_name, path)
     except BaseException:
         try:

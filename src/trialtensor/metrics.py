@@ -165,7 +165,6 @@ class EvalConfig:
     schedule: SamplerSchedule = SamplerSchedule()
     heldout_fraction: float = 0.2
     threshold: float = 0.5
-    n_threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -226,7 +225,7 @@ def repeated_eval(
         state = init_model(
             tensor.dims, config.n_latent, alpha=config.alpha, seed=int(seed)
         )
-        result = run(state, train_tensor, config.schedule, heldout, config.n_threads)
+        result = run(state, train_tensor, config.schedule, heldout)
         scores = np.array([result.predictions[cell] for cell in heldout])
         labels = np.array([tensor.lookup(*cell) for cell in heldout])
         aurocs.append(auroc(scores, labels))

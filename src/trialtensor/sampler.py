@@ -7,21 +7,21 @@ prior whose mean and precision carry a conjugate Gaussian-Wishart hyperprior,
 so the full conditional of every quantity is available in closed form and
 one sweep samples, per mode: hyperparameters, then all latent rows.
 
-Randomness is organized as counter-based streams keyed by
-``(seed, sweep, role, entity)`` (see :mod:`trialtensor.rng`), which makes a
-multi-threaded sweep bit-identical to a serial one.
+Given the other two modes, the latent rows of a mode are independent, so
+each mode is redrawn by one stacked Cholesky solve over all of its rows.
+Randomness comes from counter-based streams keyed by
+``(seed, sweep, role, mode)`` (see :mod:`trialtensor.rng`).
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 from .errors import DataError, NumericalError
 from .io import atomic_write, format_float, read_json
@@ -174,13 +174,19 @@ def sample_wishart(scale: np.ndarray, dof: float, rng: np.random.Generator) -> n
         lower = np.linalg.cholesky(scale)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("scale matrix not SPD") from exc
+    return _bartlett(lower, dof, rng)
+
+
+def _bartlett(root: np.ndarray, dof: float, rng: np.random.Generator) -> np.ndarray:
+    # Wishart(root @ root', dof) for any square root, triangular or not.
+    dim = root.shape[0]
     bartlett = np.zeros((dim, dim))
     bartlett[np.diag_indices(dim)] = np.sqrt(rng.chisquare(dof - np.arange(dim)))
     if dim > 1:
         tril = np.tril_indices(dim, k=-1)
         bartlett[tril] = rng.standard_normal(len(tril[0]))
-    root = lower @ bartlett
-    sample = root @ root.T
+    factor = root @ bartlett
+    sample = factor @ factor.T
     return (sample + sample.T) / 2.0
 
 
@@ -207,6 +213,23 @@ def _jittered(mat: np.ndarray) -> np.ndarray:
     if eps <= 0.0:
         eps = _JITTER_REL
     return mat + eps * np.eye(dim)
+
+
+def _cholesky(mats: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factor of a ``(D, D)`` matrix or of each in an ``(n, D, D)`` stack.
+
+    Only the matrices whose factorization fails get the jitter retry; a
+    second failure raises :class:`NumericalError`.
+    """
+    try:
+        return np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        if mats.ndim == 3:
+            return np.stack([_cholesky(mat, what) for mat in mats])
+    try:
+        return np.linalg.cholesky(_jittered(mats))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{what} not SPD after jitter") from exc
 
 
 def sample_mode_hyperparams(
@@ -237,25 +260,12 @@ def sample_mode_hyperparams(
     scale_inv = np.linalg.inv(hyperprior.precision_scale)
     scale_inv = scale_inv + scatter + (beta0 * n_rows / beta_post) * np.outer(dev, dev)
     scale_inv = (scale_inv + scale_inv.T) / 2.0
-    try:
-        scale_post = _spd_inverse(scale_inv)
-    except NumericalError:
-        scale_post = _spd_inverse(_jittered(scale_inv))
-    try:
-        precision = sample_wishart(scale_post, dof_post, rng)
-    except NumericalError:
-        precision = sample_wishart(_jittered(scale_post), dof_post, rng)
+    # With scale_inv = L L', the posterior scale is R R' for R = L'^-1.
+    inv_lower = _cholesky(scale_inv, "posterior inverse scale")
+    root = solve_triangular(inv_lower, np.eye(scale_inv.shape[0]), lower=True).T
+    precision = _bartlett(root, dof_post, rng)
     mean = sample_mvn(mean_post, beta_post * precision, rng)
     return ModeParams(mean=mean, precision=precision)
-
-
-def _spd_inverse(mat: np.ndarray) -> np.ndarray:
-    try:
-        lower = np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("matrix not SPD") from exc
-    inv = cho_solve((lower, True), np.eye(mat.shape[0]))
-    return (inv + inv.T) / 2.0
 
 
 def row_posterior(
@@ -271,6 +281,9 @@ def row_posterior(
     two modes' latent vectors. Posterior precision is
     ``prior_precision + alpha * sum(q q')`` and the posterior mean solves it
     against ``prior_precision @ prior_mean + alpha * sum(value * q)``.
+
+    This is the one-row reference for :func:`sample_mode_latents`, which
+    forms the same quantities for a whole mode at once.
     """
     precision = prior_precision + alpha * (q_rows.T @ q_rows)
     precision = (precision + precision.T) / 2.0
@@ -290,60 +303,43 @@ def sample_mode_latents(
     tensor: SparseTensor,
     mode: int,
     tree: StreamTree,
-    n_threads: int = 1,
 ) -> np.ndarray:
     """Redraw every latent row of one mode from its full conditional.
 
-    Rows are conditionally independent given the other two modes, so they
-    are drawn on independent streams and may be computed in parallel.
-    Entities with no observed cells fall back to the mode prior.
+    Rows are conditionally independent given the other two modes. A loop
+    over entities builds each row's Gram ``q'q`` and right-hand side ``q'y``
+    (``q`` as in :func:`row_posterior`); then, for the whole mode at once,
+    the prior is added, the posterior precisions ``L L'`` are factored, and
+    with one standard-normal block ``z`` from the (sweep, mode) stream the
+    rows are ``x = L'^-1 (L^-1 b + z)``. An entity with no cells has a zero
+    Gram, so its row is drawn from the mode prior.
     """
     other_a, other_b = _OTHER_MODES[mode]
     order, offsets = tensor.fiber_index(mode)
     coords = tensor.coords
     values = tensor.values
-    params = state.params[mode]
     lat_a = state.latents[other_a]
     lat_b = state.latents[other_b]
-    alpha = state.alpha
-    sweep = state.sweep
-    out = np.empty_like(state.latents[mode])
-
-    def draw_rows(entities: range) -> None:
-        for entity in entities:
-            rng = tree.stream(sweep, ROLE_LATENT + mode, entity)
-            rows = order[offsets[entity] : offsets[entity + 1]]
-            if rows.size == 0:
-                out[entity] = sample_mvn(params.mean, params.precision, rng)
-                continue
-            q_rows = lat_a[coords[rows, other_a]] * lat_b[coords[rows, other_b]]
-            cell_values = values[rows]
-            precision, mean = row_posterior(
-                params.precision, params.mean, alpha, q_rows, cell_values
-            )
-            try:
-                out[entity] = sample_mvn(mean, precision, rng)
-            except NumericalError:
-                precision = _jittered(precision)
-                rhs = params.precision @ params.mean + alpha * (q_rows.T @ cell_values)
-                out[entity] = sample_mvn(np.linalg.solve(precision, rhs), precision, rng)
-
-    n_entities = out.shape[0]
-    if n_threads <= 1 or n_entities < 2:
-        draw_rows(range(n_entities))
-    else:
-        n_workers = min(n_threads, n_entities)
-        bounds = np.linspace(0, n_entities, n_workers + 1, dtype=int)
-        chunks = [range(bounds[w], bounds[w + 1]) for w in range(n_workers)]
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            # Exhaust the iterator so worker exceptions propagate.
-            list(pool.map(draw_rows, chunks))
-    return out
+    n_entities, n_latent = state.latents[mode].shape
+    grams = np.empty((n_entities, n_latent, n_latent))
+    rhs = np.empty((n_entities, n_latent))
+    for entity in range(n_entities):
+        rows = order[offsets[entity] : offsets[entity + 1]]
+        q_rows = lat_a[coords[rows, other_a]] * lat_b[coords[rows, other_b]]
+        grams[entity] = q_rows.T @ q_rows
+        rhs[entity] = q_rows.T @ values[rows]
+    params = state.params[mode]
+    grams *= state.alpha
+    grams += params.precision
+    rhs *= state.alpha
+    rhs += params.precision @ params.mean
+    lower = _cholesky(grams, "row posterior precision")
+    z = tree.stream(state.sweep, ROLE_LATENT, mode).standard_normal((n_entities, n_latent))
+    half = np.linalg.solve(lower, rhs[..., None]) + z[..., None]
+    return np.linalg.solve(lower.transpose(0, 2, 1), half)[..., 0]
 
 
-def gibbs_step(
-    state: ModelState, tensor: SparseTensor, tree: StreamTree, n_threads: int = 1
-) -> ModelState:
+def gibbs_step(state: ModelState, tensor: SparseTensor, tree: StreamTree) -> ModelState:
     """One full sweep: per mode (target, indication, layer order),
     sample hyperparameters, then every latent row of that mode."""
     if state.dims != tensor.dims:
@@ -351,7 +347,7 @@ def gibbs_step(
     for mode in range(3):
         rng = tree.stream(state.sweep, ROLE_HYPER, mode)
         state.params[mode] = sample_mode_hyperparams(state.latents[mode], state.hyperprior, rng)
-        state.latents[mode] = sample_mode_latents(state, tensor, mode, tree, n_threads)
+        state.latents[mode] = sample_mode_latents(state, tensor, mode, tree)
     state.sweep += 1
     return state
 
@@ -379,28 +375,6 @@ def predict_cell(state: ModelState, i: int, j: int, k: int) -> float:
     return float(predict_cells(state, np.array([[i, j, k]]))[0])
 
 
-@dataclass
-class PredictionAccumulator:
-    """Running sums of per-retained-sample predictions over query cells."""
-
-    cells: np.ndarray
-    sums: np.ndarray = field(init=False)
-    count: int = field(init=False, default=0)
-
-    def __post_init__(self):
-        self.cells = np.asarray(self.cells, dtype=np.int64).reshape(-1, 3)
-        self.sums = np.zeros(self.cells.shape[0])
-
-    def add(self, scores: np.ndarray) -> None:
-        self.sums += scores
-        self.count += 1
-
-    def means(self) -> np.ndarray:
-        if self.count == 0:
-            raise ValueError("no retained samples accumulated")
-        return self.sums / self.count
-
-
 @dataclass(frozen=True)
 class RunResult:
     predictions: dict[Coord, float]
@@ -412,7 +386,6 @@ def run(
     tensor: SparseTensor,
     schedule: SamplerSchedule,
     query_cells: Sequence[Coord] | np.ndarray,
-    n_threads: int = 1,
 ) -> RunResult:
     """Burn in, then sample, retaining every ``thin``-th post-burn-in sweep.
 
@@ -425,21 +398,21 @@ def run(
         raise ValueError(
             f"schedule retains no samples (samples={schedule.samples} < thin={schedule.thin})"
         )
-    accumulator = PredictionAccumulator(np.asarray(query_cells))
-    predict_cells(state, accumulator.cells)  # validate query range up front
+    cells = np.asarray(query_cells, dtype=np.int64).reshape(-1, 3)
+    predict_cells(state, cells)  # validate query range up front
+    sums = np.zeros(cells.shape[0])
     tree = StreamTree(state.seed)
     for _ in range(schedule.burnin):
-        gibbs_step(state, tensor, tree, n_threads)
+        gibbs_step(state, tensor, tree)
     for sweep_number in range(1, schedule.samples + 1):
-        gibbs_step(state, tensor, tree, n_threads)
+        gibbs_step(state, tensor, tree)
         if sweep_number % schedule.thin == 0:
-            accumulator.add(predict_cells(state, accumulator.cells))
-    means = accumulator.means()
+            sums += predict_cells(state, cells)
+    means = sums / schedule.retained
     predictions = {
-        (int(i), int(j), int(k)): float(score)
-        for (i, j, k), score in zip(accumulator.cells, means)
+        (int(i), int(j), int(k)): float(score) for (i, j, k), score in zip(cells, means)
     }
-    return RunResult(predictions=predictions, retained=accumulator.count)
+    return RunResult(predictions=predictions, retained=schedule.retained)
 
 
 # --------------------------------------------------------------------------
@@ -455,7 +428,6 @@ def save_checkpoint(
     retained: int,
 ) -> None:
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     for filename, matrix in zip(_CHECKPOINT_FILES, state.latents):
         with atomic_write(directory / filename) as handle:
             for row in matrix:

@@ -249,6 +249,9 @@ def split_cells(
 # Serialization: a TSV of entries plus a JSON sidecar with dims and the
 # three identifier sequences.
 
+_META_MODES = ("targets", "indications", "layers")
+
+
 def save_tensor(
     tensor: SparseTensor,
     modes: Sequence[ModeIndex],
@@ -268,15 +271,33 @@ def save_tensor(
             handle.write(f"{i}\t{j}\t{k}\t{format_float(v)}\n")
     meta = {
         "dims": list(tensor.dims),
-        "modes": {
-            "targets": list(modes[0].reverse),
-            "indications": list(modes[1].reverse),
-            "layers": list(modes[2].reverse),
-        },
+        "modes": {key: list(index.reverse) for key, index in zip(_META_MODES, modes)},
     }
     with atomic_write(meta_path) as handle:
         json.dump(meta, handle, indent=2)
         handle.write("\n")
+
+
+def _meta_indices(meta: object, meta_path: str | Path) -> tuple[list, tuple[ModeIndex, ...]]:
+    """Validate parsed tensor metadata and build one index per mode."""
+    try:
+        dims = list(meta["dims"])
+        lists = [meta["modes"][key] for key in _META_MODES]
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"{meta_path}: tensor metadata needs 'dims' and 'modes' {_META_MODES}") from exc
+    if len(dims) != 3:
+        raise DataError(f"{meta_path}: 'dims' must list three sizes, got {dims}")
+    modes = []
+    for mode, key, dim, idents in zip(Mode, _META_MODES, dims, lists):
+        if not isinstance(idents, list) or not all(isinstance(i, str) for i in idents):
+            raise DataError(f"{meta_path}: 'modes.{key}' must be a list of identifiers")
+        if len(idents) != dim:
+            raise DataError(f"{meta_path}: {len(idents)} {key} identifiers for dims[{mode.value}] = {dim}")
+        forward = {ident: pos for pos, ident in enumerate(idents)}
+        if len(forward) != dim:
+            raise DataError(f"{meta_path}: duplicate identifiers in 'modes.{key}'")
+        modes.append(ModeIndex(mode=mode, forward=forward, reverse=tuple(idents)))
+    return dims, tuple(modes)
 
 
 def load_tensor(
@@ -287,17 +308,7 @@ def load_tensor(
             meta = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read tensor metadata {meta_path}: {exc}") from exc
-    dims = tuple(meta["dims"])
-    modes = tuple(
-        ModeIndex(
-            mode=Mode(m),
-            forward={ident: pos for pos, ident in enumerate(idents)},
-            reverse=tuple(idents),
-        )
-        for m, idents in enumerate(
-            (meta["modes"]["targets"], meta["modes"]["indications"], meta["modes"]["layers"])
-        )
-    )
+    dims, modes = _meta_indices(meta, meta_path)
     entries = []
     with open(tsv_path, encoding="utf-8") as handle:
         header = handle.readline().rstrip("\n")

@@ -32,6 +32,7 @@ from trialtensor import (
     predict_cells,
     repeated_eval,
     run,
+    sample_mode_latents,
     sample_mvn,
     sample_wishart,
     split_cells,
@@ -43,6 +44,7 @@ from trialtensor.rng import StreamTree
 
 from conftest import ingest_fixture
 from test_metrics import brute_force_auroc, pairwise_exact_mww_p
+from test_sampler import mode_normals, per_row_reference
 
 
 @contextmanager
@@ -259,13 +261,13 @@ def test_c7_ingestion_rules(data_dir):
 
 
 def test_c8_determinism(ingested_dir, tmp_path):
-    with criterion(8, "seeded train byte-identical; threaded run equals serial run"):
+    with criterion(8, "seeded train byte-identical; batched mode update equals per-row reference"):
         outputs = []
         for name in ("first", "second"):
             out = tmp_path / name
             args = [
                 "train", "--tensor", str(ingested_dir), "--out", str(out),
-                "--seed", "7", "--threads", "1",
+                "--seed", "7",
                 "--latent-dim", "4", "--burnin", "20", "--samples", "40", "--thin", "10",
             ]
             assert main(args) == 0
@@ -275,13 +277,13 @@ def test_c8_determinism(ingested_dir, tmp_path):
         config = SynthConfig(dims=(15, 12, 3), true_rank=4, observed_fraction=0.5, seed=4)
         tensor, _, _ = generate(config)
         queries = sorted((int(i), int(j), int(k)) for i, j, k in tensor.coords[:40])
-        results = []
-        for n_threads in (1, 4):
-            state = init_model(tensor.dims, 6, alpha=20.0, seed=9)
-            results.append(
-                run(state, tensor, SamplerSchedule(10, 20, 5), queries, n_threads=n_threads)
-            )
-        assert results[0].predictions == results[1].predictions
+        state = init_model(tensor.dims, 6, alpha=20.0, seed=9)
+        run(state, tensor, SamplerSchedule(10, 20, 5), queries)
+        tree = StreamTree(9)
+        for mode in range(3):
+            expected = per_row_reference(state, tensor, mode, mode_normals(state, mode))
+            batched = sample_mode_latents(state, tensor, mode, tree)
+            assert np.max(np.abs(batched - expected)) <= 1e-12
 
 
 def test_c9_sign_flip_invariance():

@@ -1,4 +1,7 @@
 import json
+import os
+import shutil
+import stat
 
 import numpy as np
 import pytest
@@ -116,6 +119,41 @@ class TestTrainCommand:
         assert manifest["retained"] == 2  # 6 // 3
         assert manifest["seed"] == 9  # flag wins over config
 
+    @pytest.mark.parametrize(
+        "case",
+        ["no_dims", "no_modes", "no_layers", "short_targets", "long_layers", "duplicate_targets"],
+    )
+    def test_malformed_metadata_is_data_error(self, ingested_dir, tmp_path, capsys, case):
+        tensor_dir = tmp_path / "tensor"
+        shutil.copytree(ingested_dir, tensor_dir)
+        meta_path = tensor_dir / "tensor.meta.json"
+        meta = json.loads(meta_path.read_text())
+        modes = meta["modes"]
+        if case == "no_dims":
+            del meta["dims"]
+        elif case == "no_modes":
+            del meta["modes"]
+        elif case == "no_layers":
+            del modes["layers"]
+        elif case == "short_targets":
+            modes["targets"] = modes["targets"][:2]
+        elif case == "long_layers":
+            modes["layers"].append("extra")
+        else:
+            modes["targets"][1] = modes["targets"][0]
+        meta_path.write_text(json.dumps(meta))
+        args = ["train", "--tensor", str(tensor_dir), "--out", str(tmp_path / "o")]
+        assert main(args + SMALL_SCHEDULE) == 2
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_uncreatable_out_is_data_error(self, ingested_dir, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        args = ["train", "--tensor", str(ingested_dir), "--out", str(blocker / "model")]
+        assert main(args + SMALL_SCHEDULE) == 2
+        assert "cannot write" in capsys.readouterr().err
+
     def test_bad_config_key(self, ingested_dir, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("not_a_flag = 3\n")
@@ -147,6 +185,26 @@ class TestSimulateCommand:
         assert len(truth_lines) - 1 == 24 * 18 * 3
         values = [float(line.split("\t")[3]) for line in truth_lines[1:]]
         assert min(values) >= 0.0 and max(values) <= 1.0
+
+    def test_artefacts_follow_umask(self, tmp_path):
+        old_umask = os.umask(0o022)
+        try:
+            args = ["simulate", "--dims", "3,2,2", "--seed", "1", "--out", str(tmp_path / "sim")]
+            assert main(args) == 0
+        finally:
+            os.umask(old_umask)
+        files = sorted((tmp_path / "sim").iterdir())
+        assert [f.name for f in files] == [
+            "ground_truth.tsv", "simulate_manifest.json", "tensor.meta.json", "tensor.tsv",
+        ]
+        for path in files:
+            assert stat.S_IMODE(path.stat().st_mode) == 0o644
+
+    def test_uncreatable_out_is_data_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        assert main(["simulate", "--dims", "3,2,2", "--out", str(blocker / "sim")]) == 2
+        assert "data error: cannot write" in capsys.readouterr().err
 
     def test_bad_dims_usage_error(self, tmp_path, capsys):
         assert main(["simulate", "--dims", "3,4", "--out", str(tmp_path / "x")]) == 1

@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 from hypothesis import given
+from scipy.linalg import solve_triangular
 from hypothesis import strategies as st
 
 from trialtensor import (
@@ -24,7 +25,7 @@ from trialtensor import (
     sample_wishart,
     save_checkpoint,
 )
-from trialtensor.rng import StreamTree
+from trialtensor.rng import ROLE_LATENT, StreamTree
 
 
 def _rng(seed=0):
@@ -178,6 +179,39 @@ def _make_state(tensor, n_latent=2, alpha=5.0, seed=0):
     return init_model(tensor.dims, n_latent, alpha=alpha, seed=seed)
 
 
+_OTHER_MODES = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
+
+
+def mode_normals(state, mode):
+    """The standard-normal block the batched update draws for this sweep and mode."""
+    shape = state.latents[mode].shape
+    return StreamTree(state.seed).stream(state.sweep, ROLE_LATENT, mode).standard_normal(shape)
+
+
+def fiber_cells(state, tensor, mode, entity):
+    """Other-mode products ``q`` and values of one entity's observed cells."""
+    other_a, other_b = _OTHER_MODES[mode]
+    mask = tensor.coords[:, mode] == entity
+    cells = tensor.coords[mask]
+    q_rows = state.latents[other_a][cells[:, other_a]] * state.latents[other_b][cells[:, other_b]]
+    return q_rows, tensor.values[mask]
+
+
+def cholesky_draw(mean, precision, z):
+    return mean + solve_triangular(np.linalg.cholesky(precision).T, z, lower=False)
+
+
+def per_row_reference(state, tensor, mode, normals):
+    """Row-at-a-time update: row_posterior, then a Cholesky draw from ``normals``."""
+    params = state.params[mode]
+    rows = np.empty_like(state.latents[mode])
+    for entity in range(rows.shape[0]):
+        q_rows, values = fiber_cells(state, tensor, mode, entity)
+        precision, mean = row_posterior(params.precision, params.mean, state.alpha, q_rows, values)
+        rows[entity] = cholesky_draw(mean, precision, normals[entity])
+    return rows
+
+
 class TestModeLatents:
     def test_unobserved_entity_draws_from_prior(self):
         # Entity 0 of mode 0 has no cells; its redraw should follow the mode
@@ -207,6 +241,64 @@ class TestModeLatents:
         new_rows = sample_mode_latents(state, tensor, 0, StreamTree(2))
         assert abs(new_rows[0, 0] - 0.8 / 2.0) < 1e-3
 
+    def test_batched_update_equals_per_row_reference(self):
+        # Target 0 and indication 4 have no cells, so the prior-only rows go
+        # through the same stacked path as the observed ones.
+        rng = np.random.default_rng(31)
+        entries = [
+            (i, j, k, float(rng.uniform()))
+            for i in range(1, 7)
+            for j in range(4)
+            for k in range(3)
+            if rng.uniform() < 0.6
+        ]
+        tensor = SparseTensor.from_entries((7, 5, 3), entries)
+        state = _make_state(tensor, n_latent=4, alpha=5.0, seed=8)
+        tree = StreamTree(state.seed)
+        for _ in range(3):
+            gibbs_step(state, tensor, tree)
+        for mode in range(3):
+            expected = per_row_reference(state, tensor, mode, mode_normals(state, mode))
+            batched = sample_mode_latents(state, tensor, mode, tree)
+            assert np.max(np.abs(batched - expected)) <= 1e-12
+
+    def test_singular_row_precision_rescued_by_jitter(self):
+        # With a zero prior precision, target 0's single cell gives the
+        # rank-1 precision alpha * q q' with q = (1, 2): exactly singular.
+        # The jitter policy (1e-6 * trace / D on the diagonal) rescues that
+        # row only; target 1, with two cells, keeps its exact precision.
+        tensor = SparseTensor.from_entries(
+            (2, 2, 1), [(0, 0, 0, 0.5), (1, 0, 0, 0.3), (1, 1, 0, 0.7)]
+        )
+        state = _make_state(tensor, n_latent=2, alpha=4.0, seed=3)
+        state.latents[1][:] = [[1.0, 2.0], [3.0, 1.0]]
+        state.latents[2][:] = [[1.0, 1.0]]
+        state.params[0].precision = np.zeros((2, 2))
+        state.params[0].mean = np.zeros(2)
+        prior = state.params[0]
+        q_rows, values = fiber_cells(state, tensor, 0, 0)
+        with pytest.raises(NumericalError, match="singular"):
+            row_posterior(prior.precision, prior.mean, state.alpha, q_rows, values)
+        precision = state.alpha * (q_rows.T @ q_rows)
+        precision += 1e-6 * np.trace(precision) / 2 * np.eye(2)
+        mean = np.linalg.solve(precision, state.alpha * (q_rows.T @ values))
+
+        normals = mode_normals(state, 0)
+        batched = sample_mode_latents(state, tensor, 0, StreamTree(state.seed))
+        assert np.all(np.isfinite(batched))
+        assert np.allclose(batched[0], cholesky_draw(mean, precision, normals[0]), rtol=1e-8, atol=0.0)
+        q_rows, values = fiber_cells(state, tensor, 0, 1)
+        precision, mean = row_posterior(prior.precision, prior.mean, state.alpha, q_rows, values)
+        assert np.max(np.abs(batched[1] - cholesky_draw(mean, precision, normals[1]))) <= 1e-12
+
+    def test_precision_beyond_jitter_raises(self):
+        # A negative-definite prior cannot be rescued by one jitter retry.
+        tensor = SparseTensor.from_entries((2, 1, 1), [(1, 0, 0, 0.5)])
+        state = _make_state(tensor, n_latent=2, seed=4)
+        state.params[0].precision = -np.eye(2)
+        with pytest.raises(NumericalError, match="not SPD after jitter"):
+            sample_mode_latents(state, tensor, 0, StreamTree(state.seed))
+
 
 class TestGibbsStep:
     def test_state_changes_and_is_deterministic(self, tiny_tensor):
@@ -225,16 +317,6 @@ class TestGibbsStep:
             gibbs_step(state_c, tiny_tensor, tree)
         for mat_b, mat_c in zip(state_b.latents, state_c.latents):
             assert np.array_equal(mat_b, mat_c)
-
-    def test_parallel_equals_serial(self, tiny_tensor):
-        serial = _make_state(tiny_tensor, n_latent=4, seed=6)
-        threaded = _make_state(tiny_tensor, n_latent=4, seed=6)
-        tree = StreamTree(6)
-        for _ in range(3):
-            gibbs_step(serial, tiny_tensor, tree, n_threads=1)
-            gibbs_step(threaded, tiny_tensor, tree, n_threads=4)
-        for mat_s, mat_t in zip(serial.latents, threaded.latents):
-            assert np.array_equal(mat_s, mat_t)
 
     def test_dims_mismatch(self, tiny_tensor):
         state = init_model((4, 2, 4), 2, seed=0)
