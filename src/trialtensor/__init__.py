@@ -40,12 +40,10 @@ from .sampler import (
     Hyperprior,
     ModelState,
     ModeParams,
-    RunResult,
     SamplerSchedule,
     gibbs_step,
     init_model,
     load_checkpoint,
-    predict_cell,
     predict_cells,
     row_posterior,
     run,

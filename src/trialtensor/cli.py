@@ -12,13 +12,16 @@ optional flag of the subcommand; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import itertools
 import logging
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import ingest as ing
 from .errors import DataError, NumericalError
-from .io import format_float, write_json, write_tsv
+from .io import format_float, read_text, write_json, write_tsv
 from .metrics import EvalConfig, phase_analysis, repeated_eval
 from .sampler import SamplerSchedule, init_model, run, save_checkpoint
 from .simulate import SynthConfig, generate, synthetic_modes
@@ -116,10 +119,8 @@ def _load_config_defaults(subparser: argparse.ArgumentParser, path: str) -> dict
     """Parse a key=value file, converting values with the matching flag's type."""
     actions = {action.dest: action for action in subparser._actions}
     overrides = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read --config file: {exc}") from exc
+    with read_text(path) as handle:
+        text = handle.read()
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -255,27 +256,22 @@ def cmd_train(ns: argparse.Namespace) -> int:
         layer_names = tuple(modes[2].reverse[k] for k in keep)
     schedule = SamplerSchedule(burnin=ns.burnin, samples=ns.samples, thin=ns.thin)
     state = init_model(tensor.dims, ns.latent_dim, alpha=ns.alpha, seed=ns.seed)
-    queries = [
-        (i, j, 0) for i in range(tensor.dims[0]) for j in range(tensor.dims[1])
-    ]
-    result = run(state, tensor, schedule, queries)
-    save_checkpoint(out_dir / "checkpoint", state, schedule, result.retained)
+    queries = np.indices((tensor.dims[0], tensor.dims[1], 1), dtype=np.int64).reshape(3, -1).T
+    scores = run(state, tensor, schedule, queries)
+    save_checkpoint(out_dir / "checkpoint", state, schedule)
     write_tsv(
         out_dir / "predictions.tsv",
         ("target_id", "indication_id", "layer", "score"),
         (
-            (
-                modes[0].reverse[i],
-                modes[1].reverse[j],
-                layer_names[k],
-                format_float(result.predictions[(i, j, k)]),
+            (target, indication, layer_names[0], format_float(score))
+            for (target, indication), score in zip(
+                itertools.product(modes[0].reverse, modes[1].reverse), scores.tolist()
             )
-            for (i, j, k) in queries
         ),
     )
     logger.info(
         "trained on dims=%s entries=%d, retained %d samples -> %s",
-        tensor.dims, tensor.n_entries, result.retained, out_dir,
+        tensor.dims, tensor.n_entries, schedule.retained, out_dir,
     )
     return 0
 
@@ -322,7 +318,7 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
 
 def _read_predictions(path: Path, layer: str) -> dict[tuple[str, str], float]:
     predictions: dict[tuple[str, str], float] = {}
-    with open(path, encoding="utf-8") as handle:
+    with read_text(path) as handle:
         header = handle.readline().rstrip("\n").split("\t")
         expected = ["target_id", "indication_id", "layer", "score"]
         if header != expected:
@@ -337,9 +333,12 @@ def _read_predictions(path: Path, layer: str) -> dict[tuple[str, str], float]:
             if key in predictions:
                 raise DataError(f"{path}:{lineno}: duplicate prediction for {key}")
             try:
-                predictions[key] = float(parts[3])
+                score = float(parts[3])
+                if not 0.0 <= score <= 1.0:  # also rejects nan
+                    raise ValueError("outside [0, 1]")
             except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad score {parts[3]!r}") from exc
+                raise DataError(f"{path}:{lineno}: bad score {parts[3]!r}, expected a number in [0, 1]") from exc
+            predictions[key] = score
     if not predictions:
         raise DataError(f"{path}: no predictions for layer {layer!r}")
     return predictions

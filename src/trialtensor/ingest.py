@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DataError
+from .io import read_text
 from .tensor import Mode, ModeIndex, SparseTensor, build_index
 
 logger = logging.getLogger(__name__)
@@ -127,11 +128,7 @@ class IngestReport:
 def _rows(path: str | Path, required: Sequence[str]):
     """Yield (line_number, row_dict) from a header-bearing TSV."""
     path = Path(path)
-    try:
-        handle = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
-    with handle:
+    with read_text(path, newline="") as handle:
         reader = csv.DictReader(handle, delimiter="\t")
         header = reader.fieldnames or []
         missing = [col for col in required if col not in header]

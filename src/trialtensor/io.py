@@ -43,6 +43,21 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
+@contextmanager
+def read_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """Open a UTF-8 text file for reading; failing to open or decode it is a
+    :class:`DataError` naming the file."""
+    try:
+        handle = open(path, encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    with handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def format_float(value: float) -> str:
     """Shortest round-trippable decimal form, stable across runs."""
     return f"{float(value):.17g}"
@@ -63,5 +78,5 @@ def write_json(path: str | Path, payload: object) -> None:
 
 
 def read_json(path: str | Path) -> object:
-    with open(path, encoding="utf-8") as handle:
+    with read_text(path) as handle:
         return json.load(handle)

@@ -220,14 +220,12 @@ def repeated_eval(
     f1s = []
     for seed in seeds[:n_repeats]:
         split = split_cells(tensor, layer=0, heldout_fraction=config.heldout_fraction, seed=seed)
-        heldout = sorted(split.heldout)
-        train_tensor = tensor.without_cells(heldout)
+        heldout = tensor.coords[split.heldout]
         state = init_model(
             tensor.dims, config.n_latent, alpha=config.alpha, seed=int(seed)
         )
-        result = run(state, train_tensor, config.schedule, heldout)
-        scores = np.array([result.predictions[cell] for cell in heldout])
-        labels = np.array([tensor.lookup(*cell) for cell in heldout])
+        scores = run(state, tensor.without_cells(heldout), config.schedule, heldout)
+        labels = tensor.values[split.heldout]
         aurocs.append(auroc(scores, labels))
         f1s.append(f1(scores, labels, config.threshold))
     return EvalReport(

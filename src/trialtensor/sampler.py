@@ -26,7 +26,7 @@ from scipy.linalg import solve_triangular
 from .errors import DataError, NumericalError
 from .io import atomic_write, format_float, read_json
 from .rng import ROLE_HYPER, ROLE_INIT, ROLE_LATENT, StreamTree
-from .tensor import Coord, SparseTensor
+from .tensor import SparseTensor
 
 _JITTER_REL = 1e-6
 
@@ -370,29 +370,19 @@ def predict_cells(state: ModelState, coords: np.ndarray) -> np.ndarray:
     return np.clip(raw, 0.0, 1.0)
 
 
-def predict_cell(state: ModelState, i: int, j: int, k: int) -> float:
-    """Success-probability score for one cell."""
-    return float(predict_cells(state, np.array([[i, j, k]]))[0])
-
-
-@dataclass(frozen=True)
-class RunResult:
-    predictions: dict[Coord, float]
-    retained: int
-
-
 def run(
     state: ModelState,
     tensor: SparseTensor,
     schedule: SamplerSchedule,
-    query_cells: Sequence[Coord] | np.ndarray,
-) -> RunResult:
+    query_cells: np.ndarray,
+) -> np.ndarray:
     """Burn in, then sample, retaining every ``thin``-th post-burn-in sweep.
 
     Sweeps are numbered 1-based after burn-in and a sweep is retained when
     its number is an exact multiple of ``thin``, so the retained count is
-    ``samples // thin``. The final score per query cell is the arithmetic
-    mean of the clamped per-sample predictions.
+    ``schedule.retained == samples // thin``. ``query_cells`` is any
+    ``(n, 3)`` array-like of coordinates; the result is the ``(n,)`` array
+    of mean clamped per-sample scores, aligned with its rows.
     """
     if schedule.retained == 0:
         raise ValueError(
@@ -408,11 +398,7 @@ def run(
         gibbs_step(state, tensor, tree)
         if sweep_number % schedule.thin == 0:
             sums += predict_cells(state, cells)
-    means = sums / schedule.retained
-    predictions = {
-        (int(i), int(j), int(k)): float(score) for (i, j, k), score in zip(cells, means)
-    }
-    return RunResult(predictions=predictions, retained=schedule.retained)
+    return sums / schedule.retained
 
 
 # --------------------------------------------------------------------------
@@ -425,7 +411,6 @@ def save_checkpoint(
     directory: str | Path,
     state: ModelState,
     schedule: SamplerSchedule,
-    retained: int,
 ) -> None:
     directory = Path(directory)
     for filename, matrix in zip(_CHECKPOINT_FILES, state.latents):
@@ -439,7 +424,7 @@ def save_checkpoint(
         "samples": schedule.samples,
         "thin": schedule.thin,
         "seed": state.seed,
-        "retained": retained,
+        "retained": schedule.retained,
     }
     with atomic_write(directory / "manifest.json") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)

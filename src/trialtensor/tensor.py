@@ -15,14 +15,12 @@ import json
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .io import atomic_write, format_float
-
-Coord = tuple[int, int, int]
+from .io import atomic_write, format_float, read_text
 
 
 class Mode(IntEnum):
@@ -127,10 +125,6 @@ class SparseTensor:
     def density(self) -> float:
         return self.n_entries / (self.dims[0] * self.dims[1] * self.dims[2])
 
-    def entries(self) -> Iterator[tuple[int, int, int, float]]:
-        for (i, j, k), v in zip(self._coords, self._values):
-            yield int(i), int(j), int(k), float(v)
-
     def insert(self, i: int, j: int, k: int, value: float) -> "SparseTensor":
         """Return a new tensor with one extra cell (duplicates are an error)."""
         coords = np.vstack([self._coords, np.array([[i, j, k]], dtype=np.int64)])
@@ -174,12 +168,16 @@ class SparseTensor:
         mask = self._coords[:, 2] == layer
         return self._coords[mask], self._values[mask]
 
-    def without_cells(self, cells: Iterable[Coord]) -> "SparseTensor":
-        """Copy of the tensor with the given cells removed."""
-        drop = set(cells)
-        keep = np.array(
-            [(int(i), int(j), int(k)) not in drop for i, j, k in self._coords], dtype=bool
-        )
+    def without_cells(self, cells: np.ndarray) -> "SparseTensor":
+        """Copy without the cells of an ``(n, 3)`` coordinate array.
+
+        Survivors keep their storage order; cells the tensor does not hold,
+        including out-of-range ones, are ignored.
+        """
+        cells = np.asarray(cells, dtype=np.int64).reshape(-1, 3)
+        cells = cells[((cells >= 0) & (cells < np.asarray(self.dims))).all(axis=1)]
+        lin = self._linearize(self._coords, self.dims)
+        keep = ~np.isin(lin, self._linearize(cells, self.dims))
         return SparseTensor(self.dims, self._coords[keep], self._values[keep])
 
 
@@ -202,14 +200,18 @@ def select_layers(tensor: SparseTensor, keep: Sequence[int]) -> SparseTensor:
 
 @dataclass(frozen=True)
 class CellSplit:
-    """Disjoint train/held-out partition of one layer's observed cells."""
+    """Disjoint train/held-out partition of one layer's observed cells.
 
-    train: frozenset[Coord]
-    heldout: frozenset[Coord]
+    ``train`` and ``heldout`` are int64 arrays of entry rows into the
+    tensor's ``coords``/``values``, each in lexicographic coordinate order.
+    """
+
+    train: np.ndarray
+    heldout: np.ndarray
     seed: int
 
     def __post_init__(self):
-        if self.train & self.heldout:
+        if np.intersect1d(self.train, self.heldout).size:
             raise DataError("train and heldout sets overlap")
 
 
@@ -222,27 +224,28 @@ def split_cells(
     (value >= 0.5) or negative, each class is sorted lexicographically by
     coordinate, and ``floor(n_class * fraction + 0.5)`` cells are drawn
     per class without replacement from one ``numpy`` PCG64 generator,
-    positives first.
+    positives first. The split holds entry rows, not coordinates:
+    ``tensor.coords[split.heldout]`` are the held-out cells.
     """
     if not 0.0 < heldout_fraction < 1.0:
         raise DataError(f"heldout_fraction must be in (0, 1), got {heldout_fraction}")
     if not 0 <= layer < tensor.dims[2]:
         raise DataError(f"layer {layer} out of range")
-    coords, values = tensor.layer_entries(layer)
-    pos = [tuple(int(c) for c in xyz) for xyz, v in zip(coords, values) if v >= 0.5]
-    neg = [tuple(int(c) for c in xyz) for xyz, v in zip(coords, values) if v < 0.5]
-    if len(pos) < 2 or len(neg) < 2:
+    _, order = tensor._lookup_index()  # entry rows in linear-index order
+    rows = order[tensor.coords[order, 2] == layer]
+    positive = tensor.values[rows] >= 0.5
+    pos, neg = rows[positive], rows[~positive]
+    if pos.size < 2 or neg.size < 2:
         raise DataError(
-            f"insufficient class members in layer {layer}: {len(pos)} positive, {len(neg)} negative"
+            f"insufficient class members in layer {layer}: {pos.size} positive, {neg.size} negative"
         )
     rng = np.random.default_rng(seed)
-    heldout: set[Coord] = set()
-    for cells in (sorted(pos), sorted(neg)):
-        n_held = int(np.floor(len(cells) * heldout_fraction + 0.5))
-        chosen = rng.choice(len(cells), size=n_held, replace=False)
-        heldout.update(cells[c] for c in chosen)
-    train = {tuple(int(c) for c in xyz) for xyz in coords} - heldout
-    return CellSplit(train=frozenset(train), heldout=frozenset(heldout), seed=seed)
+    chosen = []
+    for cells in (pos, neg):
+        n_held = int(np.floor(cells.size * heldout_fraction + 0.5))
+        chosen.append(cells[rng.choice(cells.size, size=n_held, replace=False)])
+    held = np.isin(rows, np.concatenate(chosen))
+    return CellSplit(train=rows[~held], heldout=rows[held], seed=seed)
 
 
 # --------------------------------------------------------------------------
@@ -267,7 +270,7 @@ def save_tensor(
             )
     with atomic_write(tsv_path) as handle:
         handle.write("i\tj\tk\tvalue\n")
-        for i, j, k, v in tensor.entries():
+        for (i, j, k), v in zip(tensor.coords.tolist(), tensor.values.tolist()):
             handle.write(f"{i}\t{j}\t{k}\t{format_float(v)}\n")
     meta = {
         "dims": list(tensor.dims),
@@ -303,14 +306,14 @@ def _meta_indices(meta: object, meta_path: str | Path) -> tuple[list, tuple[Mode
 def load_tensor(
     tsv_path: str | Path, meta_path: str | Path
 ) -> tuple[SparseTensor, tuple[ModeIndex, ModeIndex, ModeIndex]]:
-    try:
-        with open(meta_path, encoding="utf-8") as handle:
+    with read_text(meta_path) as handle:
+        try:
             meta = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read tensor metadata {meta_path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise DataError(f"cannot read tensor metadata {meta_path}: {exc}") from exc
     dims, modes = _meta_indices(meta, meta_path)
     entries = []
-    with open(tsv_path, encoding="utf-8") as handle:
+    with read_text(tsv_path) as handle:
         header = handle.readline().rstrip("\n")
         if header.split("\t") != ["i", "j", "k", "value"]:
             raise DataError(f"unexpected tensor header in {tsv_path}: {header!r}")
@@ -319,7 +322,10 @@ def load_tensor(
             if len(parts) != 4:
                 raise DataError(f"{tsv_path}:{lineno}: expected 4 fields, got {len(parts)}")
             try:
-                entries.append((int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])))
+                i, j, k, value = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
             except ValueError as exc:
                 raise DataError(f"{tsv_path}:{lineno}: {exc}") from exc
+            if not (0 <= i < dims[0] and 0 <= j < dims[1] and 0 <= k < dims[2]):
+                raise DataError(f"{tsv_path}:{lineno}: coordinate ({i}, {j}, {k}) out of range for dims {dims}")
+            entries.append((i, j, k, value))
     return SparseTensor.from_entries(dims, entries), modes

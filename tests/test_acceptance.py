@@ -135,14 +135,14 @@ def test_c3_synthetic_recovery():
         )
         tensor, truth, _ = generate(config)
         split = split_cells(tensor, layer=0, heldout_fraction=0.2, seed=7)
-        heldout = sorted(split.heldout)
+        heldout = tensor.coords[split.heldout]
         train_tensor = tensor.without_cells(heldout)
         state = init_model(tensor.dims, 16, alpha=100.0, seed=1)
-        result = run(state, train_tensor, SamplerSchedule(200, 800, 80), heldout)
-        assert result.retained == 10
-        scores = np.array([result.predictions[cell] for cell in heldout])
-        observed = np.array([tensor.lookup(*cell) for cell in heldout])
-        binarized_truth = np.array([truth[cell] >= 0.5 for cell in heldout])
+        schedule = SamplerSchedule(200, 800, 80)
+        assert schedule.retained == 10
+        scores = run(state, train_tensor, schedule, heldout)
+        observed = tensor.values[split.heldout]
+        binarized_truth = truth[tuple(heldout.T)] >= 0.5
         rmse = float(np.sqrt(np.mean((scores - observed) ** 2)))
         assert rmse <= 2.0 * sigma
         assert auroc(scores, binarized_truth) >= 0.95
@@ -276,9 +276,8 @@ def test_c8_determinism(ingested_dir, tmp_path):
 
         config = SynthConfig(dims=(15, 12, 3), true_rank=4, observed_fraction=0.5, seed=4)
         tensor, _, _ = generate(config)
-        queries = sorted((int(i), int(j), int(k)) for i, j, k in tensor.coords[:40])
         state = init_model(tensor.dims, 6, alpha=20.0, seed=9)
-        run(state, tensor, SamplerSchedule(10, 20, 5), queries)
+        run(state, tensor, SamplerSchedule(10, 20, 5), tensor.coords[:40])
         tree = StreamTree(9)
         for mode in range(3):
             expected = per_row_reference(state, tensor, mode, mode_normals(state, mode))

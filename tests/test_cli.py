@@ -147,6 +147,19 @@ class TestTrainCommand:
         assert "data error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_oversized_coordinate_is_data_error(self, ingested_dir, tmp_path, capsys):
+        tensor_dir = tmp_path / "tensor"
+        shutil.copytree(ingested_dir, tensor_dir)
+        tsv = tensor_dir / "tensor.tsv"
+        lines = tsv.read_text().splitlines()
+        lines[2] = "99999999999999999999\t0\t0\t1"
+        tsv.write_text("\n".join(lines) + "\n")
+        args = ["train", "--tensor", str(tensor_dir), "--out", str(tmp_path / "o")]
+        assert main(args + SMALL_SCHEDULE) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err
+        assert "tensor.tsv:3" in err
+
     def test_uncreatable_out_is_data_error(self, ingested_dir, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("not a directory\n")
@@ -313,6 +326,19 @@ class TestPhaseCommand:
         assert payload["excluded_phases"] == [2]
         assert payload["n_comparisons"] == 6  # C(4, 2)
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "7.5", "-0.1"])
+    def test_impossible_score_is_data_error(self, tmp_path, capsys, score):
+        predictions, pairs = self._write_inputs(tmp_path)
+        lines = predictions.read_text().splitlines()
+        lines[5] = "\t".join(lines[5].split("\t")[:3] + [score])
+        predictions.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "phase"
+        args = ["phase-analysis", "--predictions", str(predictions), "--pairs", str(pairs),
+                "--out", str(out)]
+        assert main(args) == 2
+        assert "predictions.tsv:6" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTopLevel:
     def test_no_command_is_usage_error(self, capsys):
@@ -320,3 +346,30 @@ class TestTopLevel:
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["train", "--frobnicate"]) == 1
+
+    @pytest.mark.parametrize("case", ["tensor_tsv", "tensor_meta", "evidence", "predictions", "config"])
+    def test_non_utf8_input_is_data_error(self, ingested_dir, ingest_args, tmp_path, capsys, case):
+        out = str(tmp_path / "o")
+        args = ["train", "--tensor", str(ingested_dir), "--out", out] + SMALL_SCHEDULE
+        if case in ("tensor_tsv", "tensor_meta"):
+            bad = ingested_dir / ("tensor.tsv" if case == "tensor_tsv" else "tensor.meta.json")
+            bad.write_bytes(bad.read_bytes() + b"\xff\n")
+        elif case == "evidence":
+            args = list(ingest_args[0])
+            rare = args.index("--rare") + 1
+            bad = tmp_path / "rare.tsv"
+            bad.write_bytes(open(args[rare], "rb").read() + b"G\xff\tE\thigh\n")
+            args[rare], args[args.index("--out") + 1] = str(bad), out
+        elif case == "predictions":
+            bad = tmp_path / "predictions.tsv"
+            bad.write_bytes(b"target_id\tindication_id\tlayer\tscore\ng\xff\td\toutcome\t0.5\n")
+            args = ["phase-analysis", "--predictions", str(bad),
+                    "--pairs", str(ingested_dir / "pairs.tsv"), "--out", out]
+        else:
+            bad = tmp_path / "run.cfg"
+            bad.write_bytes(b"seed = 5  # \xff\n")
+            args += ["--config", str(bad)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err
+        assert bad.name in err

@@ -226,7 +226,8 @@ class TestBuildTensor:
         assert modes[0].reverse == ("ENSG0001", "ENSG0002", "ENSG0003")
         assert modes[1].reverse == ("MeSH:D001249", "MeSH:D003920")
         assert modes[2].reverse == ("outcome", "rare_disease", "gene_burden", "gwas")
-        assert sorted(tensor.entries()) == sorted(FIXTURE_ENTRIES)
+        cells = zip(tensor.coords.tolist(), tensor.values.tolist())
+        assert sorted((*coord, value) for coord, value in cells) == sorted(FIXTURE_ENTRIES)
 
     def test_empty_outcome_layer_rejected(self):
         evidence = [EvidenceRecord("G1", "M1", Layer.GWAS, 0.9)]

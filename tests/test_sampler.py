@@ -15,7 +15,6 @@ from trialtensor import (
     gibbs_step,
     init_model,
     load_checkpoint,
-    predict_cell,
     predict_cells,
     row_posterior,
     run,
@@ -330,7 +329,7 @@ class TestPredict:
         state.latents[0][0] = [1.0, 0.0, 0.0]
         state.latents[1][0] = [1.0, 0.0, 0.0]
         state.latents[2][0] = [0.6, 0.0, 0.0]
-        assert predict_cell(state, 0, 0, 0) == pytest.approx(0.6)
+        assert predict_cells(state, [(0, 0, 0)])[0] == pytest.approx(0.6)
 
     @pytest.mark.parametrize("w,expected", [(1.4, 1.0), (-0.2, 0.0)])
     def test_clamp(self, w, expected):
@@ -338,12 +337,12 @@ class TestPredict:
         state.latents[0][0] = [1.0]
         state.latents[1][0] = [1.0]
         state.latents[2][0] = [w]
-        assert predict_cell(state, 0, 0, 0) == expected
+        assert predict_cells(state, [(0, 0, 0)])[0] == expected
 
     def test_out_of_range(self):
         state = init_model((2, 2, 2), 1, seed=0)
         with pytest.raises(DataError):
-            predict_cell(state, 2, 0, 0)
+            predict_cells(state, [(2, 0, 0)])
 
     def test_sign_flip_invariance(self):
         # Negating one latent column in exactly two modes leaves every
@@ -377,24 +376,47 @@ class TestRun:
     def test_single_sample_schedule_equals_one_step(self, tiny_tensor):
         state = _make_state(tiny_tensor, n_latent=2, seed=13)
         queries = [(0, 0, 0), (2, 1, 3)]
-        result = run(state, tiny_tensor, SamplerSchedule(0, 1, 1), queries)
-        assert result.retained == 1
+        scores = run(state, tiny_tensor, SamplerSchedule(0, 1, 1), queries)
+        assert scores.shape == (2,)
 
         replay = _make_state(tiny_tensor, n_latent=2, seed=13)
         gibbs_step(replay, tiny_tensor, StreamTree(13))
         expected = predict_cells(replay, np.array(queries))
-        assert result.predictions[(0, 0, 0)] == pytest.approx(expected[0], abs=1e-15)
-        assert result.predictions[(2, 1, 3)] == pytest.approx(expected[1], abs=1e-15)
+        assert scores[0] == pytest.approx(expected[0], abs=1e-15)
+        assert scores[1] == pytest.approx(expected[1], abs=1e-15)
 
     def test_retained_count(self, tiny_tensor):
+        # Burn-in 2, then sweeps 3, 6 and 9 of 10 are retained: the score
+        # is the mean of exactly those three predictions.
         state = _make_state(tiny_tensor, seed=3)
-        result = run(state, tiny_tensor, SamplerSchedule(2, 10, 3), [(0, 0, 0)])
-        assert result.retained == 3
+        scores = run(state, tiny_tensor, SamplerSchedule(2, 10, 3), [(0, 0, 0)])
+
+        replay = _make_state(tiny_tensor, seed=3)
+        tree = StreamTree(3)
+        retained = []
+        for sweep in range(1, 13):
+            gibbs_step(replay, tiny_tensor, tree)
+            if sweep > 2 and (sweep - 2) % 3 == 0:
+                retained.append(predict_cells(replay, [(0, 0, 0)])[0])
+        assert len(retained) == 3
+        assert scores[0] == pytest.approx(np.mean(retained), abs=1e-15)
 
     def test_predictions_clamped(self, tiny_tensor):
         state = _make_state(tiny_tensor, seed=3)
-        result = run(state, tiny_tensor, SamplerSchedule(1, 4, 2), [(0, 0, 0), (1, 1, 1)])
-        assert all(0.0 <= v <= 1.0 for v in result.predictions.values())
+        scores = run(state, tiny_tensor, SamplerSchedule(1, 4, 2), [(0, 0, 0), (1, 1, 1)])
+        assert scores.shape == (2,)
+        assert ((scores >= 0.0) & (scores <= 1.0)).all()
+
+    def test_query_row_permutation_permutes_scores(self, tiny_tensor):
+        queries = np.indices(tiny_tensor.dims).reshape(3, -1).T
+        perm = np.random.default_rng(5).permutation(queries.shape[0])
+        schedule = SamplerSchedule(1, 4, 2)
+        scores = run(_make_state(tiny_tensor, seed=3), tiny_tensor, schedule, queries)
+        permuted = run(
+            _make_state(tiny_tensor, seed=3), tiny_tensor, schedule,
+            [tuple(cell) for cell in queries[perm].tolist()],
+        )
+        assert np.array_equal(permuted, scores[perm])
 
     def test_empty_retention_rejected(self, tiny_tensor):
         state = _make_state(tiny_tensor)
@@ -423,11 +445,9 @@ class TestRun:
         tensor = SparseTensor.from_entries((10, 8, 3), entries)
         state = init_model(tensor.dims, 2, alpha=100.0, seed=1)
         queries = [(i, j, k) for i in range(10) for j in range(8) for k in range(3)]
-        result = run(state, tensor, SamplerSchedule(150, 50, 10), queries)
-        predicted = np.array([result.predictions[c] for c in queries])
+        predicted = run(state, tensor, SamplerSchedule(150, 50, 10), queries)
         observed = np.array([values[c] for c in queries])
         rmse = float(np.sqrt(np.mean((predicted - observed) ** 2)))
-        assert result.retained == 5
         assert rmse <= 0.05
 
 
@@ -436,7 +456,7 @@ class TestCheckpoint:
         state = _make_state(tiny_tensor, n_latent=3, seed=17)
         schedule = SamplerSchedule(1, 4, 2)
         run(state, tiny_tensor, schedule, [(0, 0, 0)])
-        save_checkpoint(tmp_path / "ckpt", state, schedule, retained=2)
+        save_checkpoint(tmp_path / "ckpt", state, schedule)
         loaded, manifest = load_checkpoint(tmp_path / "ckpt")
         for mat_a, mat_b in zip(state.latents, loaded.latents):
             assert np.allclose(mat_a, mat_b, atol=1e-15)

@@ -45,8 +45,7 @@ class TestGenerate:
         )
         tensor, truth, _ = generate(config)
         assert tensor.n_entries == 6 * 5 * 2
-        for i, j, k, value in tensor.entries():
-            assert value == truth[i, j, k]
+        assert np.array_equal(tensor.values, truth[tuple(tensor.coords.T)])
 
     def test_truth_in_unit_interval(self):
         config = SynthConfig(dims=(12, 10, 4), true_rank=6, noise_sd=0.2, seed=3)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trialtensor import (
+    CellSplit,
     DataError,
     Mode,
     SparseTensor,
@@ -115,10 +116,24 @@ class TestSparseTensor:
                 assert (tiny_tensor.coords[rows, mode] == entity).all()
 
     def test_without_cells(self, tiny_tensor):
-        trimmed = tiny_tensor.without_cells([(0, 0, 0), (1, 1, 3)])
+        trimmed = tiny_tensor.without_cells(np.array([(0, 0, 0), (1, 1, 3)]))
         assert trimmed.n_entries == 10
         assert trimmed.lookup(0, 0, 0) is None
         assert trimmed.lookup(0, 1, 0) == 0.0
+
+    def test_without_cells_keeps_storage_order_and_ignores_absent(self, tiny_tensor):
+        drop = [1, 4, 7]
+        absent = np.array([
+            (2, 0, 0),  # in range, unobserved
+            (0, 2, 0),  # out of range; its linear index is that of (1, 0, 0)
+            (0, 0, 4),  # out of range; its linear index is that of (0, 1, 0)
+            (-1, 2, 0),  # out of range; its linear index is that of (0, 0, 0)
+        ])
+        trimmed = tiny_tensor.without_cells(np.vstack([tiny_tensor.coords[drop], absent]))
+        keep = np.ones(tiny_tensor.n_entries, dtype=bool)
+        keep[drop] = False
+        assert np.array_equal(trimmed.coords, tiny_tensor.coords[keep])
+        assert np.array_equal(trimmed.values, tiny_tensor.values[keep])
 
 
 class TestSelectLayers:
@@ -141,24 +156,38 @@ def _ten_cell_layer():
 
 class TestSplitCells:
     def test_proportional_rounding(self):
-        split = split_cells(_ten_cell_layer(), 0, 0.2, seed=3)
-        held_values = [1.0 if c[0] < 5 else 0.0 for c in split.heldout]
+        tensor = _ten_cell_layer()
+        split = split_cells(tensor, 0, 0.2, seed=3)
         assert len(split.heldout) == 2
-        assert sorted(held_values) == [0.0, 1.0]
+        assert sorted(tensor.values[split.heldout]) == [0.0, 1.0]
 
     def test_deterministic(self):
         tensor = _ten_cell_layer()
         first = split_cells(tensor, 0, 0.4, seed=11)
         second = split_cells(tensor, 0, 0.4, seed=11)
-        assert first.heldout == second.heldout
-        assert first.train == second.train
+        assert np.array_equal(first.heldout, second.heldout)
+        assert np.array_equal(first.train, second.train)
 
     def test_partition_is_exhaustive(self):
         tensor = _ten_cell_layer()
         split = split_cells(tensor, 0, 0.3, seed=2)
-        layer_cells = {(int(i), int(j), int(k)) for i, j, k in tensor.layer_entries(0)[0]}
-        assert split.train | split.heldout == layer_cells
-        assert not split.train & split.heldout
+        layer_rows = np.nonzero(tensor.coords[:, 2] == 0)[0]
+        assert np.array_equal(np.sort(np.concatenate([split.train, split.heldout])), layer_rows)
+        assert np.intersect1d(split.train, split.heldout).size == 0
+
+    def test_rows_in_lexicographic_order(self):
+        entries = [(i, j, k, float(i % 2)) for i in range(6) for j in range(3) for k in range(2)]
+        tensor = SparseTensor.from_entries((6, 3, 2), entries[::-1])
+        split = split_cells(tensor, 1, 0.4, seed=4)
+        for rows in (split.train, split.heldout):
+            assert rows.dtype == np.int64
+            cells = [tuple(c) for c in tensor.coords[rows].tolist()]
+            assert all(k == 1 for _, _, k in cells)
+            assert cells == sorted(set(cells))
+
+    def test_overlap_rejected(self):
+        with pytest.raises(DataError, match="overlap"):
+            CellSplit(train=np.array([1, 2]), heldout=np.array([2, 3]), seed=0)
 
     def test_insufficient_class_members(self):
         entries = [(0, 0, 0, 1.0), (1, 0, 0, 0.0), (2, 0, 0, 0.0)]
@@ -179,7 +208,7 @@ class TestSplitCells:
             n_held = int(np.floor(len(group) * 0.5 + 0.5))
             for idx in rng.choice(len(group), size=n_held, replace=False):
                 expected.add(group[idx])
-        assert split.heldout == frozenset(expected)
+        assert [tuple(c) for c in tiny_tensor.coords[split.heldout].tolist()] == sorted(expected)
 
     @given(
         n_pos=st.integers(2, 40),
@@ -193,7 +222,7 @@ class TestSplitCells:
         entries += [(n_pos + i, 0, 0, 0.0) for i in range(n_neg)]
         tensor = SparseTensor.from_entries((n_pos + n_neg, 1, 1), entries)
         split = split_cells(tensor, 0, fraction, seed=seed)
-        held_pos = sum(1 for c in split.heldout if c[0] < n_pos)
+        held_pos = int((tensor.coords[split.heldout, 0] < n_pos).sum())
         assert abs(held_pos - fraction * n_pos) <= 1.0
 
     def test_bad_fraction(self, tiny_tensor):
@@ -220,7 +249,8 @@ class TestSerialization:
         assert tsv.read_text().splitlines()[0] == "i\tj\tk\tvalue"
         loaded, loaded_modes = load_tensor(tsv, meta)
         assert loaded.dims == tiny_tensor.dims
-        assert sorted(loaded.entries()) == sorted(tiny_tensor.entries())
+        assert np.array_equal(loaded.coords, tiny_tensor.coords)
+        assert np.array_equal(loaded.values, tiny_tensor.values)
         assert loaded_modes[0].reverse == ("g1", "g2", "g3")
         assert loaded_modes[2].forward["gwas"] == 3
 
