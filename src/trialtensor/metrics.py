@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DataError
 from .sampler import SamplerSchedule, init_model, run
@@ -32,13 +31,32 @@ def _as_binary_labels(labels: Sequence[float]) -> np.ndarray:
     return arr.astype(bool) if arr.dtype == bool else arr.astype(float) >= 0.5
 
 
+def _finite_scores(values: Sequence[float]) -> np.ndarray:
+    arr = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise DataError("non-finite score in rank statistic")
+    return arr
+
+
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; each group of tied values gets the mean of its rank range."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def auroc(scores: Sequence[float], labels: Sequence[float]) -> float:
     """Area under the ROC curve via midranks.
 
     ``(sum of positive ranks - n_pos*(n_pos+1)/2) / (n_pos * n_neg)``;
-    tied scores receive the mean of their rank range.
+    tied scores receive the mean of their rank range. Non-finite scores
+    are a :class:`DataError`.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _finite_scores(scores)
     positive = _as_binary_labels(labels)
     if scores.shape[0] != positive.shape[0]:
         raise DataError("scores and labels differ in length")
@@ -46,7 +64,7 @@ def auroc(scores: Sequence[float], labels: Sequence[float]) -> float:
     n_neg = int(positive.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise DataError("degenerate labels: need at least one positive and one negative")
-    ranks = rankdata(scores, method="average")
+    ranks = _midranks(scores)
     return float((ranks[positive].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
@@ -88,14 +106,14 @@ def mann_whitney_u(
     The p-value comes from exact enumeration of all label arrangements when
     the pooled size is at most ``EXACT_MAX_TOTAL`` and otherwise from the
     normal approximation with tie-corrected variance and a continuity
-    correction of one half.
+    correction of one half. Non-finite scores are a :class:`DataError`.
     """
-    a = np.asarray(group_a, dtype=np.float64)
-    b = np.asarray(group_b, dtype=np.float64)
+    a = _finite_scores(group_a)
+    b = _finite_scores(group_b)
     if a.size == 0 or b.size == 0:
         raise DataError("empty group in rank test")
     pooled = np.concatenate([a, b])
-    ranks = rankdata(pooled, method="average")
+    ranks = _midranks(pooled)
     n_a, n_b = int(a.size), int(b.size)
     u_a = float(ranks[:n_a].sum() - n_a * (n_a + 1) / 2.0)
     if n_a + n_b <= EXACT_MAX_TOTAL:

@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DataError, NumericalError
 from .io import atomic_write, format_float, read_json
@@ -193,8 +192,8 @@ def _bartlett(root: np.ndarray, dof: float, rng: np.random.Generator) -> np.ndar
 def sample_mvn(mean: np.ndarray, precision: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draw from Normal(mean, precision^-1) without forming the inverse.
 
-    Uses the Cholesky factor of the precision and a single triangular
-    solve: if ``precision = L L'`` and ``z`` is standard normal, then
+    Uses the Cholesky factor of the precision and a single solve: if
+    ``precision = L L'`` and ``z`` is standard normal, then
     ``mean + solve(L', z)`` has covariance ``precision^-1``.
     """
     mean = np.asarray(mean, dtype=np.float64)
@@ -203,7 +202,7 @@ def sample_mvn(mean: np.ndarray, precision: np.ndarray, rng: np.random.Generator
     except np.linalg.LinAlgError as exc:
         raise NumericalError("precision not SPD") from exc
     z = rng.standard_normal(mean.shape[0])
-    return mean + solve_triangular(lower.T, z, lower=False)
+    return mean + np.linalg.solve(lower.T, z)
 
 
 def _jittered(mat: np.ndarray) -> np.ndarray:
@@ -262,7 +261,7 @@ def sample_mode_hyperparams(
     scale_inv = (scale_inv + scale_inv.T) / 2.0
     # With scale_inv = L L', the posterior scale is R R' for R = L'^-1.
     inv_lower = _cholesky(scale_inv, "posterior inverse scale")
-    root = solve_triangular(inv_lower, np.eye(scale_inv.shape[0]), lower=True).T
+    root = np.linalg.inv(inv_lower).T
     precision = _bartlett(root, dof_post, rng)
     mean = sample_mvn(mean_post, beta_post * precision, rng)
     return ModeParams(mean=mean, precision=precision)
@@ -355,12 +354,17 @@ def gibbs_step(state: ModelState, tensor: SparseTensor, tree: StreamTree) -> Mod
 # --------------------------------------------------------------------------
 # Prediction.
 
-def predict_cells(state: ModelState, coords: np.ndarray) -> np.ndarray:
-    """Three-way latent products for an (n, 3) coordinate array, clamped to [0, 1]."""
+def _checked_cells(coords: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+    """``coords`` as an int64 ``(n, 3)`` array, every row inside ``dims``."""
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
-    dims = state.dims
     if coords.size and (coords.min() < 0 or (coords >= np.asarray(dims)).any()):
         raise DataError("query coordinate out of range")
+    return coords
+
+
+def predict_cells(state: ModelState, coords: np.ndarray) -> np.ndarray:
+    """Three-way latent products for an (n, 3) coordinate array, clamped to [0, 1]."""
+    coords = _checked_cells(coords, state.dims)
     raw = np.sum(
         state.latents[0][coords[:, 0]]
         * state.latents[1][coords[:, 1]]
@@ -388,8 +392,7 @@ def run(
         raise ValueError(
             f"schedule retains no samples (samples={schedule.samples} < thin={schedule.thin})"
         )
-    cells = np.asarray(query_cells, dtype=np.int64).reshape(-1, 3)
-    predict_cells(state, cells)  # validate query range up front
+    cells = _checked_cells(query_cells, state.dims)
     sums = np.zeros(cells.shape[0])
     tree = StreamTree(state.seed)
     for _ in range(schedule.burnin):

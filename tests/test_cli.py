@@ -2,10 +2,14 @@ import json
 import os
 import shutil
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trialtensor
 from trialtensor.cli import main
 
 
@@ -373,3 +377,48 @@ class TestTopLevel:
         err = capsys.readouterr().err
         assert "data error" in err
         assert bad.name in err
+
+
+# Runs the CLI in a fresh interpreter in which any ``import scipy`` fails.
+_SCIPY_BLOCKED_CLI = """
+import sys
+sys.modules["scipy"] = None
+from trialtensor.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestNumpyOnlyRuntime:
+    @staticmethod
+    def _python(*args):
+        env = dict(os.environ)
+        src = str(Path(trialtensor.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+        )
+
+    def test_import_loads_no_scipy(self):
+        done = self._python(
+            "-c",
+            "import sys, trialtensor.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))",
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_commands_run_with_scipy_blocked(self, tmp_path):
+        sim, model = tmp_path / "sim", tmp_path / "model"
+        schedule = ["--latent-dim", "3", "--burnin", "2", "--samples", "4", "--thin", "2"]
+        commands = [
+            ["simulate", "--dims", "12,10,3", "--rank", "2", "--observed-fraction", "0.6",
+             "--seed", "4", "--out", str(sim)],
+            ["train", "--tensor", str(sim), "--out", str(model), "--seed", "4"] + schedule,
+            ["evaluate", "--tensor", str(sim), "--out", str(tmp_path / "report.json"),
+             "--models", "combined", "--n-repeats", "2", "--seed", "4"] + schedule,
+        ]
+        for command in commands:
+            done = self._python("-c", _SCIPY_BLOCKED_CLI, *command)
+            assert done.returncode == 0, (command[0], done.stderr)
+        assert (model / "predictions.tsv").exists()
+        assert json.loads((tmp_path / "report.json").read_text())["models"]

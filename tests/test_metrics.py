@@ -20,7 +20,7 @@ from trialtensor import (
     repeated_eval,
 )
 from trialtensor.ingest import OutcomePair, StopReason
-from trialtensor.metrics import _exact_two_sided_p, _normal_two_sided_p
+from trialtensor.metrics import _exact_two_sided_p, _midranks, _normal_two_sided_p
 
 
 def brute_force_auroc(scores, labels):
@@ -109,6 +109,44 @@ class TestAuroc:
         with pytest.raises(DataError, match="degenerate labels"):
             auroc([0.1, 0.2], [1, 1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(DataError, match="non-finite"):
+            auroc([0.1, bad, 0.7, 0.3], [0, 1, 1, 0])
+
+
+# Few distinct values, so that most draws are tie-heavy; -0.0 ties with 0.0.
+TIE_HEAVY = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300, 3.0]),
+        st.floats(allow_nan=False),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestMidranks:
+    @given(TIE_HEAVY)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_scipy_average_ranks(self, values):
+        from scipy.stats import rankdata
+
+        values = np.array(values)
+        assert np.array_equal(_midranks(values), rankdata(values, method="average"))
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([4.2], [1.0]),
+            ([7.0] * 5, [3.0] * 5),
+            ([0.0, -0.0, 0.0, -1.0], [3.0, 3.0, 3.0, 1.0]),
+            ([3.0, 1.0, 3.0, 2.0, 2.0, 2.0], [5.5, 1.0, 5.5, 3.0, 3.0, 3.0]),
+        ],
+    )
+    def test_known_ranks(self, values, expected):
+        assert _midranks(np.array(values)).tolist() == expected
+
 
 class TestF1:
     def test_perfect(self):
@@ -177,6 +215,13 @@ class TestMannWhitney:
     def test_empty_group(self):
         with pytest.raises(DataError, match="empty group"):
             mann_whitney_u([], [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(DataError, match="non-finite"):
+            mann_whitney_u([0.1, bad], [0.7, 0.3, 0.2])
+        with pytest.raises(DataError, match="non-finite"):
+            mann_whitney_u([0.1] * 20, [0.7] * 19 + [bad])
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)

@@ -125,6 +125,43 @@ class TestSampleMvn:
         with pytest.raises(NumericalError, match="precision not SPD"):
             sample_mvn(np.zeros(2), np.array([[1.0, 3.0], [3.0, 1.0]]), _rng())
 
+    @pytest.mark.parametrize("dim", [1, 8, 32])
+    def test_matches_triangular_solve_reference(self, dim):
+        rng = _rng(dim)
+        factor = rng.standard_normal((dim, dim))
+        precision = factor @ factor.T + dim * np.eye(dim)
+        mean = rng.standard_normal(dim)
+        draw = sample_mvn(mean, precision, _rng(40 + dim))
+        reference = cholesky_draw(mean, precision, _rng(40 + dim).standard_normal(dim))
+        assert np.max(np.abs(draw - reference)) <= 1e-12
+
+
+def hyperparams_reference(latents, hyperprior, rng):
+    """Gaussian-Wishart posterior draw written out with ``solve_triangular``.
+
+    Same stream order as the sampler: Bartlett diagonal, Bartlett lower
+    triangle, then the mean's normal block.
+    """
+    n_rows, dim = latents.shape
+    beta0, mu0 = hyperprior.mean_strength, hyperprior.mean
+    xbar = latents.mean(axis=0)
+    beta_post = beta0 + n_rows
+    dev = xbar - mu0
+    scale_inv = (
+        np.linalg.inv(hyperprior.precision_scale)
+        + (latents - xbar).T @ (latents - xbar)
+        + (beta0 * n_rows / beta_post) * np.outer(dev, dev)
+    )
+    inv_lower = np.linalg.cholesky((scale_inv + scale_inv.T) / 2.0)
+    root = solve_triangular(inv_lower, np.eye(dim), lower=True).T
+    bartlett = np.diag(np.sqrt(rng.chisquare(hyperprior.dof + n_rows - np.arange(dim))))
+    tril = np.tril_indices(dim, k=-1)
+    bartlett[tril] = rng.standard_normal(len(tril[0]))
+    precision = root @ bartlett @ (root @ bartlett).T
+    precision = (precision + precision.T) / 2.0
+    mean_post = (beta0 * mu0 + n_rows * xbar) / beta_post
+    return cholesky_draw(mean_post, beta_post * precision, rng.standard_normal(dim)), precision
+
 
 class TestModeHyperparams:
     def test_empty_mode_rejected(self):
@@ -157,6 +194,22 @@ class TestModeHyperparams:
             draws += sample_mode_hyperparams(rows, hyper, rng).precision
         mean_precision = draws / n_draws
         assert np.all(np.abs(mean_precision - true_precision) <= 0.1 * np.abs(true_precision) + 0.02)
+
+    @pytest.mark.parametrize("dim", [1, 8, 32])
+    def test_matches_triangular_solve_reference(self, dim):
+        rng = _rng(100 + dim)
+        factor = rng.standard_normal((dim, dim))
+        hyper = Hyperprior(
+            mean=rng.standard_normal(dim),
+            mean_strength=2.0,
+            precision_scale=factor @ factor.T + dim * np.eye(dim),
+            dof=dim + 2.0,
+        )
+        latents = 1.5 * rng.standard_normal((60, dim)) + 0.3
+        params = sample_mode_hyperparams(latents, hyper, _rng(7))
+        mean, precision = hyperparams_reference(latents, hyper, _rng(7))
+        assert np.max(np.abs(params.precision - precision)) <= 1e-12
+        assert np.max(np.abs(params.mean - mean)) <= 1e-12
 
 
 class TestRowPosterior:
