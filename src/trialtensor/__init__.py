@@ -44,7 +44,7 @@ from .sampler import (
     gibbs_step,
     init_model,
     load_checkpoint,
-    predict_cells,
+    predict_slice,
     row_posterior,
     run,
     sample_mode_hyperparams,

@@ -12,18 +12,15 @@ optional flag of the subcommand; explicit flags win.
 from __future__ import annotations
 
 import argparse
-import itertools
 import logging
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import ingest as ing
 from .errors import DataError, NumericalError
 from .io import format_float, read_text, write_json, write_tsv
 from .metrics import EvalConfig, phase_analysis, repeated_eval
-from .sampler import SamplerSchedule, init_model, run, save_checkpoint
+from .sampler import SamplerSchedule, init_model, predict_slice, run, save_checkpoint
 from .simulate import SynthConfig, generate, synthetic_modes
 from .tensor import ModeIndex, load_tensor, save_tensor, select_layers
 
@@ -250,23 +247,19 @@ def cmd_train(ns: argparse.Namespace) -> int:
     out_dir = Path(_require(ns, "--out"))
     tensor, modes = _load_tensor_dir(ns)
     keep = _resolve_layer_names(ns.layers, modes[2])
-    layer_names = modes[2].reverse
     if keep is not None:
         tensor = select_layers(tensor, keep)
-        layer_names = tuple(modes[2].reverse[k] for k in keep)
     schedule = SamplerSchedule(burnin=ns.burnin, samples=ns.samples, thin=ns.thin)
     state = init_model(tensor.dims, ns.latent_dim, alpha=ns.alpha, seed=ns.seed)
-    queries = np.indices((tensor.dims[0], tensor.dims[1], 1), dtype=np.int64).reshape(3, -1).T
-    scores = run(state, tensor, schedule, queries)
-    save_checkpoint(out_dir / "checkpoint", state, schedule)
+    samples = run(state, tensor, schedule)
+    save_checkpoint(out_dir / "checkpoint", samples, state, schedule)
     write_tsv(
         out_dir / "predictions.tsv",
         ("target_id", "indication_id", "layer", "score"),
         (
-            (target, indication, layer_names[0], format_float(score))
-            for (target, indication), score in zip(
-                itertools.product(modes[0].reverse, modes[1].reverse), scores.tolist()
-            )
+            (target, indication, modes[2].reverse[0], format_float(score))
+            for target, row in zip(modes[0].reverse, predict_slice(samples, 0).tolist())
+            for indication, score in zip(modes[1].reverse, row)
         ),
     )
     logger.info(

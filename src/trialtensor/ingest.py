@@ -130,19 +130,21 @@ def _rows(path: str | Path, required: Sequence[str]):
     path = Path(path)
     with read_text(path, newline="") as handle:
         reader = csv.DictReader(handle, delimiter="\t")
-        header = reader.fieldnames or []
-        missing = [col for col in required if col not in header]
-        if missing:
-            raise DataError(f"{path}: missing columns {missing}")
-        for lineno, row in enumerate(reader, start=2):
-            if any(row.get(col) in (None, "") for col in required):
-                raise DataError(f"{path}:{lineno}: malformed row, expected fields {list(required)}")
-            yield lineno, row
+        try:
+            header = reader.fieldnames or []
+            missing = [col for col in required if col not in header]
+            if missing:
+                raise DataError(f"{path}: missing columns {missing}")
+            for lineno, row in enumerate(reader, start=2):
+                if any(row.get(col) in (None, "") for col in required):
+                    raise DataError(f"{path}:{lineno}: malformed row, expected fields {list(required)}")
+                yield lineno, row
+        except csv.Error as exc:  # e.g. a field over csv's size limit
+            raise DataError(f"{path}:{reader.reader.line_num}: {exc}") from exc
 
 
 def parse_rare_disease(
     path: str | Path,
-    accepted_confidence: frozenset[str] = DEFAULT_ACCEPTED_CONFIDENCE,
     report: IngestReport | None = None,
 ) -> list[EvidenceRecord]:
     """Curated gene-disease links; accepted confidence tiers become value 1.0."""
@@ -151,7 +153,7 @@ def parse_rare_disease(
     for lineno, row in _rows(path, ("gene_id", "efo_id", "confidence")):
         confidence = row["confidence"].strip().lower()
         report.bump("rare_disease_rows")
-        if confidence in accepted_confidence:
+        if confidence in DEFAULT_ACCEPTED_CONFIDENCE:
             records.append(
                 EvidenceRecord(row["gene_id"], row["efo_id"], Layer.RARE_DISEASE, 1.0)
             )
@@ -169,7 +171,6 @@ DEFAULT_SIGNIFICANCE_POLICY = {"0": 0.0, "1": 1.0}
 
 def parse_gene_burden(
     path: str | Path,
-    sig_column_policy: dict[str, float] | None = None,
     report: IngestReport | None = None,
 ) -> list[EvidenceRecord]:
     """Burden associations; below-threshold rows are explicit 0.0 observations.
@@ -177,14 +178,13 @@ def parse_gene_burden(
     Keeping the non-significant rows as observed negatives, instead of
     missing cells, is what distinguishes this layer from the other two.
     """
-    policy = sig_column_policy or DEFAULT_SIGNIFICANCE_POLICY
     report = report if report is not None else IngestReport()
     records = []
     for lineno, row in _rows(path, ("gene_id", "efo_id", "significant")):
         flag = row["significant"].strip()
-        if flag not in policy:
-            raise DataError(f"{path}:{lineno}: significance flag {flag!r} not in {sorted(policy)}")
-        value = policy[flag]
+        if flag not in DEFAULT_SIGNIFICANCE_POLICY:
+            raise DataError(f"{path}:{lineno}: significance flag {flag!r} not in {sorted(DEFAULT_SIGNIFICANCE_POLICY)}")
+        value = DEFAULT_SIGNIFICANCE_POLICY[flag]
         records.append(EvidenceRecord(row["gene_id"], row["efo_id"], Layer.GENE_BURDEN, value))
         report.bump("burden_rows")
         report.bump("burden_positive" if value == 1.0 else "burden_negative")

@@ -79,4 +79,7 @@ def write_json(path: str | Path, payload: object) -> None:
 
 def read_json(path: str | Path) -> object:
     with read_text(path) as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: not valid JSON: {exc}") from exc

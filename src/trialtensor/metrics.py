@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .sampler import SamplerSchedule, init_model, run
+from .sampler import SamplerSchedule, init_model, predict_slice, run
 from .tensor import SparseTensor, select_layers, split_cells
 
 # Pooled size at or below which the exact permutation null is enumerated.
@@ -239,10 +239,9 @@ def repeated_eval(
     for seed in seeds[:n_repeats]:
         split = split_cells(tensor, layer=0, heldout_fraction=config.heldout_fraction, seed=seed)
         heldout = tensor.coords[split.heldout]
-        state = init_model(
-            tensor.dims, config.n_latent, alpha=config.alpha, seed=int(seed)
-        )
-        scores = run(state, tensor.without_cells(heldout), config.schedule, heldout)
+        state = init_model(tensor.dims, config.n_latent, alpha=config.alpha, seed=int(seed))
+        samples = run(state, tensor.without_cells(heldout), config.schedule)
+        scores = predict_slice(samples, 0)[heldout[:, 0], heldout[:, 1]]  # layer-0 cells only
         labels = tensor.values[split.heldout]
         aurocs.append(auroc(scores, labels))
         f1s.append(f1(scores, labels, config.threshold))

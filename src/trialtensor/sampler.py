@@ -11,11 +11,15 @@ Given the other two modes, the latent rows of a mode are independent, so
 each mode is redrawn by one stacked Cholesky solve over all of its rows.
 Randomness comes from counter-based streams keyed by
 ``(seed, sweep, role, mode)`` (see :mod:`trialtensor.rng`).
+
+The model is the list of ``(U, V, W)`` triples :func:`run` retains; a
+checkpoint stores exactly them, and :func:`predict_slice` scores a layer.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -23,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .io import atomic_write, format_float, read_json
+from .io import atomic_write, format_float, read_json, read_text
 from .rng import ROLE_HYPER, ROLE_INIT, ROLE_LATENT, StreamTree
 from .tensor import SparseTensor
 
@@ -352,74 +356,69 @@ def gibbs_step(state: ModelState, tensor: SparseTensor, tree: StreamTree) -> Mod
 
 
 # --------------------------------------------------------------------------
-# Prediction.
+# Retained samples and prediction.
 
-def _checked_cells(coords: np.ndarray, dims: Sequence[int]) -> np.ndarray:
-    """``coords`` as an int64 ``(n, 3)`` array, every row inside ``dims``."""
-    coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
-    if coords.size and (coords.min() < 0 or (coords >= np.asarray(dims)).any()):
-        raise DataError("query coordinate out of range")
-    return coords
+Sample = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def predict_cells(state: ModelState, coords: np.ndarray) -> np.ndarray:
-    """Three-way latent products for an (n, 3) coordinate array, clamped to [0, 1]."""
-    coords = _checked_cells(coords, state.dims)
-    raw = np.sum(
-        state.latents[0][coords[:, 0]]
-        * state.latents[1][coords[:, 1]]
-        * state.latents[2][coords[:, 2]],
-        axis=1,
-    )
-    return np.clip(raw, 0.0, 1.0)
-
-
-def run(
-    state: ModelState,
-    tensor: SparseTensor,
-    schedule: SamplerSchedule,
-    query_cells: np.ndarray,
-) -> np.ndarray:
+def run(state: ModelState, tensor: SparseTensor, schedule: SamplerSchedule) -> list[Sample]:
     """Burn in, then sample, retaining every ``thin``-th post-burn-in sweep.
 
     Sweeps are numbered 1-based after burn-in and a sweep is retained when
     its number is an exact multiple of ``thin``, so the retained count is
-    ``schedule.retained == samples // thin``. ``query_cells`` is any
-    ``(n, 3)`` array-like of coordinates; the result is the ``(n,)`` array
-    of mean clamped per-sample scores, aligned with its rows.
+    ``schedule.retained == samples // thin``. Returns the retained
+    ``(U, V, W)`` latent triples in retention order; :func:`gibbs_step`
+    assigns fresh arrays, so later sweeps never alter a retained triple.
     """
     if schedule.retained == 0:
         raise ValueError(
             f"schedule retains no samples (samples={schedule.samples} < thin={schedule.thin})"
         )
-    cells = _checked_cells(query_cells, state.dims)
-    sums = np.zeros(cells.shape[0])
     tree = StreamTree(state.seed)
     for _ in range(schedule.burnin):
         gibbs_step(state, tensor, tree)
+    samples = []
     for sweep_number in range(1, schedule.samples + 1):
         gibbs_step(state, tensor, tree)
         if sweep_number % schedule.thin == 0:
-            sums += predict_cells(state, cells)
-    return sums / schedule.retained
+            samples.append(tuple(state.latents))
+    return samples
+
+
+def predict_slice(samples: Sequence[Sample], layer: int) -> np.ndarray:
+    """Mean over retained samples of one clamped ``(n_targets, n_indications)`` slice.
+
+    Each sample contributes ``clip(U diag(W[layer]) V', 0, 1)``, one GEMM,
+    summed in retention order and divided by the sample count.
+    """
+    n_layers = samples[0][2].shape[0] if samples else 0
+    if not 0 <= layer < n_layers:
+        raise DataError(f"layer {layer} out of range for {n_layers} layers in {len(samples)} samples")
+    total = np.zeros((samples[0][0].shape[0], samples[0][1].shape[0]))
+    for targets, indications, layers in samples:
+        scores = (targets * layers[layer]) @ indications.T
+        total += np.clip(scores, 0.0, 1.0, out=scores)
+    return total / len(samples)
 
 
 # --------------------------------------------------------------------------
-# Checkpoints: one TSV per latent matrix plus a JSON manifest.
+# Checkpoints: per mode, one TSV stacking its retained latents; a JSON manifest.
 
 _CHECKPOINT_FILES = ("targets.tsv", "indications.tsv", "layers.tsv")
 
 
 def save_checkpoint(
     directory: str | Path,
+    samples: Sequence[Sample],
     state: ModelState,
     schedule: SamplerSchedule,
 ) -> None:
     directory = Path(directory)
-    for filename, matrix in zip(_CHECKPOINT_FILES, state.latents):
+    for mode, filename in enumerate(_CHECKPOINT_FILES):
         with atomic_write(directory / filename) as handle:
-            for row in matrix:
-                handle.write("\t".join(format_float(v) for v in row) + "\n")
+            for sample in samples:
+                for row in sample[mode]:
+                    handle.write("\t".join(format_float(v) for v in row) + "\n")
     manifest = {
         "n_latent": state.n_latent,
         "alpha": state.alpha,
@@ -427,31 +426,39 @@ def save_checkpoint(
         "samples": schedule.samples,
         "thin": schedule.thin,
         "seed": state.seed,
-        "retained": schedule.retained,
+        "retained": len(samples),
     }
     with atomic_write(directory / "manifest.json") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
-def load_checkpoint(directory: str | Path) -> tuple[ModelState, Mapping]:
-    """Rebuild a prediction-ready state from a checkpoint directory.
+def _read_stack(path: Path, retained: int, n_latent: int) -> np.ndarray:
+    """One checkpoint TSV as a ``(retained, n, n_latent)`` array of finite floats."""
+    with read_text(path) as handle:
+        lines = handle.read().splitlines()
+    try:
+        stack = np.array([[float(v) for v in line.split("\t")] for line in lines])
+    except ValueError as exc:  # a non-numeric field or rows of unequal length
+        raise DataError(f"{path}: {exc}") from exc
+    if retained < 1 or stack.ndim != 2 or stack.shape[1] != n_latent or len(lines) % retained:
+        raise DataError(f"{path}: shape {stack.shape} is not {retained} stacked samples x n x {n_latent}")
+    if not np.isfinite(stack).all():
+        raise DataError(f"{path}: non-finite latent value")
+    return stack.reshape(retained, -1, n_latent)
 
-    Only the latent matrices matter for prediction; priors are reset to the
-    defaults, so the returned state is not suitable for resuming a chain.
+
+def load_checkpoint(directory: str | Path) -> tuple[list[Sample], Mapping]:
+    """The retained samples and the manifest of a checkpoint directory.
+
+    ``predict_slice(samples, 0)`` rebuilds the scores that ``train`` wrote
+    to ``predictions.tsv``, bit for bit.
     """
     directory = Path(directory)
     manifest = read_json(directory / "manifest.json")
-    latents = []
-    for filename in _CHECKPOINT_FILES:
-        matrix = np.loadtxt(directory / filename, delimiter="\t", ndmin=2)
-        latents.append(np.asarray(matrix, dtype=np.float64))
-    n_latent = int(manifest["n_latent"])
-    state = init_model(
-        dims=[m.shape[0] for m in latents],
-        n_latent=n_latent,
-        alpha=float(manifest["alpha"]),
-        seed=int(manifest["seed"]),
-    )
-    state.latents = latents
-    return state, manifest
+    try:
+        retained, n_latent = (operator.index(manifest[key]) for key in ("retained", "n_latent"))
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"{directory}: manifest needs integer 'retained' and 'n_latent'") from exc
+    stacks = [_read_stack(directory / name, retained, n_latent) for name in _CHECKPOINT_FILES]
+    return list(zip(*stacks)), manifest

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError
-from .io import atomic_write, format_float, read_text
+from .io import atomic_write, format_float, read_json, read_text
 
 
 class Mode(IntEnum):
@@ -306,12 +306,7 @@ def _meta_indices(meta: object, meta_path: str | Path) -> tuple[list, tuple[Mode
 def load_tensor(
     tsv_path: str | Path, meta_path: str | Path
 ) -> tuple[SparseTensor, tuple[ModeIndex, ModeIndex, ModeIndex]]:
-    with read_text(meta_path) as handle:
-        try:
-            meta = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"cannot read tensor metadata {meta_path}: {exc}") from exc
-    dims, modes = _meta_indices(meta, meta_path)
+    dims, modes = _meta_indices(read_json(meta_path), meta_path)
     entries = []
     with read_text(tsv_path) as handle:
         header = handle.readline().rstrip("\n")

@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from trialtensor import (
     SparseTensor,
@@ -62,3 +63,19 @@ def fixture_tensor():
 @pytest.fixture()
 def tiny_tensor() -> SparseTensor:
     return SparseTensor.from_entries((3, 2, 4), FIXTURE_ENTRIES)
+
+
+# Text edits for fuzzing file readers: replace up to 12 characters at some
+# position (taken modulo the text length) by up to 12 arbitrary characters.
+EDITS = st.lists(
+    st.tuples(st.integers(0, 10_000), st.integers(0, 12), st.text(max_size=12)),
+    min_size=1,
+    max_size=3,
+)
+
+
+def splice(text: str, edits) -> str:
+    for position, length, insert in edits:
+        position %= len(text) + 1
+        text = text[:position] + insert + text[position + length :]
+    return text

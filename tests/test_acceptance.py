@@ -29,7 +29,7 @@ from trialtensor import (
     load_xref,
     map_ontology,
     mann_whitney_u,
-    predict_cells,
+    predict_slice,
     repeated_eval,
     run,
     sample_mode_latents,
@@ -44,7 +44,7 @@ from trialtensor.rng import StreamTree
 
 from conftest import ingest_fixture
 from test_metrics import brute_force_auroc, pairwise_exact_mww_p
-from test_sampler import mode_normals, per_row_reference
+from test_sampler import all_layers, mode_normals, per_row_reference
 
 
 @contextmanager
@@ -140,7 +140,7 @@ def test_c3_synthetic_recovery():
         state = init_model(tensor.dims, 16, alpha=100.0, seed=1)
         schedule = SamplerSchedule(200, 800, 80)
         assert schedule.retained == 10
-        scores = run(state, train_tensor, schedule, heldout)
+        scores = predict_slice(run(state, train_tensor, schedule), 0)[heldout[:, 0], heldout[:, 1]]
         observed = tensor.values[split.heldout]
         binarized_truth = truth[tuple(heldout.T)] >= 0.5
         rmse = float(np.sqrt(np.mean((scores - observed) ** 2)))
@@ -277,7 +277,7 @@ def test_c8_determinism(ingested_dir, tmp_path):
         config = SynthConfig(dims=(15, 12, 3), true_rank=4, observed_fraction=0.5, seed=4)
         tensor, _, _ = generate(config)
         state = init_model(tensor.dims, 6, alpha=20.0, seed=9)
-        run(state, tensor, SamplerSchedule(10, 20, 5), tensor.coords[:40])
+        run(state, tensor, SamplerSchedule(10, 20, 5))
         tree = StreamTree(9)
         for mode in range(3):
             expected = per_row_reference(state, tensor, mode, mode_normals(state, mode))
@@ -292,15 +292,12 @@ def test_c9_sign_flip_invariance():
         tree = StreamTree(2)
         for _ in range(3):
             gibbs_step(state, tensor, tree)
-        coords = np.array(
-            [(i, j, k) for i in range(10) for j in range(8) for k in range(4)]
-        )
-        baseline = predict_cells(state, coords)
+        baseline = all_layers([tuple(state.latents)])
         for first, second in itertools.combinations(range(3), 2):
             for column in range(5):
                 state.latents[first][:, column] *= -1.0
                 state.latents[second][:, column] *= -1.0
-                flipped = predict_cells(state, coords)
+                flipped = all_layers([tuple(state.latents)])
                 state.latents[first][:, column] *= -1.0
                 state.latents[second][:, column] *= -1.0
                 assert np.max(np.abs(flipped - baseline)) <= 1e-12

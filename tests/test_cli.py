@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import shutil
 import stat
 import subprocess
@@ -10,7 +11,9 @@ import numpy as np
 import pytest
 
 import trialtensor
+from trialtensor import load_checkpoint, predict_slice
 from trialtensor.cli import main
+from trialtensor.io import format_float
 
 
 @pytest.fixture()
@@ -60,6 +63,19 @@ class TestIngestCommand:
         assert main(args + ["--layers", "proteomics"]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    def test_oversized_field_is_data_error(self, ingest_args, tmp_path, capsys):
+        # A field beyond csv's 131072-character limit is a data error naming
+        # the file and line, not a traceback.
+        args, out = ingest_args
+        rare = tmp_path / "rare.tsv"
+        rare.write_text(f"gene_id\tefo_id\tconfidence\nG1\t{'E' * 200_000}\tstrong\n")
+        args[args.index("--rare") + 1] = str(rare)
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err
+        assert "rare.tsv:2" in err
+        assert not out.exists()
+
 
 @pytest.fixture()
 def ingested_dir(ingest_args):
@@ -103,6 +119,24 @@ class TestTrainCommand:
         assert main(args + SMALL_SCHEDULE) == 0
         lines = (out / "predictions.tsv").read_text().splitlines()
         assert {line.split("\t")[2] for line in lines[1:]} == {"outcome"}
+
+    @pytest.mark.parametrize("tensor_fixture,latent_dim", [("ingested_dir", "3"), ("simulated_dir", "8")])
+    def test_checkpoint_reproduces_predictions(self, request, tensor_fixture, latent_dim, tmp_path):
+        # The checkpoint holds the retained samples, so scoring them again
+        # rebuilds predictions.tsv byte for byte.
+        tensor_dir = request.getfixturevalue(tensor_fixture)
+        out = tmp_path / "model"
+        args = ["train", "--tensor", str(tensor_dir), "--out", str(out), "--seed", "7"]
+        assert main(args + SMALL_SCHEDULE + ["--latent-dim", latent_dim]) == 0
+        samples, manifest = load_checkpoint(out / "checkpoint")
+        assert len(samples) == manifest["retained"] == 3
+        modes = json.loads((tensor_dir / "tensor.meta.json").read_text())["modes"]
+        rebuilt = "target_id\tindication_id\tlayer\tscore\n" + "".join(
+            f"{target}\t{indication}\t{modes['layers'][0]}\t{format_float(score)}\n"
+            for target, row in zip(modes["targets"], predict_slice(samples, 0).tolist())
+            for indication, score in zip(modes["indications"], row)
+        )
+        assert (out / "predictions.tsv").read_bytes() == rebuilt.encode()
 
     def test_missing_tensor_dir(self, tmp_path, capsys):
         args = ["train", "--tensor", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]
@@ -284,6 +318,35 @@ class TestEvaluateCommand:
         ]
         assert main(args) == 2
         assert "unknown layer" in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands(section: str) -> dict[str, list[str]]:
+    """The ``trialtensor`` commands of one README section's shell block, by subcommand."""
+    text = README.read_text(encoding="utf-8").split(f"### {section}\n", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    return {words[1]: words[1:] for words in commands if words[:1] == ["trialtensor"]}
+
+
+class TestReadmeExample:
+    def test_synthetic_example_evaluates(self, tmp_path):
+        # The README's own simulate line must give an outcome layer with both
+        # classes in every split, so its evaluate command succeeds; only the
+        # schedule is shortened here (later flags override earlier ones).
+        commands = {
+            name: [word.replace("work/", f"{tmp_path}/") for word in words]
+            for name, words in readme_commands("End-to-end on synthetic data").items()
+        }
+        assert main(commands["simulate"]) == 0
+        short = ["--burnin", "2", "--samples", "4", "--thin", "2"]
+        assert main(commands["evaluate"] + short) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert [m["model_name"] for m in report["models"]] == [
+            "combined", "evidence_1", "evidence_2", "evidence_3",
+        ]
 
 
 class TestPhaseCommand:

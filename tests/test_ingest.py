@@ -1,4 +1,6 @@
 import logging
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +19,9 @@ from trialtensor import (
     parse_gwas_l2g,
     parse_rare_disease,
 )
-from trialtensor.ingest import IngestReport, TrialRow
+from trialtensor.ingest import IngestReport, TrialRow, _rows
 
-from conftest import FIXTURE_ENTRIES, ingest_fixture
+from conftest import DATA_DIR, EDITS, FIXTURE_ENTRIES, ingest_fixture, splice
 
 
 class TestParseRareDisease:
@@ -261,3 +263,25 @@ class TestBuildTensor:
         tensor, modes = build_tensor(evidence, pairs + mapped)
         assert "ENSG0099" in modes[0].forward
         assert tensor.dims[0] == 4
+
+
+class TestRowsFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(edits=EDITS)
+    def test_edited_text_yields_rows_or_is_data_error(self, edits):
+        text = splice((DATA_DIR / "rare_disease.tsv").read_text(encoding="utf-8"), edits)
+        required = ("gene_id", "efo_id", "confidence")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rare.tsv"
+            path.write_text(text, encoding="utf-8")
+            try:
+                rows = list(_rows(path, required))
+            except DataError:
+                return
+        assert all(row[col] for _, row in rows for col in required)
+
+    def test_oversized_field_is_data_error(self, tmp_path):
+        path = tmp_path / "rare.tsv"
+        path.write_text(f"gene_id\tefo_id\tconfidence\nG1\t{'E' * 200_000}\tstrong\n")
+        with pytest.raises(DataError, match="rare.tsv:2"):
+            list(_rows(path, ("gene_id", "efo_id", "confidence")))

@@ -1,8 +1,11 @@
 import copy
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from scipy.linalg import solve_triangular
 from hypothesis import strategies as st
 
@@ -15,7 +18,7 @@ from trialtensor import (
     gibbs_step,
     init_model,
     load_checkpoint,
-    predict_cells,
+    predict_slice,
     row_posterior,
     run,
     sample_mode_hyperparams,
@@ -25,6 +28,8 @@ from trialtensor import (
     save_checkpoint,
 )
 from trialtensor.rng import ROLE_LATENT, StreamTree
+
+from conftest import EDITS, FIXTURE_ENTRIES, splice
 
 
 def _rng(seed=0):
@@ -376,38 +381,67 @@ class TestGibbsStep:
             gibbs_step(state, tiny_tensor, StreamTree(0))
 
 
+def triple_product_reference(samples, coords):
+    """Per-cell reference for ``predict_slice``: the mean over samples of
+    ``clip(sum_d U[i, d] * V[j, d] * W[k, d], 0, 1)`` for each ``(i, j, k)`` row."""
+    coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
+    total = np.zeros(coords.shape[0])
+    for targets, indications, layers in samples:
+        raw = np.sum(
+            targets[coords[:, 0]] * indications[coords[:, 1]] * layers[coords[:, 2]], axis=1
+        )
+        total += np.clip(raw, 0.0, 1.0)
+    return total / len(samples)
+
+
+def all_layers(samples):
+    """``predict_slice`` of every layer, stacked into an ``(n0, n1, n2)`` array."""
+    return np.stack([predict_slice(samples, k) for k in range(samples[0][2].shape[0])], axis=-1)
+
+
 class TestPredict:
     def test_rank_one_product(self):
-        state = init_model((1, 1, 1), 3, seed=0)
-        state.latents[0][0] = [1.0, 0.0, 0.0]
-        state.latents[1][0] = [1.0, 0.0, 0.0]
-        state.latents[2][0] = [0.6, 0.0, 0.0]
-        assert predict_cells(state, [(0, 0, 0)])[0] == pytest.approx(0.6)
+        sample = (np.array([[1.0, 0.0, 0.0]]), np.array([[1.0, 0.0, 0.0]]), np.array([[0.6, 0.0, 0.0]]))
+        assert predict_slice([sample], 0)[0, 0] == pytest.approx(0.6)
 
     @pytest.mark.parametrize("w,expected", [(1.4, 1.0), (-0.2, 0.0)])
     def test_clamp(self, w, expected):
-        state = init_model((1, 1, 1), 1, seed=0)
-        state.latents[0][0] = [1.0]
-        state.latents[1][0] = [1.0]
-        state.latents[2][0] = [w]
-        assert predict_cells(state, [(0, 0, 0)])[0] == expected
+        sample = (np.array([[1.0]]), np.array([[1.0]]), np.array([[w]]))
+        assert predict_slice([sample], 0)[0, 0] == expected
 
     def test_out_of_range(self):
-        state = init_model((2, 2, 2), 1, seed=0)
+        samples = [tuple(init_model((2, 2, 2), 1, seed=0).latents)]
+        for layer in (2, -1):
+            with pytest.raises(DataError):
+                predict_slice(samples, layer)
         with pytest.raises(DataError):
-            predict_cells(state, [(2, 0, 0)])
+            predict_slice([], 0)
+
+    def test_matches_triple_product_reference(self):
+        # Latents scaled so that raw products fall below 0 and above 1 in
+        # every layer: the clamp acts at both ends before averaging.
+        rng = np.random.default_rng(8)
+        dims = (7, 5, 3)
+        samples = [tuple(1.5 * rng.standard_normal((n, 4)) for n in dims) for _ in range(3)]
+        coords = np.indices(dims).reshape(3, -1).T
+        targets, indications, layers = samples[0]
+        raw = np.sum(targets[coords[:, 0]] * indications[coords[:, 1]] * layers[coords[:, 2]], axis=1)
+        assert (raw < 0.0).any() and (raw > 1.0).any()
+        for layer in range(dims[2]):
+            cells = coords[coords[:, 2] == layer]
+            expected = triple_product_reference(samples, cells).reshape(dims[:2])
+            assert np.max(np.abs(predict_slice(samples, layer) - expected)) <= 1e-12
 
     def test_sign_flip_invariance(self):
         # Negating one latent column in exactly two modes leaves every
         # prediction unchanged.
         state = init_model((6, 5, 4), 3, seed=11)
-        coords = np.array([(i, j, k) for i in range(6) for j in range(5) for k in range(4)])
-        baseline = predict_cells(state, coords)
+        baseline = all_layers([tuple(state.latents)])
         for first, second in [(0, 1), (0, 2), (1, 2)]:
             flipped = copy.deepcopy(state)
             flipped.latents[first][:, 1] *= -1.0
             flipped.latents[second][:, 1] *= -1.0
-            assert np.max(np.abs(predict_cells(flipped, coords) - baseline)) <= 1e-12
+            assert np.max(np.abs(all_layers([tuple(flipped.latents)]) - baseline)) <= 1e-12
 
 
 class TestSchedule:
@@ -428,21 +462,20 @@ class TestSchedule:
 class TestRun:
     def test_single_sample_schedule_equals_one_step(self, tiny_tensor):
         state = _make_state(tiny_tensor, n_latent=2, seed=13)
-        queries = [(0, 0, 0), (2, 1, 3)]
-        scores = run(state, tiny_tensor, SamplerSchedule(0, 1, 1), queries)
-        assert scores.shape == (2,)
+        samples = run(state, tiny_tensor, SamplerSchedule(0, 1, 1))
+        assert len(samples) == 1
 
         replay = _make_state(tiny_tensor, n_latent=2, seed=13)
         gibbs_step(replay, tiny_tensor, StreamTree(13))
-        expected = predict_cells(replay, np.array(queries))
-        assert scores[0] == pytest.approx(expected[0], abs=1e-15)
-        assert scores[1] == pytest.approx(expected[1], abs=1e-15)
+        for retained, expected in zip(samples[0], replay.latents):
+            assert np.array_equal(retained, expected)
 
     def test_retained_count(self, tiny_tensor):
-        # Burn-in 2, then sweeps 3, 6 and 9 of 10 are retained: the score
-        # is the mean of exactly those three predictions.
+        # Burn-in 2, then sweeps 3, 6 and 9 of 10 are retained: the samples
+        # are exactly the latents after those sweeps, and the score is the
+        # mean of their three predictions.
         state = _make_state(tiny_tensor, seed=3)
-        scores = run(state, tiny_tensor, SamplerSchedule(2, 10, 3), [(0, 0, 0)])
+        samples = run(state, tiny_tensor, SamplerSchedule(2, 10, 3))
 
         replay = _make_state(tiny_tensor, seed=3)
         tree = StreamTree(3)
@@ -450,36 +483,23 @@ class TestRun:
         for sweep in range(1, 13):
             gibbs_step(replay, tiny_tensor, tree)
             if sweep > 2 and (sweep - 2) % 3 == 0:
-                retained.append(predict_cells(replay, [(0, 0, 0)])[0])
-        assert len(retained) == 3
-        assert scores[0] == pytest.approx(np.mean(retained), abs=1e-15)
+                retained.append(tuple(mat.copy() for mat in replay.latents))
+        assert len(samples) == len(retained) == 3
+        for sample, expected in zip(samples, retained):
+            assert all(np.array_equal(a, b) for a, b in zip(sample, expected))
+        expected_score = triple_product_reference(retained, [(0, 0, 0)])[0]
+        assert predict_slice(samples, 0)[0, 0] == pytest.approx(expected_score, abs=1e-15)
 
     def test_predictions_clamped(self, tiny_tensor):
         state = _make_state(tiny_tensor, seed=3)
-        scores = run(state, tiny_tensor, SamplerSchedule(1, 4, 2), [(0, 0, 0), (1, 1, 1)])
-        assert scores.shape == (2,)
+        scores = all_layers(run(state, tiny_tensor, SamplerSchedule(1, 4, 2)))
+        assert scores.shape == tiny_tensor.dims
         assert ((scores >= 0.0) & (scores <= 1.0)).all()
-
-    def test_query_row_permutation_permutes_scores(self, tiny_tensor):
-        queries = np.indices(tiny_tensor.dims).reshape(3, -1).T
-        perm = np.random.default_rng(5).permutation(queries.shape[0])
-        schedule = SamplerSchedule(1, 4, 2)
-        scores = run(_make_state(tiny_tensor, seed=3), tiny_tensor, schedule, queries)
-        permuted = run(
-            _make_state(tiny_tensor, seed=3), tiny_tensor, schedule,
-            [tuple(cell) for cell in queries[perm].tolist()],
-        )
-        assert np.array_equal(permuted, scores[perm])
 
     def test_empty_retention_rejected(self, tiny_tensor):
         state = _make_state(tiny_tensor)
         with pytest.raises(ValueError):
-            run(state, tiny_tensor, SamplerSchedule(0, 3, 5), [(0, 0, 0)])
-
-    def test_query_out_of_range(self, tiny_tensor):
-        state = _make_state(tiny_tensor)
-        with pytest.raises(DataError):
-            run(state, tiny_tensor, SamplerSchedule(0, 1, 1), [(9, 0, 0)])
+            run(state, tiny_tensor, SamplerSchedule(0, 3, 5))
 
     def test_noiseless_rank_one_recovery(self):
         # Fully observed rank-1 tensor, alpha = 100: averaged predictions
@@ -497,23 +517,103 @@ class TestRun:
         ]
         tensor = SparseTensor.from_entries((10, 8, 3), entries)
         state = init_model(tensor.dims, 2, alpha=100.0, seed=1)
-        queries = [(i, j, k) for i in range(10) for j in range(8) for k in range(3)]
-        predicted = run(state, tensor, SamplerSchedule(150, 50, 10), queries)
-        observed = np.array([values[c] for c in queries])
-        rmse = float(np.sqrt(np.mean((predicted - observed) ** 2)))
+        predicted = all_layers(run(state, tensor, SamplerSchedule(150, 50, 10)))
+        rmse = float(np.sqrt(np.mean((predicted - values) ** 2)))
         assert rmse <= 0.05
+
+
+def _checkpoint(directory, tensor, n_latent=3, seed=17, schedule=SamplerSchedule(1, 4, 2)):
+    state = _make_state(tensor, n_latent=n_latent, seed=seed)
+    samples = run(state, tensor, schedule)
+    save_checkpoint(directory, samples, state, schedule)
+    return samples
+
+
+def _rewrite_line(path, index, text):
+    lines = path.read_text().splitlines()
+    lines[index] = text
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _patch_manifest(directory, **changes):
+    manifest = json.loads((directory / "manifest.json").read_text())
+    for key, value in changes.items():
+        if value is None:
+            del manifest[key]
+        else:
+            manifest[key] = value
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+
+
+_BAD_CHECKPOINTS = {
+    "missing file": lambda d: (d / "layers.tsv").unlink(),
+    "non-numeric field": lambda d: _rewrite_line(d / "targets.tsv", 1, "0.5\tabc\t0.1"),
+    "too few columns": lambda d: _rewrite_line(d / "indications.tsv", 0, "0.5\t0.1"),
+    "rows not a multiple of retained": lambda d: (d / "layers.tsv").write_text(
+        "\n".join((d / "layers.tsv").read_text().splitlines()[:-1]) + "\n"
+    ),
+    "empty file": lambda d: (d / "targets.tsv").write_text(""),
+    "non-finite value": lambda d: _rewrite_line(d / "targets.tsv", 0, "nan\t0.1\t0.2"),
+    "retained disagrees": lambda d: _patch_manifest(d, retained=3),
+    "retained zero": lambda d: _patch_manifest(d, retained=0),
+    "n_latent disagrees": lambda d: _patch_manifest(d, n_latent=2),
+    "n_latent not an integer": lambda d: _patch_manifest(d, n_latent="3"),
+    "manifest without retained": lambda d: _patch_manifest(d, retained=None),
+    "manifest not JSON": lambda d: (d / "manifest.json").write_text("{retained: 2"),
+    "manifest not an object": lambda d: (d / "manifest.json").write_text("[2, 3]\n"),
+}
 
 
 class TestCheckpoint:
     def test_roundtrip(self, tiny_tensor, tmp_path):
-        state = _make_state(tiny_tensor, n_latent=3, seed=17)
-        schedule = SamplerSchedule(1, 4, 2)
-        run(state, tiny_tensor, schedule, [(0, 0, 0)])
-        save_checkpoint(tmp_path / "ckpt", state, schedule)
+        samples = _checkpoint(tmp_path / "ckpt", tiny_tensor)
         loaded, manifest = load_checkpoint(tmp_path / "ckpt")
-        for mat_a, mat_b in zip(state.latents, loaded.latents):
-            assert np.allclose(mat_a, mat_b, atol=1e-15)
+        assert len(loaded) == len(samples) == 2
+        for sample, reloaded in zip(samples, loaded):
+            for mat_a, mat_b in zip(sample, reloaded):
+                assert np.array_equal(mat_a, mat_b)
         assert manifest["retained"] == 2
         assert manifest["n_latent"] == 3
         assert manifest["thin"] == 2
         assert manifest["seed"] == 17
+
+    def test_files_stack_samples_in_retention_order(self, tiny_tensor, tmp_path):
+        samples = _checkpoint(tmp_path / "ckpt", tiny_tensor)
+        lines = (tmp_path / "ckpt" / "targets.tsv").read_text().splitlines()
+        assert len(lines) == 2 * tiny_tensor.dims[0]
+        assert [float(v) for v in lines[3].split("\t")] == samples[1][0][0].tolist()
+
+    @pytest.mark.parametrize("case", sorted(_BAD_CHECKPOINTS))
+    def test_malformed_checkpoint_is_data_error(self, tiny_tensor, tmp_path, case):
+        _checkpoint(tmp_path / "ckpt", tiny_tensor)
+        _BAD_CHECKPOINTS[case](tmp_path / "ckpt")
+        with pytest.raises(DataError):
+            load_checkpoint(tmp_path / "ckpt")
+
+
+@pytest.fixture(scope="module")
+def checkpoint_texts(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("ckpt")
+    tensor = SparseTensor.from_entries((3, 2, 4), FIXTURE_ENTRIES)
+    _checkpoint(directory, tensor, n_latent=2, schedule=SamplerSchedule(0, 2, 1))
+    return {path.name: path.read_text() for path in directory.iterdir()}
+
+
+class TestCheckpointFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(["targets.tsv", "indications.tsv", "layers.tsv", "manifest.json"]),
+        edits=EDITS,
+    )
+    def test_edited_text_loads_or_is_data_error(self, checkpoint_texts, name, edits):
+        text = splice(checkpoint_texts[name], edits)
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp)
+            for filename, original in checkpoint_texts.items():
+                (directory / filename).write_text(text if filename == name else original, encoding="utf-8")
+            try:
+                samples, manifest = load_checkpoint(directory)
+            except DataError:
+                return
+        assert len(samples) == manifest["retained"]
+        assert all(mat.shape[1] == manifest["n_latent"] for sample in samples for mat in sample)

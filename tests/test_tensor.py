@@ -1,4 +1,6 @@
 import csv
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from trialtensor import (
 )
 from trialtensor.tensor import ModeIndex
 
-from conftest import FIXTURE_ENTRIES
+from conftest import EDITS, FIXTURE_ENTRIES, splice
 
 
 class TestBuildIndex:
@@ -262,3 +264,31 @@ class TestSerialization:
         )
         with pytest.raises(DataError):
             save_tensor(tiny_tensor, modes, tmp_path / "t.tsv", tmp_path / "t.meta.json")
+
+
+@pytest.fixture(scope="module")
+def tensor_texts(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("tensor")
+    tensor = SparseTensor.from_entries((3, 2, 4), FIXTURE_ENTRIES)
+    modes = tuple(
+        ModeIndex(mode, {name: i for i, name in enumerate(names)}, names)
+        for mode, names in zip(Mode, [("G1", "G2", "G3"), ("D1", "D2"), ("o", "a", "b", "c")])
+    )
+    save_tensor(tensor, modes, directory / "tensor.tsv", directory / "tensor.meta.json")
+    return {path.name: path.read_text() for path in directory.iterdir()}
+
+
+class TestLoadTensorFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(["tensor.tsv", "tensor.meta.json"]), edits=EDITS)
+    def test_edited_text_loads_or_is_data_error(self, tensor_texts, name, edits):
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp)
+            for filename, original in tensor_texts.items():
+                text = splice(original, edits) if filename == name else original
+                (directory / filename).write_text(text, encoding="utf-8")
+            try:
+                tensor, modes = load_tensor(directory / "tensor.tsv", directory / "tensor.meta.json")
+            except DataError:
+                return
+        assert tuple(len(index) for index in modes) == tensor.dims
