@@ -16,9 +16,11 @@ import logging
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import ingest as ing
 from .errors import DataError, NumericalError
-from .io import format_float, read_text, write_json, write_tsv
+from .io import FLOAT_FORMAT, escape_percent, read_text, write_json, write_tsv
 from .metrics import EvalConfig, phase_analysis, repeated_eval
 from .sampler import SamplerSchedule, init_model, predict_slice, run, save_checkpoint
 from .simulate import SynthConfig, generate, synthetic_modes
@@ -225,7 +227,7 @@ def cmd_ingest(ns: argparse.Namespace) -> int:
         out_dir / "pairs.tsv",
         ("gene_id", "disease_id", "label", "max_phase", "stop_reason_class", "statuses"),
         (
-            (
+            "%s\t%s\t%s\t%s\t%s\t%s\n" % (
                 p.gene_id,
                 p.disease_id,
                 "" if p.label is None else p.label,
@@ -253,13 +255,15 @@ def cmd_train(ns: argparse.Namespace) -> int:
     state = init_model(tensor.dims, ns.latent_dim, alpha=ns.alpha, seed=ns.seed)
     samples = run(state, tensor, schedule)
     save_checkpoint(out_dir / "checkpoint", samples, state, schedule)
+    # One template per target: its identifier joins the per-indication tails.
+    layer = escape_percent(modes[2].reverse[0])
+    tails = ["", *(f"\t{escape_percent(ind)}\t{layer}\t{FLOAT_FORMAT}\n" for ind in modes[1].reverse)]
     write_tsv(
         out_dir / "predictions.tsv",
         ("target_id", "indication_id", "layer", "score"),
         (
-            (target, indication, modes[2].reverse[0], format_float(score))
-            for target, row in zip(modes[0].reverse, predict_slice(samples, 0).tolist())
-            for indication, score in zip(modes[1].reverse, row)
+            escape_percent(target).join(tails) % tuple(row.tolist())
+            for target, row in zip(modes[0].reverse, predict_slice(samples, 0))
         ),
     )
     logger.info(
@@ -377,10 +381,7 @@ def cmd_phase(ns: argparse.Namespace) -> int:
     write_tsv(
         out_dir / "phase_tests.tsv",
         ("phase_a", "phase_b", "u", "p_raw", "p_corrected"),
-        (
-            (pa, pb, format_float(u), format_float(p_raw), format_float(p_corr))
-            for (pa, pb, u, p_raw, p_corr) in analysis.tsv_rows()
-        ),
+        map(f"%s\t%s\t{FLOAT_FORMAT}\t{FLOAT_FORMAT}\t{FLOAT_FORMAT}\n".__mod__, analysis.tsv_rows()),
     )
     return 0
 
@@ -399,15 +400,11 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     modes = synthetic_modes(config.dims)
     save_tensor(tensor, modes, out_dir / "tensor.tsv", out_dir / "tensor.meta.json")
     dims = config.dims
+    cell = f"%d\t%d\t%d\t{FLOAT_FORMAT}\n"
     write_tsv(
         out_dir / "ground_truth.tsv",
         ("i", "j", "k", "value"),
-        (
-            (i, j, k, format_float(ground_truth[i, j, k]))
-            for i in range(dims[0])
-            for j in range(dims[1])
-            for k in range(dims[2])
-        ),
+        (cell % (i, j, k, value) for (i, j, k), value in np.ndenumerate(ground_truth)),
     )
     write_json(
         out_dir / "simulate_manifest.json",

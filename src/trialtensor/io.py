@@ -15,7 +15,13 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
+import numpy as np
+
 from .errors import DataError
+
+# The float format of every text artefact and of every writer's ``%`` row
+# template: 17 significant digits, so ``float`` reads back the value written.
+FLOAT_FORMAT = "%.17g"
 
 
 @contextmanager
@@ -59,16 +65,30 @@ def read_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
 
 
 def format_float(value: float) -> str:
-    """Shortest round-trippable decimal form, stable across runs."""
-    return f"{float(value):.17g}"
+    """17 significant digits, round-trips exactly; stable across runs."""
+    return FLOAT_FORMAT % float(value)
 
 
-def write_tsv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    """Write a header plus rows as tab-separated text, atomically."""
+def escape_percent(text: str) -> str:
+    """``text`` as a literal inside a ``%`` template."""
+    return text.replace("%", "%%")
+
+
+def float_rows(matrix: np.ndarray) -> str:
+    """A 2-D array as text: one line per row, ``FLOAT_FORMAT`` fields split by tabs."""
+    n_rows, n_cols = matrix.shape
+    template = ("\t".join([FLOAT_FORMAT] * n_cols) + "\n") * n_rows
+    return template % tuple(matrix.ravel().tolist())
+
+
+def write_tsv(path: str | Path, header: Sequence[str], lines: Iterable[str]) -> None:
+    """Write a header plus already formatted lines as tab-separated text, atomically.
+
+    Each item of ``lines`` is one or more complete lines, newline included.
+    """
     with atomic_write(path) as handle:
         handle.write("\t".join(header) + "\n")
-        for row in rows:
-            handle.write("\t".join(str(field) for field in row) + "\n")
+        handle.writelines(lines)
 
 
 def write_json(path: str | Path, payload: object) -> None:

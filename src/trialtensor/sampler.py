@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .io import atomic_write, format_float, read_json, read_text
+from .io import atomic_write, float_rows, read_json, read_text
 from .rng import ROLE_HYPER, ROLE_INIT, ROLE_LATENT, StreamTree
 from .tensor import SparseTensor
 
@@ -417,8 +417,7 @@ def save_checkpoint(
     for mode, filename in enumerate(_CHECKPOINT_FILES):
         with atomic_write(directory / filename) as handle:
             for sample in samples:
-                for row in sample[mode]:
-                    handle.write("\t".join(format_float(v) for v in row) + "\n")
+                handle.write(float_rows(sample[mode]))
     manifest = {
         "n_latent": state.n_latent,
         "alpha": state.alpha,

@@ -14,13 +14,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .io import atomic_write, format_float, read_json, read_text
+from .io import FLOAT_FORMAT, atomic_write, read_json, read_text, write_tsv
 
 
 class Mode(IntEnum):
@@ -120,16 +121,6 @@ class SparseTensor:
     @property
     def n_entries(self) -> int:
         return int(self._values.shape[0])
-
-    @property
-    def density(self) -> float:
-        return self.n_entries / (self.dims[0] * self.dims[1] * self.dims[2])
-
-    def insert(self, i: int, j: int, k: int, value: float) -> "SparseTensor":
-        """Return a new tensor with one extra cell (duplicates are an error)."""
-        coords = np.vstack([self._coords, np.array([[i, j, k]], dtype=np.int64)])
-        values = np.append(self._values, value)
-        return SparseTensor(self.dims, coords, values)
 
     def _lookup_index(self) -> tuple[np.ndarray, np.ndarray]:
         if "lookup" not in self._cache:
@@ -253,6 +244,8 @@ def split_cells(
 # three identifier sequences.
 
 _META_MODES = ("targets", "indications", "layers")
+_TSV_HEADER = ("i", "j", "k", "value")
+_BLOCK_LINES = 1 << 14  # entry lines split into fields at a time while loading
 
 
 def save_tensor(
@@ -268,10 +261,8 @@ def save_tensor(
             raise DataError(
                 f"{mode_index.mode.name} index size {len(mode_index)} does not match dim {dim}"
             )
-    with atomic_write(tsv_path) as handle:
-        handle.write("i\tj\tk\tvalue\n")
-        for (i, j, k), v in zip(tensor.coords.tolist(), tensor.values.tolist()):
-            handle.write(f"{i}\t{j}\t{k}\t{format_float(v)}\n")
+    cell = f"%d\t%d\t%d\t{FLOAT_FORMAT}\n"
+    write_tsv(tsv_path, _TSV_HEADER, map(cell.__mod__, zip(*tensor.coords.T.tolist(), tensor.values.tolist())))
     meta = {
         "dims": list(tensor.dims),
         "modes": {key: list(index.reverse) for key, index in zip(_META_MODES, modes)},
@@ -292,6 +283,8 @@ def _meta_indices(meta: object, meta_path: str | Path) -> tuple[list, tuple[Mode
         raise DataError(f"{meta_path}: 'dims' must list three sizes, got {dims}")
     modes = []
     for mode, key, dim, idents in zip(Mode, _META_MODES, dims, lists):
+        if type(dim) is not int:  # JSON true, 1.0 and "1" are not sizes
+            raise DataError(f"{meta_path}: 'dims[{mode.value}]' must be an integer, got {type(dim).__name__} {dim!r}")
         if not isinstance(idents, list) or not all(isinstance(i, str) for i in idents):
             raise DataError(f"{meta_path}: 'modes.{key}' must be a list of identifiers")
         if len(idents) != dim:
@@ -303,24 +296,62 @@ def _meta_indices(meta: object, meta_path: str | Path) -> tuple[list, tuple[Mode
     return dims, tuple(modes)
 
 
+def _entry_arrays(lines: list[str], dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray] | None:
+    """Coordinates and values of ``tensor.tsv`` entry lines, or None if any line is malformed.
+
+    Fields go through ``int`` and ``float`` column by column, a block of
+    lines at a time; a line is malformed exactly when the line loop of
+    :func:`_raise_malformed` rejects it.
+    """
+    if set(map(str.count, lines, repeat("\t"))) - {3}:
+        return None
+    coords = np.empty((len(lines), 3), dtype=np.int64)
+    values = np.empty(len(lines))
+    try:
+        for start in range(0, len(lines), _BLOCK_LINES):
+            fields = "\t".join(lines[start : start + _BLOCK_LINES]).split("\t")
+            stop = start + len(fields) // 4
+            values[start:stop] = np.fromiter(map(float, fields[3::4]), np.float64, stop - start)
+            del fields[3::4]
+            coords[start:stop] = np.fromiter(map(int, fields), np.int64, 3 * (stop - start)).reshape(-1, 3)
+    except (ValueError, OverflowError):  # not a number, or a coordinate beyond int64
+        return None
+    if coords.size and (coords.min() < 0 or (coords >= np.asarray(dims)).any()):
+        return None
+    return coords, values
+
+
+def _raise_malformed(tsv_path: str | Path, header: str, lines: list[str], dims: Sequence[int]) -> NoReturn:
+    """Raise the :class:`DataError` that names the first malformed line of ``tensor.tsv``."""
+    if header != "\t".join(_TSV_HEADER):
+        raise DataError(f"unexpected tensor header in {tsv_path}: {header!r}")
+    for lineno, line in enumerate(lines, start=2):
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise DataError(f"{tsv_path}:{lineno}: expected 4 fields, got {len(parts)}")
+        try:
+            i, j, k, _ = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
+        except ValueError as exc:
+            raise DataError(f"{tsv_path}:{lineno}: {exc}") from exc
+        if not (0 <= i < dims[0] and 0 <= j < dims[1] and 0 <= k < dims[2]):
+            raise DataError(f"{tsv_path}:{lineno}: coordinate ({i}, {j}, {k}) out of range for dims {dims}")
+    raise DataError(f"{tsv_path}: malformed tensor entries")
+
+
 def load_tensor(
     tsv_path: str | Path, meta_path: str | Path
 ) -> tuple[SparseTensor, tuple[ModeIndex, ModeIndex, ModeIndex]]:
+    """The tensor and identifier indices of a ``tensor.tsv`` plus its JSON sidecar.
+
+    The entries are parsed in one vectorised pass; only when it fails does
+    a line loop run, to name the first malformed ``path:line``.
+    """
     dims, modes = _meta_indices(read_json(meta_path), meta_path)
-    entries = []
     with read_text(tsv_path) as handle:
-        header = handle.readline().rstrip("\n")
-        if header.split("\t") != ["i", "j", "k", "value"]:
-            raise DataError(f"unexpected tensor header in {tsv_path}: {header!r}")
-        for lineno, line in enumerate(handle, start=2):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 4:
-                raise DataError(f"{tsv_path}:{lineno}: expected 4 fields, got {len(parts)}")
-            try:
-                i, j, k, value = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
-            except ValueError as exc:
-                raise DataError(f"{tsv_path}:{lineno}: {exc}") from exc
-            if not (0 <= i < dims[0] and 0 <= j < dims[1] and 0 <= k < dims[2]):
-                raise DataError(f"{tsv_path}:{lineno}: coordinate ({i}, {j}, {k}) out of range for dims {dims}")
-            entries.append((i, j, k, value))
-    return SparseTensor.from_entries(dims, entries), modes
+        header, *lines = handle.read().split("\n")
+    if lines and lines[-1] == "":  # the final newline ends the last line, it starts none
+        lines.pop()
+    entries = _entry_arrays(lines, dims) if header == "\t".join(_TSV_HEADER) else None
+    if entries is None:
+        _raise_malformed(tsv_path, header, lines, dims)
+    return SparseTensor(dims, *entries), modes

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import trialtensor
-from trialtensor import load_checkpoint, predict_slice
+from trialtensor import SparseTensor, load_checkpoint, predict_slice, save_tensor
 from trialtensor.cli import main
 from trialtensor.io import format_float
+from trialtensor.tensor import Mode, ModeIndex
 
 
 @pytest.fixture()
@@ -138,6 +139,24 @@ class TestTrainCommand:
         )
         assert (out / "predictions.tsv").read_bytes() == rebuilt.encode()
 
+    def test_predictions_match_per_field_writer(self, tmp_path):
+        # Identifiers that a % template would misread must come out as written.
+        names = (
+            ["%", "%s", "%%", "T%d%%s", "%(x)s", "Gène-Ω", "基因"],
+            ["%s", "D%%", "δ%", "%(y)d", "plain"],
+            ["out%come", "e%s"],
+        )
+        modes = tuple(ModeIndex(m, {n: i for i, n in enumerate(ns)}, tuple(ns)) for m, ns in zip(Mode, names))
+        dims = tuple(len(ns) for ns in names)
+        cells = np.argwhere(np.ones(dims, dtype=bool))[::2]
+        tensor = SparseTensor(dims, cells, (cells.sum(axis=1) % 2).astype(float))
+        save_tensor(tensor, modes, tmp_path / "t" / "tensor.tsv", tmp_path / "t" / "tensor.meta.json")
+        out = tmp_path / "model"
+        assert main(["train", "--tensor", str(tmp_path / "t"), "--out", str(out), "--seed", "3"] + SMALL_SCHEDULE) == 0
+        samples, _ = load_checkpoint(out / "checkpoint")
+        expected = _reference_predictions(names, predict_slice(samples, 0))
+        assert (out / "predictions.tsv").read_bytes() == expected
+
     def test_missing_tensor_dir(self, tmp_path, capsys):
         args = ["train", "--tensor", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]
         assert main(args + SMALL_SCHEDULE) == 2
@@ -159,7 +178,8 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize(
         "case",
-        ["no_dims", "no_modes", "no_layers", "short_targets", "long_layers", "duplicate_targets"],
+        ["no_dims", "no_modes", "no_layers", "short_targets", "long_layers", "duplicate_targets",
+         "float_dims", "bool_dims", "string_dims"],
     )
     def test_malformed_metadata_is_data_error(self, ingested_dir, tmp_path, capsys, case):
         tensor_dir = tmp_path / "tensor"
@@ -177,6 +197,16 @@ class TestTrainCommand:
             modes["targets"] = modes["targets"][:2]
         elif case == "long_layers":
             modes["layers"].append("extra")
+        elif case == "float_dims":
+            meta["dims"][0] = float(meta["dims"][0])
+        elif case == "bool_dims":  # true equals 1, so one target would have matched it
+            modes["targets"] = modes["targets"][:1]
+            meta["dims"][0] = True
+            tsv = tensor_dir / "tensor.tsv"
+            lines = tsv.read_text().splitlines()
+            tsv.write_text("".join(line + "\n" for line in lines if line.split("\t")[0] in ("i", "0")))
+        elif case == "string_dims":
+            meta["dims"][0] = str(meta["dims"][0])
         else:
             modes["targets"][1] = modes["targets"][0]
         meta_path.write_text(json.dumps(meta))
@@ -212,6 +242,16 @@ class TestTrainCommand:
                 "--config", str(config)]
         assert main(args) == 1
         assert "unknown configuration key" in capsys.readouterr().err
+
+
+def _reference_predictions(names, scores):
+    """predictions.tsv as the per-field writer that the row template replaced wrote it."""
+    rows = [("target_id", "indication_id", "layer", "score")] + [
+        (target, indication, names[2][0], f"{score:.17g}")
+        for target, row in zip(names[0], scores.tolist())
+        for indication, score in zip(names[1], row)
+    ]
+    return "".join("\t".join(str(field) for field in row) + "\n" for row in rows).encode()
 
 
 @pytest.fixture(scope="module")

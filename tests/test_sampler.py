@@ -545,6 +545,11 @@ def _patch_manifest(directory, **changes):
     (directory / "manifest.json").write_text(json.dumps(manifest))
 
 
+def _reference_checkpoint_text(samples, mode):
+    """A checkpoint TSV as the per-field writer that the row template replaced wrote it."""
+    return "".join("\t".join(f"{v:.17g}" for v in row) + "\n" for sample in samples for row in sample[mode])
+
+
 _BAD_CHECKPOINTS = {
     "missing file": lambda d: (d / "layers.tsv").unlink(),
     "non-numeric field": lambda d: _rewrite_line(d / "targets.tsv", 1, "0.5\tabc\t0.1"),
@@ -582,6 +587,13 @@ class TestCheckpoint:
         lines = (tmp_path / "ckpt" / "targets.tsv").read_text().splitlines()
         assert len(lines) == 2 * tiny_tensor.dims[0]
         assert [float(v) for v in lines[3].split("\t")] == samples[1][0][0].tolist()
+
+    @pytest.mark.parametrize("n_latent", [1, 3])
+    def test_files_match_per_field_writer(self, tiny_tensor, tmp_path, n_latent):
+        samples = _checkpoint(tmp_path / "ckpt", tiny_tensor, n_latent=n_latent, schedule=SamplerSchedule(1, 3, 1))
+        assert len(samples) == 3
+        for mode, name in enumerate(["targets.tsv", "indications.tsv", "layers.tsv"]):
+            assert (tmp_path / "ckpt" / name).read_bytes() == _reference_checkpoint_text(samples, mode).encode()
 
     @pytest.mark.parametrize("case", sorted(_BAD_CHECKPOINTS))
     def test_malformed_checkpoint_is_data_error(self, tiny_tensor, tmp_path, case):

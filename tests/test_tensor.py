@@ -1,4 +1,5 @@
 import csv
+import json
 import tempfile
 from pathlib import Path
 
@@ -18,7 +19,8 @@ from trialtensor import (
     select_layers,
     split_cells,
 )
-from trialtensor.tensor import ModeIndex
+from trialtensor.io import read_json, read_text
+from trialtensor.tensor import _BLOCK_LINES, ModeIndex, _meta_indices
 
 from conftest import EDITS, FIXTURE_ENTRIES, splice
 
@@ -53,20 +55,19 @@ class TestBuildIndex:
 
 
 class TestSparseTensor:
-    def test_insert_into_empty(self):
-        tensor = SparseTensor.empty((2, 2, 2)).insert(0, 0, 0, 1.0)
+    def test_single_cell_tensor(self):
+        tensor = SparseTensor((2, 2, 2), [[0, 0, 0]], [1.0])
         assert tensor.n_entries == 1
         assert tensor.lookup(0, 0, 0) == 1.0
 
-    def test_duplicate_insert_is_error(self):
-        tensor = SparseTensor.empty((2, 2, 2)).insert(0, 0, 0, 1.0)
+    def test_duplicate_coordinate_is_error(self):
         with pytest.raises(DataError, match="duplicate"):
-            tensor.insert(0, 0, 0, 0.5)
+            SparseTensor.from_entries((2, 2, 2), [(0, 0, 0, 1.0), (0, 0, 0, 0.5)])
 
     def test_bulk_fixture_entries(self):
         tensor = SparseTensor.from_entries((3, 2, 4), FIXTURE_ENTRIES)
         assert tensor.n_entries == 12
-        assert tensor.density == pytest.approx(12 / (3 * 2 * 4))
+        assert tensor.n_entries / np.prod(tensor.dims) == pytest.approx(12 / (3 * 2 * 4))
 
     @pytest.mark.parametrize(
         "coord,value,match",
@@ -79,7 +80,7 @@ class TestSparseTensor:
     )
     def test_invalid_entries(self, coord, value, match):
         with pytest.raises(DataError, match=match):
-            SparseTensor.empty((2, 2, 2)).insert(*coord, value)
+            SparseTensor.from_entries((2, 2, 2), [(*coord, value)])
 
     def test_lookup_missing_returns_none(self, tiny_tensor):
         assert tiny_tensor.lookup(2, 0, 0) is None
@@ -265,16 +266,78 @@ class TestSerialization:
         with pytest.raises(DataError):
             save_tensor(tiny_tensor, modes, tmp_path / "t.tsv", tmp_path / "t.meta.json")
 
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_tsv_bytes_match_per_field_writer(self, tmp_path, empty):
+        tensor = SparseTensor.empty((3, 2, 4)) if empty else SparseTensor.from_entries((3, 2, 4), FIXTURE_ENTRIES)
+        save_tensor(tensor, _modes(FIXTURE_NAMES), tmp_path / "tensor.tsv", tmp_path / "tensor.meta.json")
+        assert (tmp_path / "tensor.tsv").read_bytes() == _reference_tsv_text(tensor).encode()
+
+    @pytest.mark.parametrize("dim,type_name", [(1.0, "float"), (True, "bool"), ("1", "str")])
+    def test_non_integer_dims_rejected(self, tmp_path, dim, type_name):
+        meta = {"dims": [dim, 1, 1], "modes": {"targets": ["t"], "indications": ["d"], "layers": ["outcome"]}}
+        (tmp_path / "tensor.meta.json").write_text(json.dumps(meta))
+        (tmp_path / "tensor.tsv").write_text("i\tj\tk\tvalue\n0\t0\t0\t1\n")
+        with pytest.raises(DataError, match=rf"'dims\[0\]' must be an integer, got {type_name} "):
+            load_tensor(tmp_path / "tensor.tsv", tmp_path / "tensor.meta.json")
+
+
+FIXTURE_NAMES = [("G1", "G2", "G3"), ("D1", "D2"), ("o", "a", "b", "c")]
+
+
+def _modes(names):
+    return tuple(ModeIndex(mode, {name: i for i, name in enumerate(ids)}, ids) for mode, ids in zip(Mode, names))
+
+
+def _reference_tsv_text(tensor):
+    """tensor.tsv as the per-field writer that save_tensor's template replaced wrote it."""
+    lines = ["i\tj\tk\tvalue\n"]
+    for (i, j, k), v in zip(tensor.coords.tolist(), tensor.values.tolist()):
+        lines.append(f"{i}\t{j}\t{k}\t{v:.17g}\n")
+    return "".join(lines)
+
+
+def _reference_load_tensor(tsv_path, meta_path):
+    """The line loop that load_tensor's vectorised pass replaced."""
+    dims, modes = _meta_indices(read_json(meta_path), meta_path)
+    entries = []
+    with read_text(tsv_path) as handle:
+        header = handle.readline().rstrip("\n")
+        if header.split("\t") != ["i", "j", "k", "value"]:
+            raise DataError(f"unexpected tensor header in {tsv_path}: {header!r}")
+        for lineno, line in enumerate(handle, start=2):
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) != 4:
+                raise DataError(f"{tsv_path}:{lineno}: expected 4 fields, got {len(parts)}")
+            try:
+                i, j, k, value = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
+            except ValueError as exc:
+                raise DataError(f"{tsv_path}:{lineno}: {exc}") from exc
+            if not (0 <= i < dims[0] and 0 <= j < dims[1] and 0 <= k < dims[2]):
+                raise DataError(f"{tsv_path}:{lineno}: coordinate ({i}, {j}, {k}) out of range for dims {dims}")
+            entries.append((i, j, k, value))
+    return SparseTensor.from_entries(dims, entries), modes
+
+
+def _load_outcome(load, directory):
+    """What a loader makes of a tensor directory: its arrays, bit for bit, or its error message."""
+    try:
+        tensor, modes = load(directory / "tensor.tsv", directory / "tensor.meta.json")
+    except DataError as exc:
+        return str(exc)
+    return tensor.dims, tensor.coords.tolist(), tensor.values.view(np.int64).tolist(), [m.reverse for m in modes]
+
+
+def _assert_loads_like_line_loop(directory):
+    outcome = _load_outcome(load_tensor, directory)
+    assert outcome == _load_outcome(_reference_load_tensor, directory)
+    return outcome
+
 
 @pytest.fixture(scope="module")
 def tensor_texts(tmp_path_factory):
     directory = tmp_path_factory.mktemp("tensor")
     tensor = SparseTensor.from_entries((3, 2, 4), FIXTURE_ENTRIES)
-    modes = tuple(
-        ModeIndex(mode, {name: i for i, name in enumerate(names)}, names)
-        for mode, names in zip(Mode, [("G1", "G2", "G3"), ("D1", "D2"), ("o", "a", "b", "c")])
-    )
-    save_tensor(tensor, modes, directory / "tensor.tsv", directory / "tensor.meta.json")
+    save_tensor(tensor, _modes(FIXTURE_NAMES), directory / "tensor.tsv", directory / "tensor.meta.json")
     return {path.name: path.read_text() for path in directory.iterdir()}
 
 
@@ -282,13 +345,47 @@ class TestLoadTensorFuzz:
     @settings(max_examples=150, deadline=None)
     @given(name=st.sampled_from(["tensor.tsv", "tensor.meta.json"]), edits=EDITS)
     def test_edited_text_loads_or_is_data_error(self, tensor_texts, name, edits):
+        # The vectorised pass and the reference line loop return the same
+        # arrays or raise the same message on every edited text.
         with tempfile.TemporaryDirectory() as tmp:
             directory = Path(tmp)
             for filename, original in tensor_texts.items():
                 text = splice(original, edits) if filename == name else original
                 (directory / filename).write_text(text, encoding="utf-8")
-            try:
-                tensor, modes = load_tensor(directory / "tensor.tsv", directory / "tensor.meta.json")
-            except DataError:
-                return
-        assert tuple(len(index) for index in modes) == tensor.dims
+            outcome = _assert_loads_like_line_loop(directory)
+        if not isinstance(outcome, str):
+            dims, _, _, idents = outcome
+            assert tuple(len(reverse) for reverse in idents) == dims
+
+    @pytest.mark.parametrize("column", [0, 3])
+    @pytest.mark.parametrize(
+        "field",
+        [" 1", "+1", "0_1", "1__0", "\u0661", "01", "-0", "1.0", "1e0", "0x1", "\u00bd", "", " .5\x0c",
+         "nan", "inf", "1e400", "-1e-400", str(2**63), str(-(2**63) - 1), "9" * 5000],
+    )
+    def test_number_forms_load_like_line_loop(self, tensor_texts, tmp_path, column, field):
+        lines = tensor_texts["tensor.tsv"].split("\n")
+        parts = lines[2].split("\t")
+        parts[column] = field
+        lines[2] = "\t".join(parts)
+        (tmp_path / "tensor.tsv").write_text("\n".join(lines), encoding="utf-8")
+        (tmp_path / "tensor.meta.json").write_text(tensor_texts["tensor.meta.json"], encoding="utf-8")
+        _assert_loads_like_line_loop(tmp_path)
+
+    @pytest.mark.parametrize("bad_line", [None, 3, _BLOCK_LINES + 50])
+    def test_files_longer_than_a_block(self, tmp_path, bad_line):
+        n = _BLOCK_LINES + 100
+        tensor = SparseTensor(
+            (n, 1, 2), np.column_stack([np.arange(n), np.zeros(n), np.arange(n) % 2]), np.arange(n) % 3 / 2
+        )
+        save_tensor(tensor, _modes([[f"t{i}" for i in range(n)], ["d"], ["o", "e"]]),
+                    tmp_path / "tensor.tsv", tmp_path / "tensor.meta.json")
+        if bad_line is not None:
+            lines = (tmp_path / "tensor.tsv").read_text().split("\n")
+            lines[bad_line - 1] = f"{n}\t0\t0\t1"
+            (tmp_path / "tensor.tsv").write_text("\n".join(lines))
+        outcome = _assert_loads_like_line_loop(tmp_path)
+        if bad_line is None:
+            assert outcome[2] == tensor.values.view(np.int64).tolist()
+        else:
+            assert f"tensor.tsv:{bad_line}: coordinate ({n}, 0, 0) out of range" in outcome
