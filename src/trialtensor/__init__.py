@@ -28,7 +28,6 @@ from .metrics import (
     EvalReport,
     PhaseAnalysis,
     auroc,
-    bonferroni,
     class_imbalance,
     f1,
     mann_whitney_u,
@@ -45,7 +44,6 @@ from .sampler import (
     init_model,
     load_checkpoint,
     predict_slice,
-    row_posterior,
     run,
     sample_mode_hyperparams,
     sample_mode_latents,

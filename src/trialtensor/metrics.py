@@ -153,16 +153,11 @@ def _normal_two_sided_p(u: float, n_a: int, n_b: int, pooled: np.ndarray) -> flo
     return min(1.0, math.erfc(z / math.sqrt(2.0)))
 
 
-def bonferroni(p_values: float | Sequence[float], m: int) -> float | list[float]:
-    """Multiply p-values by the comparison count ``m``, capping at 1."""
-    if np.isscalar(p_values):
-        if m < 1:
-            raise DataError("comparison count must be at least 1")
-        return min(1.0, float(m) * float(p_values))
-    values = [float(p) for p in p_values]
-    if m < len(values):
-        raise DataError(f"comparison count {m} below number of tests {len(values)}")
-    return [min(1.0, float(m) * p) for p in values]
+def bonferroni(p_value: float, m: int) -> float:
+    """Multiply a p-value by the comparison count ``m``, capping at 1."""
+    if m < 1:
+        raise DataError("comparison count must be at least 1")
+    return min(1.0, float(m) * float(p_value))
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,10 @@ one sweep samples, per mode: hyperparameters, then all latent rows.
 
 Given the other two modes, the latent rows of a mode are independent, so
 each mode is redrawn by one stacked Cholesky solve over all of its rows.
-Randomness comes from counter-based streams keyed by
+The per-row Grams come from the other modes' latent products, gathered a
+block of whole entities at a time; what does not change between sweeps
+(the inverse Wishart scale, the Bartlett lower-triangle indices) is
+computed once. Randomness comes from counter-based streams keyed by
 ``(seed, sweep, role, mode)`` (see :mod:`trialtensor.rng`).
 
 The model is the list of ``(U, V, W)`` triples :func:`run` retains; a
@@ -18,9 +21,10 @@ checkpoint stores exactly them, and :func:`predict_slice` scores a layer.
 
 from __future__ import annotations
 
+import functools
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -32,6 +36,9 @@ from .rng import ROLE_HYPER, ROLE_INIT, ROLE_LATENT, StreamTree
 from .tensor import SparseTensor
 
 _JITTER_REL = 1e-6
+# Largest block of other-mode products ``q`` gathered at once, in doubles:
+# 1 MiB, so 4096 cells at D=32. A single larger entity is one block.
+_BLOCK_DOUBLES = 2**17
 
 
 @dataclass(frozen=True)
@@ -40,17 +47,22 @@ class Hyperprior:
 
     ``precision_scale`` is the Wishart scale matrix and ``dof`` its degrees
     of freedom; ``mean_strength`` scales how strongly the prior mean ties
-    down the sampled per-mode mean.
+    down the sampled per-mode mean. ``scale_inverse``, the inverse of
+    ``precision_scale`` that every posterior draw starts from, is computed
+    once here.
     """
 
     mean: np.ndarray
     mean_strength: float
     precision_scale: np.ndarray
     dof: float
+    scale_inverse: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=np.float64)
-        scale = np.asarray(self.precision_scale, dtype=np.float64)
+        # A read-only copy, so the inverse cached below cannot go stale.
+        scale = np.array(self.precision_scale, dtype=np.float64)
+        scale.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "precision_scale", scale)
         n_latent = mean.shape[0]
@@ -66,6 +78,9 @@ class Hyperprior:
             raise ValueError(f"dof {self.dof} below latent dimension {n_latent}")
         if self.mean_strength <= 0:
             raise ValueError("mean_strength must be positive")
+        inverse = np.linalg.inv(scale)
+        inverse.flags.writeable = False
+        object.__setattr__(self, "scale_inverse", inverse)
 
     @property
     def n_latent(self) -> int:
@@ -186,11 +201,20 @@ def _bartlett(root: np.ndarray, dof: float, rng: np.random.Generator) -> np.ndar
     bartlett = np.zeros((dim, dim))
     bartlett[np.diag_indices(dim)] = np.sqrt(rng.chisquare(dof - np.arange(dim)))
     if dim > 1:
-        tril = np.tril_indices(dim, k=-1)
+        tril = _strict_lower(dim)
         bartlett[tril] = rng.standard_normal(len(tril[0]))
     factor = root @ bartlett
     sample = factor @ factor.T
     return (sample + sample.T) / 2.0
+
+
+@functools.lru_cache(maxsize=None)
+def _strict_lower(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    # Row-major strictly-lower indices, shared by every draw of this size.
+    rows, cols = np.tril_indices(dim, k=-1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
 
 
 def sample_mvn(mean: np.ndarray, precision: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -260,8 +284,7 @@ def sample_mode_hyperparams(
     dof_post = hyperprior.dof + n_rows
     mean_post = (beta0 * mu0 + n_rows * xbar) / beta_post
     dev = xbar - mu0
-    scale_inv = np.linalg.inv(hyperprior.precision_scale)
-    scale_inv = scale_inv + scatter + (beta0 * n_rows / beta_post) * np.outer(dev, dev)
+    scale_inv = hyperprior.scale_inverse + scatter + (beta0 * n_rows / beta_post) * np.outer(dev, dev)
     scale_inv = (scale_inv + scale_inv.T) / 2.0
     # With scale_inv = L L', the posterior scale is R R' for R = L'^-1.
     inv_lower = _cholesky(scale_inv, "posterior inverse scale")
@@ -309,28 +332,43 @@ def sample_mode_latents(
 ) -> np.ndarray:
     """Redraw every latent row of one mode from its full conditional.
 
-    Rows are conditionally independent given the other two modes. A loop
-    over entities builds each row's Gram ``q'q`` and right-hand side ``q'y``
-    (``q`` as in :func:`row_posterior`); then, for the whole mode at once,
-    the prior is added, the posterior precisions ``L L'`` are factored, and
-    with one standard-normal block ``z`` from the (sweep, mode) stream the
-    rows are ``x = L'^-1 (L^-1 b + z)``. An entity with no cells has a zero
-    Gram, so its row is drawn from the mode prior.
+    Rows are conditionally independent given the other two modes. Each
+    row's Gram ``q'q`` and right-hand side ``q'y`` (``q`` as in
+    :func:`row_posterior`) come from its slice of a block of ``q``: the
+    mode's cells are taken once in fiber order, and ``q`` is gathered and
+    multiplied for a run of whole entities at a time, at most
+    ``_BLOCK_DOUBLES`` values unless one entity alone needs more. Then, for
+    the whole mode at once, the prior is added, the posterior precisions
+    ``L L'`` are factored, and with one standard-normal block ``z`` from the
+    (sweep, mode) stream the rows are ``x = L'^-1 (L^-1 b + z)``. An entity
+    with no cells has a zero Gram, so its row is drawn from the mode prior.
     """
     other_a, other_b = _OTHER_MODES[mode]
     order, offsets = tensor.fiber_index(mode)
-    coords = tensor.coords
-    values = tensor.values
+    index_a = tensor.coords[order, other_a]
+    index_b = tensor.coords[order, other_b]
+    values = tensor.values[order]
     lat_a = state.latents[other_a]
     lat_b = state.latents[other_b]
     n_entities, n_latent = state.latents[mode].shape
     grams = np.empty((n_entities, n_latent, n_latent))
     rhs = np.empty((n_entities, n_latent))
-    for entity in range(n_entities):
-        rows = order[offsets[entity] : offsets[entity + 1]]
-        q_rows = lat_a[coords[rows, other_a]] * lat_b[coords[rows, other_b]]
-        grams[entity] = q_rows.T @ q_rows
-        rhs[entity] = q_rows.T @ values[rows]
+    budget = max(1, _BLOCK_DOUBLES // n_latent)  # cells per block
+    bounds = offsets.tolist()
+    first = 0
+    while first < n_entities:
+        # The longest run of whole entities within budget, at least one.
+        base = bounds[first]
+        end = max(first + 1, int(np.searchsorted(offsets, base + budget, "right")) - 1)
+        block = slice(base, bounds[end])
+        q_block = lat_a[index_a[block]] * lat_b[index_b[block]]
+        y_block = values[block]
+        for entity in range(first, end):
+            rows = slice(bounds[entity] - base, bounds[entity + 1] - base)
+            q_rows = q_block[rows]
+            grams[entity] = q_rows.T @ q_rows
+            rhs[entity] = q_rows.T @ y_block[rows]
+        first = end
     params = state.params[mode]
     grams *= state.alpha
     grams += params.precision

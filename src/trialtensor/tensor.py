@@ -129,17 +129,6 @@ class SparseTensor:
             self._cache["lookup"] = (lin[order], order)
         return self._cache["lookup"]
 
-    def lookup(self, i: int, j: int, k: int) -> float | None:
-        """Value at (i, j, k), or None if the cell is unobserved."""
-        if not (0 <= i < self.dims[0] and 0 <= j < self.dims[1] and 0 <= k < self.dims[2]):
-            raise DataError(f"coordinate ({i}, {j}, {k}) out of range for dims {self.dims}")
-        lin_sorted, order = self._lookup_index()
-        target = (i * self.dims[1] + j) * self.dims[2] + k
-        pos = np.searchsorted(lin_sorted, target)
-        if pos < lin_sorted.size and lin_sorted[pos] == target:
-            return float(self._values[order[pos]])
-        return None
-
     def fiber_index(self, mode: int) -> tuple[np.ndarray, np.ndarray]:
         """Sorted auxiliary index for per-fiber iteration along ``mode``.
 

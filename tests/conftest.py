@@ -36,6 +36,12 @@ FIXTURE_ENTRIES = [
 ]
 
 
+def cell_value(tensor: SparseTensor, i: int, j: int, k: int) -> float | None:
+    """Value of the observed cell ``(i, j, k)``, or None if it is unobserved."""
+    match = (tensor.coords == (i, j, k)).all(axis=1)
+    return float(tensor.values[match][0]) if match.any() else None
+
+
 @pytest.fixture(scope="session")
 def data_dir() -> Path:
     return DATA_DIR

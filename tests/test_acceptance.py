@@ -42,7 +42,7 @@ from trialtensor.ingest import IngestReport
 from trialtensor.metrics import _exact_two_sided_p, _normal_two_sided_p
 from trialtensor.rng import StreamTree
 
-from conftest import ingest_fixture
+from conftest import cell_value, ingest_fixture
 from test_metrics import brute_force_auroc, pairwise_exact_mww_p
 from test_sampler import all_layers, mode_normals, per_row_reference
 
@@ -236,15 +236,15 @@ def test_c7_ingestion_rules(data_dir):
         tensor, modes = build_tensor(evidence, pairs)
         burden = modes[2].forward["gene_burden"]
         # (a) the two non-significant burden rows are observed 0.0 cells
-        assert tensor.lookup(1, 0, burden) == 0.0
-        assert tensor.lookup(2, 0, burden) == 0.0
+        assert cell_value(tensor, 1, 0, burden) == 0.0
+        assert cell_value(tensor, 2, 0, burden) == 0.0
         _, burden_values = tensor.layer_entries(burden)
         assert len(burden_values) == 3
 
         # (b) ENSG0001 x MeSH:D001249 has approved + terminated(safety): label 1
         pair = {(p.gene_id, p.disease_id): p for p in pairs}[("ENSG0001", "MeSH:D001249")]
         assert "terminated" in pair.status_set and pair.label == 1
-        assert tensor.lookup(0, 0, 0) == 1.0
+        assert cell_value(tensor, 0, 0, 0) == 1.0
 
         # (c) conflicting values merging onto one MeSH id resolve to max, reported
         conflict_report = IngestReport()

@@ -11,7 +11,6 @@ from trialtensor import (
     SamplerSchedule,
     SynthConfig,
     auroc,
-    bonferroni,
     class_imbalance,
     f1,
     generate,
@@ -20,7 +19,7 @@ from trialtensor import (
     repeated_eval,
 )
 from trialtensor.ingest import OutcomePair, StopReason
-from trialtensor.metrics import _exact_two_sided_p, _midranks, _normal_two_sided_p
+from trialtensor.metrics import _exact_two_sided_p, _midranks, _normal_two_sided_p, bonferroni
 
 
 def brute_force_auroc(scores, labels):
@@ -275,16 +274,16 @@ class TestBonferroni:
     )
     def test_vector_matches_scalar_rule(self, ps, extra):
         m = len(ps) + extra
-        corrected = bonferroni(ps, m)
-        assert corrected == [bonferroni(p, m) for p in ps]
+        corrected = [bonferroni(p, m) for p in ps]
+        assert corrected == [min(1.0, m * p) for p in ps]
         assert all(c <= 1.0 for c in corrected)
         # monotone: larger p never corrects below a smaller p
         order = np.argsort(ps)
         assert np.all(np.diff(np.asarray(corrected)[order]) >= -1e-15)
 
     def test_m_below_test_count(self):
-        with pytest.raises(DataError):
-            bonferroni([0.1, 0.2, 0.3], 2)
+        with pytest.raises(DataError, match="at least 1"):
+            bonferroni(0.1, 0)
 
 
 def _pair(gene, disease, phase):

