@@ -8,12 +8,13 @@ so the full conditional of every quantity is available in closed form and
 one sweep samples, per mode: hyperparameters, then all latent rows.
 
 Given the other two modes, the latent rows of a mode are independent, so
-each mode is redrawn by one stacked Cholesky solve over all of its rows.
-The per-row Grams come from the other modes' latent products, gathered a
-block of whole entities at a time; what does not change between sweeps
-(the inverse Wishart scale, the Bartlett lower-triangle indices) is
-computed once. Randomness comes from counter-based streams keyed by
-``(seed, sweep, role, mode)`` (see :mod:`trialtensor.rng`).
+each mode is redrawn by one stacked Cholesky solve over all of its rows,
+its triangular solves taken in 8-column panels. The per-row Grams come
+from the other modes' latent products, one stacked product per run of
+entities with equal cell counts; what does not change between sweeps (the
+runs themselves, the inverse Wishart scale, the Bartlett lower-triangle
+indices) is computed once. Randomness comes from counter-based streams
+keyed by ``(seed, sweep, role, mode)`` (see :mod:`trialtensor.rng`).
 
 The model is the list of ``(U, V, W)`` triples :func:`run` retains; a
 checkpoint stores exactly them, and :func:`predict_slice` scores a layer.
@@ -21,6 +22,7 @@ checkpoint stores exactly them, and :func:`predict_slice` scores a layer.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import operator
@@ -39,9 +41,11 @@ _JITTER_REL = 1e-6
 # Largest block of other-mode products ``q`` gathered at once, in doubles:
 # 1 MiB, so 4096 cells at D=32. A single larger entity is one block.
 _BLOCK_DOUBLES = 2**17
+# Column width of the blocked triangular solves in ``_solve_draw``.
+_PANEL = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hyperprior:
     """Gaussian-Wishart hyperprior shared by all three modes.
 
@@ -50,13 +54,18 @@ class Hyperprior:
     down the sampled per-mode mean. ``scale_inverse``, the inverse of
     ``precision_scale`` that every posterior draw starts from, is computed
     once here.
+
+    Two priors are equal when their arrays hold equal values and their
+    scalars compare equal. A prior holds arrays, so it is not hashable.
     """
 
     mean: np.ndarray
     mean_strength: float
     precision_scale: np.ndarray
     dof: float
-    scale_inverse: np.ndarray = field(init=False, repr=False, compare=False)
+    scale_inverse: np.ndarray = field(init=False, repr=False)
+
+    __hash__ = None
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=np.float64)
@@ -81,6 +90,16 @@ class Hyperprior:
         inverse = np.linalg.inv(scale)
         inverse.flags.writeable = False
         object.__setattr__(self, "scale_inverse", inverse)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Hyperprior):
+            return NotImplemented
+        return bool(
+            self.mean_strength == other.mean_strength
+            and self.dof == other.dof
+            and np.array_equal(self.mean, other.mean)
+            and np.array_equal(self.precision_scale, other.precision_scale)
+        )
 
     @property
     def n_latent(self) -> int:
@@ -259,6 +278,34 @@ def _cholesky(mats: np.ndarray, what: str) -> np.ndarray:
         raise NumericalError(f"{what} not SPD after jitter") from exc
 
 
+def _solve_draw(lower: np.ndarray, rhs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``x = L'^-1 (L^-1 b + z)`` for each lower factor ``L`` of an ``(n, D, D)`` stack.
+
+    Both triangular solves run by blocks of ``_PANEL`` columns: each
+    diagonal panel stack goes through ``np.linalg.solve`` and each
+    off-diagonal update is one stacked matmul, so the LU work per row is
+    that of ``D / _PANEL`` small panels instead of one ``D x D`` matrix. At
+    ``D <= _PANEL`` this is exactly the two whole-matrix solves.
+    """
+    dim = lower.shape[1]
+    panels = [slice(start, min(start + _PANEL, dim)) for start in range(0, dim, _PANEL)]
+    half = np.empty(rhs.shape + (1,))
+    for panel in panels:
+        part = rhs[:, panel, None]
+        if panel.start:
+            part = part - lower[:, panel, : panel.start] @ half[:, : panel.start]
+        half[:, panel] = np.linalg.solve(lower[:, panel, panel], part)
+    half += z[..., None]
+    upper = lower.transpose(0, 2, 1)
+    rows = np.empty_like(half)
+    for panel in reversed(panels):
+        part = half[:, panel]
+        if panel.stop < dim:
+            part = part - upper[:, panel, panel.stop :] @ rows[:, panel.stop :]
+        rows[:, panel] = np.linalg.solve(upper[:, panel, panel], part)
+    return rows[..., 0]
+
+
 def sample_mode_hyperparams(
     latents: np.ndarray, hyperprior: Hyperprior, rng: np.random.Generator
 ) -> ModeParams:
@@ -332,42 +379,54 @@ def sample_mode_latents(
 ) -> np.ndarray:
     """Redraw every latent row of one mode from its full conditional.
 
-    Rows are conditionally independent given the other two modes. Each
-    row's Gram ``q'q`` and right-hand side ``q'y`` (``q`` as in
-    :func:`row_posterior`) come from its slice of a block of ``q``: the
-    mode's cells are taken once in fiber order, and ``q`` is gathered and
-    multiplied for a run of whole entities at a time, at most
-    ``_BLOCK_DOUBLES`` values unless one entity alone needs more. Then, for
-    the whole mode at once, the prior is added, the posterior precisions
-    ``L L'`` are factored, and with one standard-normal block ``z`` from the
-    (sweep, mode) stream the rows are ``x = L'^-1 (L^-1 b + z)``. An entity
-    with no cells has a zero Gram, so its row is drawn from the mode prior.
+    Rows are conditionally independent given the other two modes. The
+    Grams ``q'q`` and right-hand sides ``q'y`` (``q`` as in
+    :func:`row_posterior`) are built in the tensor's (cell count, entity id)
+    order (:meth:`SparseTensor.count_runs`): ``q`` is gathered for a block of
+    whole entities at a time, at most ``_BLOCK_DOUBLES`` values unless one
+    entity alone needs more, and each stretch of equal-count entities in a
+    block is one stacked ``(m, c, D)`` product, so no Python loop runs per
+    entity. Then, for the whole mode at once, the prior is added, the
+    posterior precisions ``L L'`` are factored, and with one standard-normal
+    block ``z`` from the (sweep, mode) stream the rows are
+    ``x = L'^-1 (L^-1 b + z)``, solved in panels by :func:`_solve_draw`. An
+    entity with no cells has a zero Gram, so its row is drawn from the mode
+    prior.
     """
-    other_a, other_b = _OTHER_MODES[mode]
-    order, offsets = tensor.fiber_index(mode)
-    index_a = tensor.coords[order, other_a]
-    index_b = tensor.coords[order, other_b]
-    values = tensor.values[order]
-    lat_a = state.latents[other_a]
-    lat_b = state.latents[other_b]
+    if state.dims != tensor.dims:
+        raise DataError(f"state dims {state.dims} do not match tensor dims {tensor.dims}")
+    runs = tensor.count_runs(mode)
+    lat_a, lat_b = (state.latents[other] for other in _OTHER_MODES[mode])
     n_entities, n_latent = state.latents[mode].shape
+    # Every row in (cell count, entity id) order until the final scatter.
     grams = np.empty((n_entities, n_latent, n_latent))
     rhs = np.empty((n_entities, n_latent))
     budget = max(1, _BLOCK_DOUBLES // n_latent)  # cells per block
-    bounds = offsets.tolist()
+    offsets = runs.offsets.tolist()
+    starts = runs.starts.tolist()
+    # Blocks reuse two buffers, as a fresh large array per block costs page
+    # faults. The dims check above keeps every index in range, so "clip"
+    # never clips; it only spares numpy's buffered bounds check.
+    block_cells = min(offsets[-1], max(budget, offsets[-1] - offsets[-2]))
+    q_buffer, b_buffer = np.empty((2, block_cells, n_latent))
     first = 0
     while first < n_entities:
-        # The longest run of whole entities within budget, at least one.
-        base = bounds[first]
-        end = max(first + 1, int(np.searchsorted(offsets, base + budget, "right")) - 1)
-        block = slice(base, bounds[end])
-        q_block = lat_a[index_a[block]] * lat_b[index_b[block]]
-        y_block = values[block]
-        for entity in range(first, end):
-            rows = slice(bounds[entity] - base, bounds[entity + 1] - base)
-            q_rows = q_block[rows]
-            grams[entity] = q_rows.T @ q_rows
-            rhs[entity] = q_rows.T @ y_block[rows]
+        # A block: the most whole entities within budget, at least one.
+        base = offsets[first]
+        end = max(first + 1, bisect.bisect_right(offsets, base + budget) - 1)
+        cells = slice(base, offsets[end])
+        q_block = np.take(lat_a, runs.index_a[cells], axis=0, out=q_buffer[: cells.stop - base], mode="clip")
+        q_block *= np.take(lat_b, runs.index_b[cells], axis=0, out=b_buffer[: cells.stop - base], mode="clip")
+        y_block = runs.values[cells]
+        # One stacked product per stretch of equal-count entities in the block.
+        cuts = starts[bisect.bisect_right(starts, first) : bisect.bisect_left(starts, end)]
+        for lo, hi in zip([first, *cuts], [*cuts, end]):
+            piece = slice(offsets[lo] - base, offsets[hi] - base)
+            count = (offsets[hi] - offsets[lo]) // (hi - lo)
+            q = q_block[piece].reshape(hi - lo, count, n_latent)
+            q_t = q.transpose(0, 2, 1)
+            grams[lo:hi] = q_t @ q
+            rhs[lo:hi] = (q_t @ y_block[piece].reshape(hi - lo, count, 1))[..., 0]
         first = end
     params = state.params[mode]
     grams *= state.alpha
@@ -376,8 +435,9 @@ def sample_mode_latents(
     rhs += params.precision @ params.mean
     lower = _cholesky(grams, "row posterior precision")
     z = tree.stream(state.sweep, ROLE_LATENT, mode).standard_normal((n_entities, n_latent))
-    half = np.linalg.solve(lower, rhs[..., None]) + z[..., None]
-    return np.linalg.solve(lower.transpose(0, 2, 1), half)[..., 0]
+    rows = np.empty_like(rhs)
+    rows[runs.entities] = _solve_draw(lower, rhs, z[runs.entities])
+    return rows
 
 
 def gibbs_step(state: ModelState, tensor: SparseTensor, tree: StreamTree) -> ModelState:

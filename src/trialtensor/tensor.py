@@ -2,8 +2,9 @@
 
 Observations live in coordinate (COO) form: an ``(n, 3)`` integer array of
 ``(i, j, k)`` coordinates plus a value vector. Tensors are immutable after
-construction; per-mode fiber indices and the lookup index are built lazily
-and cached, which is safe because nothing mutates the arrays afterwards.
+construction; per-mode fiber indices, their count-sorted layout and the
+lookup index are built lazily and cached, which is safe because nothing
+mutates the arrays afterwards.
 
 Layer convention used throughout the package: ``k = 0`` holds the clinical
 outcome labels, ``k >= 1`` hold the evidence layers.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -53,6 +54,25 @@ def build_index(identifiers: Sequence[str], mode: Mode = Mode.TARGET) -> ModeInd
     unique = sorted(set(identifiers))
     forward = {ident: pos for pos, ident in enumerate(unique)}
     return ModeIndex(mode=mode, forward=forward, reverse=tuple(unique))
+
+
+class CountRuns(NamedTuple):
+    """One mode's cells laid out by entity, entities in (cell count, id) order.
+
+    ``entities`` holds the sorted entity ids; the cells of ``entities[e]``
+    are ``offsets[e]:offsets[e + 1]`` of ``index_a``, ``index_b`` (their
+    coordinates in the two other modes, lower mode first) and ``values``,
+    in fiber order. Runs of equal-count entities start at the positions in
+    ``starts``, which ends with ``len(entities)``; entities without cells
+    form the first run when there are any.
+    """
+
+    entities: np.ndarray
+    offsets: np.ndarray
+    starts: np.ndarray
+    index_a: np.ndarray
+    index_b: np.ndarray
+    values: np.ndarray
 
 
 class SparseTensor:
@@ -141,6 +161,27 @@ class SparseTensor:
             counts = np.bincount(self._coords[:, mode], minlength=self.dims[mode])
             offsets = np.concatenate([[0], np.cumsum(counts)])
             self._cache[key] = (order, offsets)
+        return self._cache[key]
+
+    def count_runs(self, mode: int) -> CountRuns:
+        """The cells of ``mode`` grouped by entity in (cell count, id) order; see :class:`CountRuns`."""
+        key = ("runs", int(mode))
+        if key not in self._cache:
+            order, fiber_offsets = self.fiber_index(mode)
+            counts = np.diff(fiber_offsets)
+            entities = np.argsort(counts, kind="stable")
+            sorted_counts = counts[entities]
+            offsets = np.concatenate([[0], np.cumsum(sorted_counts)])
+            starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_counts)) + 1, [len(entities)]])
+            # Each sorted entity's fiber, in fiber order.
+            shift = np.repeat(fiber_offsets[entities] - offsets[:-1], sorted_counts)
+            cells = order[shift + np.arange(offsets[-1])]
+            other_a, other_b = (other for other in range(3) if other != mode)
+            coords_a, coords_b = self._coords[cells, other_a], self._coords[cells, other_b]
+            runs = CountRuns(entities, offsets, starts, coords_a, coords_b, self._values[cells])
+            for array in runs:
+                array.flags.writeable = False
+            self._cache[key] = runs
         return self._cache[key]
 
     def layer_entries(self, layer: int) -> tuple[np.ndarray, np.ndarray]:

@@ -238,6 +238,72 @@ class TestModeHyperparams:
         assert hyper.precision_scale[0, 0] == 1.0
 
 
+class TestHyperpriorEquality:
+    def test_equal_by_value(self):
+        assert Hyperprior.default(3) == Hyperprior.default(3)
+        assert not Hyperprior.default(3) != Hyperprior.default(3)
+        built = Hyperprior(mean=[0, 0, 0], mean_strength=2, precision_scale=np.eye(3).tolist(), dof=3)
+        assert built == Hyperprior.default(3)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"mean": np.array([0.0, 0.0, 0.5])},
+            {"mean_strength": 2.5},
+            {"precision_scale": 2.0 * np.eye(3)},
+            {"dof": 4.0},
+        ],
+    )
+    def test_unequal_fields(self, changes):
+        fields = dict(mean=np.zeros(3), mean_strength=2.0, precision_scale=np.eye(3), dof=3.0)
+        assert Hyperprior(**{**fields, **changes}) != Hyperprior(**fields)
+
+    def test_different_dimension_and_type(self):
+        assert Hyperprior.default(3) != Hyperprior.default(2)
+        assert Hyperprior.default(1) != 1.0
+        assert Hyperprior.default(2) != {"mean": np.zeros(2)}
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(Hyperprior.default(2))
+
+
+def _two_solve_draw(lower, rhs, z):
+    """The whole-matrix reference for ``sampler._solve_draw``: two ``np.linalg.solve`` calls."""
+    half = np.linalg.solve(lower, rhs[..., None]) + z[..., None]
+    return np.linalg.solve(lower.transpose(0, 2, 1), half)[..., 0]
+
+
+class TestSolveDraw:
+    @pytest.mark.parametrize("dim", [1, 7, 8, 9, 16, 17, 32, 33])
+    def test_matches_two_solve_reference(self, dim):
+        rng = _rng(200 + dim)
+        n_rows = 30
+        factors = rng.standard_normal((n_rows, dim, dim + 3))
+        grams = factors @ factors.transpose(0, 2, 1) / dim + 0.1 * np.eye(dim)
+        # Row 1: condition number 1e8. Row 2: rank one, so only the jitter
+        # retry of _cholesky factors it.
+        basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        grams[1] = (basis * np.logspace(0, 8, dim)) @ basis.T
+        grams[1] = (grams[1] + grams[1].T) / 2.0
+        direction = rng.standard_normal(dim)
+        grams[2] = 4.0 * np.outer(direction, direction)
+        if dim > 1:
+            assert np.linalg.cond(grams[1]) > 0.5e8
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(grams[2])
+        lower = sampler._cholesky(grams, "test stack")
+        rhs = rng.standard_normal((n_rows, dim))
+        z = rng.standard_normal((n_rows, dim))
+        got = sampler._solve_draw(lower, rhs, z)
+        expected = _two_solve_draw(lower, rhs, z)
+        if dim <= sampler._PANEL:
+            assert np.array_equal(got, expected)
+        else:
+            scale = np.max(np.abs(expected), axis=1)
+            assert np.max(np.max(np.abs(got - expected), axis=1) / scale) <= 1e-12
+
+
 class TestRowPosterior:
     def test_dense_algebra_oracle(self):
         # Brute-force dense construction of the same conditional.
@@ -391,9 +457,9 @@ class TestModeLatents:
         assert tensor.n_entries > block_cells
         _assert_batched_matches_per_row(tensor, n_latent=n_latent, seed=9)
 
-    # Mode-0 cell counts: with a 7-cell budget the first block holds
-    # entities 0-4, empty at its start (0), middle (2) and end (4); entity 5
-    # alone exceeds a block; the last block ends with two empty entities.
+    # Mode-0 cell counts. In (count, id) order the five empty entities come
+    # first; with a 7-cell budget the first block holds every entity but 5,
+    # which alone exceeds a block.
     _BLOCK_COUNTS = [0, 2, 0, 3, 0, 12, 1, 0, 0]
 
     @pytest.mark.parametrize("block_cells", [1, 2, 7, None])
@@ -409,6 +475,34 @@ class TestModeLatents:
         for mode in range(3):
             expected = mode_latents_loop_reference(state, tensor, mode, tree)
             assert np.array_equal(sample_mode_latents(state, tensor, mode, tree), expected)
+
+    # Mode-0 cell counts with runs of 3 empty, 1, 3, 5 and 1 entities (counts
+    # 0, 1, 2, 3, 9); the empty ones are the first, fifth and last entity.
+    # Budgets of 1 to 10 cells end blocks inside runs and at their edges.
+    _RUN_COUNTS = [0, 3, 2, 3, 0, 2, 3, 3, 9, 2, 1, 3, 0]
+
+    @pytest.mark.parametrize("block_cells", [1, 4, 5, 7, 10, None])
+    def test_runs_split_by_blocks_equal_per_entity_loop(self, monkeypatch, block_cells):
+        n_latent = 3
+        if block_cells is not None:
+            monkeypatch.setattr(sampler, "_BLOCK_DOUBLES", block_cells * n_latent)
+        tensor = _tensor_with_cell_counts(self._RUN_COUNTS, (13, 5, 4), seed=15)
+        assert tensor.count_runs(0).starts.tolist() == [0, 3, 4, 7, 12, 13]
+        state = _make_state(tensor, n_latent=n_latent, seed=16)
+        tree = StreamTree(state.seed)
+        for _ in range(2):
+            gibbs_step(state, tensor, tree)
+        for mode in range(3):
+            expected = mode_latents_loop_reference(state, tensor, mode, tree)
+            assert np.array_equal(sample_mode_latents(state, tensor, mode, tree), expected)
+
+    @pytest.mark.parametrize("block_cells", [5, None])
+    def test_batched_update_equals_per_row_reference_beyond_one_panel(self, monkeypatch, block_cells):
+        # D = 20 takes three panels of the blocked triangular solves.
+        if block_cells is not None:
+            monkeypatch.setattr(sampler, "_BLOCK_DOUBLES", block_cells * 20)
+        tensor = _tensor_with_cell_counts(self._RUN_COUNTS, (13, 5, 4), seed=17)
+        _assert_batched_matches_per_row(tensor, n_latent=20, seed=18)
 
     def test_singular_row_precision_rescued_by_jitter(self):
         # With a zero prior precision, target 0's single cell gives the
@@ -446,6 +540,14 @@ class TestModeLatents:
         state.params[0].precision = -np.eye(2)
         with pytest.raises(NumericalError, match="not SPD after jitter"):
             sample_mode_latents(state, tensor, 0, StreamTree(state.seed))
+
+    def test_dims_mismatch(self):
+        # Target 2 has a cell, but the state has only two target rows: the
+        # indication update must refuse rather than gather a wrong row.
+        tensor = SparseTensor.from_entries((3, 2, 1), [(2, 1, 0, 0.5)])
+        state = init_model((2, 2, 1), 2, seed=0)
+        with pytest.raises(DataError, match="do not match"):
+            sample_mode_latents(state, tensor, 1, StreamTree(0))
 
 
 class TestGibbsStep:

@@ -114,6 +114,35 @@ class TestSparseTensor:
                 rows = order[offsets[entity] : offsets[entity + 1]]
                 assert (tiny_tensor.coords[rows, mode] == entity).all()
 
+    def test_count_runs_group_fibers_by_count(self, tiny_tensor):
+        for mode in range(3):
+            order, fiber_offsets = tiny_tensor.fiber_index(mode)
+            counts = np.diff(fiber_offsets)
+            runs = tiny_tensor.count_runs(mode)
+            assert runs.entities.tolist() == sorted(range(tiny_tensor.dims[mode]), key=lambda e: (counts[e], e))
+            sorted_counts = counts[runs.entities]
+            assert np.array_equal(np.diff(runs.offsets), sorted_counts)
+            assert runs.starts[0] == 0 and runs.starts[-1] == len(runs.entities)
+            for lo, hi in zip(runs.starts[:-1], runs.starts[1:]):
+                assert (sorted_counts[lo:hi] == sorted_counts[lo]).all()
+                assert hi == len(runs.entities) or sorted_counts[hi] != sorted_counts[lo]
+            other_a, other_b = (other for other in range(3) if other != mode)
+            for pos, entity in enumerate(runs.entities):
+                rows = order[fiber_offsets[entity] : fiber_offsets[entity + 1]]
+                cells = slice(runs.offsets[pos], runs.offsets[pos + 1])
+                assert np.array_equal(runs.index_a[cells], tiny_tensor.coords[rows, other_a])
+                assert np.array_equal(runs.index_b[cells], tiny_tensor.coords[rows, other_b])
+                assert np.array_equal(runs.values[cells], tiny_tensor.values[rows])
+            assert tiny_tensor.count_runs(mode) is runs
+            assert not any(array.flags.writeable for array in runs)
+
+    def test_count_runs_of_empty_tensor(self):
+        runs = SparseTensor.empty((3, 2, 1)).count_runs(0)
+        assert runs.entities.tolist() == [0, 1, 2]
+        assert runs.offsets.tolist() == [0, 0, 0, 0]
+        assert runs.starts.tolist() == [0, 3]
+        assert runs.index_a.shape == runs.values.shape == (0,)
+
     def test_without_cells(self, tiny_tensor):
         trimmed = tiny_tensor.without_cells(np.array([(0, 0, 0), (1, 1, 3)]))
         assert trimmed.n_entries == 10
