@@ -21,7 +21,7 @@ import numpy as np
 from . import ingest as ing
 from .errors import DataError, NumericalError
 from .io import FLOAT_FORMAT, escape_percent, read_text, write_json, write_tsv
-from .metrics import EvalConfig, phase_analysis, repeated_eval
+from .metrics import MAX_PHASE, EvalConfig, phase_analysis, repeated_eval
 from .sampler import SamplerSchedule, init_model, predict_slice, run, save_checkpoint
 from .simulate import SynthConfig, generate, synthetic_modes
 from .tensor import ModeIndex, load_tensor, save_tensor, select_layers
@@ -350,7 +350,11 @@ def _read_pairs(path: Path) -> list[ing.OutcomePair]:
             max_phase = int(row["max_phase"])
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: bad max_phase {row['max_phase']!r}") from exc
+        if not 0 <= max_phase <= MAX_PHASE:
+            raise DataError(f"{path}:{lineno}: max_phase {max_phase} outside 0..{MAX_PHASE}")
         label_text = (row.get("label") or "").strip()
+        if label_text not in ("", "0", "1"):
+            raise DataError(f"{path}:{lineno}: label must be 0, 1 or empty, got {label_text!r}")
         statuses = frozenset(s for s in (row.get("statuses") or "").split(",") if s)
         reason_text = (row.get("stop_reason_class") or "none").strip().lower()
         try:

@@ -420,13 +420,7 @@ def build_tensor(
     diseases = [r.disease_id for r in evidence] + [p.disease_id for p in outcomes]
     targets = build_index(genes, Mode.TARGET)
     indications = build_index(diseases, Mode.INDICATION)
-    layer_names = [OUTCOME_LAYER_NAME] + [layer.value for layer in selection]
-    layers = ModeIndex(
-        mode=Mode.LAYER,
-        forward={name: pos for pos, name in enumerate(layer_names)},
-        reverse=tuple(layer_names),
-    )
-    layer_of = {layer: pos + 1 for pos, layer in enumerate(selection)}
+    layers = ModeIndex(Mode.LAYER, (OUTCOME_LAYER_NAME, *(layer.value for layer in selection)))
     entries = [
         (targets.forward[p.gene_id], indications.forward[p.disease_id], 0, float(p.label))
         for p in labeled
@@ -435,11 +429,11 @@ def build_tensor(
         (
             targets.forward[r.gene_id],
             indications.forward[r.disease_id],
-            layer_of[r.layer],
+            layers.forward[r.layer.value],
             r.value,
         )
         for r in evidence
     ]
-    dims = (len(targets), len(indications), len(layer_names))
+    dims = (len(targets), len(indications), len(layers))
     tensor = SparseTensor.from_entries(dims, entries)
     return tensor, (targets, indications, layers)

@@ -86,7 +86,7 @@ def synthetic_modes(dims: tuple[int, int, int]) -> tuple[ModeIndex, ModeIndex, M
     indication_ids = tuple(f"I{j:04d}" for j in range(n_indications))
     layer_ids = ("outcome",) + tuple(f"evidence_{k}" for k in range(1, n_layers))
     return (
-        ModeIndex(Mode.TARGET, {t: i for i, t in enumerate(target_ids)}, target_ids),
-        ModeIndex(Mode.INDICATION, {s: j for j, s in enumerate(indication_ids)}, indication_ids),
-        ModeIndex(Mode.LAYER, {name: k for k, name in enumerate(layer_ids)}, layer_ids),
+        ModeIndex(Mode.TARGET, target_ids),
+        ModeIndex(Mode.INDICATION, indication_ids),
+        ModeIndex(Mode.LAYER, layer_ids),
     )

@@ -1,10 +1,11 @@
 """Sparse rank-3 tensor storage, identifier indices and evaluation splits.
 
 Observations live in coordinate (COO) form: an ``(n, 3)`` integer array of
-``(i, j, k)`` coordinates plus a value vector. Tensors are immutable after
-construction; per-mode fiber indices, their count-sorted layout and the
-lookup index are built lazily and cached, which is safe because nothing
-mutates the arrays afterwards.
+``(i, j, k)`` coordinates plus a value vector, kept in coordinate
+(lexicographic ``(i, j, k)``) order whatever order they were given in.
+Tensors are immutable after construction; each mode's count-sorted layout
+is built lazily and cached, which is safe because nothing mutates the
+arrays afterwards.
 
 Layer convention used throughout the package: ``k = 0`` holds the clinical
 outcome labels, ``k >= 1`` hold the evidence layers.
@@ -13,7 +14,7 @@ outcome labels, ``k >= 1`` hold the evidence layers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from itertools import repeat
 from pathlib import Path
@@ -33,11 +34,18 @@ class Mode(IntEnum):
 
 @dataclass(frozen=True)
 class ModeIndex:
-    """Bijection between domain identifiers and contiguous mode indices."""
+    """Bijection between domain identifiers and contiguous mode indices.
+
+    ``reverse`` is the identifier sequence; ``forward`` maps each identifier
+    to its position and is derived from it, so equality ignores it.
+    """
 
     mode: Mode
-    forward: dict[str, int]
     reverse: tuple[str, ...]
+    forward: dict[str, int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "forward", {ident: pos for pos, ident in enumerate(self.reverse)})
 
     def __len__(self) -> int:
         return len(self.reverse)
@@ -51,9 +59,7 @@ def build_index(identifiers: Sequence[str], mode: Mode = Mode.TARGET) -> ModeInd
     """
     if len(identifiers) == 0:
         raise DataError(f"empty mode: no identifiers for {mode.name}")
-    unique = sorted(set(identifiers))
-    forward = {ident: pos for pos, ident in enumerate(unique)}
-    return ModeIndex(mode=mode, forward=forward, reverse=tuple(unique))
+    return ModeIndex(mode, tuple(sorted(set(identifiers))))
 
 
 class CountRuns(NamedTuple):
@@ -62,9 +68,9 @@ class CountRuns(NamedTuple):
     ``entities`` holds the sorted entity ids; the cells of ``entities[e]``
     are ``offsets[e]:offsets[e + 1]`` of ``index_a``, ``index_b`` (their
     coordinates in the two other modes, lower mode first) and ``values``,
-    in fiber order. Runs of equal-count entities start at the positions in
-    ``starts``, which ends with ``len(entities)``; entities without cells
-    form the first run when there are any.
+    in coordinate order. Runs of equal-count entities start at the
+    positions in ``starts``, which ends with ``len(entities)``; entities
+    without cells form the first run when there are any.
     """
 
     entities: np.ndarray
@@ -75,22 +81,28 @@ class CountRuns(NamedTuple):
     values: np.ndarray
 
 
+def _linearize(coords: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+    return (coords[:, 0] * dims[1] + coords[:, 1]) * dims[2] + coords[:, 2]
+
+
 class SparseTensor:
-    """Immutable COO tensor with values in [0, 1].
+    """Immutable COO tensor with values in [0, 1], cells in coordinate order.
 
     Duplicate coordinates are rejected rather than overwritten: a duplicate
     means two curation sources disagreed about one cell, and that conflict
     must be resolved upstream, not silently here.
     """
 
-    __slots__ = ("dims", "_coords", "_values", "_cache")
+    __slots__ = ("dims", "_coords", "_values", "_runs")
 
     def __init__(self, dims: Sequence[int], coords: np.ndarray, values: np.ndarray):
         dims = tuple(int(d) for d in dims)
         if len(dims) != 3 or any(d <= 0 for d in dims):
             raise DataError(f"dims must be three positive integers, got {dims}")
-        coords = np.array(coords, dtype=np.int64, copy=True).reshape(-1, 3)
-        values = np.array(values, dtype=np.float64, copy=True).reshape(-1)
+        if dims[0] * dims[1] * dims[2] > np.iinfo(np.int64).max:  # the cell order is an int64 linear index
+            raise DataError(f"dims {dims} hold more cells than an int64 index can number")
+        coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
+        values = np.asarray(values, dtype=np.float64).reshape(-1)
         if coords.shape[0] != values.shape[0]:
             raise DataError("coordinate and value counts differ")
         if coords.size:
@@ -100,24 +112,23 @@ class SparseTensor:
                 raise DataError("non-finite value in tensor")
             if values.min() < 0.0 or values.max() > 1.0:
                 raise DataError("tensor values must lie in [0, 1]")
-            lin = self._linearize(coords, dims)
-            order = np.argsort(lin, kind="stable")
-            if lin.size > 1 and (np.diff(lin[order]) == 0).any():
-                dup = coords[order[np.nonzero(np.diff(lin[order]) == 0)[0][0]]]
-                raise DataError(f"duplicate coordinate {tuple(int(c) for c in dup)}")
+        lin = _linearize(coords, dims)
+        order = np.argsort(lin, kind="stable")
+        lin = lin[order]
+        repeated = np.flatnonzero(lin[1:] == lin[:-1])
+        if repeated.size:
+            dup = coords[order[repeated[0]]]
+            raise DataError(f"duplicate coordinate {tuple(int(c) for c in dup)}")
+        coords, values = coords[order], values[order]  # the tensor's own copies
         coords.flags.writeable = False
         values.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "_coords", coords)
         object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_runs", {})
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("SparseTensor is immutable")
-
-    @staticmethod
-    def _linearize(coords: np.ndarray, dims: Sequence[int]) -> np.ndarray:
-        return (coords[:, 0] * dims[1] + coords[:, 1]) * dims[2] + coords[:, 2]
 
     @classmethod
     def empty(cls, dims: Sequence[int]) -> "SparseTensor":
@@ -142,47 +153,26 @@ class SparseTensor:
     def n_entries(self) -> int:
         return int(self._values.shape[0])
 
-    def _lookup_index(self) -> tuple[np.ndarray, np.ndarray]:
-        if "lookup" not in self._cache:
-            lin = self._linearize(self._coords, self.dims)
-            order = np.argsort(lin, kind="stable")
-            self._cache["lookup"] = (lin[order], order)
-        return self._cache["lookup"]
-
-    def fiber_index(self, mode: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted auxiliary index for per-fiber iteration along ``mode``.
-
-        Returns ``(order, offsets)``: entry rows ``order[offsets[e]:offsets[e+1]]``
-        are exactly the observed cells of entity ``e`` in that mode.
-        """
-        key = ("fiber", int(mode))
-        if key not in self._cache:
-            order = np.argsort(self._coords[:, mode], kind="stable")
-            counts = np.bincount(self._coords[:, mode], minlength=self.dims[mode])
-            offsets = np.concatenate([[0], np.cumsum(counts)])
-            self._cache[key] = (order, offsets)
-        return self._cache[key]
-
     def count_runs(self, mode: int) -> CountRuns:
         """The cells of ``mode`` grouped by entity in (cell count, id) order; see :class:`CountRuns`."""
-        key = ("runs", int(mode))
-        if key not in self._cache:
-            order, fiber_offsets = self.fiber_index(mode)
-            counts = np.diff(fiber_offsets)
+        mode = int(mode)
+        if mode not in self._runs:
+            counts = np.bincount(self._coords[:, mode], minlength=self.dims[mode])
             entities = np.argsort(counts, kind="stable")
+            rank = np.empty_like(entities)
+            rank[entities] = np.arange(entities.size)
+            # Cells by their entity's rank; each entity's cells stay in coordinate order.
+            cells = np.argsort(rank[self._coords[:, mode]], kind="stable")
             sorted_counts = counts[entities]
             offsets = np.concatenate([[0], np.cumsum(sorted_counts)])
             starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_counts)) + 1, [len(entities)]])
-            # Each sorted entity's fiber, in fiber order.
-            shift = np.repeat(fiber_offsets[entities] - offsets[:-1], sorted_counts)
-            cells = order[shift + np.arange(offsets[-1])]
             other_a, other_b = (other for other in range(3) if other != mode)
             coords_a, coords_b = self._coords[cells, other_a], self._coords[cells, other_b]
             runs = CountRuns(entities, offsets, starts, coords_a, coords_b, self._values[cells])
             for array in runs:
                 array.flags.writeable = False
-            self._cache[key] = runs
-        return self._cache[key]
+            self._runs[mode] = runs
+        return self._runs[mode]
 
     def layer_entries(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """Coordinates and values of one frontal slice."""
@@ -192,13 +182,12 @@ class SparseTensor:
     def without_cells(self, cells: np.ndarray) -> "SparseTensor":
         """Copy without the cells of an ``(n, 3)`` coordinate array.
 
-        Survivors keep their storage order; cells the tensor does not hold,
+        Survivors stay in coordinate order; cells the tensor does not hold,
         including out-of-range ones, are ignored.
         """
         cells = np.asarray(cells, dtype=np.int64).reshape(-1, 3)
         cells = cells[((cells >= 0) & (cells < np.asarray(self.dims))).all(axis=1)]
-        lin = self._linearize(self._coords, self.dims)
-        keep = ~np.isin(lin, self._linearize(cells, self.dims))
+        keep = ~np.isin(_linearize(self._coords, self.dims), _linearize(cells, self.dims))
         return SparseTensor(self.dims, self._coords[keep], self._values[keep])
 
 
@@ -224,7 +213,7 @@ class CellSplit:
     """Disjoint train/held-out partition of one layer's observed cells.
 
     ``train`` and ``heldout`` are int64 arrays of entry rows into the
-    tensor's ``coords``/``values``, each in lexicographic coordinate order.
+    tensor's ``coords``/``values``, each ascending, so in coordinate order.
     """
 
     train: np.ndarray
@@ -252,8 +241,7 @@ def split_cells(
         raise DataError(f"heldout_fraction must be in (0, 1), got {heldout_fraction}")
     if not 0 <= layer < tensor.dims[2]:
         raise DataError(f"layer {layer} out of range")
-    _, order = tensor._lookup_index()  # entry rows in linear-index order
-    rows = order[tensor.coords[order, 2] == layer]
+    rows = np.flatnonzero(tensor.coords[:, 2] == layer)  # in coordinate order
     positive = tensor.values[rows] >= 0.5
     pos, neg = rows[positive], rows[~positive]
     if pos.size < 2 or neg.size < 2:
@@ -319,10 +307,9 @@ def _meta_indices(meta: object, meta_path: str | Path) -> tuple[list, tuple[Mode
             raise DataError(f"{meta_path}: 'modes.{key}' must be a list of identifiers")
         if len(idents) != dim:
             raise DataError(f"{meta_path}: {len(idents)} {key} identifiers for dims[{mode.value}] = {dim}")
-        forward = {ident: pos for pos, ident in enumerate(idents)}
-        if len(forward) != dim:
+        modes.append(ModeIndex(mode, tuple(idents)))
+        if len(modes[-1].forward) != dim:
             raise DataError(f"{meta_path}: duplicate identifiers in 'modes.{key}'")
-        modes.append(ModeIndex(mode=mode, forward=forward, reverse=tuple(idents)))
     return dims, tuple(modes)
 
 

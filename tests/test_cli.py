@@ -146,7 +146,7 @@ class TestTrainCommand:
             ["%s", "D%%", "δ%", "%(y)d", "plain"],
             ["out%come", "e%s"],
         )
-        modes = tuple(ModeIndex(m, {n: i for i, n in enumerate(ns)}, tuple(ns)) for m, ns in zip(Mode, names))
+        modes = tuple(ModeIndex(m, tuple(ns)) for m, ns in zip(Mode, names))
         dims = tuple(len(ns) for ns in names)
         cells = np.argwhere(np.ones(dims, dtype=bool))[::2]
         tensor = SparseTensor(dims, cells, (cells.sum(axis=1) % 2).astype(float))
@@ -432,6 +432,26 @@ class TestPhaseCommand:
         payload = json.loads((out / "phase_analysis.json").read_text())
         assert payload["excluded_phases"] == [2]
         assert payload["n_comparisons"] == 6  # C(4, 2)
+
+    @pytest.mark.parametrize(
+        "column,field,message",
+        [(2, "yes", "label must be 0, 1 or empty, got 'yes'"), (2, "0.5", "label must be 0, 1 or empty"),
+         (3, "5", "max_phase 5 outside 0..4"), (3, "-1", "max_phase -1 outside 0..4")],
+    )
+    def test_bad_pair_field_is_data_error(self, tmp_path, capsys, column, field, message):
+        predictions, pairs = self._write_inputs(tmp_path)
+        lines = pairs.read_text().splitlines()
+        parts = lines[4].split("\t")
+        parts[0] = "unscored"  # the range check must not depend on a matching prediction
+        parts[column] = field
+        lines[4] = "\t".join(parts)
+        pairs.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "phase"
+        args = ["phase-analysis", "--predictions", str(predictions), "--pairs", str(pairs),
+                "--out", str(out)]
+        assert main(args) == 2
+        assert f"pairs.tsv:5: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("score", ["nan", "inf", "7.5", "-0.1"])
     def test_impossible_score_is_data_error(self, tmp_path, capsys, score):

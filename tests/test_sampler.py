@@ -359,8 +359,9 @@ def per_row_reference(state, tensor, mode, normals):
 def mode_latents_loop_reference(state, tensor, mode, tree):
     """``sample_mode_latents`` with one gather per entity, as before block gathers."""
     other_a, other_b = _OTHER_MODES[mode]
-    order, offsets = tensor.fiber_index(mode)
     coords, values = tensor.coords, tensor.values
+    order = np.argsort(coords[:, mode], kind="stable")  # each entity's cells in storage order
+    offsets = np.searchsorted(coords[order, mode], np.arange(state.latents[mode].shape[0] + 1))
     lat_a, lat_b = state.latents[other_a], state.latents[other_b]
     n_entities, n_latent = state.latents[mode].shape
     grams = np.empty((n_entities, n_latent, n_latent))

@@ -53,6 +53,16 @@ class TestBuildIndex:
             assert index.reverse[index.forward[ident]] == ident
         assert sorted(index.forward.values()) == list(range(len(index)))
 
+    @given(st.lists(st.text(min_size=1, max_size=8), unique=True, min_size=1, max_size=40))
+    def test_forward_is_derived_from_reverse(self, identifiers):
+        index = ModeIndex(Mode.LAYER, tuple(identifiers))
+        assert [index.forward[ident] for ident in identifiers] == list(range(len(identifiers)))
+        assert len(index.forward) == len(index)
+        other = ModeIndex(Mode.LAYER, tuple(identifiers))
+        object.__setattr__(other, "forward", {})
+        assert other == index and hash(other) == hash(index)
+        assert ModeIndex(Mode.TARGET, tuple(identifiers)) != index
+
 
 class TestSparseTensor:
     def test_single_cell_tensor(self):
@@ -82,6 +92,11 @@ class TestSparseTensor:
         with pytest.raises(DataError, match=match):
             SparseTensor.from_entries((2, 2, 2), [(*coord, value)])
 
+    @pytest.mark.parametrize("dims", [(2**40, 2**40, 8), (2**62, 2, 1), (2**63 - 1, 2, 1)])
+    def test_dims_beyond_int64_linear_index_rejected(self, dims):
+        with pytest.raises(DataError, match="more cells than an int64 index"):
+            SparseTensor(dims, [[0, 0, 0], [2**39, 0, 0]], [0.5, 0.25])
+
     def test_lookup_missing_returns_none(self, tiny_tensor):
         assert cell_value(tiny_tensor, 2, 0, 0) is None
 
@@ -106,18 +121,30 @@ class TestSparseTensor:
         for i, j, k, value in entries:
             assert cell_value(tensor, i, j, k) == value
 
-    def test_fiber_index_covers_all_entries(self, tiny_tensor):
-        for mode in range(3):
-            order, offsets = tiny_tensor.fiber_index(mode)
-            assert offsets[-1] == tiny_tensor.n_entries
-            for entity in range(tiny_tensor.dims[mode]):
-                rows = order[offsets[entity] : offsets[entity + 1]]
-                assert (tiny_tensor.coords[rows, mode] == entity).all()
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_cells_stored_in_coordinate_order(self, data):
+        dims = data.draw(st.tuples(*(st.integers(1, 5) for _ in range(3))))
+        n_cells = dims[0] * dims[1] * dims[2]
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=n_cells, max_size=n_cells)))
+        coords = np.argwhere(mask.reshape(dims))
+        values = np.arange(len(coords)) / max(len(coords), 1)
+        shuffle = np.array(data.draw(st.permutations(range(len(coords)))), dtype=np.int64)
+        ordered = SparseTensor(dims, coords, values)
+        shuffled = SparseTensor(dims, coords[shuffle], values[shuffle])
+        assert np.array_equal(ordered.coords, coords) and np.array_equal(ordered.values, values)
+        assert np.array_equal(shuffled.coords, coords) and np.array_equal(shuffled.values, values)
+
+    def test_owns_its_arrays(self):
+        coords, values = np.array([[1, 0, 0], [0, 0, 0]]), np.array([0.25, 0.5])
+        tensor = SparseTensor((2, 1, 1), coords, values)
+        coords[:], values[:] = 0, 1.0
+        assert tensor.coords.tolist() == [[0, 0, 0], [1, 0, 0]]
+        assert tensor.values.tolist() == [0.5, 0.25]
 
     def test_count_runs_group_fibers_by_count(self, tiny_tensor):
         for mode in range(3):
-            order, fiber_offsets = tiny_tensor.fiber_index(mode)
-            counts = np.diff(fiber_offsets)
+            counts = np.bincount(tiny_tensor.coords[:, mode], minlength=tiny_tensor.dims[mode])
             runs = tiny_tensor.count_runs(mode)
             assert runs.entities.tolist() == sorted(range(tiny_tensor.dims[mode]), key=lambda e: (counts[e], e))
             sorted_counts = counts[runs.entities]
@@ -128,7 +155,7 @@ class TestSparseTensor:
                 assert hi == len(runs.entities) or sorted_counts[hi] != sorted_counts[lo]
             other_a, other_b = (other for other in range(3) if other != mode)
             for pos, entity in enumerate(runs.entities):
-                rows = order[fiber_offsets[entity] : fiber_offsets[entity + 1]]
+                rows = np.flatnonzero(tiny_tensor.coords[:, mode] == entity)  # the entity's cells in storage order
                 cells = slice(runs.offsets[pos], runs.offsets[pos + 1])
                 assert np.array_equal(runs.index_a[cells], tiny_tensor.coords[rows, other_a])
                 assert np.array_equal(runs.index_b[cells], tiny_tensor.coords[rows, other_b])
@@ -213,6 +240,17 @@ class TestSplitCells:
             assert all(k == 1 for _, _, k in cells)
             assert cells == sorted(set(cells))
 
+    def test_heldout_cells_do_not_depend_on_entry_order(self):
+        entries = [(i, j, k, float((i + j) % 2)) for i in range(6) for j in range(3) for k in range(2)]
+        rng = np.random.default_rng(7)
+        orders = [entries, entries[::-1], [entries[n] for n in rng.permutation(len(entries))]]
+        held = []
+        for ordered in orders:
+            tensor = SparseTensor.from_entries((6, 3, 2), ordered)
+            split = split_cells(tensor, 0, 0.4, seed=9)
+            held.append((tensor.coords[split.heldout].tolist(), tensor.coords[split.train].tolist()))
+        assert held[0] == held[1] == held[2]
+
     def test_overlap_rejected(self):
         with pytest.raises(DataError, match="overlap"):
             CellSplit(train=np.array([1, 2]), heldout=np.array([2, 3]), seed=0)
@@ -266,11 +304,7 @@ class TestSerialization:
             build_index(["outcome", "rare_disease", "gene_burden", "gwas"], Mode.LAYER),
         )
         # layer index order must match layer positions, so rebuild unsorted
-        layers = ModeIndex(
-            Mode.LAYER,
-            {"outcome": 0, "rare_disease": 1, "gene_burden": 2, "gwas": 3},
-            ("outcome", "rare_disease", "gene_burden", "gwas"),
-        )
+        layers = ModeIndex(Mode.LAYER, ("outcome", "rare_disease", "gene_burden", "gwas"))
         modes = (modes[0], modes[1], layers)
         tsv, meta = tmp_path / "tensor.tsv", tmp_path / "tensor.meta.json"
         save_tensor(tiny_tensor, modes, tsv, meta)
@@ -297,6 +331,13 @@ class TestSerialization:
         save_tensor(tensor, _modes(FIXTURE_NAMES), tmp_path / "tensor.tsv", tmp_path / "tensor.meta.json")
         assert (tmp_path / "tensor.tsv").read_bytes() == _reference_tsv_text(tensor).encode()
 
+    def test_tsv_rows_in_coordinate_order(self, tmp_path):
+        shuffled = [FIXTURE_ENTRIES[n] for n in np.random.default_rng(3).permutation(len(FIXTURE_ENTRIES))]
+        save_tensor(SparseTensor.from_entries((3, 2, 4), shuffled), _modes(FIXTURE_NAMES),
+                    tmp_path / "tensor.tsv", tmp_path / "tensor.meta.json")
+        rows = [tuple(map(int, line.split("\t")[:3])) for line in (tmp_path / "tensor.tsv").read_text().splitlines()[1:]]
+        assert rows == sorted((i, j, k) for i, j, k, _ in FIXTURE_ENTRIES)
+
     @pytest.mark.parametrize("dim,type_name", [(1.0, "float"), (True, "bool"), ("1", "str")])
     def test_non_integer_dims_rejected(self, tmp_path, dim, type_name):
         meta = {"dims": [dim, 1, 1], "modes": {"targets": ["t"], "indications": ["d"], "layers": ["outcome"]}}
@@ -310,7 +351,7 @@ FIXTURE_NAMES = [("G1", "G2", "G3"), ("D1", "D2"), ("o", "a", "b", "c")]
 
 
 def _modes(names):
-    return tuple(ModeIndex(mode, {name: i for i, name in enumerate(ids)}, ids) for mode, ids in zip(Mode, names))
+    return tuple(ModeIndex(mode, ids) for mode, ids in zip(Mode, names))
 
 
 def _reference_tsv_text(tensor):
