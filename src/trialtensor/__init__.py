@@ -41,6 +41,7 @@ from .sampler import (
     ModeParams,
     SamplerSchedule,
     gibbs_step,
+    init_chains,
     init_model,
     load_checkpoint,
     predict_slice,
@@ -57,6 +58,7 @@ from .tensor import (
     Mode,
     ModeIndex,
     SparseTensor,
+    block_union,
     build_index,
     load_tensor,
     save_tensor,

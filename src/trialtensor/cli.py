@@ -253,7 +253,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
         tensor = select_layers(tensor, keep)
     schedule = SamplerSchedule(burnin=ns.burnin, samples=ns.samples, thin=ns.thin)
     state = init_model(tensor.dims, ns.latent_dim, alpha=ns.alpha, seed=ns.seed)
-    samples = run(state, tensor, schedule)
+    (samples,) = run(state, [tensor], schedule)
     save_checkpoint(out_dir / "checkpoint", samples, state, schedule)
     # One template per target: its identifier joins the per-indication tails.
     layer = escape_percent(modes[2].reverse[0])
@@ -278,11 +278,11 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
     tensor, modes = _load_tensor_dir(ns)
     schedule = SamplerSchedule(burnin=ns.burnin, samples=ns.samples, thin=ns.thin)
     seeds = [ns.seed + r for r in range(ns.n_repeats)]
-    reports = []
+    configs = []
     for spec in ns.models.split(","):
         spec = spec.strip()
         keep = _resolve_layer_names(spec, modes[2])
-        config = EvalConfig(
+        configs.append(EvalConfig(
             model_name=spec,
             layers=None if keep is None else tuple(keep),
             n_latent=ns.latent_dim,
@@ -290,15 +290,12 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
             schedule=schedule,
             heldout_fraction=ns.heldout_fraction,
             threshold=ns.threshold,
-        )
-        reports.append(repeated_eval(tensor, config, ns.n_repeats, seeds))
+        ))
+    reports = repeated_eval(tensor, configs, ns.n_repeats, seeds)
+    for report in reports:
         logger.info(
             "model %s: auroc %.3f +/- %.3f, f1 %.3f +/- %.3f",
-            spec,
-            reports[-1].auroc_mean,
-            reports[-1].auroc_sd,
-            reports[-1].f1_mean,
-            reports[-1].f1_sd,
+            report.model_name, report.auroc_mean, report.auroc_sd, report.f1_mean, report.f1_sd,
         )
     payload = {
         "models": [report.to_dict() for report in reports],
@@ -451,6 +448,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except np.linalg.LinAlgError as exc:  # a ValueError, but raised by the numerics
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

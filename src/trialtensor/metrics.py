@@ -17,11 +17,15 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .sampler import SamplerSchedule, init_model, predict_slice, run
+from .sampler import SamplerSchedule, init_chains, predict_slice, run
 from .tensor import SparseTensor, select_layers, split_cells
 
 # Pooled size at or below which the exact permutation null is enumerated.
 EXACT_MAX_TOTAL = 12
+# Gram doubles (entities x D x D, summed over chains) that the largest mode
+# of one lock-step batch of ``repeated_eval`` may hold: 2 MiB, so 256
+# entities at D = 32 or 4096 at D = 8. The Cholesky factors take as much again.
+_BATCH_GRAM_DOUBLES = 2**18
 
 
 def _as_binary_labels(labels: Sequence[float]) -> np.ndarray:
@@ -204,52 +208,95 @@ class EvalReport:
 
 def repeated_eval(
     tensor: SparseTensor,
-    config: EvalConfig,
+    configs: Sequence[EvalConfig],
     n_repeats: int,
     seeds: Sequence[int],
-) -> EvalReport:
-    """Stratified split, train, predict held-out cells, repeat; mean +/- sd.
+) -> list[EvalReport]:
+    """Stratified split, train, predict held-out cells, repeat; mean +/- sd per model.
 
-    Each repeat holds out ``heldout_fraction`` of outcome-layer cells
-    (stratified by label), trains on everything else, scores the held-out
-    cells and computes AUROC and F1 against their observed labels. The
-    reported spread is the sample standard deviation across repeats; both
-    the split and the sampler derive from the same per-repeat seed, so
-    identical seeds reproduce identical metrics.
+    For each model configuration and repeat, hold out ``heldout_fraction``
+    of the outcome-layer cells (stratified by label), train on everything
+    else, score the held-out cells and compute AUROC and F1 against their
+    observed labels. The reported spread is the sample standard deviation
+    across repeats; both the split and the sampler derive from the same
+    per-repeat seed, so identical seeds reproduce identical metrics.
+
+    The configurations must share ``n_latent``, ``alpha`` and ``schedule``:
+    their (model, repeat) chains are sampled in lock-step batches
+    (:func:`~trialtensor.sampler.run`), consecutive chains joining a batch
+    while the union's largest mode holds at most ``_BATCH_GRAM_DOUBLES``
+    Gram doubles. Each chain draws from its own streams, so every report
+    is the same whatever the batches.
     """
     if n_repeats < 2:
         raise DataError("n_repeats must be at least 2")
     if len(seeds) < n_repeats:
         raise DataError(f"need {n_repeats} seeds, got {len(seeds)}")
-    if config.layers is not None:
-        if len(config.layers) == 0 or config.layers[0] != 0:
-            raise DataError("layer selection must start with the outcome layer 0")
-        tensor = select_layers(tensor, config.layers)
-    _, outcome_values = tensor.layer_entries(0)
-    if outcome_values.size == 0:
-        raise DataError("tensor has no outcome-layer cells")
-    imbalance = class_imbalance(outcome_values)
-    aurocs = []
-    f1s = []
-    for seed in seeds[:n_repeats]:
-        split = split_cells(tensor, layer=0, heldout_fraction=config.heldout_fraction, seed=seed)
-        heldout = tensor.coords[split.heldout]
-        state = init_model(tensor.dims, config.n_latent, alpha=config.alpha, seed=int(seed))
-        samples = run(state, tensor.without_cells(heldout), config.schedule)
-        scores = predict_slice(samples, 0)[heldout[:, 0], heldout[:, 1]]  # layer-0 cells only
-        labels = tensor.values[split.heldout]
-        aurocs.append(auroc(scores, labels))
-        f1s.append(f1(scores, labels, config.threshold))
-    return EvalReport(
-        model_name=config.model_name,
-        auroc_mean=float(np.mean(aurocs)),
-        auroc_sd=float(np.std(aurocs, ddof=1)),
-        f1_mean=float(np.mean(f1s)),
-        f1_sd=float(np.std(f1s, ddof=1)),
-        imbalance=imbalance,
-        n_repeats=n_repeats,
-        threshold=config.threshold,
-    )
+    if not configs:
+        raise DataError("no model configuration to evaluate")
+    shared = {(config.n_latent, config.alpha, config.schedule) for config in configs}
+    if len(shared) > 1:
+        raise DataError("model configurations must share n_latent, alpha and schedule")
+    n_latent, alpha, schedule = shared.pop()
+    model_tensors = []
+    for config in configs:
+        if config.layers is not None:
+            if len(config.layers) == 0 or config.layers[0] != 0:
+                raise DataError("layer selection must start with the outcome layer 0")
+            model_tensors.append(select_layers(tensor, config.layers))
+        else:
+            model_tensors.append(tensor)
+        if model_tensors[-1].layer_entries(0)[1].size == 0:
+            raise DataError("tensor has no outcome-layer cells")
+    # One chain per (model, repeat), model-major.
+    chains = [(model, int(seed)) for model in range(len(configs)) for seed in seeds[:n_repeats]]
+    aurocs = [0.0] * len(chains)
+    f1s = [0.0] * len(chains)
+    for batch in _batches([model_tensors[model].dims for model, _ in chains], n_latent):
+        trains, held = [], []
+        for index in batch:
+            model, seed = chains[index]
+            model_tensor = model_tensors[model]
+            split = split_cells(model_tensor, layer=0, heldout_fraction=configs[model].heldout_fraction, seed=seed)
+            heldout = model_tensor.coords[split.heldout]
+            trains.append(model_tensor.without_cells(heldout))
+            held.append((heldout, model_tensor.values[split.heldout]))
+        state = init_chains([train.dims for train in trains], n_latent, [chains[i][1] for i in batch], alpha=alpha)
+        for index, samples, (heldout, labels) in zip(batch, run(state, trains, schedule), held):
+            scores = predict_slice(samples, 0)[heldout[:, 0], heldout[:, 1]]  # layer-0 cells only
+            aurocs[index] = auroc(scores, labels)
+            f1s[index] = f1(scores, labels, configs[chains[index][0]].threshold)
+    reports = []
+    for model, (config, model_tensor) in enumerate(zip(configs, model_tensors)):
+        repeats = slice(model * n_repeats, (model + 1) * n_repeats)
+        reports.append(EvalReport(
+            model_name=config.model_name,
+            auroc_mean=float(np.mean(aurocs[repeats])),
+            auroc_sd=float(np.std(aurocs[repeats], ddof=1)),
+            f1_mean=float(np.mean(f1s[repeats])),
+            f1_sd=float(np.std(f1s[repeats], ddof=1)),
+            imbalance=class_imbalance(model_tensor.layer_entries(0)[1]),
+            n_repeats=n_repeats,
+            threshold=config.threshold,
+        ))
+    return reports
+
+
+def _batches(chain_dims: Sequence[Sequence[int]], n_latent: int) -> list[list[int]]:
+    """Indices of consecutive chains, grouped while their union's largest mode
+    holds at most ``_BATCH_GRAM_DOUBLES`` Gram doubles; a chain over the
+    budget is a batch of its own."""
+    batches: list[list[int]] = []
+    for index, dims in enumerate(chain_dims):
+        if batches:
+            grown = [total + dim for total, dim in zip(totals, dims)]
+            if max(grown) * n_latent * n_latent <= _BATCH_GRAM_DOUBLES:
+                batches[-1].append(index)
+                totals = grown
+                continue
+        batches.append([index])
+        totals = list(dims)
+    return batches
 
 
 # --------------------------------------------------------------------------

@@ -7,17 +7,26 @@ prior whose mean and precision carry a conjugate Gaussian-Wishart hyperprior,
 so the full conditional of every quantity is available in closed form and
 one sweep samples, per mode: hyperparameters, then all latent rows.
 
-Given the other two modes, the latent rows of a mode are independent, so
-each mode is redrawn by one stacked Cholesky solve over all of its rows,
-its triangular solves taken in 8-column panels. The per-row Grams come
-from the other modes' latent products, one stacked product per run of
-entities with equal cell counts; what does not change between sweeps (the
+A :class:`ModelState` holds one or more independent chains that advance in
+lock-step over the block-diagonal union of their training tensors
+(:func:`~trialtensor.tensor.block_union`): each sweep draws each mode once
+for every chain. Given the other two modes, the latent rows of a mode are
+independent, so each mode is redrawn by one stacked Cholesky solve over the
+rows of all chains, its triangular solves taken in 8-column panels. The
+per-row Grams come from the other modes' latent products, one stacked
+product per run of entities with equal cell counts across the union; each
+chain adds its own prior to its contiguous rows. The hyperparameter draw
+keeps each chain's mean, scatter and random draws separate and stacks the
+factorizations and products. What does not change between sweeps (the
 runs themselves, the inverse Wishart scale, the Bartlett lower-triangle
-indices) is computed once. Randomness comes from counter-based streams
-keyed by ``(seed, sweep, role, mode)`` (see :mod:`trialtensor.rng`).
+indices) is computed once. Every chain's randomness comes from its own
+counter-based streams keyed by ``(seed, sweep, role, mode)`` (see
+:mod:`trialtensor.rng`), so a chain draws the same numbers alone or in a
+batch. A single chain is the one-chain case of the same code.
 
-The model is the list of ``(U, V, W)`` triples :func:`run` retains; a
-checkpoint stores exactly them, and :func:`predict_slice` scores a layer.
+The model is the list of ``(U, V, W)`` triples :func:`run` retains for a
+chain; a checkpoint stores exactly them, and :func:`predict_slice` scores a
+layer.
 """
 
 from __future__ import annotations
@@ -35,12 +44,13 @@ import numpy as np
 from .errors import DataError, NumericalError
 from .io import atomic_write, float_rows, read_json, read_text
 from .rng import ROLE_HYPER, ROLE_INIT, ROLE_LATENT, StreamTree
-from .tensor import SparseTensor
+from .tensor import CountRuns, SparseTensor, block_union
 
 _JITTER_REL = 1e-6
 # Largest block of other-mode products ``q`` gathered at once, in doubles:
-# 1 MiB, so 4096 cells at D=32. A single larger entity is one block.
-_BLOCK_DOUBLES = 2**17
+# 256 KiB, so 1024 cells at D=32 or 4096 at D=8 (two such buffers). A
+# single larger entity is one block.
+_BLOCK_DOUBLES = 2**15
 # Column width of the blocked triangular solves in ``_solve_draw``.
 _PANEL = 8
 
@@ -117,7 +127,10 @@ class Hyperprior:
 
 @dataclass
 class ModeParams:
-    """Per-mode Gaussian prior on latent rows: Normal(mean, precision^-1)."""
+    """Each chain's Gaussian prior on one mode's latent rows: Normal(mean, precision^-1).
+
+    ``mean`` is ``(n_chains, D)`` and ``precision`` ``(n_chains, D, D)``.
+    """
 
     mean: np.ndarray
     precision: np.ndarray
@@ -125,19 +138,30 @@ class ModeParams:
 
 @dataclass
 class ModelState:
-    """Latent matrices plus per-mode priors; owned by the sampling loop."""
+    """Latent rows and per-mode priors of chains sampled in lock-step.
+
+    Chain ``c`` owns rows ``offsets[c, mode]:offsets[c + 1, mode]`` of
+    ``latents[mode]`` (chain-major), entry ``c`` of each ``params[mode]``
+    and the random streams of ``seeds[c]``. ``dims`` are those of the
+    chains' :func:`~trialtensor.tensor.block_union`.
+    """
 
     latents: list[np.ndarray]
     params: list[ModeParams]
     alpha: float
     n_latent: int
-    seed: int
+    seeds: tuple[int, ...]
+    offsets: np.ndarray
     hyperprior: Hyperprior
     sweep: int = 0
 
     @property
     def dims(self) -> tuple[int, int, int]:
         return tuple(mat.shape[0] for mat in self.latents)
+
+    def chain_latents(self) -> list[Sample]:
+        """Each chain's current ``(U, V, W)``, as views of ``latents``."""
+        return list(zip(*(np.split(mat, self.offsets[1:-1, mode]) for mode, mat in enumerate(self.latents))))
 
 
 @dataclass(frozen=True)
@@ -157,6 +181,53 @@ class SamplerSchedule:
         return self.samples // self.thin
 
 
+def init_chains(
+    chain_dims: Sequence[Sequence[int]],
+    n_latent: int,
+    seeds: Sequence[int],
+    hyperprior: Hyperprior | None = None,
+    alpha: float = 5.0,
+) -> ModelState:
+    """Fresh state of one chain per ``(dims, seed)``: latents i.i.d. standard normal, identity priors."""
+    if n_latent < 1:
+        raise ValueError("n_latent must be at least 1")
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    if len(chain_dims) != len(seeds) or not seeds:
+        raise ValueError(f"need one seed per chain, got {len(seeds)} for {len(chain_dims)} chains")
+    if hyperprior is None:
+        hyperprior = Hyperprior.default(n_latent)
+    if hyperprior.n_latent != n_latent:
+        raise ValueError("hyperprior dimension does not match n_latent")
+    seeds = tuple(int(seed) for seed in seeds)
+    offsets = np.zeros((len(seeds) + 1, 3), dtype=np.int64)
+    offsets[1:] = np.cumsum(np.asarray(chain_dims, dtype=np.int64).reshape(-1, 3), axis=0)
+    offsets.flags.writeable = False
+    latents = [
+        np.concatenate([
+            StreamTree(seed).stream(0, ROLE_INIT, mode).standard_normal((int(dims[mode]), n_latent))
+            for seed, dims in zip(seeds, chain_dims)
+        ])
+        for mode in range(3)
+    ]
+    params = [
+        ModeParams(
+            mean=np.tile(hyperprior.mean, (len(seeds), 1)),
+            precision=np.tile(np.eye(n_latent), (len(seeds), 1, 1)),
+        )
+        for _ in range(3)
+    ]
+    return ModelState(
+        latents=latents,
+        params=params,
+        alpha=float(alpha),
+        n_latent=n_latent,
+        seeds=seeds,
+        offsets=offsets,
+        hyperprior=hyperprior,
+    )
+
+
 def init_model(
     dims: Sequence[int],
     n_latent: int,
@@ -164,31 +235,8 @@ def init_model(
     alpha: float = 5.0,
     seed: int = 0,
 ) -> ModelState:
-    """Fresh model state: latents i.i.d. standard normal, identity priors."""
-    if n_latent < 1:
-        raise ValueError("n_latent must be at least 1")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if hyperprior is None:
-        hyperprior = Hyperprior.default(n_latent)
-    if hyperprior.n_latent != n_latent:
-        raise ValueError("hyperprior dimension does not match n_latent")
-    tree = StreamTree(seed)
-    latents = [
-        tree.stream(0, ROLE_INIT, mode).standard_normal((int(dims[mode]), n_latent))
-        for mode in range(3)
-    ]
-    params = [
-        ModeParams(mean=hyperprior.mean.copy(), precision=np.eye(n_latent)) for _ in range(3)
-    ]
-    return ModelState(
-        latents=latents,
-        params=params,
-        alpha=float(alpha),
-        n_latent=n_latent,
-        seed=seed,
-        hyperprior=hyperprior,
-    )
+    """Fresh state of a single chain; see :func:`init_chains`."""
+    return init_chains([dims], n_latent, [seed], hyperprior=hyperprior, alpha=alpha)
 
 
 # --------------------------------------------------------------------------
@@ -211,20 +259,25 @@ def sample_wishart(scale: np.ndarray, dof: float, rng: np.random.Generator) -> n
         lower = np.linalg.cholesky(scale)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("scale matrix not SPD") from exc
-    return _bartlett(lower, dof, rng)
-
-
-def _bartlett(root: np.ndarray, dof: float, rng: np.random.Generator) -> np.ndarray:
-    # Wishart(root @ root', dof) for any square root, triangular or not.
-    dim = root.shape[0]
     bartlett = np.zeros((dim, dim))
-    bartlett[np.diag_indices(dim)] = np.sqrt(rng.chisquare(dof - np.arange(dim)))
+    _draw_bartlett(bartlett, dof, rng)
+    return _wishart(lower, bartlett)
+
+
+def _draw_bartlett(out: np.ndarray, dof: float, rng: np.random.Generator) -> None:
+    # Fill a zeroed (D, D) Bartlett factor: the diagonal, then the strict lower triangle.
+    dim = out.shape[0]
+    np.fill_diagonal(out, np.sqrt(rng.chisquare(dof - np.arange(dim))))
     if dim > 1:
         tril = _strict_lower(dim)
-        bartlett[tril] = rng.standard_normal(len(tril[0]))
+        out[tril] = rng.standard_normal(len(tril[0]))
+
+
+def _wishart(root: np.ndarray, bartlett: np.ndarray) -> np.ndarray:
+    # Wishart(root @ root', dof) for any square root, triangular or not; stacks too.
     factor = root @ bartlett
-    sample = factor @ factor.T
-    return (sample + sample.T) / 2.0
+    sample = factor @ np.swapaxes(factor, -1, -2)
+    return (sample + np.swapaxes(sample, -1, -2)) / 2.0
 
 
 @functools.lru_cache(maxsize=None)
@@ -244,12 +297,16 @@ def sample_mvn(mean: np.ndarray, precision: np.ndarray, rng: np.random.Generator
     ``mean + solve(L', z)`` has covariance ``precision^-1``.
     """
     mean = np.asarray(mean, dtype=np.float64)
+    return _mvn(mean, np.asarray(precision, dtype=np.float64), rng.standard_normal(mean.shape[0]))
+
+
+def _mvn(mean: np.ndarray, precision: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # mean + L'^-1 z for precision = L L'; stacks of (..., D) means too.
     try:
-        lower = np.linalg.cholesky(np.asarray(precision, dtype=np.float64))
+        lower = np.linalg.cholesky(precision)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("precision not SPD") from exc
-    z = rng.standard_normal(mean.shape[0])
-    return mean + np.linalg.solve(lower.T, z)
+    return mean + np.linalg.solve(np.swapaxes(lower, -1, -2), z[..., None])[..., 0]
 
 
 def _jittered(mat: np.ndarray) -> np.ndarray:
@@ -307,105 +364,76 @@ def _solve_draw(lower: np.ndarray, rhs: np.ndarray, z: np.ndarray) -> np.ndarray
 
 
 def sample_mode_hyperparams(
-    latents: np.ndarray, hyperprior: Hyperprior, rng: np.random.Generator
+    blocks: Sequence[np.ndarray], hyperprior: Hyperprior, rngs: Sequence[np.random.Generator]
 ) -> ModeParams:
-    """Gaussian-Wishart posterior draw given one mode's latent rows.
+    """Gaussian-Wishart posterior draw of each chain given its rows of one mode.
 
-    Conjugate update: with ``n`` rows, sample mean ``xbar`` and centered
-    scatter ``n * S``, the posterior has strength ``beta0 + n``, degrees of
-    freedom ``dof0 + n``, mean ``(beta0 * mu0 + n * xbar) / (beta0 + n)``
-    and inverse scale
+    ``blocks[c]`` holds chain ``c``'s latent rows and ``rngs[c]`` is its
+    stream. Conjugate update: with ``n`` rows, sample mean ``xbar`` and
+    centered scatter ``n * S``, the posterior has strength ``beta0 + n``,
+    degrees of freedom ``dof0 + n``, mean
+    ``(beta0 * mu0 + n * xbar) / (beta0 + n)`` and inverse scale
     ``W0^-1 + n * S + (beta0 * n / (beta0 + n)) (xbar - mu0)(xbar - mu0)'``.
     Precision is drawn from the Wishart, then the mean conditionally on it.
+    Each chain's mean, scatter and draws (Bartlett diagonal, its lower
+    triangle, then the mean's normals) are its own; the Cholesky factors,
+    inverses, Wishart products and mean solves are stacked over chains.
+    Returns the ``(n_chains, D)`` means and ``(n_chains, D, D)`` precisions.
     """
-    latents = np.asarray(latents, dtype=np.float64)
-    n_rows = latents.shape[0]
-    if n_rows < 1:
-        raise ValueError("empty mode: cannot update hyperparameters")
+    dim = hyperprior.n_latent
     beta0 = hyperprior.mean_strength
     mu0 = hyperprior.mean
-    xbar = latents.mean(axis=0)
-    centered = latents - xbar
-    scatter = centered.T @ centered
-    beta_post = beta0 + n_rows
-    dof_post = hyperprior.dof + n_rows
-    mean_post = (beta0 * mu0 + n_rows * xbar) / beta_post
-    dev = xbar - mu0
-    scale_inv = hyperprior.scale_inverse + scatter + (beta0 * n_rows / beta_post) * np.outer(dev, dev)
-    scale_inv = (scale_inv + scale_inv.T) / 2.0
+    scale_inv = np.empty((len(blocks), dim, dim))
+    mean_post = np.empty((len(blocks), dim))
+    beta_post = np.empty(len(blocks))
+    bartlett = np.zeros((len(blocks), dim, dim))
+    z = np.empty((len(blocks), dim))
+    for chain, (latents, rng) in enumerate(zip(blocks, rngs, strict=True)):
+        latents = np.asarray(latents, dtype=np.float64)
+        n_rows = latents.shape[0]
+        if n_rows < 1:
+            raise ValueError("empty mode: cannot update hyperparameters")
+        xbar = latents.mean(axis=0)
+        centered = latents - xbar
+        scatter = centered.T @ centered
+        beta_post[chain] = beta0 + n_rows
+        mean_post[chain] = (beta0 * mu0 + n_rows * xbar) / beta_post[chain]
+        dev = xbar - mu0
+        scale_inv[chain] = hyperprior.scale_inverse + scatter + (beta0 * n_rows / beta_post[chain]) * np.outer(dev, dev)
+        _draw_bartlett(bartlett[chain], hyperprior.dof + n_rows, rng)
+        z[chain] = rng.standard_normal(dim)
+    scale_inv = (scale_inv + scale_inv.transpose(0, 2, 1)) / 2.0
     # With scale_inv = L L', the posterior scale is R R' for R = L'^-1.
     inv_lower = _cholesky(scale_inv, "posterior inverse scale")
-    root = np.linalg.inv(inv_lower).T
-    precision = _bartlett(root, dof_post, rng)
-    mean = sample_mvn(mean_post, beta_post * precision, rng)
+    root = np.linalg.inv(inv_lower).transpose(0, 2, 1)
+    precision = _wishart(root, bartlett)
+    mean = _mvn(mean_post, beta_post[:, None, None] * precision, z)
     return ModeParams(mean=mean, precision=precision)
-
-
-def row_posterior(
-    prior_precision: np.ndarray,
-    prior_mean: np.ndarray,
-    alpha: float,
-    q_rows: np.ndarray,
-    values: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian conditional of one latent row given its observed cells.
-
-    ``q_rows`` holds, per observed cell, the elementwise product of the other
-    two modes' latent vectors. Posterior precision is
-    ``prior_precision + alpha * sum(q q')`` and the posterior mean solves it
-    against ``prior_precision @ prior_mean + alpha * sum(value * q)``.
-
-    This is the one-row reference for :func:`sample_mode_latents`, which
-    forms the same quantities for a whole mode at once.
-    """
-    precision = prior_precision + alpha * (q_rows.T @ q_rows)
-    precision = (precision + precision.T) / 2.0
-    rhs = prior_precision @ prior_mean + alpha * (q_rows.T @ values)
-    try:
-        mean = np.linalg.solve(precision, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("row posterior precision is singular") from exc
-    return precision, mean
 
 
 _OTHER_MODES = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
 
-def sample_mode_latents(
-    state: ModelState,
-    tensor: SparseTensor,
-    mode: int,
-    tree: StreamTree,
-) -> np.ndarray:
-    """Redraw every latent row of one mode from its full conditional.
+def _grams(runs: CountRuns, lat_a: np.ndarray, lat_b: np.ndarray, n_entities: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Grams ``q'q`` and right-hand sides ``q'y`` of every entity of a mode, in entity order.
 
-    Rows are conditionally independent given the other two modes. The
-    Grams ``q'q`` and right-hand sides ``q'y`` (``q`` as in
-    :func:`row_posterior`) are built in the tensor's (cell count, entity id)
-    order (:meth:`SparseTensor.count_runs`): ``q`` is gathered for a block of
-    whole entities at a time, at most ``_BLOCK_DOUBLES`` values unless one
-    entity alone needs more, and each stretch of equal-count entities in a
-    block is one stacked ``(m, c, D)`` product, so no Python loop runs per
-    entity. Then, for the whole mode at once, the prior is added, the
-    posterior precisions ``L L'`` are factored, and with one standard-normal
-    block ``z`` from the (sweep, mode) stream the rows are
-    ``x = L'^-1 (L^-1 b + z)``, solved in panels by :func:`_solve_draw`. An
-    entity with no cells has a zero Gram, so its row is drawn from the mode
-    prior.
+    ``runs`` is the mode's :meth:`SparseTensor.count_runs` layout. ``q`` is
+    gathered for a block of whole entities at a time, at most
+    ``_BLOCK_DOUBLES`` values unless one entity alone needs more, and each
+    stretch of equal-count entities in a block is one stacked ``(m, c, D)``
+    product, scattered to entity order. Each entity's cells are summed in
+    the same order whatever the block, so its Gram does not depend on the
+    blocks. The block buffers are freed on return, before the caller
+    factors the Grams.
     """
-    if state.dims != tensor.dims:
-        raise DataError(f"state dims {state.dims} do not match tensor dims {tensor.dims}")
-    runs = tensor.count_runs(mode)
-    lat_a, lat_b = (state.latents[other] for other in _OTHER_MODES[mode])
-    n_entities, n_latent = state.latents[mode].shape
-    # Every row in (cell count, entity id) order until the final scatter.
+    n_latent = lat_a.shape[1]
     grams = np.empty((n_entities, n_latent, n_latent))
     rhs = np.empty((n_entities, n_latent))
     budget = max(1, _BLOCK_DOUBLES // n_latent)  # cells per block
     offsets = runs.offsets.tolist()
     starts = runs.starts.tolist()
     # Blocks reuse two buffers, as a fresh large array per block costs page
-    # faults. The dims check above keeps every index in range, so "clip"
+    # faults. The caller's dims check keeps every index in range, so "clip"
     # never clips; it only spares numpy's buffered bounds check.
     block_cells = min(offsets[-1], max(budget, offsets[-1] - offsets[-2]))
     q_buffer, b_buffer = np.empty((2, block_cells, n_latent))
@@ -425,30 +453,61 @@ def sample_mode_latents(
             count = (offsets[hi] - offsets[lo]) // (hi - lo)
             q = q_block[piece].reshape(hi - lo, count, n_latent)
             q_t = q.transpose(0, 2, 1)
-            grams[lo:hi] = q_t @ q
-            rhs[lo:hi] = (q_t @ y_block[piece].reshape(hi - lo, count, 1))[..., 0]
+            entities = runs.entities[lo:hi]
+            grams[entities] = q_t @ q
+            rhs[entities] = (q_t @ y_block[piece].reshape(hi - lo, count, 1))[..., 0]
         first = end
+    return grams, rhs
+
+
+def sample_mode_latents(state: ModelState, tensor: SparseTensor, mode: int) -> np.ndarray:
+    """Redraw every latent row of one mode, for every chain, from its full conditional.
+
+    ``tensor`` is the chains' :func:`~trialtensor.tensor.block_union`. Rows
+    are conditionally independent given the other two modes: a row's
+    posterior precision is ``P + alpha * sum(q q')`` and its mean solves it
+    against ``P m + alpha * sum(y q)``, where ``q`` is the elementwise
+    product of the other two modes' rows at an observed cell with value
+    ``y`` and ``(m, P)`` is the chain's prior. :func:`_grams` builds every
+    ``q'q`` and ``q'y`` of the union at once, with no Python loop per
+    entity. Entity order is chain-major, so each chain then adds its prior
+    to its contiguous rows and draws its standard-normal block ``z`` from
+    its (sweep, mode) stream. For all rows at once the posterior precisions
+    ``L L'`` are factored and ``x = L'^-1 (L^-1 b + z)`` is solved in
+    panels by :func:`_solve_draw`. An entity with no cells has a zero Gram,
+    so its row is drawn from its chain's prior.
+    """
+    if state.dims != tensor.dims:
+        raise DataError(f"state dims {state.dims} do not match tensor dims {tensor.dims}")
+    runs = tensor.count_runs(mode)
+    lat_a, lat_b = (state.latents[other] for other in _OTHER_MODES[mode])
+    n_entities, n_latent = state.latents[mode].shape
+    grams, rhs = _grams(runs, lat_a, lat_b, n_entities)
     params = state.params[mode]
     grams *= state.alpha
-    grams += params.precision
     rhs *= state.alpha
-    rhs += params.precision @ params.mean
+    z = np.empty_like(rhs)
+    bounds = state.offsets[:, mode].tolist()
+    for chain, seed in enumerate(state.seeds):
+        rows = slice(bounds[chain], bounds[chain + 1])
+        grams[rows] += params.precision[chain]
+        rhs[rows] += params.precision[chain] @ params.mean[chain]
+        StreamTree(seed).stream(state.sweep, ROLE_LATENT, mode).standard_normal(out=z[rows])
     lower = _cholesky(grams, "row posterior precision")
-    z = tree.stream(state.sweep, ROLE_LATENT, mode).standard_normal((n_entities, n_latent))
-    rows = np.empty_like(rhs)
-    rows[runs.entities] = _solve_draw(lower, rhs, z[runs.entities])
-    return rows
+    return _solve_draw(lower, rhs, z)
 
 
-def gibbs_step(state: ModelState, tensor: SparseTensor, tree: StreamTree) -> ModelState:
-    """One full sweep: per mode (target, indication, layer order),
-    sample hyperparameters, then every latent row of that mode."""
+def gibbs_step(state: ModelState, tensor: SparseTensor) -> ModelState:
+    """One lock-step sweep of every chain over their union ``tensor``: per
+    mode (target, indication, layer order), sample each chain's
+    hyperparameters, then every latent row of that mode."""
     if state.dims != tensor.dims:
         raise DataError(f"state dims {state.dims} do not match tensor dims {tensor.dims}")
     for mode in range(3):
-        rng = tree.stream(state.sweep, ROLE_HYPER, mode)
-        state.params[mode] = sample_mode_hyperparams(state.latents[mode], state.hyperprior, rng)
-        state.latents[mode] = sample_mode_latents(state, tensor, mode, tree)
+        rngs = [StreamTree(seed).stream(state.sweep, ROLE_HYPER, mode) for seed in state.seeds]
+        blocks = np.split(state.latents[mode], state.offsets[1:-1, mode])
+        state.params[mode] = sample_mode_hyperparams(blocks, state.hyperprior, rngs)
+        state.latents[mode] = sample_mode_latents(state, tensor, mode)
     state.sweep += 1
     return state
 
@@ -459,28 +518,35 @@ def gibbs_step(state: ModelState, tensor: SparseTensor, tree: StreamTree) -> Mod
 Sample = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def run(state: ModelState, tensor: SparseTensor, schedule: SamplerSchedule) -> list[Sample]:
-    """Burn in, then sample, retaining every ``thin``-th post-burn-in sweep.
+def run(
+    state: ModelState, tensors: Sequence[SparseTensor], schedule: SamplerSchedule
+) -> list[list[Sample]]:
+    """Burn in, then sample every chain in lock-step, retaining every ``thin``-th post-burn-in sweep.
 
-    Sweeps are numbered 1-based after burn-in and a sweep is retained when
-    its number is an exact multiple of ``thin``, so the retained count is
-    ``schedule.retained == samples // thin``. Returns the retained
-    ``(U, V, W)`` latent triples in retention order; :func:`gibbs_step`
-    assigns fresh arrays, so later sweeps never alter a retained triple.
+    ``tensors[c]`` is chain ``c``'s training tensor. Sweeps are numbered
+    1-based after burn-in and a sweep is retained when its number is an
+    exact multiple of ``thin``, so the retained count is
+    ``schedule.retained == samples // thin``. Returns, per chain, its
+    retained ``(U, V, W)`` latent triples in retention order, the same
+    arrays a run of that chain alone returns; :func:`gibbs_step` assigns
+    fresh arrays, so later sweeps never alter a retained triple.
     """
     if schedule.retained == 0:
         raise ValueError(
             f"schedule retains no samples (samples={schedule.samples} < thin={schedule.thin})"
         )
-    tree = StreamTree(state.seed)
+    chain_dims = [tuple(dims) for dims in np.diff(state.offsets, axis=0).tolist()]
+    if chain_dims != [tensor.dims for tensor in tensors]:
+        raise DataError(f"chain dims {chain_dims} do not match tensor dims {[t.dims for t in tensors]}")
+    tensor = block_union(tensors)
     for _ in range(schedule.burnin):
-        gibbs_step(state, tensor, tree)
-    samples = []
+        gibbs_step(state, tensor)
+    retained = []
     for sweep_number in range(1, schedule.samples + 1):
-        gibbs_step(state, tensor, tree)
+        gibbs_step(state, tensor)
         if sweep_number % schedule.thin == 0:
-            samples.append(tuple(state.latents))
-    return samples
+            retained.append(state.chain_latents())
+    return [list(samples) for samples in zip(*retained)]
 
 
 def predict_slice(samples: Sequence[Sample], layer: int) -> np.ndarray:
@@ -512,6 +578,7 @@ def save_checkpoint(
     schedule: SamplerSchedule,
 ) -> None:
     directory = Path(directory)
+    (seed,) = state.seeds  # a checkpoint holds one chain
     for mode, filename in enumerate(_CHECKPOINT_FILES):
         with atomic_write(directory / filename) as handle:
             for sample in samples:
@@ -522,7 +589,7 @@ def save_checkpoint(
         "burnin": schedule.burnin,
         "samples": schedule.samples,
         "thin": schedule.thin,
-        "seed": state.seed,
+        "seed": seed,
         "retained": len(samples),
     }
     with atomic_write(directory / "manifest.json") as handle:

@@ -191,6 +191,26 @@ class SparseTensor:
         return SparseTensor(self.dims, self._coords[keep], self._values[keep])
 
 
+def block_union(tensors: Sequence[SparseTensor]) -> SparseTensor:
+    """Block-diagonal union: tensor ``c``'s entity ``e`` of each mode becomes ``offsets[c, mode] + e``.
+
+    ``offsets`` are the running sums of the tensors' dims, starting at 0.
+    No cell links two tensors, so each union entity holds exactly the cells
+    of its own entity, in the same coordinate order, and each block keeps
+    its :meth:`SparseTensor.count_runs` layout up to the offset. One tensor
+    is its own union.
+    """
+    if len(tensors) == 1:
+        return tensors[0]
+    if not tensors:
+        raise DataError("union of no tensors")
+    dims = np.array([tensor.dims for tensor in tensors], dtype=np.int64)
+    offsets = np.cumsum(dims, axis=0) - dims
+    coords = np.concatenate([tensor.coords + offset for tensor, offset in zip(tensors, offsets)])
+    values = np.concatenate([tensor.values for tensor in tensors])
+    return SparseTensor(dims.sum(axis=0), coords, values)
+
+
 def select_layers(tensor: SparseTensor, keep: Sequence[int]) -> SparseTensor:
     """Subset the layer mode, renumbering kept layers to 0..len(keep)-1."""
     keep = [int(k) for k in keep]

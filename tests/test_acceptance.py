@@ -140,7 +140,8 @@ def test_c3_synthetic_recovery():
         state = init_model(tensor.dims, 16, alpha=100.0, seed=1)
         schedule = SamplerSchedule(200, 800, 80)
         assert schedule.retained == 10
-        scores = predict_slice(run(state, train_tensor, schedule), 0)[heldout[:, 0], heldout[:, 1]]
+        (samples,) = run(state, [train_tensor], schedule)
+        scores = predict_slice(samples, 0)[heldout[:, 0], heldout[:, 1]]
         observed = tensor.values[split.heldout]
         binarized_truth = truth[tuple(heldout.T)] >= 0.5
         rmse = float(np.sqrt(np.mean((scores - observed) ** 2)))
@@ -157,18 +158,19 @@ def test_c4_combined_evidence_ordering():
         tensor, _, _ = generate(config)
         schedule = SamplerSchedule(80, 240, 48)
         seeds = [100 + r for r in range(10)]
-        reports = {}
-        for name, layers in [
-            ("combined", None),
-            ("evidence_1", (0, 1)),
-            ("evidence_2", (0, 2)),
-            ("evidence_3", (0, 3)),
-        ]:
-            eval_config = EvalConfig(
+        eval_configs = [
+            EvalConfig(
                 model_name=name, layers=layers, n_latent=8, alpha=40.0,
                 schedule=schedule, heldout_fraction=0.2,
             )
-            reports[name] = repeated_eval(tensor, eval_config, 10, seeds)
+            for name, layers in [
+                ("combined", None),
+                ("evidence_1", (0, 1)),
+                ("evidence_2", (0, 2)),
+                ("evidence_3", (0, 3)),
+            ]
+        ]
+        reports = {report.model_name: report for report in repeated_eval(tensor, eval_configs, 10, seeds)}
         combined = reports["combined"]
         for name in ("evidence_1", "evidence_2", "evidence_3"):
             single = reports[name]
@@ -277,11 +279,10 @@ def test_c8_determinism(ingested_dir, tmp_path):
         config = SynthConfig(dims=(15, 12, 3), true_rank=4, observed_fraction=0.5, seed=4)
         tensor, _, _ = generate(config)
         state = init_model(tensor.dims, 6, alpha=20.0, seed=9)
-        run(state, tensor, SamplerSchedule(10, 20, 5))
-        tree = StreamTree(9)
+        run(state, [tensor], SamplerSchedule(10, 20, 5))
         for mode in range(3):
             expected = per_row_reference(state, tensor, mode, mode_normals(state, mode))
-            batched = sample_mode_latents(state, tensor, mode, tree)
+            batched = sample_mode_latents(state, tensor, mode)
             assert np.max(np.abs(batched - expected)) <= 1e-12
 
 
@@ -289,9 +290,8 @@ def test_c9_sign_flip_invariance():
     with criterion(9, "negating one latent column in two modes changes no prediction > 1e-12"):
         tensor, _, _ = generate(SynthConfig(dims=(10, 8, 4), true_rank=3, seed=6))
         state = init_model(tensor.dims, 5, alpha=10.0, seed=2)
-        tree = StreamTree(2)
         for _ in range(3):
-            gibbs_step(state, tensor, tree)
+            gibbs_step(state, tensor)
         baseline = all_layers([tuple(state.latents)])
         for first, second in itertools.combinations(range(3), 2):
             for column in range(5):

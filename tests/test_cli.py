@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import trialtensor
-from trialtensor import SparseTensor, load_checkpoint, predict_slice, save_tensor
+from trialtensor import SparseTensor, sampler, load_checkpoint, predict_slice, save_tensor
 from trialtensor.cli import main
 from trialtensor.io import format_float
 from trialtensor.tensor import Mode, ModeIndex
@@ -473,6 +473,18 @@ class TestTopLevel:
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["train", "--frobnicate"]) == 1
+
+    def test_linalg_error_is_numerical_error(self, ingested_dir, tmp_path, capsys, monkeypatch):
+        # LinAlgError is a ValueError; it must not be reported as a usage error.
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(sampler.np.linalg, "solve", singular)
+        args = ["train", "--tensor", str(ingested_dir), "--out", str(tmp_path / "o")] + SMALL_SCHEDULE
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert "numerical error: Singular matrix" in err
+        assert "usage error" not in err
 
     @pytest.mark.parametrize("case", ["tensor_tsv", "tensor_meta", "evidence", "predictions", "config"])
     def test_non_utf8_input_is_data_error(self, ingested_dir, ingest_args, tmp_path, capsys, case):

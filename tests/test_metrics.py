@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -17,9 +18,14 @@ from trialtensor import (
     mann_whitney_u,
     phase_analysis,
     repeated_eval,
+    save_tensor,
+    synthetic_modes,
 )
+from trialtensor import metrics
+from trialtensor.cli import main
 from trialtensor.ingest import OutcomePair, StopReason
 from trialtensor.metrics import _exact_two_sided_p, _midranks, _normal_two_sided_p, bonferroni
+from trialtensor.tensor import Mode, ModeIndex
 
 
 def brute_force_auroc(scores, labels):
@@ -376,7 +382,7 @@ class TestRepeatedEval:
         config = EvalConfig(
             n_latent=4, alpha=30.0, schedule=SamplerSchedule(10, 20, 10), heldout_fraction=0.2
         )
-        report = repeated_eval(coupled_tensor, config, 2, [7, 7])
+        [report] = repeated_eval(coupled_tensor, [config], 2, [7, 7])
         assert report.auroc_sd == 0.0
         assert report.f1_sd == 0.0
 
@@ -384,7 +390,7 @@ class TestRepeatedEval:
         config = EvalConfig(
             n_latent=8, alpha=40.0, schedule=SamplerSchedule(60, 150, 30), heldout_fraction=0.2
         )
-        report = repeated_eval(coupled_tensor, config, 2, [1, 2])
+        [report] = repeated_eval(coupled_tensor, [config], 2, [1, 2])
         assert report.auroc_mean >= 0.9
 
     def test_report_schema(self, coupled_tensor):
@@ -394,7 +400,7 @@ class TestRepeatedEval:
             alpha=30.0,
             schedule=SamplerSchedule(5, 10, 5),
         )
-        report = repeated_eval(coupled_tensor, config, 2, [3, 4])
+        [report] = repeated_eval(coupled_tensor, [config], 2, [3, 4])
         payload = report.to_dict()
         assert set(payload) == {
             "model_name", "auroc", "f1", "imbalance", "n_repeats", "threshold",
@@ -406,8 +412,74 @@ class TestRepeatedEval:
     def test_layer_subset_must_start_at_outcome(self, coupled_tensor):
         config = EvalConfig(layers=(1, 2), schedule=SamplerSchedule(1, 2, 1))
         with pytest.raises(DataError):
-            repeated_eval(coupled_tensor, config, 2, [1, 2])
+            repeated_eval(coupled_tensor, [config], 2, [1, 2])
 
     def test_needs_two_repeats(self, coupled_tensor):
         with pytest.raises(DataError):
-            repeated_eval(coupled_tensor, EvalConfig(), 1, [1])
+            repeated_eval(coupled_tensor, [EvalConfig()], 1, [1])
+
+    def test_models_must_share_sampler_settings(self, coupled_tensor):
+        configs = [EvalConfig(n_latent=4), EvalConfig(n_latent=8)]
+        with pytest.raises(DataError, match="share n_latent"):
+            repeated_eval(coupled_tensor, configs, 2, [1, 2])
+        with pytest.raises(DataError, match="no model"):
+            repeated_eval(coupled_tensor, [], 2, [1, 2])
+
+
+@pytest.fixture(scope="module")
+def evidence_dir(tmp_path_factory):
+    """A simulated 30x24x4 tensor saved under the ingested layer names."""
+    tensor, _, _ = generate(SynthConfig(
+        dims=(30, 24, 4), true_rank=4, noise_sd=0.15, observed_fraction=0.5, seed=11, coupling=0.9,
+    ))
+    targets, indications, _ = synthetic_modes(tensor.dims)
+    layers = ModeIndex(Mode.LAYER, ("outcome", "rare_disease", "gene_burden", "gwas"))
+    out = tmp_path_factory.mktemp("evidence")
+    save_tensor(tensor, (targets, indications, layers), out / "tensor.tsv", out / "tensor.meta.json")
+    return out
+
+
+def _evaluate(tensor_dir, out, models, latent_dim):
+    """Run ``evaluate`` with three repeats of a short schedule; return the report bytes."""
+    args = [
+        "evaluate", "--tensor", str(tensor_dir), "--out", str(out), "--models", models,
+        "--n-repeats", "3", "--latent-dim", str(latent_dim), "--alpha", "40",
+        "--burnin", "4", "--samples", "6", "--thin", "3", "--seed", "4",
+    ]
+    assert main(args) == 0
+    return out.read_bytes()
+
+
+class TestLockStepEvaluation:
+    """Every (model, repeat) chain is sampled in lock-step with the others; none may feel them."""
+
+    @pytest.mark.parametrize("latent_dim", [8, 16])
+    def test_models_together_equal_models_alone(self, evidence_dir, tmp_path, latent_dim):
+        # D = 16 takes the panelled triangular solves of D > 8.
+        together = json.loads(_evaluate(evidence_dir, tmp_path / "both.json", "combined,rare", latent_dim))
+        alone = [
+            json.loads(_evaluate(evidence_dir, tmp_path / f"{name}.json", name, latent_dim))["models"][0]
+            for name in ("combined", "rare")
+        ]
+        assert together["models"] == alone
+
+    # Largest-mode Gram doubles of one chain at D = 8: 30 targets x 8 x 8.
+    _CHAIN_DOUBLES = 30 * 8 * 8
+
+    @pytest.mark.parametrize("budget,sizes", [
+        (None, [6]),
+        (3 * _CHAIN_DOUBLES, [3, 3]),
+        (1, [1] * 6),
+    ])
+    def test_batch_budget_changes_no_byte(self, evidence_dir, tmp_path, monkeypatch, budget, sizes):
+        expected = _evaluate(evidence_dir, tmp_path / "default.json", "combined,rare", 8)
+        if budget is not None:
+            monkeypatch.setattr(metrics, "_BATCH_GRAM_DOUBLES", budget)
+        batches = []
+        real_run = metrics.run
+        monkeypatch.setattr(metrics, "run", lambda state, tensors, schedule: (
+            batches.append(len(tensors)) or real_run(state, tensors, schedule)
+        ))
+        assert _evaluate(evidence_dir, tmp_path / "split.json", "combined,rare", 8) == expected
+        assert batches == sizes
+

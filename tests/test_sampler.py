@@ -15,7 +15,9 @@ from trialtensor import (
     NumericalError,
     SamplerSchedule,
     SparseTensor,
+    block_union,
     gibbs_step,
+    init_chains,
     init_model,
     load_checkpoint,
     predict_slice,
@@ -28,7 +30,6 @@ from trialtensor import (
 )
 from trialtensor import sampler
 from trialtensor.rng import ROLE_LATENT, StreamTree
-from trialtensor.sampler import row_posterior
 
 from conftest import EDITS, FIXTURE_ENTRIES, splice
 
@@ -43,7 +44,8 @@ class TestInitModel:
         assert state.latents[0].shape == (3, 32)
         assert state.latents[1].shape == (2, 32)
         assert state.latents[2].shape == (4, 32)
-        assert state.params[0].mean.shape == (32,)
+        assert state.params[0].mean.shape == (1, 32)
+        assert state.params[0].precision.shape == (1, 32, 32)
 
     def test_deterministic(self):
         a = init_model((5, 4, 3), 8, seed=9)
@@ -172,7 +174,7 @@ def hyperparams_reference(latents, hyperprior, rng):
 class TestModeHyperparams:
     def test_empty_mode_rejected(self):
         with pytest.raises(ValueError, match="empty mode"):
-            sample_mode_hyperparams(np.empty((0, 3)), Hyperprior.default(3), _rng())
+            sample_mode_hyperparams([np.empty((0, 3))], Hyperprior.default(3), [_rng()])
 
     def test_mean_collapses_onto_prior_mean(self):
         # All rows equal to the prior mean and a huge prior strength pin the
@@ -183,8 +185,8 @@ class TestModeHyperparams:
             mean=prior_mean, mean_strength=1e12, precision_scale=np.eye(2), dof=2.0
         )
         latents = np.tile(prior_mean, (50, 1))
-        params = sample_mode_hyperparams(latents, hyper, _rng(7))
-        assert np.allclose(params.mean, prior_mean, atol=1e-4)
+        params = sample_mode_hyperparams([latents], hyper, [_rng(7)])
+        assert np.allclose(params.mean[0], prior_mean, atol=1e-4)
 
     def test_posterior_consistency(self):
         # With many rows from a known Gaussian, the sampled precision
@@ -197,7 +199,7 @@ class TestModeHyperparams:
         draws = np.zeros((2, 2))
         n_draws = 200
         for _ in range(n_draws):
-            draws += sample_mode_hyperparams(rows, hyper, rng).precision
+            draws += sample_mode_hyperparams([rows], hyper, [rng]).precision[0]
         mean_precision = draws / n_draws
         assert np.all(np.abs(mean_precision - true_precision) <= 0.1 * np.abs(true_precision) + 0.02)
 
@@ -212,10 +214,10 @@ class TestModeHyperparams:
             dof=dim + 2.0,
         )
         latents = 1.5 * rng.standard_normal((60, dim)) + 0.3
-        params = sample_mode_hyperparams(latents, hyper, _rng(7))
+        params = sample_mode_hyperparams([latents], hyper, [_rng(7)])
         mean, precision = hyperparams_reference(latents, hyper, _rng(7))
-        assert np.max(np.abs(params.precision - precision)) <= 1e-12
-        assert np.max(np.abs(params.mean - mean)) <= 1e-12
+        assert np.max(np.abs(params.precision[0] - precision)) <= 1e-12
+        assert np.max(np.abs(params.mean[0] - mean)) <= 1e-12
 
 
     def test_cached_constants_are_read_only(self):
@@ -304,6 +306,26 @@ class TestSolveDraw:
             assert np.max(np.max(np.abs(got - expected), axis=1) / scale) <= 1e-12
 
 
+def row_posterior(prior_precision, prior_mean, alpha, q_rows, values):
+    """One-row reference: the Gaussian conditional of one latent row given its observed cells.
+
+    ``q_rows`` holds, per observed cell, the elementwise product of the other
+    two modes' latent vectors. Posterior precision is
+    ``prior_precision + alpha * sum(q q')`` and the posterior mean solves it
+    against ``prior_precision @ prior_mean + alpha * sum(value * q)``.
+    ``sample_mode_latents`` forms the same quantities for a whole mode of
+    every chain at once.
+    """
+    precision = prior_precision + alpha * (q_rows.T @ q_rows)
+    precision = (precision + precision.T) / 2.0
+    rhs = prior_precision @ prior_mean + alpha * (q_rows.T @ values)
+    try:
+        mean = np.linalg.solve(precision, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("row posterior precision is singular") from exc
+    return precision, mean
+
+
 class TestRowPosterior:
     def test_dense_algebra_oracle(self):
         # Brute-force dense construction of the same conditional.
@@ -326,10 +348,18 @@ def _make_state(tensor, n_latent=2, alpha=5.0, seed=0):
 _OTHER_MODES = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
 
+def chain_bounds(state, mode):
+    """``(chain, first row, end row)`` of each chain's rows of one mode."""
+    bounds = state.offsets[:, mode].tolist()
+    return [(chain, bounds[chain], bounds[chain + 1]) for chain in range(len(state.seeds))]
+
+
 def mode_normals(state, mode):
-    """The standard-normal block the batched update draws for this sweep and mode."""
-    shape = state.latents[mode].shape
-    return StreamTree(state.seed).stream(state.sweep, ROLE_LATENT, mode).standard_normal(shape)
+    """The standard-normal block the batched update draws for this sweep and mode, chain by chain."""
+    return np.concatenate([
+        StreamTree(state.seeds[chain]).stream(state.sweep, ROLE_LATENT, mode).standard_normal((hi - lo, state.n_latent))
+        for chain, lo, hi in chain_bounds(state, mode)
+    ])
 
 
 def fiber_cells(state, tensor, mode, entity):
@@ -346,17 +376,18 @@ def cholesky_draw(mean, precision, z):
 
 
 def per_row_reference(state, tensor, mode, normals):
-    """Row-at-a-time update: row_posterior, then a Cholesky draw from ``normals``."""
+    """Row-at-a-time update: row_posterior with the row's chain prior, then a Cholesky draw from ``normals``."""
     params = state.params[mode]
     rows = np.empty_like(state.latents[mode])
-    for entity in range(rows.shape[0]):
-        q_rows, values = fiber_cells(state, tensor, mode, entity)
-        precision, mean = row_posterior(params.precision, params.mean, state.alpha, q_rows, values)
-        rows[entity] = cholesky_draw(mean, precision, normals[entity])
+    for chain, lo, hi in chain_bounds(state, mode):
+        for entity in range(lo, hi):
+            q_rows, values = fiber_cells(state, tensor, mode, entity)
+            precision, mean = row_posterior(params.precision[chain], params.mean[chain], state.alpha, q_rows, values)
+            rows[entity] = cholesky_draw(mean, precision, normals[entity])
     return rows
 
 
-def mode_latents_loop_reference(state, tensor, mode, tree):
+def mode_latents_loop_reference(state, tensor, mode):
     """``sample_mode_latents`` with one gather per entity, as before block gathers."""
     other_a, other_b = _OTHER_MODES[mode]
     coords, values = tensor.coords, tensor.values
@@ -373,11 +404,12 @@ def mode_latents_loop_reference(state, tensor, mode, tree):
         rhs[entity] = q_rows.T @ values[rows]
     params = state.params[mode]
     grams *= state.alpha
-    grams += params.precision
     rhs *= state.alpha
-    rhs += params.precision @ params.mean
+    for chain, lo, hi in chain_bounds(state, mode):
+        grams[lo:hi] += params.precision[chain]
+        rhs[lo:hi] += params.precision[chain] @ params.mean[chain]
     lower = sampler._cholesky(grams, "row posterior precision")
-    z = tree.stream(state.sweep, ROLE_LATENT, mode).standard_normal((n_entities, n_latent))
+    z = mode_normals(state, mode)
     half = np.linalg.solve(lower, rhs[..., None]) + z[..., None]
     return np.linalg.solve(lower.transpose(0, 2, 1), half)[..., 0]
 
@@ -395,12 +427,11 @@ def _tensor_with_cell_counts(counts, dims, seed):
 
 def _assert_batched_matches_per_row(tensor, n_latent, seed):
     state = _make_state(tensor, n_latent=n_latent, alpha=5.0, seed=seed)
-    tree = StreamTree(state.seed)
     for _ in range(3):
-        gibbs_step(state, tensor, tree)
+        gibbs_step(state, tensor)
     for mode in range(3):
         expected = per_row_reference(state, tensor, mode, mode_normals(state, mode))
-        batched = sample_mode_latents(state, tensor, mode, tree)
+        batched = sample_mode_latents(state, tensor, mode)
         assert np.max(np.abs(batched - expected)) <= 1e-12
 
 
@@ -411,14 +442,13 @@ class TestModeLatents:
         tensor = SparseTensor.from_entries((3, 2, 2), [(1, 0, 0, 0.5), (2, 1, 1, 0.25)])
         state = _make_state(tensor, n_latent=2, seed=1)
         prior_mean = np.array([1.0, -0.5])
-        state.params[0].mean = prior_mean
-        state.params[0].precision = 4.0 * np.eye(2)
-        tree = StreamTree(state.seed)
+        state.params[0].mean[:] = prior_mean
+        state.params[0].precision[:] = 4.0 * np.eye(2)
         total = np.zeros(2)
         n = 3000
         for sweep in range(n):
             state.sweep = sweep
-            total += sample_mode_latents(state, tensor, 0, tree)[0]
+            total += sample_mode_latents(state, tensor, 0)[0]
         avg = total / n
         se = 0.5 / np.sqrt(n)
         assert np.all(np.abs(avg - prior_mean) < 4 * se)
@@ -430,7 +460,7 @@ class TestModeLatents:
         state = _make_state(tensor, n_latent=1, alpha=1e8, seed=2)
         state.latents[1][0, 0] = 2.0
         state.latents[2][0, 0] = 1.0
-        new_rows = sample_mode_latents(state, tensor, 0, StreamTree(2))
+        new_rows = sample_mode_latents(state, tensor, 0)
         assert abs(new_rows[0, 0] - 0.8 / 2.0) < 1e-3
 
     def test_batched_update_equals_per_row_reference(self):
@@ -470,12 +500,11 @@ class TestModeLatents:
             monkeypatch.setattr(sampler, "_BLOCK_DOUBLES", block_cells * n_latent)
         tensor = _tensor_with_cell_counts(self._BLOCK_COUNTS, (9, 4, 4), seed=5)
         state = _make_state(tensor, n_latent=n_latent, seed=6)
-        tree = StreamTree(state.seed)
         for _ in range(2):
-            gibbs_step(state, tensor, tree)
+            gibbs_step(state, tensor)
         for mode in range(3):
-            expected = mode_latents_loop_reference(state, tensor, mode, tree)
-            assert np.array_equal(sample_mode_latents(state, tensor, mode, tree), expected)
+            expected = mode_latents_loop_reference(state, tensor, mode)
+            assert np.array_equal(sample_mode_latents(state, tensor, mode), expected)
 
     # Mode-0 cell counts with runs of 3 empty, 1, 3, 5 and 1 entities (counts
     # 0, 1, 2, 3, 9); the empty ones are the first, fifth and last entity.
@@ -490,12 +519,11 @@ class TestModeLatents:
         tensor = _tensor_with_cell_counts(self._RUN_COUNTS, (13, 5, 4), seed=15)
         assert tensor.count_runs(0).starts.tolist() == [0, 3, 4, 7, 12, 13]
         state = _make_state(tensor, n_latent=n_latent, seed=16)
-        tree = StreamTree(state.seed)
         for _ in range(2):
-            gibbs_step(state, tensor, tree)
+            gibbs_step(state, tensor)
         for mode in range(3):
-            expected = mode_latents_loop_reference(state, tensor, mode, tree)
-            assert np.array_equal(sample_mode_latents(state, tensor, mode, tree), expected)
+            expected = mode_latents_loop_reference(state, tensor, mode)
+            assert np.array_equal(sample_mode_latents(state, tensor, mode), expected)
 
     @pytest.mark.parametrize("block_cells", [5, None])
     def test_batched_update_equals_per_row_reference_beyond_one_panel(self, monkeypatch, block_cells):
@@ -516,31 +544,31 @@ class TestModeLatents:
         state = _make_state(tensor, n_latent=2, alpha=4.0, seed=3)
         state.latents[1][:] = [[1.0, 2.0], [3.0, 1.0]]
         state.latents[2][:] = [[1.0, 1.0]]
-        state.params[0].precision = np.zeros((2, 2))
-        state.params[0].mean = np.zeros(2)
-        prior = state.params[0]
+        state.params[0].precision[:] = 0.0
+        state.params[0].mean[:] = 0.0
+        prior_precision, prior_mean = state.params[0].precision[0], state.params[0].mean[0]
         q_rows, values = fiber_cells(state, tensor, 0, 0)
         with pytest.raises(NumericalError, match="singular"):
-            row_posterior(prior.precision, prior.mean, state.alpha, q_rows, values)
+            row_posterior(prior_precision, prior_mean, state.alpha, q_rows, values)
         precision = state.alpha * (q_rows.T @ q_rows)
         precision += 1e-6 * np.trace(precision) / 2 * np.eye(2)
         mean = np.linalg.solve(precision, state.alpha * (q_rows.T @ values))
 
         normals = mode_normals(state, 0)
-        batched = sample_mode_latents(state, tensor, 0, StreamTree(state.seed))
+        batched = sample_mode_latents(state, tensor, 0)
         assert np.all(np.isfinite(batched))
         assert np.allclose(batched[0], cholesky_draw(mean, precision, normals[0]), rtol=1e-8, atol=0.0)
         q_rows, values = fiber_cells(state, tensor, 0, 1)
-        precision, mean = row_posterior(prior.precision, prior.mean, state.alpha, q_rows, values)
+        precision, mean = row_posterior(prior_precision, prior_mean, state.alpha, q_rows, values)
         assert np.max(np.abs(batched[1] - cholesky_draw(mean, precision, normals[1]))) <= 1e-12
 
     def test_precision_beyond_jitter_raises(self):
         # A negative-definite prior cannot be rescued by one jitter retry.
         tensor = SparseTensor.from_entries((2, 1, 1), [(1, 0, 0, 0.5)])
         state = _make_state(tensor, n_latent=2, seed=4)
-        state.params[0].precision = -np.eye(2)
+        state.params[0].precision[:] = -np.eye(2)
         with pytest.raises(NumericalError, match="not SPD after jitter"):
-            sample_mode_latents(state, tensor, 0, StreamTree(state.seed))
+            sample_mode_latents(state, tensor, 0)
 
     def test_dims_mismatch(self):
         # Target 2 has a cell, but the state has only two target rows: the
@@ -548,31 +576,97 @@ class TestModeLatents:
         tensor = SparseTensor.from_entries((3, 2, 1), [(2, 1, 0, 0.5)])
         state = init_model((2, 2, 1), 2, seed=0)
         with pytest.raises(DataError, match="do not match"):
-            sample_mode_latents(state, tensor, 1, StreamTree(0))
+            sample_mode_latents(state, tensor, 1)
+
+
+def _chain_tensors():
+    """Three small tensors of different dims, each with targets that have no cells."""
+    rng = np.random.default_rng(41)
+    tensors = []
+    for dims in [(7, 5, 3), (4, 6, 2), (9, 3, 3)]:
+        entries = [
+            (i, j, k, float(rng.uniform()))
+            for i in range(1, dims[0] - 1)
+            for j in range(dims[1])
+            for k in range(dims[2])
+            if rng.uniform() < 0.6
+        ]
+        tensors.append(SparseTensor.from_entries(dims, entries))
+    return tensors
+
+
+class TestLockStep:
+    @pytest.mark.parametrize("n_latent", [3, 12])
+    def test_chains_in_lock_step_equal_chains_alone(self, n_latent):
+        # D = 12 takes two panels of the blocked triangular solves.
+        tensors, seeds, schedule = _chain_tensors(), [5, 6, 7], SamplerSchedule(2, 4, 2)
+        together = run(init_chains([t.dims for t in tensors], n_latent, seeds, alpha=5.0), tensors, schedule)
+        assert len(together) == len(tensors)
+        for tensor, seed, samples in zip(tensors, seeds, together):
+            (alone,) = run(init_model(tensor.dims, n_latent, alpha=5.0, seed=seed), [tensor], schedule)
+            assert len(samples) == len(alone) == 2
+            for sample, expected in zip(samples, alone):
+                assert all(np.array_equal(a, b) for a, b in zip(sample, expected))
+
+    def test_chains_draw_the_streams_they_draw_alone(self, monkeypatch):
+        keys = []
+        stream = StreamTree.stream
+        monkeypatch.setattr(StreamTree, "stream", lambda tree, *key: keys.append((tree.seed, *key)) or stream(tree, *key))
+        tensors, seeds, schedule = _chain_tensors(), [5, 6, 7], SamplerSchedule(1, 2, 1)
+        run(init_chains([t.dims for t in tensors], 2, seeds), tensors, schedule)
+        together, keys[:] = sorted(keys), []
+        for tensor, seed in zip(tensors, seeds):
+            run(init_model(tensor.dims, 2, seed=seed), [tensor], schedule)
+        assert together == sorted(keys)
+        assert len(together) == 3 * (3 + 3 * 2 * 3)  # per chain: init, then hyper and latent per mode and sweep
+
+    def test_union_update_equals_per_row_reference(self):
+        # Each chain's rows use its own prior; a wrong chain offset would mix them.
+        tensors = _chain_tensors()
+        state = init_chains([t.dims for t in tensors], 4, [8, 9, 10], alpha=5.0)
+        union = block_union(tensors)
+        for _ in range(2):
+            gibbs_step(state, union)
+        assert not np.array_equal(state.params[0].precision[0], state.params[0].precision[1])
+        for mode in range(3):
+            expected = per_row_reference(state, union, mode, mode_normals(state, mode))
+            assert np.max(np.abs(sample_mode_latents(state, union, mode) - expected)) <= 1e-12
+
+    def test_run_rejects_tensors_of_other_dims(self, tiny_tensor):
+        state = init_chains([tiny_tensor.dims, tiny_tensor.dims], 2, [1, 2])
+        with pytest.raises(DataError, match="do not match"):
+            run(state, [tiny_tensor], SamplerSchedule(0, 1, 1))
+        with pytest.raises(DataError, match="do not match"):
+            run(state, [tiny_tensor, SparseTensor.empty((3, 2, 3))], SamplerSchedule(0, 1, 1))
+
+    def test_one_seed_per_chain(self):
+        with pytest.raises(ValueError, match="one seed per chain"):
+            init_chains([(2, 2, 2)], 2, [1, 2])
+        with pytest.raises(ValueError, match="one seed per chain"):
+            init_chains([], 2, [])
 
 
 class TestGibbsStep:
     def test_state_changes_and_is_deterministic(self, tiny_tensor):
         state_a = _make_state(tiny_tensor, n_latent=3, seed=5)
         before = [m.copy() for m in state_a.latents]
-        tree = StreamTree(5)
-        gibbs_step(state_a, tiny_tensor, tree)
+        gibbs_step(state_a, tiny_tensor)
         assert any(not np.array_equal(b, m) for b, m in zip(before, state_a.latents))
         assert state_a.sweep == 1
 
         state_b = _make_state(tiny_tensor, n_latent=3, seed=5)
         for _ in range(3):
-            gibbs_step(state_b, tiny_tensor, tree)
+            gibbs_step(state_b, tiny_tensor)
         state_c = _make_state(tiny_tensor, n_latent=3, seed=5)
         for _ in range(3):
-            gibbs_step(state_c, tiny_tensor, tree)
+            gibbs_step(state_c, tiny_tensor)
         for mat_b, mat_c in zip(state_b.latents, state_c.latents):
             assert np.array_equal(mat_b, mat_c)
 
     def test_dims_mismatch(self, tiny_tensor):
         state = init_model((4, 2, 4), 2, seed=0)
         with pytest.raises(DataError):
-            gibbs_step(state, tiny_tensor, StreamTree(0))
+            gibbs_step(state, tiny_tensor)
 
 
 def triple_product_reference(samples, coords):
@@ -656,11 +750,11 @@ class TestSchedule:
 class TestRun:
     def test_single_sample_schedule_equals_one_step(self, tiny_tensor):
         state = _make_state(tiny_tensor, n_latent=2, seed=13)
-        samples = run(state, tiny_tensor, SamplerSchedule(0, 1, 1))
+        (samples,) = run(state, [tiny_tensor], SamplerSchedule(0, 1, 1))
         assert len(samples) == 1
 
         replay = _make_state(tiny_tensor, n_latent=2, seed=13)
-        gibbs_step(replay, tiny_tensor, StreamTree(13))
+        gibbs_step(replay, tiny_tensor)
         for retained, expected in zip(samples[0], replay.latents):
             assert np.array_equal(retained, expected)
 
@@ -669,13 +763,12 @@ class TestRun:
         # are exactly the latents after those sweeps, and the score is the
         # mean of their three predictions.
         state = _make_state(tiny_tensor, seed=3)
-        samples = run(state, tiny_tensor, SamplerSchedule(2, 10, 3))
+        (samples,) = run(state, [tiny_tensor], SamplerSchedule(2, 10, 3))
 
         replay = _make_state(tiny_tensor, seed=3)
-        tree = StreamTree(3)
         retained = []
         for sweep in range(1, 13):
-            gibbs_step(replay, tiny_tensor, tree)
+            gibbs_step(replay, tiny_tensor)
             if sweep > 2 and (sweep - 2) % 3 == 0:
                 retained.append(tuple(mat.copy() for mat in replay.latents))
         assert len(samples) == len(retained) == 3
@@ -686,14 +779,14 @@ class TestRun:
 
     def test_predictions_clamped(self, tiny_tensor):
         state = _make_state(tiny_tensor, seed=3)
-        scores = all_layers(run(state, tiny_tensor, SamplerSchedule(1, 4, 2)))
+        scores = all_layers(run(state, [tiny_tensor], SamplerSchedule(1, 4, 2))[0])
         assert scores.shape == tiny_tensor.dims
         assert ((scores >= 0.0) & (scores <= 1.0)).all()
 
     def test_empty_retention_rejected(self, tiny_tensor):
         state = _make_state(tiny_tensor)
         with pytest.raises(ValueError):
-            run(state, tiny_tensor, SamplerSchedule(0, 3, 5))
+            run(state, [tiny_tensor], SamplerSchedule(0, 3, 5))
 
     def test_noiseless_rank_one_recovery(self):
         # Fully observed rank-1 tensor, alpha = 100: averaged predictions
@@ -711,14 +804,14 @@ class TestRun:
         ]
         tensor = SparseTensor.from_entries((10, 8, 3), entries)
         state = init_model(tensor.dims, 2, alpha=100.0, seed=1)
-        predicted = all_layers(run(state, tensor, SamplerSchedule(150, 50, 10)))
+        predicted = all_layers(run(state, [tensor], SamplerSchedule(150, 50, 10))[0])
         rmse = float(np.sqrt(np.mean((predicted - values) ** 2)))
         assert rmse <= 0.05
 
 
 def _checkpoint(directory, tensor, n_latent=3, seed=17, schedule=SamplerSchedule(1, 4, 2)):
     state = _make_state(tensor, n_latent=n_latent, seed=seed)
-    samples = run(state, tensor, schedule)
+    (samples,) = run(state, [tensor], schedule)
     save_checkpoint(directory, samples, state, schedule)
     return samples
 

@@ -13,6 +13,7 @@ from trialtensor import (
     DataError,
     Mode,
     SparseTensor,
+    block_union,
     build_index,
     load_tensor,
     save_tensor,
@@ -169,6 +170,32 @@ class TestSparseTensor:
         assert runs.offsets.tolist() == [0, 0, 0, 0]
         assert runs.starts.tolist() == [0, 3]
         assert runs.index_a.shape == runs.values.shape == (0,)
+
+    def test_block_union_offsets_each_block(self, tiny_tensor):
+        other = SparseTensor.from_entries((2, 3, 2), [(1, 2, 0, 0.25), (0, 0, 1, 1.0), (1, 0, 1, 0.5)])
+        blocks = [tiny_tensor, other, tiny_tensor]
+        union = block_union(blocks)
+        offsets = np.cumsum([(0, 0, 0)] + [block.dims for block in blocks], axis=0)
+        assert union.dims == tuple(offsets[-1])
+        assert np.array_equal(union.coords, np.concatenate([b.coords + o for b, o in zip(blocks, offsets)]))
+        assert np.array_equal(union.values, np.concatenate([b.values for b in blocks]))
+        for mode in range(3):
+            other_a, other_b = (m for m in range(3) if m != mode)
+            runs = union.count_runs(mode)
+            for block, offset in zip(blocks, offsets):
+                own = block.count_runs(mode)
+                for pos, entity in enumerate(own.entities):
+                    # The union entity holds the block entity's cells, in the same order.
+                    (upos,) = np.flatnonzero(runs.entities == entity + offset[mode])
+                    cells, ucells = (slice(r.offsets[p], r.offsets[p + 1]) for r, p in ((own, pos), (runs, upos)))
+                    assert np.array_equal(runs.index_a[ucells], own.index_a[cells] + offset[other_a])
+                    assert np.array_equal(runs.index_b[ucells], own.index_b[cells] + offset[other_b])
+                    assert np.array_equal(runs.values[ucells], own.values[cells])
+
+    def test_block_union_of_one_tensor_is_the_tensor(self, tiny_tensor):
+        assert block_union([tiny_tensor]) is tiny_tensor
+        with pytest.raises(DataError, match="no tensors"):
+            block_union([])
 
     def test_without_cells(self, tiny_tensor):
         trimmed = tiny_tensor.without_cells(np.array([(0, 0, 0), (1, 1, 3)]))
