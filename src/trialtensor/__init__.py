@@ -4,13 +4,14 @@ A sparse (targets x indications x evidence layers) tensor holds clinical
 outcome labels alongside rare-disease, gene-burden and GWAS evidence; a
 Gibbs-sampled Bayesian factorization imputes success scores for unlabeled
 target-indication pairs, and the evaluation layer reports AUROC/F1 over
-repeated stratified splits plus phase-stratified rank tests.
+repeated stratified splits plus phase-stratified rank tests. Modules pass
+plain data: each mode's identifiers as a tuple of strings in index order,
+ingest counts as a ``collections.Counter`` and reports as their JSON dicts.
 """
 
 from .errors import DataError, NumericalError, TrialTensorError
 from .ingest import (
     EvidenceRecord,
-    IngestReport,
     Layer,
     OutcomePair,
     StopReason,
@@ -25,8 +26,6 @@ from .ingest import (
 )
 from .metrics import (
     EvalConfig,
-    EvalReport,
-    PhaseAnalysis,
     auroc,
     class_imbalance,
     f1,
@@ -42,7 +41,6 @@ from .sampler import (
     SamplerSchedule,
     gibbs_step,
     init_chains,
-    init_model,
     load_checkpoint,
     predict_slice,
     run,
@@ -55,11 +53,8 @@ from .sampler import (
 from .simulate import SynthConfig, generate, synthetic_modes
 from .tensor import (
     CellSplit,
-    Mode,
-    ModeIndex,
     SparseTensor,
     block_union,
-    build_index,
     load_tensor,
     save_tensor,
     select_layers,

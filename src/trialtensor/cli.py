@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +23,9 @@ from . import ingest as ing
 from .errors import DataError, NumericalError
 from .io import FLOAT_FORMAT, escape_percent, read_text, write_json, write_tsv
 from .metrics import MAX_PHASE, EvalConfig, phase_analysis, repeated_eval
-from .sampler import SamplerSchedule, init_model, predict_slice, run, save_checkpoint
+from .sampler import SamplerSchedule, init_chains, predict_slice, run, save_checkpoint
 from .simulate import SynthConfig, generate, synthetic_modes
-from .tensor import ModeIndex, load_tensor, save_tensor, select_layers
+from .tensor import load_tensor, save_tensor, select_layers
 
 logger = logging.getLogger(__name__)
 
@@ -47,13 +48,33 @@ _LAYER_ALIASES = {
 }
 
 
+def _checked(convert, requirement: str, accept):
+    """An argparse type: ``convert`` the text, then reject a value ``accept`` refuses.
+
+    argparse prefixes the rejection with the flag's name; a config file
+    value goes through the same check.
+    """
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names the type in "invalid int value"
+    return parse
+
+
+_AT_LEAST_1 = _checked(int, "at least 1", lambda value: value >= 1)
+_NON_NEGATIVE = _checked(int, "at least 0", lambda value: value >= 0)
+
+
 def _add_sampler_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--latent-dim", type=int, default=32, help="latent dimension (default 32)")
-    parser.add_argument("--alpha", type=float, default=5.0, help="observation precision (default 5.0)")
-    parser.add_argument("--burnin", type=int, default=500, help="burn-in sweeps (default 500)")
-    parser.add_argument("--samples", type=int, default=3500, help="post-burn-in sweeps (default 3500)")
-    parser.add_argument("--thin", type=int, default=350, help="retain every thin-th sweep (default 350)")
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
+    parser.add_argument("--latent-dim", type=_AT_LEAST_1, default=32, help="latent dimension (default 32)")
+    parser.add_argument("--alpha", type=_checked(float, "positive", lambda value: value > 0), default=5.0,
+                        help="observation precision (default 5.0)")
+    parser.add_argument("--burnin", type=_NON_NEGATIVE, default=500, help="burn-in sweeps (default 500)")
+    parser.add_argument("--samples", type=_AT_LEAST_1, default=3500, help="post-burn-in sweeps (default 3500)")
+    parser.add_argument("--thin", type=_AT_LEAST_1, default=350, help="retain every thin-th sweep (default 350)")
+    parser.add_argument("--seed", type=_NON_NEGATIVE, default=0, help="random seed")
 
 
 def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
@@ -102,11 +123,14 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
 
     p = subparsers.add_parser("simulate", description="Generate a synthetic tensor with ground truth.")
     p.add_argument("--dims", default="50,40,4", help="tensor dims as n_targets,n_indications,n_layers")
-    p.add_argument("--rank", type=int, default=8, help="true latent rank (default 8)")
-    p.add_argument("--noise-sd", type=float, default=0.1, help="observation noise sd (default 0.1)")
-    p.add_argument("--observed-fraction", type=float, default=0.2, help="cell observation probability")
-    p.add_argument("--coupling", type=float, default=0.0, help="evidence/outcome structure sharing in [0,1]")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--rank", type=_AT_LEAST_1, default=8, help="true latent rank (default 8)")
+    p.add_argument("--noise-sd", type=_checked(float, "at least 0", lambda value: value >= 0), default=0.1,
+                   help="observation noise sd (default 0.1)")
+    p.add_argument("--observed-fraction", type=_checked(float, "in (0, 1]", lambda value: 0 < value <= 1),
+                   default=0.2, help="cell observation probability")
+    p.add_argument("--coupling", type=_checked(float, "in [0, 1]", lambda value: 0 <= value <= 1), default=0.0,
+                   help="evidence/outcome structure sharing in [0,1]")
+    p.add_argument("--seed", type=_NON_NEGATIVE, default=0, help="random seed")
     p.add_argument("--out", help="output directory")
     p.add_argument("--config", help="key=value defaults file")
     commands["simulate"] = p
@@ -134,7 +158,7 @@ def _load_config_defaults(subparser: argparse.ArgumentParser, path: str) -> dict
         converter = actions[dest].type or str
         try:
             overrides[dest] = converter(value)
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise UsageError(f"{path}:{lineno}: bad value for {key.strip()!r}: {exc}") from exc
     return overrides
 
@@ -158,9 +182,15 @@ def _parse_dims(text: str) -> tuple[int, int, int]:
         parts = tuple(int(p) for p in text.split(","))
     except ValueError as exc:
         raise UsageError(f"bad --dims value {text!r}: {exc}") from exc
-    if len(parts) != 3:
-        raise UsageError(f"--dims needs three comma-separated integers, got {text!r}")
+    if len(parts) != 3 or min(parts) < 1:
+        raise UsageError(f"--dims needs three comma-separated positive integers, got {text!r}")
     return parts
+
+
+def _schedule(ns: argparse.Namespace) -> SamplerSchedule:
+    if ns.samples < ns.thin:
+        raise UsageError(f"--samples {ns.samples} is below --thin {ns.thin}, so no sweep would be retained")
+    return SamplerSchedule(burnin=ns.burnin, samples=ns.samples, thin=ns.thin)
 
 
 def _evidence_selection(text: str) -> list[ing.Layer]:
@@ -175,7 +205,7 @@ def _evidence_selection(text: str) -> list[ing.Layer]:
     return selection
 
 
-def _resolve_layer_names(text: str, layers: ModeIndex) -> list[int] | None:
+def _resolve_layer_names(text: str, layers: tuple[str, ...]) -> list[int] | None:
     """Map a comma list of layer names onto tensor layer indices (0 prepended)."""
     if text.strip().lower() in ("all", "combined"):
         return None
@@ -183,9 +213,9 @@ def _resolve_layer_names(text: str, layers: ModeIndex) -> list[int] | None:
     for part in text.replace("+", ",").split(","):
         name = part.strip()
         name = _LAYER_ALIASES.get(name.lower(), name)
-        if name not in layers.forward:
-            raise DataError(f"unknown layer {part.strip()!r}; tensor has {list(layers.reverse)}")
-        k = layers.forward[name]
+        if name not in layers:
+            raise DataError(f"unknown layer {part.strip()!r}; tensor has {list(layers)}")
+        k = layers.index(name)
         if k != 0 and k not in keep:
             keep.append(k)
     return keep
@@ -205,7 +235,7 @@ def _load_tensor_dir(ns: argparse.Namespace) -> tuple:
 
 def cmd_ingest(ns: argparse.Namespace) -> int:
     out_dir = Path(_require(ns, "--out"))
-    report = ing.IngestReport()
+    report = Counter()
     xref = ing.load_xref(_require_file(ns, "--xref"))
     selection = _evidence_selection(ns.layers)
     evidence = []
@@ -238,7 +268,7 @@ def cmd_ingest(ns: argparse.Namespace) -> int:
             for p in sorted(pairs, key=lambda p: (p.gene_id, p.disease_id))
         ),
     )
-    payload = report.to_dict()
+    payload = dict(sorted(report.items()))
     payload.update({"dims": list(tensor.dims), "n_entries": tensor.n_entries})
     write_json(out_dir / "ingest_report.json", payload)
     logger.info("ingested tensor dims=%s entries=%d -> %s", tensor.dims, tensor.n_entries, out_dir)
@@ -251,19 +281,19 @@ def cmd_train(ns: argparse.Namespace) -> int:
     keep = _resolve_layer_names(ns.layers, modes[2])
     if keep is not None:
         tensor = select_layers(tensor, keep)
-    schedule = SamplerSchedule(burnin=ns.burnin, samples=ns.samples, thin=ns.thin)
-    state = init_model(tensor.dims, ns.latent_dim, alpha=ns.alpha, seed=ns.seed)
+    schedule = _schedule(ns)
+    state = init_chains([tensor.dims], ns.latent_dim, [ns.seed], alpha=ns.alpha)
     (samples,) = run(state, [tensor], schedule)
     save_checkpoint(out_dir / "checkpoint", samples, state, schedule)
     # One template per target: its identifier joins the per-indication tails.
-    layer = escape_percent(modes[2].reverse[0])
-    tails = ["", *(f"\t{escape_percent(ind)}\t{layer}\t{FLOAT_FORMAT}\n" for ind in modes[1].reverse)]
+    layer = escape_percent(modes[2][0])
+    tails = ["", *(f"\t{escape_percent(ind)}\t{layer}\t{FLOAT_FORMAT}\n" for ind in modes[1])]
     write_tsv(
         out_dir / "predictions.tsv",
         ("target_id", "indication_id", "layer", "score"),
         (
             escape_percent(target).join(tails) % tuple(row.tolist())
-            for target, row in zip(modes[0].reverse, predict_slice(samples, 0))
+            for target, row in zip(modes[0], predict_slice(samples, 0))
         ),
     )
     logger.info(
@@ -276,7 +306,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
 def cmd_evaluate(ns: argparse.Namespace) -> int:
     out_path = Path(_require(ns, "--out"))
     tensor, modes = _load_tensor_dir(ns)
-    schedule = SamplerSchedule(burnin=ns.burnin, samples=ns.samples, thin=ns.thin)
+    schedule = _schedule(ns)
     seeds = [ns.seed + r for r in range(ns.n_repeats)]
     configs = []
     for spec in ns.models.split(","):
@@ -294,11 +324,11 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
     reports = repeated_eval(tensor, configs, ns.n_repeats, seeds)
     for report in reports:
         logger.info(
-            "model %s: auroc %.3f +/- %.3f, f1 %.3f +/- %.3f",
-            report.model_name, report.auroc_mean, report.auroc_sd, report.f1_mean, report.f1_sd,
+            "model %s: auroc %.3f +/- %.3f, f1 %.3f +/- %.3f", report["model_name"],
+            report["auroc"]["mean"], report["auroc"]["sd"], report["f1"]["mean"], report["f1"]["sd"],
         )
     payload = {
-        "models": [report.to_dict() for report in reports],
+        "models": reports,
         "n_repeats": ns.n_repeats,
         "heldout_fraction": ns.heldout_fraction,
         "schedule": {"burnin": ns.burnin, "samples": ns.samples, "thin": ns.thin},
@@ -338,8 +368,10 @@ def _read_predictions(path: Path, layer: str) -> dict[tuple[str, str], float]:
     return predictions
 
 
-def _read_pairs(path: Path) -> list[ing.OutcomePair]:
+def _read_pairs(path: Path) -> list[tuple[str, str, int]]:
+    """The ``(gene_id, disease_id, max_phase)`` triples of a ``pairs.tsv``, one per pair."""
     pairs = []
+    seen: set[tuple[str, str]] = set()
     for lineno, row in ing._rows(
         path, ("gene_id", "disease_id", "max_phase")
     ):
@@ -352,22 +384,16 @@ def _read_pairs(path: Path) -> list[ing.OutcomePair]:
         label_text = (row.get("label") or "").strip()
         if label_text not in ("", "0", "1"):
             raise DataError(f"{path}:{lineno}: label must be 0, 1 or empty, got {label_text!r}")
-        statuses = frozenset(s for s in (row.get("statuses") or "").split(",") if s)
         reason_text = (row.get("stop_reason_class") or "none").strip().lower()
         try:
-            reason = ing.StopReason(reason_text)
+            ing.StopReason(reason_text)
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: unknown stop_reason_class {reason_text!r}") from exc
-        pairs.append(
-            ing.OutcomePair(
-                gene_id=row["gene_id"],
-                disease_id=row["disease_id"],
-                status_set=statuses,
-                max_phase=max_phase,
-                stop_reason_class=reason,
-                label=int(label_text) if label_text else None,
-            )
-        )
+        key = (row["gene_id"], row["disease_id"])
+        if key in seen:  # its score would be counted twice in its phase group
+            raise DataError(f"{path}:{lineno}: duplicate pair {key}")
+        seen.add(key)
+        pairs.append((*key, max_phase))
     return pairs
 
 
@@ -376,13 +402,17 @@ def cmd_phase(ns: argparse.Namespace) -> int:
     predictions = _read_predictions(_require_file(ns, "--predictions"), ns.layer)
     pairs = _read_pairs(_require_file(ns, "--pairs"))
     analysis = phase_analysis(predictions, pairs)
-    for phase in analysis.excluded:
+    for phase in analysis["excluded_phases"]:
         logger.warning("phase %d excluded from testing (fewer than 2 scores)", phase)
-    write_json(out_dir / "phase_analysis.json", analysis.to_dict())
+    write_json(out_dir / "phase_analysis.json", analysis)
     write_tsv(
         out_dir / "phase_tests.tsv",
         ("phase_a", "phase_b", "u", "p_raw", "p_corrected"),
-        map(f"%s\t%s\t{FLOAT_FORMAT}\t{FLOAT_FORMAT}\t{FLOAT_FORMAT}\n".__mod__, analysis.tsv_rows()),
+        (
+            f"%s\t%s\t{FLOAT_FORMAT}\t{FLOAT_FORMAT}\t{FLOAT_FORMAT}\n"
+            % (test["phase_a"], test["phase_b"], test["u"], test["p_raw"], test["p_corrected"])
+            for test in analysis["tests"]
+        ),
     )
     return 0
 
@@ -448,12 +478,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except np.linalg.LinAlgError as exc:  # a ValueError, but raised by the numerics
+    except np.linalg.LinAlgError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

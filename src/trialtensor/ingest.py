@@ -14,22 +14,23 @@ an explicit 0.0 cell rather than a missing one; GWAS locus-to-gene scores
 enter at their raw value when at or above the inclusion threshold. Outcome
 labeling: approval anywhere wins (label 1); otherwise any terminated or
 suspended trial, or a safety/efficacy stop class, labels the pair 0;
-otherwise the pair stays unlabeled and its cell is missing.
+otherwise the pair stays unlabeled and its cell is missing. Each step adds
+its row, drop, merge and conflict counts to a ``collections.Counter``.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import Counter, defaultdict
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DataError
 from .io import read_text
-from .tensor import Mode, ModeIndex, SparseTensor, build_index
+from .tensor import SparseTensor
 
 logger = logging.getLogger(__name__)
 
@@ -112,19 +113,6 @@ class OutcomePair:
     label: int | None
 
 
-@dataclass
-class IngestReport:
-    """Drop, merge and conflict counters accumulated across the pipeline."""
-
-    counts: dict[str, int] = field(default_factory=lambda: defaultdict(int))
-
-    def bump(self, key: str, by: int = 1) -> None:
-        self.counts[key] += by
-
-    def to_dict(self) -> dict[str, int]:
-        return dict(sorted(self.counts.items()))
-
-
 def _rows(path: str | Path, required: Sequence[str]):
     """Yield (line_number, row_dict) from a header-bearing TSV."""
     path = Path(path)
@@ -145,24 +133,24 @@ def _rows(path: str | Path, required: Sequence[str]):
 
 def parse_rare_disease(
     path: str | Path,
-    report: IngestReport | None = None,
+    report: Counter | None = None,
 ) -> list[EvidenceRecord]:
     """Curated gene-disease links; accepted confidence tiers become value 1.0."""
-    report = report if report is not None else IngestReport()
+    report = report if report is not None else Counter()
     records = []
     for lineno, row in _rows(path, ("gene_id", "efo_id", "confidence")):
         confidence = row["confidence"].strip().lower()
-        report.bump("rare_disease_rows")
+        report["rare_disease_rows"] += 1
         if confidence in DEFAULT_ACCEPTED_CONFIDENCE:
             records.append(
                 EvidenceRecord(row["gene_id"], row["efo_id"], Layer.RARE_DISEASE, 1.0)
             )
-            report.bump("rare_disease_accepted")
+            report["rare_disease_accepted"] += 1
         elif confidence in KNOWN_CONFIDENCE:
-            report.bump("rare_disease_dropped_confidence")
+            report["rare_disease_dropped_confidence"] += 1
         else:
             logger.warning("%s:%d: unknown confidence %r, dropping row", path, lineno, confidence)
-            report.bump("rare_disease_unknown_confidence")
+            report["rare_disease_unknown_confidence"] += 1
     return records
 
 
@@ -171,14 +159,14 @@ DEFAULT_SIGNIFICANCE_POLICY = {"0": 0.0, "1": 1.0}
 
 def parse_gene_burden(
     path: str | Path,
-    report: IngestReport | None = None,
+    report: Counter | None = None,
 ) -> list[EvidenceRecord]:
     """Burden associations; below-threshold rows are explicit 0.0 observations.
 
     Keeping the non-significant rows as observed negatives, instead of
     missing cells, is what distinguishes this layer from the other two.
     """
-    report = report if report is not None else IngestReport()
+    report = report if report is not None else Counter()
     records = []
     for lineno, row in _rows(path, ("gene_id", "efo_id", "significant")):
         flag = row["significant"].strip()
@@ -186,20 +174,20 @@ def parse_gene_burden(
             raise DataError(f"{path}:{lineno}: significance flag {flag!r} not in {sorted(DEFAULT_SIGNIFICANCE_POLICY)}")
         value = DEFAULT_SIGNIFICANCE_POLICY[flag]
         records.append(EvidenceRecord(row["gene_id"], row["efo_id"], Layer.GENE_BURDEN, value))
-        report.bump("burden_rows")
-        report.bump("burden_positive" if value == 1.0 else "burden_negative")
+        report["burden_rows"] += 1
+        report["burden_positive" if value == 1.0 else "burden_negative"] += 1
     return records
 
 
 def parse_gwas_l2g(
     path: str | Path,
     score_threshold: float = 0.5,
-    report: IngestReport | None = None,
+    report: Counter | None = None,
 ) -> list[EvidenceRecord]:
     """Locus-to-gene scores; rows below the threshold are dropped (missing)."""
     if not 0.0 <= score_threshold <= 1.0:
         raise DataError(f"score threshold must be in [0, 1], got {score_threshold}")
-    report = report if report is not None else IngestReport()
+    report = report if report is not None else Counter()
     records = []
     for lineno, row in _rows(path, ("gene_id", "efo_id", "l2g_score")):
         try:
@@ -208,18 +196,18 @@ def parse_gwas_l2g(
             raise DataError(f"{path}:{lineno}: bad l2g_score {row['l2g_score']!r}") from exc
         if not 0.0 <= score <= 1.0:
             raise DataError(f"{path}:{lineno}: l2g_score {score} outside [0, 1]")
-        report.bump("gwas_rows")
+        report["gwas_rows"] += 1
         if score >= score_threshold:
             records.append(EvidenceRecord(row["gene_id"], row["efo_id"], Layer.GWAS, score))
-            report.bump("gwas_kept")
+            report["gwas_kept"] += 1
         else:
-            report.bump("gwas_below_threshold")
+            report["gwas_below_threshold"] += 1
     return records
 
 
-def parse_outcomes(path: str | Path, report: IngestReport | None = None) -> list[TrialRow]:
+def parse_outcomes(path: str | Path, report: Counter | None = None) -> list[TrialRow]:
     """Read per-trial rows; stop reasons arrive pre-classified upstream."""
-    report = report if report is not None else IngestReport()
+    report = report if report is not None else Counter()
     rows = []
     for lineno, row in _rows(
         path, ("gene_id", "efo_id", "phase", "status", "stop_reason_class")
@@ -238,12 +226,12 @@ def parse_outcomes(path: str | Path, report: IngestReport | None = None) -> list
         rows.append(
             TrialRow(row["gene_id"], row["efo_id"], phase, row["status"].strip().lower(), reason)
         )
-        report.bump("outcome_rows")
+        report["outcome_rows"] += 1
     return rows
 
 
 def label_outcomes(
-    trial_rows: Iterable[TrialRow], report: IngestReport | None = None
+    trial_rows: Iterable[TrialRow], report: Counter | None = None
 ) -> list[OutcomePair]:
     """Collapse trial rows per pair and apply the labeling rule.
 
@@ -252,7 +240,7 @@ def label_outcomes(
     else leaves the pair unlabeled. Unknown statuses are warned about and
     treated as non-negative evidence.
     """
-    report = report if report is not None else IngestReport()
+    report = report if report is not None else Counter()
     by_pair: dict[tuple[str, str], list[TrialRow]] = defaultdict(list)
     for row in trial_rows:
         if row.status not in KNOWN_STATUSES:
@@ -262,7 +250,7 @@ def label_outcomes(
                 row.gene_id,
                 row.disease_id,
             )
-            report.bump("outcome_unknown_status")
+            report["outcome_unknown_status"] += 1
         by_pair[(row.gene_id, row.disease_id)].append(row)
     pairs = []
     for (gene_id, disease_id), rows in sorted(by_pair.items()):
@@ -285,9 +273,9 @@ def label_outcomes(
                 label=label,
             )
         )
-        report.bump("outcome_pairs")
+        report["outcome_pairs"] += 1
         key = {1: "outcome_labeled_positive", 0: "outcome_labeled_negative", None: "outcome_unlabeled"}
-        report.bump(key[label])
+        report[key[label]] += 1
     return pairs
 
 
@@ -316,7 +304,7 @@ def _map_disease_id(disease_id: str, xref: dict[str, str], mapped_ids: frozenset
 def map_ontology(
     items: Sequence[EvidenceRecord] | Sequence[OutcomePair],
     xref: dict[str, str],
-    report: IngestReport | None = None,
+    report: Counter | None = None,
 ):
     """Replace EFO disease ids with MeSH ids, merging records that collide.
 
@@ -325,7 +313,7 @@ def map_ontology(
     values are reported), and outcome pairs merge their trial histories with
     approval still dominating.
     """
-    report = report if report is not None else IngestReport()
+    report = report if report is not None else Counter()
     items = list(items)
     if not items:
         return []
@@ -342,7 +330,7 @@ def _map_records(records, xref, mapped_ids, report) -> list[EvidenceRecord]:
     for record in records:
         mesh = _map_disease_id(record.disease_id, xref, mapped_ids)
         if mesh is None:
-            report.bump("unmapped_dropped")
+            report["unmapped_dropped"] += 1
             continue
         key = (record.gene_id, mesh, record.layer)
         incoming = EvidenceRecord(record.gene_id, mesh, record.layer, record.value)
@@ -350,9 +338,9 @@ def _map_records(records, xref, mapped_ids, report) -> list[EvidenceRecord]:
         if existing is None:
             merged[key] = incoming
         else:
-            report.bump("merged_records")
+            report["merged_records"] += 1
             if existing.value != incoming.value:
-                report.bump("merge_conflicts")
+                report["merge_conflicts"] += 1
                 logger.warning(
                     "merge conflict at (%s, %s, %s): %s vs %s, keeping max",
                     record.gene_id, mesh, record.layer.value, existing.value, incoming.value,
@@ -367,7 +355,7 @@ def _map_pairs(pairs, xref, mapped_ids, report) -> list[OutcomePair]:
     for pair in pairs:
         mesh = _map_disease_id(pair.disease_id, xref, mapped_ids)
         if mesh is None:
-            report.bump("unmapped_dropped")
+            report["unmapped_dropped"] += 1
             continue
         key = (pair.gene_id, mesh)
         existing = merged.get(key)
@@ -381,9 +369,9 @@ def _map_pairs(pairs, xref, mapped_ids, report) -> list[OutcomePair]:
                 label=pair.label,
             )
             continue
-        report.bump("merged_pairs")
+        report["merged_pairs"] += 1
         if existing.label is not None and pair.label is not None and existing.label != pair.label:
-            report.bump("merge_conflicts")
+            report["merge_conflicts"] += 1
         labels = {existing.label, pair.label}
         existing.status_set = existing.status_set | pair.status_set
         existing.max_phase = max(existing.max_phase, pair.max_phase)
@@ -401,13 +389,15 @@ def build_tensor(
     evidence: Sequence[EvidenceRecord],
     outcomes: Sequence[OutcomePair],
     layer_selection: Iterable[Layer] = LAYER_ORDER,
-) -> tuple[SparseTensor, tuple[ModeIndex, ModeIndex, ModeIndex]]:
+) -> tuple[SparseTensor, tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]]:
     """Assemble the rank-3 tensor: outcome labels at layer 0, evidence after.
 
     Mode universes are the union of identifiers appearing in the selected
     evidence layers and in the outcome pairs (labeled or not; unlabeled
-    pairs are prediction targets). A duplicate cell at this stage means an
-    unresolved curation conflict and raises.
+    pairs are prediction targets), deduplicated and sorted so that the
+    tensor is the same whatever order the input rows came in. Returns the
+    tensor and each mode's identifiers in index order. A duplicate cell at
+    this stage means an unresolved curation conflict and raises.
     """
     selection = [layer for layer in LAYER_ORDER if layer in set(layer_selection)]
     if not selection:
@@ -416,22 +406,17 @@ def build_tensor(
     labeled = [pair for pair in outcomes if pair.label is not None]
     if not labeled:
         raise DataError("empty outcome layer: no labeled pairs")
-    genes = [r.gene_id for r in evidence] + [p.gene_id for p in outcomes]
-    diseases = [r.disease_id for r in evidence] + [p.disease_id for p in outcomes]
-    targets = build_index(genes, Mode.TARGET)
-    indications = build_index(diseases, Mode.INDICATION)
-    layers = ModeIndex(Mode.LAYER, (OUTCOME_LAYER_NAME, *(layer.value for layer in selection)))
+    targets = tuple(sorted({r.gene_id for r in evidence} | {p.gene_id for p in outcomes}))
+    indications = tuple(sorted({r.disease_id for r in evidence} | {p.disease_id for p in outcomes}))
+    layers = (OUTCOME_LAYER_NAME, *(layer.value for layer in selection))
+    target_pos = {ident: pos for pos, ident in enumerate(targets)}
+    indication_pos = {ident: pos for pos, ident in enumerate(indications)}
     entries = [
-        (targets.forward[p.gene_id], indications.forward[p.disease_id], 0, float(p.label))
+        (target_pos[p.gene_id], indication_pos[p.disease_id], 0, float(p.label))
         for p in labeled
     ]
     entries += [
-        (
-            targets.forward[r.gene_id],
-            indications.forward[r.disease_id],
-            layers.forward[r.layer.value],
-            r.value,
-        )
+        (target_pos[r.gene_id], indication_pos[r.disease_id], selection.index(r.layer) + 1, r.value)
         for r in evidence
     ]
     dims = (len(targets), len(indications), len(layers))

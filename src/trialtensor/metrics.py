@@ -4,14 +4,15 @@ AUROC uses the midrank formula, which equals the probability that a random
 positive outscores a random negative with ties counted half. The
 Mann-Whitney test enumerates all label arrangements exactly for pooled
 sizes up to 12 and otherwise uses the tie-corrected, continuity-corrected
-normal approximation.
+normal approximation. :func:`repeated_eval` and :func:`phase_analysis`
+return their reports as the plain dicts that the CLI writes as JSON.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -184,34 +185,12 @@ class EvalConfig:
     threshold: float = 0.5
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    model_name: str
-    auroc_mean: float
-    auroc_sd: float
-    f1_mean: float
-    f1_sd: float
-    imbalance: float
-    n_repeats: int
-    threshold: float
-
-    def to_dict(self) -> dict:
-        return {
-            "model_name": self.model_name,
-            "auroc": {"mean": self.auroc_mean, "sd": self.auroc_sd},
-            "f1": {"mean": self.f1_mean, "sd": self.f1_sd},
-            "imbalance": self.imbalance,
-            "n_repeats": self.n_repeats,
-            "threshold": self.threshold,
-        }
-
-
 def repeated_eval(
     tensor: SparseTensor,
     configs: Sequence[EvalConfig],
     n_repeats: int,
     seeds: Sequence[int],
-) -> list[EvalReport]:
+) -> list[dict]:
     """Stratified split, train, predict held-out cells, repeat; mean +/- sd per model.
 
     For each model configuration and repeat, hold out ``heldout_fraction``
@@ -220,6 +199,9 @@ def repeated_eval(
     observed labels. The reported spread is the sample standard deviation
     across repeats; both the split and the sampler derive from the same
     per-repeat seed, so identical seeds reproduce identical metrics.
+    Returns one dict per configuration, as ``evaluate`` writes it under
+    ``"models"``: ``model_name``, ``auroc`` and ``f1`` (each ``mean`` and
+    ``sd``), ``imbalance``, ``n_repeats`` and ``threshold``.
 
     The configurations must share ``n_latent``, ``alpha`` and ``schedule``:
     their (model, repeat) chains are sampled in lock-step batches
@@ -269,16 +251,14 @@ def repeated_eval(
     reports = []
     for model, (config, model_tensor) in enumerate(zip(configs, model_tensors)):
         repeats = slice(model * n_repeats, (model + 1) * n_repeats)
-        reports.append(EvalReport(
-            model_name=config.model_name,
-            auroc_mean=float(np.mean(aurocs[repeats])),
-            auroc_sd=float(np.std(aurocs[repeats], ddof=1)),
-            f1_mean=float(np.mean(f1s[repeats])),
-            f1_sd=float(np.std(f1s[repeats], ddof=1)),
-            imbalance=class_imbalance(model_tensor.layer_entries(0)[1]),
-            n_repeats=n_repeats,
-            threshold=config.threshold,
-        ))
+        reports.append({
+            "model_name": config.model_name,
+            "auroc": {"mean": float(np.mean(aurocs[repeats])), "sd": float(np.std(aurocs[repeats], ddof=1))},
+            "f1": {"mean": float(np.mean(f1s[repeats])), "sd": float(np.std(f1s[repeats], ddof=1))},
+            "imbalance": class_imbalance(model_tensor.layer_entries(0)[1]),
+            "n_repeats": n_repeats,
+            "threshold": config.threshold,
+        })
     return reports
 
 
@@ -305,77 +285,48 @@ def _batches(chain_dims: Sequence[Sequence[int]], n_latent: int) -> list[list[in
 MAX_PHASE = 4
 
 
-@dataclass
-class PhaseAnalysis:
-    """Scores grouped by maximum clinical phase, with pairwise rank tests."""
-
-    groups: dict[int, list[float]]
-    pairwise: dict[tuple[int, int], tuple[float, float, float]]
-    excluded: list[int] = field(default_factory=list)
-    unmatched_pairs: int = 0
-
-    @property
-    def n_comparisons(self) -> int:
-        return len(self.pairwise)
-
-    def to_dict(self) -> dict:
-        return {
-            "groups": {str(ph): scores for ph, scores in self.groups.items()},
-            "group_sizes": {str(ph): len(scores) for ph, scores in self.groups.items()},
-            "tests": [
-                {
-                    "phase_a": pa,
-                    "phase_b": pb,
-                    "u": u,
-                    "p_raw": p_raw,
-                    "p_corrected": p_corr,
-                }
-                for (pa, pb), (u, p_raw, p_corr) in sorted(self.pairwise.items())
-            ],
-            "n_comparisons": self.n_comparisons,
-            "excluded_phases": self.excluded,
-            "unmatched_pairs": self.unmatched_pairs,
-        }
-
-    def tsv_rows(self) -> list[tuple]:
-        return [
-            (pa, pb, u, p_raw, p_corr)
-            for (pa, pb), (u, p_raw, p_corr) in sorted(self.pairwise.items())
-        ]
-
-
 def phase_analysis(
     predictions: Mapping[tuple[str, str], float],
-    outcome_pairs: Iterable,
-) -> PhaseAnalysis:
+    outcome_pairs: Iterable[tuple[str, str, int]],
+) -> dict:
     """Group pair scores by max clinical phase and test all phase pairs.
 
+    ``outcome_pairs`` holds ``(gene_id, disease_id, max_phase)`` triples.
     Phases run 0 (preclinical) through 4. Groups with fewer than two scores
     are excluded from testing and reported; Bonferroni correction uses the
-    number of tests actually performed.
+    number of tests actually performed. Returns the ``phase_analysis.json``
+    payload: per-phase ``groups`` and ``group_sizes`` (keyed by the phase as
+    a string), the ``tests`` in ascending phase order, ``n_comparisons``,
+    ``excluded_phases`` and ``unmatched_pairs``.
     """
     groups: dict[int, list[float]] = {phase: [] for phase in range(MAX_PHASE + 1)}
     unmatched = 0
-    for pair in outcome_pairs:
-        score = predictions.get((pair.gene_id, pair.disease_id))
+    for gene_id, disease_id, max_phase in outcome_pairs:
+        score = predictions.get((gene_id, disease_id))
         if score is None:
             unmatched += 1
             continue
-        if not 0 <= pair.max_phase <= MAX_PHASE:
-            raise DataError(f"max_phase {pair.max_phase} outside 0..{MAX_PHASE}")
-        groups[pair.max_phase].append(float(score))
+        if not 0 <= max_phase <= MAX_PHASE:
+            raise DataError(f"max_phase {max_phase} outside 0..{MAX_PHASE}")
+        groups[max_phase].append(float(score))
     excluded = [phase for phase, scores in groups.items() if len(scores) < 2]
     tested = [phase for phase in groups if phase not in excluded]
     combos = list(itertools.combinations(tested, 2))
-    raw = {}
+    tests = []
     for phase_a, phase_b in combos:
         u, p_value = mann_whitney_u(groups[phase_a], groups[phase_b])
-        raw[(phase_a, phase_b)] = (u, p_value)
-    m = len(combos)
-    pairwise = {
-        key: (u, p_value, bonferroni(p_value, m) if m else 1.0)
-        for key, (u, p_value) in raw.items()
+        tests.append({
+            "phase_a": phase_a,
+            "phase_b": phase_b,
+            "u": u,
+            "p_raw": p_value,
+            "p_corrected": bonferroni(p_value, len(combos)),
+        })
+    return {
+        "groups": {str(phase): scores for phase, scores in groups.items()},
+        "group_sizes": {str(phase): len(scores) for phase, scores in groups.items()},
+        "tests": tests,
+        "n_comparisons": len(tests),
+        "excluded_phases": excluded,
+        "unmatched_pairs": unmatched,
     }
-    return PhaseAnalysis(
-        groups=groups, pairwise=pairwise, excluded=excluded, unmatched_pairs=unmatched
-    )

@@ -228,19 +228,11 @@ def init_chains(
     )
 
 
-def init_model(
-    dims: Sequence[int],
-    n_latent: int,
-    hyperprior: Hyperprior | None = None,
-    alpha: float = 5.0,
-    seed: int = 0,
-) -> ModelState:
-    """Fresh state of a single chain; see :func:`init_chains`."""
-    return init_chains([dims], n_latent, [seed], hyperprior=hyperprior, alpha=alpha)
-
-
 # --------------------------------------------------------------------------
-# Elementary draws.
+# Elementary draws. The sweep draws its hyperparameters stacked over chains
+# and does not call ``sample_wishart`` or ``sample_mvn``; they share its
+# ``_draw_bartlett``, ``_wishart`` and ``_mvn``, so holding these single
+# draws to their analytic moments checks that arithmetic in distribution.
 
 def sample_wishart(scale: np.ndarray, dof: float, rng: np.random.Generator) -> np.ndarray:
     """Draw from Wishart(scale, dof) by the Bartlett decomposition.

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Mode, ModeIndex, SparseTensor
+from .tensor import SparseTensor
 
 
 @dataclass(frozen=True)
@@ -79,14 +79,11 @@ def generate(
     return tensor, ground_truth, (targets, indications, layers)
 
 
-def synthetic_modes(dims: tuple[int, int, int]) -> tuple[ModeIndex, ModeIndex, ModeIndex]:
+def synthetic_modes(dims: tuple[int, int, int]) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
     """Placeholder identifiers so synthetic tensors serialize like real ones."""
     n_targets, n_indications, n_layers = dims
-    target_ids = tuple(f"T{i:04d}" for i in range(n_targets))
-    indication_ids = tuple(f"I{j:04d}" for j in range(n_indications))
-    layer_ids = ("outcome",) + tuple(f"evidence_{k}" for k in range(1, n_layers))
     return (
-        ModeIndex(Mode.TARGET, target_ids),
-        ModeIndex(Mode.INDICATION, indication_ids),
-        ModeIndex(Mode.LAYER, layer_ids),
+        tuple(f"T{i:04d}" for i in range(n_targets)),
+        tuple(f"I{j:04d}" for j in range(n_indications)),
+        ("outcome",) + tuple(f"evidence_{k}" for k in range(1, n_layers)),
     )

@@ -1,4 +1,4 @@
-"""Sparse rank-3 tensor storage, identifier indices and evaluation splits.
+"""Sparse rank-3 tensor storage, evaluation splits and serialization.
 
 Observations live in coordinate (COO) form: an ``(n, 3)`` integer array of
 ``(i, j, k)`` coordinates plus a value vector, kept in coordinate
@@ -14,8 +14,7 @@ outcome labels, ``k >= 1`` hold the evidence layers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from enum import IntEnum
+from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple, NoReturn, Sequence
@@ -24,42 +23,6 @@ import numpy as np
 
 from .errors import DataError
 from .io import FLOAT_FORMAT, atomic_write, read_json, read_text, write_tsv
-
-
-class Mode(IntEnum):
-    TARGET = 0
-    INDICATION = 1
-    LAYER = 2
-
-
-@dataclass(frozen=True)
-class ModeIndex:
-    """Bijection between domain identifiers and contiguous mode indices.
-
-    ``reverse`` is the identifier sequence; ``forward`` maps each identifier
-    to its position and is derived from it, so equality ignores it.
-    """
-
-    mode: Mode
-    reverse: tuple[str, ...]
-    forward: dict[str, int] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "forward", {ident: pos for pos, ident in enumerate(self.reverse)})
-
-    def __len__(self) -> int:
-        return len(self.reverse)
-
-
-def build_index(identifiers: Sequence[str], mode: Mode = Mode.TARGET) -> ModeIndex:
-    """Deduplicate, sort lexicographically and assign indices from 0.
-
-    Sorting before assignment makes tensors reproducible across runs and
-    machines regardless of input file ordering.
-    """
-    if len(identifiers) == 0:
-        raise DataError(f"empty mode: no identifiers for {mode.name}")
-    return ModeIndex(mode, tuple(sorted(set(identifiers))))
 
 
 class CountRuns(NamedTuple):
@@ -279,7 +242,8 @@ def split_cells(
 
 # --------------------------------------------------------------------------
 # Serialization: a TSV of entries plus a JSON sidecar with dims and the
-# three identifier sequences.
+# three identifier sequences. Each mode's identifiers are a tuple of strings
+# in index order: entity ``e`` of the mode is named by ``identifiers[e]``.
 
 _META_MODES = ("targets", "indications", "layers")
 _TSV_HEADER = ("i", "j", "k", "value")
@@ -288,30 +252,28 @@ _BLOCK_LINES = 1 << 14  # entry lines split into fields at a time while loading
 
 def save_tensor(
     tensor: SparseTensor,
-    modes: Sequence[ModeIndex],
+    modes: Sequence[Sequence[str]],
     tsv_path: str | Path,
     meta_path: str | Path,
 ) -> None:
     if len(modes) != 3:
-        raise DataError("expected one ModeIndex per tensor mode")
-    for mode_index, dim in zip(modes, tensor.dims):
-        if len(mode_index) != dim:
-            raise DataError(
-                f"{mode_index.mode.name} index size {len(mode_index)} does not match dim {dim}"
-            )
+        raise DataError("expected one identifier sequence per tensor mode")
+    for key, identifiers, dim in zip(_META_MODES, modes, tensor.dims):
+        if len(identifiers) != dim:
+            raise DataError(f"{len(identifiers)} {key} identifiers do not match dim {dim}")
     cell = f"%d\t%d\t%d\t{FLOAT_FORMAT}\n"
     write_tsv(tsv_path, _TSV_HEADER, map(cell.__mod__, zip(*tensor.coords.T.tolist(), tensor.values.tolist())))
     meta = {
         "dims": list(tensor.dims),
-        "modes": {key: list(index.reverse) for key, index in zip(_META_MODES, modes)},
+        "modes": {key: list(identifiers) for key, identifiers in zip(_META_MODES, modes)},
     }
     with atomic_write(meta_path) as handle:
         json.dump(meta, handle, indent=2)
         handle.write("\n")
 
 
-def _meta_indices(meta: object, meta_path: str | Path) -> tuple[list, tuple[ModeIndex, ...]]:
-    """Validate parsed tensor metadata and build one index per mode."""
+def _meta_indices(meta: object, meta_path: str | Path) -> tuple[list, tuple[tuple[str, ...], ...]]:
+    """Validate parsed tensor metadata and return its dims and per-mode identifiers."""
     try:
         dims = list(meta["dims"])
         lists = [meta["modes"][key] for key in _META_MODES]
@@ -319,18 +281,16 @@ def _meta_indices(meta: object, meta_path: str | Path) -> tuple[list, tuple[Mode
         raise DataError(f"{meta_path}: tensor metadata needs 'dims' and 'modes' {_META_MODES}") from exc
     if len(dims) != 3:
         raise DataError(f"{meta_path}: 'dims' must list three sizes, got {dims}")
-    modes = []
-    for mode, key, dim, idents in zip(Mode, _META_MODES, dims, lists):
+    for mode, (key, dim, idents) in enumerate(zip(_META_MODES, dims, lists)):
         if type(dim) is not int:  # JSON true, 1.0 and "1" are not sizes
-            raise DataError(f"{meta_path}: 'dims[{mode.value}]' must be an integer, got {type(dim).__name__} {dim!r}")
+            raise DataError(f"{meta_path}: 'dims[{mode}]' must be an integer, got {type(dim).__name__} {dim!r}")
         if not isinstance(idents, list) or not all(isinstance(i, str) for i in idents):
             raise DataError(f"{meta_path}: 'modes.{key}' must be a list of identifiers")
         if len(idents) != dim:
-            raise DataError(f"{meta_path}: {len(idents)} {key} identifiers for dims[{mode.value}] = {dim}")
-        modes.append(ModeIndex(mode, tuple(idents)))
-        if len(modes[-1].forward) != dim:
+            raise DataError(f"{meta_path}: {len(idents)} {key} identifiers for dims[{mode}] = {dim}")
+        if len(set(idents)) != dim:
             raise DataError(f"{meta_path}: duplicate identifiers in 'modes.{key}'")
-    return dims, tuple(modes)
+    return dims, tuple(tuple(idents) for idents in lists)
 
 
 def _entry_arrays(lines: list[str], dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray] | None:
@@ -377,8 +337,8 @@ def _raise_malformed(tsv_path: str | Path, header: str, lines: list[str], dims: 
 
 def load_tensor(
     tsv_path: str | Path, meta_path: str | Path
-) -> tuple[SparseTensor, tuple[ModeIndex, ModeIndex, ModeIndex]]:
-    """The tensor and identifier indices of a ``tensor.tsv`` plus its JSON sidecar.
+) -> tuple[SparseTensor, tuple[tuple[str, ...], ...]]:
+    """The tensor and per-mode identifiers of a ``tensor.tsv`` plus its JSON sidecar.
 
     The entries are parsed in one vectorised pass; only when it fails does
     a line loop run, to name the first malformed ``path:line``.

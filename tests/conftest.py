@@ -1,3 +1,4 @@
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,6 @@ from trialtensor import (
     parse_outcomes,
     parse_rare_disease,
 )
-from trialtensor.ingest import IngestReport
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -47,9 +47,9 @@ def data_dir() -> Path:
     return DATA_DIR
 
 
-def ingest_fixture(report: IngestReport | None = None):
+def ingest_fixture(report: Counter | None = None):
     """Run the full curation pipeline over the bundled fixture files."""
-    report = report if report is not None else IngestReport()
+    report = report if report is not None else Counter()
     xref = load_xref(DATA_DIR / "xref.tsv")
     evidence = parse_rare_disease(DATA_DIR / "rare_disease.tsv", report=report)
     evidence += parse_gene_burden(DATA_DIR / "gene_burden.tsv", report=report)

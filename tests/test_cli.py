@@ -12,9 +12,9 @@ import pytest
 
 import trialtensor
 from trialtensor import SparseTensor, sampler, load_checkpoint, predict_slice, save_tensor
+from trialtensor import cli
 from trialtensor.cli import main
 from trialtensor.io import format_float
-from trialtensor.tensor import Mode, ModeIndex
 
 
 @pytest.fixture()
@@ -76,6 +76,25 @@ class TestIngestCommand:
         assert "data error" in err
         assert "rare.tsv:2" in err
         assert not out.exists()
+
+    def test_outputs_do_not_depend_on_row_order(self, ingest_args, tmp_path):
+        # Identifiers are sorted and cells kept in coordinate order, so an input
+        # whose data rows come in another order ingests to the same bytes.
+        args, out = ingest_args
+        assert main(args) == 0
+        reversed_args = list(args)
+        for flag in ("--rare", "--burden", "--gwas", "--outcomes", "--xref"):
+            source = Path(args[args.index(flag) + 1])
+            header, *rows = source.read_text().splitlines(keepends=True)
+            target = tmp_path / "reversed" / source.name
+            target.parent.mkdir(exist_ok=True)
+            target.write_text(header + "".join(reversed(rows)))
+            reversed_args[args.index(flag) + 1] = str(target)
+        reversed_out = tmp_path / "reversed_out"
+        reversed_args[args.index("--out") + 1] = str(reversed_out)
+        assert main(reversed_args) == 0
+        for name in ("tensor.tsv", "tensor.meta.json", "pairs.tsv", "ingest_report.json"):
+            assert (reversed_out / name).read_bytes() == (out / name).read_bytes(), name
 
 
 @pytest.fixture()
@@ -146,11 +165,10 @@ class TestTrainCommand:
             ["%s", "D%%", "δ%", "%(y)d", "plain"],
             ["out%come", "e%s"],
         )
-        modes = tuple(ModeIndex(m, tuple(ns)) for m, ns in zip(Mode, names))
         dims = tuple(len(ns) for ns in names)
         cells = np.argwhere(np.ones(dims, dtype=bool))[::2]
         tensor = SparseTensor(dims, cells, (cells.sum(axis=1) % 2).astype(float))
-        save_tensor(tensor, modes, tmp_path / "t" / "tensor.tsv", tmp_path / "t" / "tensor.meta.json")
+        save_tensor(tensor, names, tmp_path / "t" / "tensor.tsv", tmp_path / "t" / "tensor.meta.json")
         out = tmp_path / "model"
         assert main(["train", "--tensor", str(tmp_path / "t"), "--out", str(out), "--seed", "3"] + SMALL_SCHEDULE) == 0
         samples, _ = load_checkpoint(out / "checkpoint")
@@ -466,6 +484,18 @@ class TestPhaseCommand:
         assert "predictions.tsv:6" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_duplicate_pair_is_data_error(self, tmp_path, capsys):
+        # A repeated pair would add its score to its phase group twice.
+        predictions, pairs = self._write_inputs(tmp_path)
+        lines = pairs.read_text().splitlines()
+        pairs.write_text("\n".join(lines + [lines[3]]) + "\n")
+        out = tmp_path / "phase"
+        args = ["phase-analysis", "--predictions", str(predictions), "--pairs", str(pairs),
+                "--out", str(out)]
+        assert main(args) == 2
+        assert f"pairs.tsv:{len(lines) + 1}: duplicate pair" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTopLevel:
     def test_no_command_is_usage_error(self, capsys):
@@ -485,6 +515,49 @@ class TestTopLevel:
         err = capsys.readouterr().err
         assert "numerical error: Singular matrix" in err
         assert "usage error" not in err
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [("train", "--latent-dim", "0"), ("train", "--alpha", "0"), ("train", "--alpha", "nan"),
+         ("train", "--burnin", "-1"), ("train", "--samples", "0"), ("train", "--thin", "0"),
+         ("train", "--seed", "-1"), ("evaluate", "--seed", "-1"), ("evaluate", "--alpha", "-2"),
+         ("simulate", "--dims", "3,0,2"), ("simulate", "--rank", "0"), ("simulate", "--noise-sd", "-0.1"),
+         ("simulate", "--observed-fraction", "0"), ("simulate", "--observed-fraction", "1.5"),
+         ("simulate", "--coupling", "-0.1"), ("simulate", "--coupling", "2"), ("simulate", "--seed", "-1")],
+    )
+    def test_bad_flag_value_names_flag(self, simulated_dir, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "o"
+        args = [command, "--out", str(out), flag, value]
+        if command != "simulate":
+            args += ["--tensor", str(simulated_dir)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and flag in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_fewer_samples_than_thin_names_both_flags(self, simulated_dir, tmp_path, capsys, command):
+        args = [command, "--tensor", str(simulated_dir), "--out", str(tmp_path / "o"), "--samples", "2", "--thin", "3"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "--samples" in err and "--thin" in err
+
+    def test_bad_config_value_names_key(self, simulated_dir, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("latent-dim = 0\n")
+        args = ["train", "--tensor", str(simulated_dir), "--out", str(tmp_path / "o"), "--config", str(config)]
+        assert main(args) == 1
+        assert "run.cfg:1: bad value for 'latent-dim': must be at least 1" in capsys.readouterr().err
+
+    def test_value_error_inside_command_propagates(self, ingested_dir, tmp_path, monkeypatch):
+        # Only flag values are usage errors; a ValueError from the computation is a bug to see in full.
+        def broken(*args, **kwargs):
+            raise ValueError("shapes (3,2) and (4,) not aligned")
+
+        monkeypatch.setattr(cli, "predict_slice", broken)
+        args = ["train", "--tensor", str(ingested_dir), "--out", str(tmp_path / "o")] + SMALL_SCHEDULE
+        with pytest.raises(ValueError, match="not aligned"):
+            main(args)
 
     @pytest.mark.parametrize("case", ["tensor_tsv", "tensor_meta", "evidence", "predictions", "config"])
     def test_non_utf8_input_is_data_error(self, ingested_dir, ingest_args, tmp_path, capsys, case):

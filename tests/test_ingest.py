@@ -1,5 +1,6 @@
 import logging
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,20 +20,20 @@ from trialtensor import (
     parse_gwas_l2g,
     parse_rare_disease,
 )
-from trialtensor.ingest import IngestReport, TrialRow, _rows
+from trialtensor.ingest import TrialRow, _rows
 
 from conftest import DATA_DIR, EDITS, FIXTURE_ENTRIES, ingest_fixture, splice
 
 
 class TestParseRareDisease:
     def test_fixture_acceptance_count(self, data_dir):
-        report = IngestReport()
+        report = Counter()
         records = parse_rare_disease(data_dir / "rare_disease.tsv", report=report)
         assert len(records) == 6
-        assert report.counts["rare_disease_rows"] == 8
-        assert report.counts["rare_disease_accepted"] == 6
-        assert report.counts["rare_disease_dropped_confidence"] == 1  # "limited"
-        assert report.counts["rare_disease_unknown_confidence"] == 1  # "tentative"
+        assert report["rare_disease_rows"] == 8
+        assert report["rare_disease_accepted"] == 6
+        assert report["rare_disease_dropped_confidence"] == 1  # "limited"
+        assert report["rare_disease_unknown_confidence"] == 1  # "tentative"
         assert all(r.value == 1.0 and r.layer is Layer.RARE_DISEASE for r in records)
 
     def test_unknown_confidence_warns(self, data_dir, caplog):
@@ -60,13 +61,13 @@ class TestParseGeneBurden:
         assert by_gene == {"ENSG0001": 1.0, "ENSG0002": 0.0, "ENSG0003": 0.0}
 
     def test_imbalance_fixture(self, data_dir):
-        report = IngestReport()
+        report = Counter()
         records = parse_gene_burden(data_dir / "gene_burden_imbalance.tsv", report=report)
         assert len(records) == 120
         positives = sum(1 for r in records if r.value == 1.0)
         assert positives == 3
         assert positives / len(records) == pytest.approx(0.025)
-        assert report.counts["burden_negative"] == 117
+        assert report["burden_negative"] == 117
 
     def test_bad_flag(self, tmp_path):
         bad = tmp_path / "burden.tsv"
@@ -77,11 +78,11 @@ class TestParseGeneBurden:
 
 class TestParseGwas:
     def test_threshold_gates_inclusion(self, data_dir):
-        report = IngestReport()
+        report = Counter()
         records = parse_gwas_l2g(data_dir / "gwas_l2g.tsv", report=report)
         values = sorted(r.value for r in records)
         assert values == [0.71, 0.83]
-        assert report.counts["gwas_below_threshold"] == 1
+        assert report["gwas_below_threshold"] == 1
 
     def test_custom_threshold(self, data_dir):
         records = parse_gwas_l2g(data_dir / "gwas_l2g.tsv", score_threshold=0.1)
@@ -157,16 +158,16 @@ class TestMapOntology:
 
     def test_unmapped_dropped_and_counted(self, data_dir):
         xref = load_xref(data_dir / "xref.tsv")
-        report = IngestReport()
+        report = Counter()
         records = map_ontology(
             [EvidenceRecord("G1", "EFO:9999999", Layer.GWAS, 0.9)], xref, report=report
         )
         assert records == []
-        assert report.counts["unmapped_dropped"] == 1
+        assert report["unmapped_dropped"] == 1
 
     def test_merge_conflict_keeps_max_and_reports(self, data_dir):
         xref = load_xref(data_dir / "xref.tsv")
-        report = IngestReport()
+        report = Counter()
         records = map_ontology(
             [
                 EvidenceRecord("G1", "EFO:0000400", Layer.GENE_BURDEN, 1.0),
@@ -178,7 +179,7 @@ class TestMapOntology:
         assert len(records) == 1
         assert records[0].value == 1.0
         assert records[0].disease_id == "MeSH:D003920"
-        assert report.counts["merge_conflicts"] == 1
+        assert report["merge_conflicts"] == 1
 
     def test_idempotent(self, data_dir):
         xref = load_xref(data_dir / "xref.tsv")
@@ -219,15 +220,15 @@ class TestBuildTensor:
         evidence, pairs = ingest_fixture()
         tensor, modes = build_tensor(evidence, pairs, [Layer.RARE_DISEASE])
         assert tensor.dims[2] == 2
-        assert modes[2].reverse == ("outcome", "rare_disease")
+        assert modes[2] == ("outcome", "rare_disease")
 
     def test_combined_fixture_matches_design(self, fixture_tensor):
         tensor, modes = fixture_tensor
         assert tensor.dims == (3, 2, 4)
         assert tensor.n_entries == 12
-        assert modes[0].reverse == ("ENSG0001", "ENSG0002", "ENSG0003")
-        assert modes[1].reverse == ("MeSH:D001249", "MeSH:D003920")
-        assert modes[2].reverse == ("outcome", "rare_disease", "gene_burden", "gwas")
+        assert modes[0] == ("ENSG0001", "ENSG0002", "ENSG0003")
+        assert modes[1] == ("MeSH:D001249", "MeSH:D003920")
+        assert modes[2] == ("outcome", "rare_disease", "gene_burden", "gwas")
         cells = zip(tensor.coords.tolist(), tensor.values.tolist())
         assert sorted((*coord, value) for coord, value in cells) == sorted(FIXTURE_ENTRIES)
 
@@ -240,7 +241,7 @@ class TestBuildTensor:
         # Every parsed burden row survives into the tensor (negatives included).
         evidence, pairs = ingest_fixture()
         tensor, modes = build_tensor(evidence, pairs)
-        burden_layer = modes[2].forward["gene_burden"]
+        burden_layer = modes[2].index("gene_burden")
         _, values = tensor.layer_entries(burden_layer)
         burden_records = [r for r in evidence if r.layer is Layer.GENE_BURDEN]
         assert len(values) == len(burden_records)
@@ -249,9 +250,9 @@ class TestBuildTensor:
     def test_layer_value_semantics(self, fixture_tensor):
         tensor, modes = fixture_tensor
         for name, lo in (("outcome", {0.0, 1.0}), ("rare_disease", {1.0})):
-            layer = modes[2].forward[name]
+            layer = modes[2].index(name)
             assert set(tensor.layer_entries(layer)[1]) <= lo
-        gwas_values = tensor.layer_entries(modes[2].forward["gwas"])[1]
+        gwas_values = tensor.layer_entries(modes[2].index("gwas"))[1]
         assert all(0.5 <= v <= 1.0 for v in gwas_values)
 
     def test_unlabeled_pairs_extend_mode_universe(self, data_dir):
@@ -261,7 +262,7 @@ class TestBuildTensor:
         extra = label_outcomes([_row(gene="ENSG0099", disease="EFO:0000270")])
         mapped = map_ontology(extra, load_xref(data_dir / "xref.tsv"))
         tensor, modes = build_tensor(evidence, pairs + mapped)
-        assert "ENSG0099" in modes[0].forward
+        assert "ENSG0099" in modes[0]
         assert tensor.dims[0] == 4
 
 

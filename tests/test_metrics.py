@@ -23,9 +23,7 @@ from trialtensor import (
 )
 from trialtensor import metrics
 from trialtensor.cli import main
-from trialtensor.ingest import OutcomePair, StopReason
 from trialtensor.metrics import _exact_two_sided_p, _midranks, _normal_two_sided_p, bonferroni
-from trialtensor.tensor import Mode, ModeIndex
 
 
 def brute_force_auroc(scores, labels):
@@ -293,14 +291,7 @@ class TestBonferroni:
 
 
 def _pair(gene, disease, phase):
-    return OutcomePair(
-        gene_id=gene,
-        disease_id=disease,
-        status_set=frozenset({"completed"}),
-        max_phase=phase,
-        stop_reason_class=StopReason.NONE,
-        label=None,
-    )
+    return (gene, disease, phase)
 
 
 class TestPhaseAnalysis:
@@ -321,8 +312,8 @@ class TestPhaseAnalysis:
     def test_five_phases_give_ten_tests(self):
         predictions, pairs = self._build({ph: 8 for ph in range(5)})
         analysis = phase_analysis(predictions, pairs)
-        assert analysis.n_comparisons == 10
-        assert analysis.excluded == []
+        assert analysis["n_comparisons"] == 10
+        assert analysis["excluded_phases"] == []
 
     def test_identical_groups_all_corrected_to_one(self):
         predictions = {}
@@ -333,32 +324,32 @@ class TestPhaseAnalysis:
                 predictions[(gene, disease)] = score
                 pairs.append(_pair(gene, disease, phase))
         analysis = phase_analysis(predictions, pairs)
-        assert all(p_corr == 1.0 for (_, _, p_corr) in analysis.pairwise.values())
+        assert all(test["p_corrected"] == 1.0 for test in analysis["tests"])
 
     def test_constructed_shift_is_significant(self):
         predictions, pairs = self._build(
             {ph: 30 for ph in range(5)}, shift_phase=3, shift=0.3, seed=3
         )
         analysis = phase_analysis(predictions, pairs)
-        _, _, p_corr = analysis.pairwise[(1, 3)]
+        [p_corr] = [t["p_corrected"] for t in analysis["tests"] if (t["phase_a"], t["phase_b"]) == (1, 3)]
         assert p_corr < 0.05
 
     def test_small_group_excluded_and_reported(self):
         predictions, pairs = self._build({0: 6, 1: 6, 2: 1, 4: 6})
         analysis = phase_analysis(predictions, pairs)
-        assert set(analysis.excluded) == {2, 3}
-        assert analysis.n_comparisons == 3  # C(3, 2)
+        assert set(analysis["excluded_phases"]) == {2, 3}
+        assert analysis["n_comparisons"] == 3  # C(3, 2)
 
     def test_unmatched_pairs_counted(self):
         predictions, pairs = self._build({0: 3, 1: 3})
         pairs.append(_pair("missing", "missing", 4))
         analysis = phase_analysis(predictions, pairs)
-        assert analysis.unmatched_pairs == 1
+        assert analysis["unmatched_pairs"] == 1
 
     def test_tsv_rows_shape(self):
         predictions, pairs = self._build({0: 4, 1: 4, 2: 4})
         analysis = phase_analysis(predictions, pairs)
-        rows = analysis.tsv_rows()
+        rows = analysis["tests"]
         assert len(rows) == 3
         assert all(len(row) == 5 for row in rows)
 
@@ -383,15 +374,15 @@ class TestRepeatedEval:
             n_latent=4, alpha=30.0, schedule=SamplerSchedule(10, 20, 10), heldout_fraction=0.2
         )
         [report] = repeated_eval(coupled_tensor, [config], 2, [7, 7])
-        assert report.auroc_sd == 0.0
-        assert report.f1_sd == 0.0
+        assert report["auroc"]["sd"] == 0.0
+        assert report["f1"]["sd"] == 0.0
 
     def test_synthetic_recovery_auroc(self, coupled_tensor):
         config = EvalConfig(
             n_latent=8, alpha=40.0, schedule=SamplerSchedule(60, 150, 30), heldout_fraction=0.2
         )
         [report] = repeated_eval(coupled_tensor, [config], 2, [1, 2])
-        assert report.auroc_mean >= 0.9
+        assert report["auroc"]["mean"] >= 0.9
 
     def test_report_schema(self, coupled_tensor):
         config = EvalConfig(
@@ -401,13 +392,12 @@ class TestRepeatedEval:
             schedule=SamplerSchedule(5, 10, 5),
         )
         [report] = repeated_eval(coupled_tensor, [config], 2, [3, 4])
-        payload = report.to_dict()
-        assert set(payload) == {
+        assert set(report) == {
             "model_name", "auroc", "f1", "imbalance", "n_repeats", "threshold",
         }
-        assert set(payload["auroc"]) == {"mean", "sd"}
-        assert 0.0 <= payload["imbalance"] <= 1.0
-        assert payload["threshold"] == 0.5
+        assert set(report["auroc"]) == {"mean", "sd"}
+        assert 0.0 <= report["imbalance"] <= 1.0
+        assert report["threshold"] == 0.5
 
     def test_layer_subset_must_start_at_outcome(self, coupled_tensor):
         config = EvalConfig(layers=(1, 2), schedule=SamplerSchedule(1, 2, 1))
@@ -433,7 +423,7 @@ def evidence_dir(tmp_path_factory):
         dims=(30, 24, 4), true_rank=4, noise_sd=0.15, observed_fraction=0.5, seed=11, coupling=0.9,
     ))
     targets, indications, _ = synthetic_modes(tensor.dims)
-    layers = ModeIndex(Mode.LAYER, ("outcome", "rare_disease", "gene_burden", "gwas"))
+    layers = ("outcome", "rare_disease", "gene_burden", "gwas")
     out = tmp_path_factory.mktemp("evidence")
     save_tensor(tensor, (targets, indications, layers), out / "tensor.tsv", out / "tensor.meta.json")
     return out

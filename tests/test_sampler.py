@@ -18,7 +18,6 @@ from trialtensor import (
     block_union,
     gibbs_step,
     init_chains,
-    init_model,
     load_checkpoint,
     predict_slice,
     run,
@@ -40,7 +39,7 @@ def _rng(seed=0):
 
 class TestInitModel:
     def test_latent_shapes(self):
-        state = init_model((3, 2, 4), 32, seed=0)
+        state = init_chains([(3, 2, 4)], 32, [0])
         assert state.latents[0].shape == (3, 32)
         assert state.latents[1].shape == (2, 32)
         assert state.latents[2].shape == (4, 32)
@@ -48,22 +47,22 @@ class TestInitModel:
         assert state.params[0].precision.shape == (1, 32, 32)
 
     def test_deterministic(self):
-        a = init_model((5, 4, 3), 8, seed=9)
-        b = init_model((5, 4, 3), 8, seed=9)
+        a = init_chains([(5, 4, 3)], 8, [9])
+        b = init_chains([(5, 4, 3)], 8, [9])
         for mat_a, mat_b in zip(a.latents, b.latents):
             assert np.array_equal(mat_a, mat_b)
 
     def test_column_means_near_zero(self):
         # Monte Carlo check of the standard-normal initializer.
-        state = init_model((10_000, 2, 2), 4, seed=3)
+        state = init_chains([(10_000, 2, 2)], 4, [3])
         means = state.latents[0].mean(axis=0)
         assert np.all(np.abs(means) < 4.0 / np.sqrt(10_000))
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
-            init_model((2, 2, 2), 0)
+            init_chains([(2, 2, 2)], 0, [0])
         with pytest.raises(ValueError):
-            init_model((2, 2, 2), 4, alpha=-1.0)
+            init_chains([(2, 2, 2)], 4, [0], alpha=-1.0)
 
 
 class TestSampleWishart:
@@ -342,7 +341,7 @@ class TestRowPosterior:
 
 
 def _make_state(tensor, n_latent=2, alpha=5.0, seed=0):
-    return init_model(tensor.dims, n_latent, alpha=alpha, seed=seed)
+    return init_chains([tensor.dims], n_latent, [seed], alpha=alpha)
 
 
 _OTHER_MODES = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
@@ -574,7 +573,7 @@ class TestModeLatents:
         # Target 2 has a cell, but the state has only two target rows: the
         # indication update must refuse rather than gather a wrong row.
         tensor = SparseTensor.from_entries((3, 2, 1), [(2, 1, 0, 0.5)])
-        state = init_model((2, 2, 1), 2, seed=0)
+        state = init_chains([(2, 2, 1)], 2, [0])
         with pytest.raises(DataError, match="do not match"):
             sample_mode_latents(state, tensor, 1)
 
@@ -603,7 +602,7 @@ class TestLockStep:
         together = run(init_chains([t.dims for t in tensors], n_latent, seeds, alpha=5.0), tensors, schedule)
         assert len(together) == len(tensors)
         for tensor, seed, samples in zip(tensors, seeds, together):
-            (alone,) = run(init_model(tensor.dims, n_latent, alpha=5.0, seed=seed), [tensor], schedule)
+            (alone,) = run(init_chains([tensor.dims], n_latent, [seed], alpha=5.0), [tensor], schedule)
             assert len(samples) == len(alone) == 2
             for sample, expected in zip(samples, alone):
                 assert all(np.array_equal(a, b) for a, b in zip(sample, expected))
@@ -616,7 +615,7 @@ class TestLockStep:
         run(init_chains([t.dims for t in tensors], 2, seeds), tensors, schedule)
         together, keys[:] = sorted(keys), []
         for tensor, seed in zip(tensors, seeds):
-            run(init_model(tensor.dims, 2, seed=seed), [tensor], schedule)
+            run(init_chains([tensor.dims], 2, [seed]), [tensor], schedule)
         assert together == sorted(keys)
         assert len(together) == 3 * (3 + 3 * 2 * 3)  # per chain: init, then hyper and latent per mode and sweep
 
@@ -664,7 +663,7 @@ class TestGibbsStep:
             assert np.array_equal(mat_b, mat_c)
 
     def test_dims_mismatch(self, tiny_tensor):
-        state = init_model((4, 2, 4), 2, seed=0)
+        state = init_chains([(4, 2, 4)], 2, [0])
         with pytest.raises(DataError):
             gibbs_step(state, tiny_tensor)
 
@@ -698,7 +697,7 @@ class TestPredict:
         assert predict_slice([sample], 0)[0, 0] == expected
 
     def test_out_of_range(self):
-        samples = [tuple(init_model((2, 2, 2), 1, seed=0).latents)]
+        samples = [tuple(init_chains([(2, 2, 2)], 1, [0]).latents)]
         for layer in (2, -1):
             with pytest.raises(DataError):
                 predict_slice(samples, layer)
@@ -723,7 +722,7 @@ class TestPredict:
     def test_sign_flip_invariance(self):
         # Negating one latent column in exactly two modes leaves every
         # prediction unchanged.
-        state = init_model((6, 5, 4), 3, seed=11)
+        state = init_chains([(6, 5, 4)], 3, [11])
         baseline = all_layers([tuple(state.latents)])
         for first, second in [(0, 1), (0, 2), (1, 2)]:
             flipped = copy.deepcopy(state)
@@ -803,7 +802,7 @@ class TestRun:
             for k in range(3)
         ]
         tensor = SparseTensor.from_entries((10, 8, 3), entries)
-        state = init_model(tensor.dims, 2, alpha=100.0, seed=1)
+        state = init_chains([tensor.dims], 2, [1], alpha=100.0)
         predicted = all_layers(run(state, [tensor], SamplerSchedule(150, 50, 10))[0])
         rmse = float(np.sqrt(np.mean((predicted - values) ** 2)))
         assert rmse <= 0.05

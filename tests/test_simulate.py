@@ -88,7 +88,7 @@ class TestGenerate:
 
 def test_synthetic_modes_match_dims():
     modes = synthetic_modes((3, 2, 4))
-    assert modes[0].reverse == ("T0000", "T0001", "T0002")
-    assert modes[1].reverse == ("I0000", "I0001")
-    assert modes[2].reverse == ("outcome", "evidence_1", "evidence_2", "evidence_3")
-    assert modes[2].forward["evidence_3"] == 3
+    assert modes[0] == ("T0000", "T0001", "T0002")
+    assert modes[1] == ("I0000", "I0001")
+    assert modes[2] == ("outcome", "evidence_1", "evidence_2", "evidence_3")
+    assert modes[2].index("evidence_3") == 3

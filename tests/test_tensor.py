@@ -11,58 +11,54 @@ from hypothesis import strategies as st
 from trialtensor import (
     CellSplit,
     DataError,
-    Mode,
+    EvidenceRecord,
+    Layer,
+    OutcomePair,
     SparseTensor,
+    StopReason,
     block_union,
-    build_index,
+    build_tensor,
     load_tensor,
     save_tensor,
     select_layers,
     split_cells,
 )
 from trialtensor.io import read_json, read_text
-from trialtensor.tensor import _BLOCK_LINES, ModeIndex, _meta_indices
+from trialtensor.tensor import _BLOCK_LINES, _meta_indices
 
 from conftest import EDITS, FIXTURE_ENTRIES, cell_value, splice
 
 
+def _build_genes(genes):
+    """build_tensor over one burden record per listed gene, each on its own disease."""
+    evidence = [EvidenceRecord(gene, f"D{n}", Layer.GENE_BURDEN, 1.0) for n, gene in enumerate(genes)]
+    pairs = [OutcomePair(genes[0], "D0", frozenset({"approved"}), 4, StopReason.NONE, 1)]
+    return build_tensor(evidence, pairs)
+
+
 class TestBuildIndex:
+    """build_tensor numbers each mode's identifiers: deduplicated, sorted, from 0."""
+
     def test_dedup_and_sort(self):
-        index = build_index(["ENSG2", "ENSG1", "ENSG2"])
-        assert index.forward == {"ENSG1": 0, "ENSG2": 1}
-        assert index.reverse == ("ENSG1", "ENSG2")
+        _, modes = _build_genes(["ENSG2", "ENSG1", "ENSG2"])
+        assert modes[0] == ("ENSG1", "ENSG2")
 
     def test_singleton(self):
-        index = build_index(["A"])
-        assert index.forward == {"A": 0}
+        _, modes = _build_genes(["A"])
+        assert modes[0] == ("A",)
 
-    def test_empty_is_error(self):
-        with pytest.raises(DataError, match="empty mode"):
-            build_index([])
-
-    def test_fixture_gene_column_sorted(self, data_dir):
+    def test_fixture_gene_column_sorted(self, data_dir, fixture_tensor):
         with open(data_dir / "outcomes.tsv", newline="") as fh:
             genes = [row["gene_id"] for row in csv.DictReader(fh, delimiter="\t")]
-        index = build_index(genes, Mode.TARGET)
-        assert index.reverse == tuple(sorted(set(genes)))
-        assert [index.forward[g] for g in index.reverse] == list(range(len(index)))
+        _, modes = fixture_tensor
+        assert modes[0] == tuple(sorted(set(genes)))
 
     @given(st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=40))
     def test_bijection(self, identifiers):
-        index = build_index(identifiers)
-        for ident in set(identifiers):
-            assert index.reverse[index.forward[ident]] == ident
-        assert sorted(index.forward.values()) == list(range(len(index)))
-
-    @given(st.lists(st.text(min_size=1, max_size=8), unique=True, min_size=1, max_size=40))
-    def test_forward_is_derived_from_reverse(self, identifiers):
-        index = ModeIndex(Mode.LAYER, tuple(identifiers))
-        assert [index.forward[ident] for ident in identifiers] == list(range(len(identifiers)))
-        assert len(index.forward) == len(index)
-        other = ModeIndex(Mode.LAYER, tuple(identifiers))
-        object.__setattr__(other, "forward", {})
-        assert other == index and hash(other) == hash(index)
-        assert ModeIndex(Mode.TARGET, tuple(identifiers)) != index
+        tensor, (targets, indications, _) = _build_genes(identifiers)
+        assert targets == tuple(sorted(set(identifiers)))
+        for n, gene in enumerate(identifiers):
+            assert cell_value(tensor, targets.index(gene), indications.index(f"D{n}"), 2) == 1.0
 
 
 class TestSparseTensor:
@@ -325,14 +321,7 @@ class TestSplitCells:
 
 class TestSerialization:
     def test_roundtrip(self, tiny_tensor, tmp_path):
-        modes = (
-            build_index(["g1", "g2", "g3"], Mode.TARGET),
-            build_index(["d1", "d2"], Mode.INDICATION),
-            build_index(["outcome", "rare_disease", "gene_burden", "gwas"], Mode.LAYER),
-        )
-        # layer index order must match layer positions, so rebuild unsorted
-        layers = ModeIndex(Mode.LAYER, ("outcome", "rare_disease", "gene_burden", "gwas"))
-        modes = (modes[0], modes[1], layers)
+        modes = (("g1", "g2", "g3"), ("d1", "d2"), ("outcome", "rare_disease", "gene_burden", "gwas"))
         tsv, meta = tmp_path / "tensor.tsv", tmp_path / "tensor.meta.json"
         save_tensor(tiny_tensor, modes, tsv, meta)
         assert tsv.read_text().splitlines()[0] == "i\tj\tk\tvalue"
@@ -340,27 +329,23 @@ class TestSerialization:
         assert loaded.dims == tiny_tensor.dims
         assert np.array_equal(loaded.coords, tiny_tensor.coords)
         assert np.array_equal(loaded.values, tiny_tensor.values)
-        assert loaded_modes[0].reverse == ("g1", "g2", "g3")
-        assert loaded_modes[2].forward["gwas"] == 3
+        assert loaded_modes[0] == ("g1", "g2", "g3")
+        assert loaded_modes[2].index("gwas") == 3
 
     def test_size_mismatch_rejected(self, tiny_tensor, tmp_path):
-        modes = (
-            build_index(["g1"], Mode.TARGET),
-            build_index(["d1", "d2"], Mode.INDICATION),
-            build_index(["a", "b", "c", "d"], Mode.LAYER),
-        )
+        modes = (("g1",), ("d1", "d2"), ("a", "b", "c", "d"))
         with pytest.raises(DataError):
             save_tensor(tiny_tensor, modes, tmp_path / "t.tsv", tmp_path / "t.meta.json")
 
     @pytest.mark.parametrize("empty", [False, True])
     def test_tsv_bytes_match_per_field_writer(self, tmp_path, empty):
         tensor = SparseTensor.empty((3, 2, 4)) if empty else SparseTensor.from_entries((3, 2, 4), FIXTURE_ENTRIES)
-        save_tensor(tensor, _modes(FIXTURE_NAMES), tmp_path / "tensor.tsv", tmp_path / "tensor.meta.json")
+        save_tensor(tensor, FIXTURE_NAMES, tmp_path / "tensor.tsv", tmp_path / "tensor.meta.json")
         assert (tmp_path / "tensor.tsv").read_bytes() == _reference_tsv_text(tensor).encode()
 
     def test_tsv_rows_in_coordinate_order(self, tmp_path):
         shuffled = [FIXTURE_ENTRIES[n] for n in np.random.default_rng(3).permutation(len(FIXTURE_ENTRIES))]
-        save_tensor(SparseTensor.from_entries((3, 2, 4), shuffled), _modes(FIXTURE_NAMES),
+        save_tensor(SparseTensor.from_entries((3, 2, 4), shuffled), FIXTURE_NAMES,
                     tmp_path / "tensor.tsv", tmp_path / "tensor.meta.json")
         rows = [tuple(map(int, line.split("\t")[:3])) for line in (tmp_path / "tensor.tsv").read_text().splitlines()[1:]]
         assert rows == sorted((i, j, k) for i, j, k, _ in FIXTURE_ENTRIES)
@@ -374,11 +359,7 @@ class TestSerialization:
             load_tensor(tmp_path / "tensor.tsv", tmp_path / "tensor.meta.json")
 
 
-FIXTURE_NAMES = [("G1", "G2", "G3"), ("D1", "D2"), ("o", "a", "b", "c")]
-
-
-def _modes(names):
-    return tuple(ModeIndex(mode, ids) for mode, ids in zip(Mode, names))
+FIXTURE_NAMES = (("G1", "G2", "G3"), ("D1", "D2"), ("o", "a", "b", "c"))
 
 
 def _reference_tsv_text(tensor):
@@ -417,7 +398,7 @@ def _load_outcome(load, directory):
         tensor, modes = load(directory / "tensor.tsv", directory / "tensor.meta.json")
     except DataError as exc:
         return str(exc)
-    return tensor.dims, tensor.coords.tolist(), tensor.values.view(np.int64).tolist(), [m.reverse for m in modes]
+    return tensor.dims, tensor.coords.tolist(), tensor.values.view(np.int64).tolist(), list(modes)
 
 
 def _assert_loads_like_line_loop(directory):
@@ -430,7 +411,7 @@ def _assert_loads_like_line_loop(directory):
 def tensor_texts(tmp_path_factory):
     directory = tmp_path_factory.mktemp("tensor")
     tensor = SparseTensor.from_entries((3, 2, 4), FIXTURE_ENTRIES)
-    save_tensor(tensor, _modes(FIXTURE_NAMES), directory / "tensor.tsv", directory / "tensor.meta.json")
+    save_tensor(tensor, FIXTURE_NAMES, directory / "tensor.tsv", directory / "tensor.meta.json")
     return {path.name: path.read_text() for path in directory.iterdir()}
 
 
@@ -471,7 +452,7 @@ class TestLoadTensorFuzz:
         tensor = SparseTensor(
             (n, 1, 2), np.column_stack([np.arange(n), np.zeros(n), np.arange(n) % 2]), np.arange(n) % 3 / 2
         )
-        save_tensor(tensor, _modes([[f"t{i}" for i in range(n)], ["d"], ["o", "e"]]),
+        save_tensor(tensor, [[f"t{i}" for i in range(n)], ["d"], ["o", "e"]],
                     tmp_path / "tensor.tsv", tmp_path / "tensor.meta.json")
         if bad_line is not None:
             lines = (tmp_path / "tensor.tsv").read_text().split("\n")
