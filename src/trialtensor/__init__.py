@@ -11,10 +11,9 @@ ingest counts as a ``collections.Counter`` and reports as their JSON dicts.
 
 from .errors import DataError, NumericalError, TrialTensorError
 from .ingest import (
-    EvidenceRecord,
-    Layer,
-    OutcomePair,
-    StopReason,
+    LAYER_ORDER,
+    STOP_REASONS,
+    UNLABELED,
     build_tensor,
     label_outcomes,
     load_xref,

@@ -108,7 +108,8 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--models", default="combined", help="comma list of model specs (combined, rare, burden+gwas, ...)")
     p.add_argument("--n-repeats", type=int, default=10, help="number of repeated splits (default 10)")
     p.add_argument("--heldout-fraction", type=float, default=0.2, help="held-out fraction per split (default 0.2)")
-    p.add_argument("--threshold", type=float, default=0.5, help="F1 threshold (default 0.5)")
+    p.add_argument("--threshold", type=_checked(float, "in (0, 1)", lambda value: 0 < value < 1), default=0.5,
+                   help="F1 threshold (default 0.5)")
     _add_sampler_flags(p)
     p.add_argument("--config", help="key=value defaults file")
     commands["evaluate"] = p
@@ -193,7 +194,7 @@ def _schedule(ns: argparse.Namespace) -> SamplerSchedule:
     return SamplerSchedule(burnin=ns.burnin, samples=ns.samples, thin=ns.thin)
 
 
-def _evidence_selection(text: str) -> list[ing.Layer]:
+def _evidence_selection(text: str) -> list[str]:
     if text.strip().lower() in ("combined", "all"):
         return list(ing.LAYER_ORDER)
     selection = []
@@ -201,7 +202,7 @@ def _evidence_selection(text: str) -> list[ing.Layer]:
         name = _LAYER_ALIASES.get(part.strip().lower())
         if name is None:
             raise UsageError(f"unknown evidence layer {part.strip()!r} in --layers")
-        selection.append(ing.Layer(name))
+        selection.append(name)
     return selection
 
 
@@ -238,19 +239,19 @@ def cmd_ingest(ns: argparse.Namespace) -> int:
     report = Counter()
     xref = ing.load_xref(_require_file(ns, "--xref"))
     selection = _evidence_selection(ns.layers)
-    evidence = []
-    if ing.Layer.RARE_DISEASE in selection:
-        evidence += ing.parse_rare_disease(_require_file(ns, "--rare"), report=report)
-    if ing.Layer.GENE_BURDEN in selection:
-        evidence += ing.parse_gene_burden(_require_file(ns, "--burden"), report=report)
-    if ing.Layer.GWAS in selection:
-        evidence += ing.parse_gwas_l2g(
+    tables = []
+    if "rare_disease" in selection:
+        tables.append(ing.parse_rare_disease(_require_file(ns, "--rare"), report=report))
+    if "gene_burden" in selection:
+        tables.append(ing.parse_gene_burden(_require_file(ns, "--burden"), report=report))
+    if "gwas" in selection:
+        tables.append(ing.parse_gwas_l2g(
             _require_file(ns, "--gwas"), score_threshold=ns.l2g_threshold, report=report
-        )
-    trial_rows = ing.parse_outcomes(_require_file(ns, "--outcomes"), report=report)
-    pairs = ing.label_outcomes(trial_rows, report=report)
-    evidence = ing.map_ontology(evidence, xref, report=report)
-    pairs = ing.map_ontology(pairs, xref, report=report)
+        ))
+    evidence = tuple(map(np.concatenate, zip(*tables)))
+    trials = ing.parse_outcomes(_require_file(ns, "--outcomes"), report=report)
+    pairs = ing.label_outcomes(trials, report=report)
+    evidence, pairs = ing.map_ontology(evidence, pairs, xref, report=report)
     tensor, modes = ing.build_tensor(evidence, pairs, selection)
     save_tensor(tensor, modes, out_dir / "tensor.tsv", out_dir / "tensor.meta.json")
     write_tsv(
@@ -258,17 +259,14 @@ def cmd_ingest(ns: argparse.Namespace) -> int:
         ("gene_id", "disease_id", "label", "max_phase", "stop_reason_class", "statuses"),
         (
             "%s\t%s\t%s\t%s\t%s\t%s\n" % (
-                p.gene_id,
-                p.disease_id,
-                "" if p.label is None else p.label,
-                p.max_phase,
-                p.stop_reason_class.value,
-                ",".join(sorted(p.status_set)),
+                gene, disease, "" if label == ing.UNLABELED else label, phase,
+                ing.STOP_REASONS[rank], ",".join(sorted(statuses)),
             )
-            for p in sorted(pairs, key=lambda p: (p.gene_id, p.disease_id))
+            for gene, disease, phase, statuses, rank, label in zip(*(column.tolist() for column in pairs))
         ),
     )
-    payload = dict(sorted(report.items()))
+    # Counters that never fired stay out of the report.
+    payload = dict(sorted((+report).items()))
     payload.update({"dims": list(tensor.dims), "n_entries": tensor.n_entries})
     write_json(out_dir / "ingest_report.json", payload)
     logger.info("ingested tensor dims=%s entries=%d -> %s", tensor.dims, tensor.n_entries, out_dir)
@@ -340,67 +338,57 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _read_predictions(path: Path, layer: str) -> dict[tuple[str, str], float]:
-    predictions: dict[tuple[str, str], float] = {}
-    with read_text(path) as handle:
-        header = handle.readline().rstrip("\n").split("\t")
-        expected = ["target_id", "indication_id", "layer", "score"]
-        if header != expected:
-            raise DataError(f"{path}: expected header {expected}, got {header}")
-        for lineno, line in enumerate(handle, start=2):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 fields")
-            if parts[2] != layer:
-                continue
-            key = (parts[0], parts[1])
-            if key in predictions:
-                raise DataError(f"{path}:{lineno}: duplicate prediction for {key}")
-            try:
-                score = float(parts[3])
-                if not 0.0 <= score <= 1.0:  # also rejects nan
-                    raise ValueError("outside [0, 1]")
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad score {parts[3]!r}, expected a number in [0, 1]") from exc
-            predictions[key] = score
-    if not predictions:
+def _repeats(*keys: np.ndarray) -> np.ndarray:
+    """True for each row whose key tuple an earlier row already has."""
+    *_, first = ing._merge((*keys, np.arange(len(keys[0]))), len(keys), (np.minimum,))
+    repeat = np.ones(len(keys[0]), dtype=bool)
+    repeat[first] = False
+    return repeat
+
+
+def _read_predictions(path: Path, layer: str, keys: set[tuple[str, str]]) -> dict[tuple[str, str], float]:
+    """The scores that the ``layer`` rows of a ``predictions.tsv`` hold for ``keys``; every row is checked.
+
+    Only the wanted keys enter the dict: a full layer has many more rows.
+    """
+    targets, indications, layers, text, lines = ing._table(path, ("target_id", "indication_id", "layer", "score"))
+    kept = layers == layer
+    if not kept.any():
         raise DataError(f"{path}: no predictions for layer {layer!r}")
-    return predictions
+    targets, indications, text, lines = targets[kept], indications[kept], text[kept], lines[kept]
+    ing._check(path, lines, ~_repeats(targets, indications),
+               lambda r: f"duplicate prediction for {(targets[r], indications[r])}")
+    score = ing._parsed(path, lines, text, float, "score")
+    ing._check(path, lines, (score >= 0.0) & (score <= 1.0),
+               lambda r: f"bad score {text[r]!r}, expected a number in [0, 1]")
+    wanted = np.fromiter((key in keys for key in zip(targets.tolist(), indications.tolist())), bool, len(targets))
+    return dict(zip(zip(targets[wanted].tolist(), indications[wanted].tolist()), score[wanted].tolist()))
 
 
 def _read_pairs(path: Path) -> list[tuple[str, str, int]]:
     """The ``(gene_id, disease_id, max_phase)`` triples of a ``pairs.tsv``, one per pair."""
-    pairs = []
-    seen: set[tuple[str, str]] = set()
-    for lineno, row in ing._rows(
-        path, ("gene_id", "disease_id", "max_phase")
-    ):
-        try:
-            max_phase = int(row["max_phase"])
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: bad max_phase {row['max_phase']!r}") from exc
-        if not 0 <= max_phase <= MAX_PHASE:
-            raise DataError(f"{path}:{lineno}: max_phase {max_phase} outside 0..{MAX_PHASE}")
-        label_text = (row.get("label") or "").strip()
-        if label_text not in ("", "0", "1"):
-            raise DataError(f"{path}:{lineno}: label must be 0, 1 or empty, got {label_text!r}")
-        reason_text = (row.get("stop_reason_class") or "none").strip().lower()
-        try:
-            ing.StopReason(reason_text)
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: unknown stop_reason_class {reason_text!r}") from exc
-        key = (row["gene_id"], row["disease_id"])
-        if key in seen:  # its score would be counted twice in its phase group
-            raise DataError(f"{path}:{lineno}: duplicate pair {key}")
-        seen.add(key)
-        pairs.append((*key, max_phase))
-    return pairs
+    genes, diseases, phase, label, reason, lines = ing._table(
+        path, ("gene_id", "disease_id", "max_phase"), optional=("label", "stop_reason_class")
+    )
+    phase = ing._parsed(path, lines, phase, int, "max_phase")
+    ing._check(path, lines, (phase >= 0) & (phase <= MAX_PHASE),
+               lambda r: f"max_phase {phase[r]} outside 0..{MAX_PHASE}")
+    label = ing._per_unique(label, str.strip)
+    ing._check(path, lines, np.isin(label, ("", "0", "1")),
+               lambda r: f"label must be 0, 1 or empty, got {label[r]!r}")
+    reason = ing._per_unique(reason, lambda text: (text or "none").strip().lower())
+    ing._check(path, lines, np.isin(reason, ing.STOP_REASONS),
+               lambda r: f"unknown stop_reason_class {reason[r]!r}")
+    # A repeated pair's score would be counted twice in its phase group.
+    ing._check(path, lines, ~_repeats(genes, diseases), lambda r: f"duplicate pair {(genes[r], diseases[r])}")
+    return list(zip(genes.tolist(), diseases.tolist(), phase.tolist()))
 
 
 def cmd_phase(ns: argparse.Namespace) -> int:
     out_dir = Path(_require(ns, "--out"))
-    predictions = _read_predictions(_require_file(ns, "--predictions"), ns.layer)
+    predictions_path = _require_file(ns, "--predictions")
     pairs = _read_pairs(_require_file(ns, "--pairs"))
+    predictions = _read_predictions(predictions_path, ns.layer, {(gene, disease) for gene, disease, _ in pairs})
     analysis = phase_analysis(predictions, pairs)
     for phase in analysis["excluded_phases"]:
         logger.warning("phase %d excluded from testing (fewer than 2 scores)", phase)

@@ -1,12 +1,7 @@
 """Parsers and curation rules turning evidence TSVs into the observation tensor.
 
-Input files (UTF-8, tab-delimited, one header row):
-
-* ``rare_disease.tsv``: gene_id, efo_id, confidence
-* ``gene_burden.tsv``: gene_id, efo_id, significant (0/1)
-* ``gwas_l2g.tsv``: gene_id, efo_id, l2g_score in [0, 1]
-* ``outcomes.tsv``: gene_id, efo_id, phase (0-4), status, stop_reason_class
-* ``xref.tsv``: efo_id, mesh_id
+Input files are UTF-8 TSVs with one header row; each parser names the
+columns it reads, and README's "Input file formats" lists them all.
 
 Curation rules: accepted rare-disease confidence tiers score 1.0; burden
 rows are kept whether significant or not, a non-significant association is
@@ -16,17 +11,26 @@ labeling: approval anywhere wins (label 1); otherwise any terminated or
 suspended trial, or a safety/efficacy stop class, labels the pair 0;
 otherwise the pair stays unlabeled and its cell is missing. Each step adds
 its row, drop, merge and conflict counts to a ``collections.Counter``.
+
+Tables are tuples of equal-length numpy columns, identifiers as object arrays
+of ``str``: evidence ``(gene_ids, disease_ids, layer, value)`` with ``layer``
+indexing :data:`LAYER_ORDER`; trials ``(gene_ids, disease_ids, phase, status,
+stop_rank)``, one row per trial, with ``stop_rank`` indexing
+:data:`STOP_REASONS`; pairs ``(gene_ids, disease_ids, phase, statuses,
+stop_rank, label)``, one row per (gene, disease) in that order, holding the
+highest phase, the ``frozenset`` of statuses, the lowest stop rank and the
+label (1, 0 or :data:`UNLABELED`).
 """
 
 from __future__ import annotations
 
-import csv
 import logging
-from collections import Counter, defaultdict
-from dataclasses import dataclass
-from enum import Enum
+from collections import Counter
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import DataError
 from .io import read_text
@@ -36,203 +40,183 @@ logger = logging.getLogger(__name__)
 
 OUTCOME_LAYER_NAME = "outcome"
 
-
-class Layer(Enum):
-    RARE_DISEASE = "rare_disease"
-    GENE_BURDEN = "gene_burden"
-    GWAS = "gwas"
-
-
 # Fixed layer order: outcome is slice 0, evidence slices follow in this order.
-LAYER_ORDER = (Layer.RARE_DISEASE, Layer.GENE_BURDEN, Layer.GWAS)
+LAYER_ORDER = ("rare_disease", "gene_burden", "gwas")
 
-DEFAULT_ACCEPTED_CONFIDENCE = frozenset({"definitive", "strong"})
-KNOWN_CONFIDENCE = frozenset(
-    {"definitive", "strong", "moderate", "limited", "disputed", "refuted"}
-)
+ACCEPTED_CONFIDENCE = ("definitive", "strong")
+KNOWN_CONFIDENCE = ("definitive", "strong", "moderate", "limited", "disputed", "refuted")
 
-KNOWN_STATUSES = frozenset(
-    {"approved", "terminated", "suspended", "completed", "active", "withdrawn"}
-)
-NEGATIVE_STATUSES = frozenset({"terminated", "suspended"})
+KNOWN_STATUSES = ("approved", "terminated", "suspended", "completed", "active", "withdrawn")
+NEGATIVE_STATUSES = ("terminated", "suspended")
 
+# Stop classes in reporting precedence: a pair reports the first of its
+# trials' classes, so a class's rank is its index. Ranks below
+# NEGATIVE_STOP_RANKS (safety, efficacy) label a pair 0.
+STOP_REASONS = ("safety", "efficacy", "business", "other", "none")
+NEGATIVE_STOP_RANKS = 2
 
-class StopReason(Enum):
-    SAFETY = "safety"
-    EFFICACY = "efficacy"
-    BUSINESS = "business"
-    OTHER = "other"
-    NONE = "none"
+UNLABELED = -1  # below both labels, so a pair's label is the maximum of its trials'
 
 
-NEGATIVE_STOP_REASONS = frozenset({StopReason.SAFETY, StopReason.EFFICACY})
-# Reporting precedence when one pair aggregates several stop classes.
-_STOP_PRECEDENCE = (
-    StopReason.SAFETY,
-    StopReason.EFFICACY,
-    StopReason.BUSINESS,
-    StopReason.OTHER,
-    StopReason.NONE,
-)
+def _table(path: str | Path, required: Sequence[str], optional: Sequence[str] = ()) -> tuple[np.ndarray, ...]:
+    """The ``required`` then ``optional`` columns of a header-bearing TSV, then each row's line number.
 
-
-@dataclass(frozen=True)
-class EvidenceRecord:
-    gene_id: str
-    disease_id: str
-    layer: Layer
-    value: float
-
-    def __post_init__(self):
-        if self.layer is Layer.RARE_DISEASE and self.value != 1.0:
-            raise DataError(f"rare-disease value must be 1.0, got {self.value}")
-        if self.layer is Layer.GENE_BURDEN and self.value not in (0.0, 1.0):
-            raise DataError(f"gene-burden value must be 0 or 1, got {self.value}")
-        if not 0.0 <= self.value <= 1.0:
-            raise DataError(f"evidence value outside [0, 1]: {self.value}")
-
-
-@dataclass(frozen=True)
-class TrialRow:
-    gene_id: str
-    disease_id: str
-    phase: int
-    status: str
-    stop_reason: StopReason
-
-
-@dataclass
-class OutcomePair:
-    """Aggregated trial history of one (gene, disease) pair."""
-
-    gene_id: str
-    disease_id: str
-    status_set: frozenset[str]
-    max_phase: int
-    stop_reason_class: StopReason
-    label: int | None
-
-
-def _rows(path: str | Path, required: Sequence[str]):
-    """Yield (line_number, row_dict) from a header-bearing TSV."""
+    Fields are split on tabs, with no quoting. A trailing ``\\r`` is dropped,
+    so CRLF files read the same, and blank lines are skipped. Every data line
+    must have the header's field count, and no required field may be empty;
+    an optional column the header lacks reads as empty strings.
+    """
     path = Path(path)
     with read_text(path, newline="") as handle:
-        reader = csv.DictReader(handle, delimiter="\t")
-        try:
-            header = reader.fieldnames or []
-            missing = [col for col in required if col not in header]
-            if missing:
-                raise DataError(f"{path}: missing columns {missing}")
-            for lineno, row in enumerate(reader, start=2):
-                if any(row.get(col) in (None, "") for col in required):
-                    raise DataError(f"{path}:{lineno}: malformed row, expected fields {list(required)}")
-                yield lineno, row
-        except csv.Error as exc:  # e.g. a field over csv's size limit
-            raise DataError(f"{path}:{reader.reader.line_num}: {exc}") from exc
+        # A "\r" ending a line goes with it, so CRLF reads as LF; one anywhere else stays in its field.
+        lines = handle.read().replace("\r\n", "\n").removesuffix("\r").split("\n")
+    header = lines[0].split("\t")
+    width = len(header)
+    missing = [col for col in required if col not in header]
+    if missing:
+        raise DataError(f"{path}: missing columns {missing}")
+    numbers = np.flatnonzero(np.fromiter(map(bool, lines), bool, len(lines)))[1:] + 1
+    rows = [line for line in lines[1:] if line]
+    del lines
+    widths = np.fromiter(map(str.count, rows, repeat("\t")), np.int64, len(rows)) + 1
+    _check(path, numbers, widths == width, lambda r: f"{widths[r]} fields, the header has {width}")
+    # Every row has the header's width, so all rows split as one string and
+    # column c is every width-th field from c. Each string is dropped as soon
+    # as the next one is made, which keeps a large file's peak memory down.
+    text = "\t".join(rows)
+    del rows
+    fields = text.split("\t") if numbers.size else []
+    del text
+    columns = [np.array(fields[header.index(col)::width], dtype=object) for col in required]
+    _check(path, numbers, np.all([col != "" for col in columns], axis=0),
+           lambda r: f"malformed row, expected fields {list(required)}")
+    columns += [np.array(fields[header.index(col)::width] if col in header else [""] * len(numbers), dtype=object)
+                for col in optional]
+    return (*columns, numbers)
 
 
-def parse_rare_disease(
-    path: str | Path,
-    report: Counter | None = None,
-) -> list[EvidenceRecord]:
+def _check(path: str | Path, lines: np.ndarray, ok: np.ndarray, message: Callable[[int], str]) -> None:
+    """Raise a :class:`DataError` naming the line of the first row where ``ok`` is False, as ``message(row)`` says."""
+    bad = np.flatnonzero(~np.asarray(ok, dtype=bool))
+    if bad.size:
+        raise DataError(f"{path}:{lines[bad[0]]}: {message(int(bad[0]))}")
+
+
+def _parsed(path: str | Path, lines: np.ndarray, column: np.ndarray, convert: type, name: str) -> np.ndarray:
+    """``column`` cast to ``convert``, ``int`` or ``float``, which read each field as they read text;
+    the first field they reject names its line."""
+    try:
+        return column.astype(convert)
+    except (ValueError, OverflowError):
+        for line, field in zip(lines.tolist(), column.tolist()):
+            try:
+                np.array([field], dtype=object).astype(convert)
+            except (ValueError, OverflowError) as exc:
+                raise DataError(f"{path}:{line}: bad {name} {field!r}") from exc
+        raise
+
+
+def _factorize(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a column in ascending order, and each row's index into them.
+    Rows are hashed, not sorted, so only the distinct values are ever compared."""
+    rows = column.tolist()
+    values = sorted(set(rows))
+    index = {value: code for code, value in enumerate(values)}
+    return np.array(values, dtype=column.dtype), np.fromiter(map(index.__getitem__, rows), np.int64, len(rows))
+
+
+def _per_unique(column: np.ndarray, func) -> np.ndarray:
+    """``func`` applied once per distinct value of an object column, broadcast back to the rows."""
+    values, codes = _factorize(column)
+    return np.array([func(value) for value in values.tolist()], dtype=object)[codes]
+
+
+def _merge(table: tuple[np.ndarray, ...], keys: int, reducers: Sequence[np.ufunc]) -> tuple[np.ndarray, ...]:
+    """One row per distinct tuple of the first ``keys`` columns, in ascending key order;
+    each further column is reduced over the group's rows by the matching ufunc."""
+    codes = [_factorize(key)[1] for key in table[:keys]]
+    order = np.lexsort(codes[::-1])  # stable: a group's rows keep their input order
+    new = np.arange(len(order)) == 0  # the first row starts a group, and so does every key change
+    for code in codes:
+        new[1:] |= code[order][1:] != code[order][:-1]
+    starts = np.flatnonzero(new)
+    return (*(column[order][starts] for column in table[:keys]),
+            *(reducer.reduceat(column[order], starts) for reducer, column in zip(reducers, table[keys:])))
+
+
+def parse_rare_disease(path: str | Path, report: Counter | None = None) -> tuple[np.ndarray, ...]:
     """Curated gene-disease links; accepted confidence tiers become value 1.0."""
     report = report if report is not None else Counter()
-    records = []
-    for lineno, row in _rows(path, ("gene_id", "efo_id", "confidence")):
-        confidence = row["confidence"].strip().lower()
-        report["rare_disease_rows"] += 1
-        if confidence in DEFAULT_ACCEPTED_CONFIDENCE:
-            records.append(
-                EvidenceRecord(row["gene_id"], row["efo_id"], Layer.RARE_DISEASE, 1.0)
-            )
-            report["rare_disease_accepted"] += 1
-        elif confidence in KNOWN_CONFIDENCE:
-            report["rare_disease_dropped_confidence"] += 1
-        else:
-            logger.warning("%s:%d: unknown confidence %r, dropping row", path, lineno, confidence)
-            report["rare_disease_unknown_confidence"] += 1
-    return records
+    genes, diseases, confidence, lines = _table(path, ("gene_id", "efo_id", "confidence"))
+    confidence = _per_unique(confidence, lambda text: text.strip().lower())
+    accepted = np.isin(confidence, ACCEPTED_CONFIDENCE)
+    unknown = ~np.isin(confidence, KNOWN_CONFIDENCE)
+    if unknown.any():
+        logger.warning("%s: dropped %d rows with unknown confidence, the first %r at line %d",
+                       path, unknown.sum(), confidence[unknown][0], lines[unknown][0])
+    report["rare_disease_rows"] += len(genes)
+    report["rare_disease_accepted"] += int(accepted.sum())
+    report["rare_disease_dropped_confidence"] += int((~accepted & ~unknown).sum())
+    report["rare_disease_unknown_confidence"] += int(unknown.sum())
+    layer = np.full(accepted.sum(), LAYER_ORDER.index("rare_disease"))
+    return genes[accepted], diseases[accepted], layer, np.ones(len(layer))
 
 
-DEFAULT_SIGNIFICANCE_POLICY = {"0": 0.0, "1": 1.0}
-
-
-def parse_gene_burden(
-    path: str | Path,
-    report: Counter | None = None,
-) -> list[EvidenceRecord]:
+def parse_gene_burden(path: str | Path, report: Counter | None = None) -> tuple[np.ndarray, ...]:
     """Burden associations; below-threshold rows are explicit 0.0 observations.
 
     Keeping the non-significant rows as observed negatives, instead of
     missing cells, is what distinguishes this layer from the other two.
     """
     report = report if report is not None else Counter()
-    records = []
-    for lineno, row in _rows(path, ("gene_id", "efo_id", "significant")):
-        flag = row["significant"].strip()
-        if flag not in DEFAULT_SIGNIFICANCE_POLICY:
-            raise DataError(f"{path}:{lineno}: significance flag {flag!r} not in {sorted(DEFAULT_SIGNIFICANCE_POLICY)}")
-        value = DEFAULT_SIGNIFICANCE_POLICY[flag]
-        records.append(EvidenceRecord(row["gene_id"], row["efo_id"], Layer.GENE_BURDEN, value))
-        report["burden_rows"] += 1
-        report["burden_positive" if value == 1.0 else "burden_negative"] += 1
-    return records
+    genes, diseases, flag, lines = _table(path, ("gene_id", "efo_id", "significant"))
+    flag = _per_unique(flag, str.strip)
+    _check(path, lines, np.isin(flag, ("0", "1")), lambda r: f"significance flag {flag[r]!r} not in ['0', '1']")
+    positive = flag == "1"
+    report["burden_rows"] += len(genes)
+    report["burden_positive"] += int(positive.sum())
+    report["burden_negative"] += int((~positive).sum())
+    return genes, diseases, np.full(len(genes), LAYER_ORDER.index("gene_burden")), positive.astype(np.float64)
 
 
 def parse_gwas_l2g(
-    path: str | Path,
-    score_threshold: float = 0.5,
-    report: Counter | None = None,
-) -> list[EvidenceRecord]:
+    path: str | Path, score_threshold: float = 0.5, report: Counter | None = None
+) -> tuple[np.ndarray, ...]:
     """Locus-to-gene scores; rows below the threshold are dropped (missing)."""
     if not 0.0 <= score_threshold <= 1.0:
         raise DataError(f"score threshold must be in [0, 1], got {score_threshold}")
     report = report if report is not None else Counter()
-    records = []
-    for lineno, row in _rows(path, ("gene_id", "efo_id", "l2g_score")):
-        try:
-            score = float(row["l2g_score"])
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: bad l2g_score {row['l2g_score']!r}") from exc
-        if not 0.0 <= score <= 1.0:
-            raise DataError(f"{path}:{lineno}: l2g_score {score} outside [0, 1]")
-        report["gwas_rows"] += 1
-        if score >= score_threshold:
-            records.append(EvidenceRecord(row["gene_id"], row["efo_id"], Layer.GWAS, score))
-            report["gwas_kept"] += 1
-        else:
-            report["gwas_below_threshold"] += 1
-    return records
+    genes, diseases, text, lines = _table(path, ("gene_id", "efo_id", "l2g_score"))
+    score = _parsed(path, lines, text, float, "l2g_score")
+    _check(path, lines, (score >= 0.0) & (score <= 1.0), lambda r: f"l2g_score {score[r]} outside [0, 1]")
+    kept = score >= score_threshold
+    report["gwas_rows"] += len(genes)
+    report["gwas_kept"] += int(kept.sum())
+    report["gwas_below_threshold"] += int((~kept).sum())
+    return genes[kept], diseases[kept], np.full(kept.sum(), LAYER_ORDER.index("gwas")), score[kept]
 
 
-def parse_outcomes(path: str | Path, report: Counter | None = None) -> list[TrialRow]:
+def parse_outcomes(path: str | Path, report: Counter | None = None) -> tuple[np.ndarray, ...]:
     """Read per-trial rows; stop reasons arrive pre-classified upstream."""
     report = report if report is not None else Counter()
-    rows = []
-    for lineno, row in _rows(
-        path, ("gene_id", "efo_id", "phase", "status", "stop_reason_class")
-    ):
-        try:
-            phase = int(row["phase"])
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: bad phase {row['phase']!r}") from exc
-        if not 0 <= phase <= 4:
-            raise DataError(f"{path}:{lineno}: phase {phase} outside 0..4")
-        reason_text = row["stop_reason_class"].strip().lower()
-        try:
-            reason = StopReason(reason_text)
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: unknown stop_reason_class {reason_text!r}") from exc
-        rows.append(
-            TrialRow(row["gene_id"], row["efo_id"], phase, row["status"].strip().lower(), reason)
-        )
-        report["outcome_rows"] += 1
-    return rows
+    required = ("gene_id", "efo_id", "phase", "status", "stop_reason_class")
+    genes, diseases, phase, status, reason, lines = _table(path, required)
+    phase = _parsed(path, lines, phase, int, "phase")
+    _check(path, lines, (phase >= 0) & (phase <= 4), lambda r: f"phase {phase[r]} outside 0..4")
+    reason = _per_unique(reason, lambda text: text.strip().lower())
+    _check(path, lines, np.isin(reason, STOP_REASONS), lambda r: f"unknown stop_reason_class {reason[r]!r}")
+    report["outcome_rows"] += len(genes)
+    status = _per_unique(status, lambda text: text.strip().lower())
+    stop_rank = _per_unique(reason, STOP_REASONS.index).astype(np.int64)
+    return genes, diseases, phase, status, stop_rank
 
 
-def label_outcomes(
-    trial_rows: Iterable[TrialRow], report: Counter | None = None
-) -> list[OutcomePair]:
+# A merged pair takes the highest phase, the union of the statuses, the lowest
+# stop rank and the highest label, so approval still dominates.
+_PAIR_REDUCERS = (np.maximum, np.bitwise_or, np.minimum, np.maximum)
+
+
+def label_outcomes(trials: tuple[np.ndarray, ...], report: Counter | None = None) -> tuple[np.ndarray, ...]:
     """Collapse trial rows per pair and apply the labeling rule.
 
     Approval dominates every other signal; a failure label requires a
@@ -241,41 +225,20 @@ def label_outcomes(
     treated as non-negative evidence.
     """
     report = report if report is not None else Counter()
-    by_pair: dict[tuple[str, str], list[TrialRow]] = defaultdict(list)
-    for row in trial_rows:
-        if row.status not in KNOWN_STATUSES:
-            logger.warning(
-                "unknown trial status %r for (%s, %s); treated as non-negative",
-                row.status,
-                row.gene_id,
-                row.disease_id,
-            )
-            report["outcome_unknown_status"] += 1
-        by_pair[(row.gene_id, row.disease_id)].append(row)
-    pairs = []
-    for (gene_id, disease_id), rows in sorted(by_pair.items()):
-        statuses = frozenset(row.status for row in rows)
-        reasons = {row.stop_reason for row in rows}
-        stop_reason = next(r for r in _STOP_PRECEDENCE if r in reasons)
-        if "approved" in statuses:
-            label = 1
-        elif statuses & NEGATIVE_STATUSES or reasons & NEGATIVE_STOP_REASONS:
-            label = 0
-        else:
-            label = None
-        pairs.append(
-            OutcomePair(
-                gene_id=gene_id,
-                disease_id=disease_id,
-                status_set=statuses,
-                max_phase=max(row.phase for row in rows),
-                stop_reason_class=stop_reason,
-                label=label,
-            )
-        )
-        report["outcome_pairs"] += 1
-        key = {1: "outcome_labeled_positive", 0: "outcome_labeled_negative", None: "outcome_unlabeled"}
-        report[key[label]] += 1
+    genes, diseases, phase, status, stop_rank = trials
+    unknown = ~np.isin(status, KNOWN_STATUSES)
+    if unknown.any():
+        logger.warning("%d trial rows with unknown trial status, treated as non-negative; the first is %r",
+                       unknown.sum(), status[unknown][0])
+        report["outcome_unknown_status"] += int(unknown.sum())
+    failed = np.isin(status, NEGATIVE_STATUSES) | (stop_rank < NEGATIVE_STOP_RANKS)
+    label = np.where(status == "approved", 1, np.where(failed, 0, UNLABELED))
+    statuses = _per_unique(status, lambda text: frozenset((text,)))
+    pairs = _merge((genes, diseases, phase, statuses, stop_rank, label), 2, _PAIR_REDUCERS)
+    report["outcome_pairs"] += len(pairs[0])
+    report["outcome_labeled_positive"] += int((pairs[5] == 1).sum())
+    report["outcome_labeled_negative"] += int((pairs[5] == 0).sum())
+    report["outcome_unlabeled"] += int((pairs[5] == UNLABELED).sum())
     return pairs
 
 
@@ -284,111 +247,58 @@ def label_outcomes(
 
 def load_xref(path: str | Path) -> dict[str, str]:
     """EFO to MeSH cross-reference table; one EFO id must map to one MeSH id."""
-    mapping: dict[str, str] = {}
-    for lineno, row in _rows(path, ("efo_id", "mesh_id")):
-        efo, mesh = row["efo_id"], row["mesh_id"]
-        if efo in mapping and mapping[efo] != mesh:
-            raise DataError(f"{path}:{lineno}: ambiguous mapping for {efo}: {mapping[efo]} vs {mesh}")
-        mapping[efo] = mesh
-    return mapping
-
-
-def _map_disease_id(disease_id: str, xref: dict[str, str], mapped_ids: frozenset[str]) -> str | None:
-    if disease_id in xref:
-        return xref[disease_id]
-    if disease_id in mapped_ids:
-        return disease_id  # already MeSH; keeps mapping idempotent
-    return None
+    efo, mesh, lines = _table(path, ("efo_id", "mesh_id"))
+    ids, first, inverse = np.unique(efo, return_index=True, return_inverse=True)
+    first_mesh = mesh[first][inverse.reshape(-1)]
+    _check(path, lines, mesh == first_mesh,
+           lambda r: f"ambiguous mapping for {efo[r]}: {first_mesh[r]} vs {mesh[r]}")
+    return dict(zip(ids.tolist(), mesh[first].tolist()))
 
 
 def map_ontology(
-    items: Sequence[EvidenceRecord] | Sequence[OutcomePair],
+    evidence: tuple[np.ndarray, ...],
+    pairs: tuple[np.ndarray, ...],
     xref: dict[str, str],
     report: Counter | None = None,
-):
-    """Replace EFO disease ids with MeSH ids, merging records that collide.
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Replace EFO disease ids with MeSH ids in both tables, merging rows that collide.
 
     Unmapped ids are dropped and counted. When several input ids land on one
-    MeSH id, evidence records merge to the maximum value (conflicting binary
-    values are reported), and outcome pairs merge their trial histories with
-    approval still dominating.
+    MeSH id, evidence rows merge per (gene, disease, layer) to the maximum
+    value, and pairs merge their trial histories with approval still
+    dominating. One conflict is counted per merged evidence cell whose values
+    are not all equal and per merged pair whose known labels differ. Both
+    tables come out in key order.
     """
     report = report if report is not None else Counter()
-    items = list(items)
-    if not items:
-        return []
-    mapped_ids = frozenset(xref.values())
-    if isinstance(items[0], EvidenceRecord):
-        return _map_records(items, xref, mapped_ids, report)
-    if isinstance(items[0], OutcomePair):
-        return _map_pairs(items, xref, mapped_ids, report)
-    raise DataError(f"cannot map ontology for {type(items[0]).__name__} items")
+    ids, codes = _factorize(np.concatenate([evidence[1], pairs[1]]))
+    # An id that is already a MeSH id maps to itself, so mapping twice changes nothing.
+    lookup = {**{mesh: mesh for mesh in xref.values()}, **xref}
+    mesh = np.array([lookup.get(ident, "") for ident in ids.tolist()], dtype=object)[codes]
+    kept = mesh != ""
+    report["unmapped_dropped"] += int((~kept).sum())
+    n = len(evidence[1])
+    evidence = tuple(column[kept[:n]] for column in (evidence[0], mesh[:n], *evidence[2:]))
+    pairs = tuple(column[kept[n:]] for column in (pairs[0], mesh[n:], *pairs[2:]))
 
-
-def _map_records(records, xref, mapped_ids, report) -> list[EvidenceRecord]:
-    merged: dict[tuple[str, str, Layer], EvidenceRecord] = {}
-    for record in records:
-        mesh = _map_disease_id(record.disease_id, xref, mapped_ids)
-        if mesh is None:
-            report["unmapped_dropped"] += 1
-            continue
-        key = (record.gene_id, mesh, record.layer)
-        incoming = EvidenceRecord(record.gene_id, mesh, record.layer, record.value)
-        existing = merged.get(key)
-        if existing is None:
-            merged[key] = incoming
-        else:
-            report["merged_records"] += 1
-            if existing.value != incoming.value:
-                report["merge_conflicts"] += 1
-                logger.warning(
-                    "merge conflict at (%s, %s, %s): %s vs %s, keeping max",
-                    record.gene_id, mesh, record.layer.value, existing.value, incoming.value,
-                )
-            if incoming.value > existing.value:
-                merged[key] = incoming
-    return list(merged.values())
-
-
-def _map_pairs(pairs, xref, mapped_ids, report) -> list[OutcomePair]:
-    merged: dict[tuple[str, str], OutcomePair] = {}
-    for pair in pairs:
-        mesh = _map_disease_id(pair.disease_id, xref, mapped_ids)
-        if mesh is None:
-            report["unmapped_dropped"] += 1
-            continue
-        key = (pair.gene_id, mesh)
-        existing = merged.get(key)
-        if existing is None:
-            merged[key] = OutcomePair(
-                gene_id=pair.gene_id,
-                disease_id=mesh,
-                status_set=pair.status_set,
-                max_phase=pair.max_phase,
-                stop_reason_class=pair.stop_reason_class,
-                label=pair.label,
-            )
-            continue
-        report["merged_pairs"] += 1
-        if existing.label is not None and pair.label is not None and existing.label != pair.label:
-            report["merge_conflicts"] += 1
-        labels = {existing.label, pair.label}
-        existing.status_set = existing.status_set | pair.status_set
-        existing.max_phase = max(existing.max_phase, pair.max_phase)
-        existing.stop_reason_class = next(
-            r for r in _STOP_PRECEDENCE if r in {existing.stop_reason_class, pair.stop_reason_class}
-        )
-        existing.label = 1 if 1 in labels else (0 if 0 in labels else None)
-    return list(merged.values())
+    genes, diseases, layer, top, low = _merge((*evidence, evidence[3]), 3, (np.maximum, np.minimum))
+    conflicts = top != low
+    if conflicts.any():
+        logger.warning("%d merged evidence cells had conflicting values; kept the maximum", conflicts.sum())
+    report["merged_records"] += len(evidence[0]) - len(genes)
+    *merged, saw_zero = _merge((*pairs, pairs[5] == 0), 2, (*_PAIR_REDUCERS, np.logical_or))
+    report["merged_pairs"] += len(pairs[0]) - len(merged[0])
+    report["merge_conflicts"] += int(conflicts.sum() + ((merged[5] == 1) & saw_zero).sum())
+    return (genes, diseases, layer, top), tuple(merged)
 
 
 # --------------------------------------------------------------------------
 # Tensor assembly.
 
 def build_tensor(
-    evidence: Sequence[EvidenceRecord],
-    outcomes: Sequence[OutcomePair],
-    layer_selection: Iterable[Layer] = LAYER_ORDER,
+    evidence: tuple[np.ndarray, ...],
+    pairs: tuple[np.ndarray, ...],
+    layer_selection: Sequence[str] = LAYER_ORDER,
 ) -> tuple[SparseTensor, tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]]:
     """Assemble the rank-3 tensor: outcome labels at layer 0, evidence after.
 
@@ -402,23 +312,19 @@ def build_tensor(
     selection = [layer for layer in LAYER_ORDER if layer in set(layer_selection)]
     if not selection:
         raise DataError("layer selection is empty")
-    evidence = [record for record in evidence if record.layer in selection]
-    labeled = [pair for pair in outcomes if pair.label is not None]
-    if not labeled:
+    genes, diseases, layer, value = evidence
+    pair_genes, pair_diseases, _, _, _, label = pairs
+    labeled = label != UNLABELED
+    if not labeled.any():
         raise DataError("empty outcome layer: no labeled pairs")
-    targets = tuple(sorted({r.gene_id for r in evidence} | {p.gene_id for p in outcomes}))
-    indications = tuple(sorted({r.disease_id for r in evidence} | {p.disease_id for p in outcomes}))
-    layers = (OUTCOME_LAYER_NAME, *(layer.value for layer in selection))
-    target_pos = {ident: pos for pos, ident in enumerate(targets)}
-    indication_pos = {ident: pos for pos, ident in enumerate(indications)}
-    entries = [
-        (target_pos[p.gene_id], indication_pos[p.disease_id], 0, float(p.label))
-        for p in labeled
-    ]
-    entries += [
-        (target_pos[r.gene_id], indication_pos[r.disease_id], selection.index(r.layer) + 1, r.value)
-        for r in evidence
-    ]
-    dims = (len(targets), len(indications), len(layers))
-    tensor = SparseTensor.from_entries(dims, entries)
-    return tensor, (targets, indications, layers)
+    # Each evidence layer's tensor slice, 0 for a layer left out.
+    slices = np.array([selection.index(name) + 1 if name in selection else 0 for name in LAYER_ORDER])
+    kept = slices[layer] > 0
+    targets, i = _factorize(np.concatenate([pair_genes, genes[kept]]))
+    indications, j = _factorize(np.concatenate([pair_diseases, diseases[kept]]))
+    k = np.concatenate([np.zeros(len(label), dtype=np.int64), slices[layer[kept]]])
+    cells = np.concatenate([labeled, np.ones(kept.sum(), dtype=bool)])
+    coords = np.column_stack([i, j, k])[cells]
+    values = np.concatenate([label.astype(np.float64), value[kept]])[cells]
+    modes = (tuple(targets.tolist()), tuple(indications.tolist()), (OUTCOME_LAYER_NAME, *selection))
+    return SparseTensor((len(targets), len(indications), len(modes[2])), coords, values), modes

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, NamedTuple, NoReturn, Sequence
+from typing import NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -96,13 +96,6 @@ class SparseTensor:
     @classmethod
     def empty(cls, dims: Sequence[int]) -> "SparseTensor":
         return cls(dims, np.empty((0, 3), dtype=np.int64), np.empty(0))
-
-    @classmethod
-    def from_entries(cls, dims: Sequence[int], entries: Iterable[Sequence[float]]) -> "SparseTensor":
-        rows = list(entries)
-        coords = np.array([[r[0], r[1], r[2]] for r in rows], dtype=np.int64).reshape(-1, 3)
-        values = np.array([r[3] for r in rows], dtype=np.float64)
-        return cls(dims, coords, values)
 
     @property
     def coords(self) -> np.ndarray:

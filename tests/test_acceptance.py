@@ -19,8 +19,6 @@ from scipy.stats import rankdata
 
 from trialtensor import (
     EvalConfig,
-    EvidenceRecord,
-    Layer,
     SamplerSchedule,
     SynthConfig,
     auroc,
@@ -42,7 +40,7 @@ from trialtensor.cli import main
 from trialtensor.metrics import _exact_two_sided_p, _normal_two_sided_p
 from trialtensor.rng import StreamTree
 
-from conftest import cell_value, ingest_fixture
+from conftest import NO_PAIRS, cell_value, evidence_rows, evidence_table, ingest_fixture, pair_rows
 from test_metrics import brute_force_auroc, pairwise_exact_mww_p
 from test_sampler import all_layers, mode_normals, per_row_reference
 
@@ -244,21 +242,24 @@ def test_c7_ingestion_rules(data_dir):
         assert len(burden_values) == 3
 
         # (b) ENSG0001 x MeSH:D001249 has approved + terminated(safety): label 1
-        pair = {(p.gene_id, p.disease_id): p for p in pairs}[("ENSG0001", "MeSH:D001249")]
-        assert "terminated" in pair.status_set and pair.label == 1
+        pair = {(p[0], p[1]): p for p in pair_rows(pairs)}[("ENSG0001", "MeSH:D001249")]
+        _, _, label, _, _, statuses = pair
+        assert "terminated" in statuses and label == 1
         assert cell_value(tensor, 0, 0, 0) == 1.0
 
         # (c) conflicting values merging onto one MeSH id resolve to max, reported
         conflict_report = Counter()
-        merged = map_ontology(
-            [
-                EvidenceRecord("GX", "EFO:0000400", Layer.GENE_BURDEN, 0.0),
-                EvidenceRecord("GX", "EFO:0000401", Layer.GENE_BURDEN, 1.0),
-            ],
+        merged, _ = map_ontology(
+            evidence_table([
+                ("GX", "EFO:0000400", "gene_burden", 0.0),
+                ("GX", "EFO:0000401", "gene_burden", 1.0),
+            ]),
+            NO_PAIRS,
             load_xref(data_dir / "xref.tsv"),
             report=conflict_report,
         )
-        assert len(merged) == 1 and merged[0].value == 1.0
+        merged = evidence_rows(merged)
+        assert len(merged) == 1 and merged[0][3] == 1.0
         assert conflict_report["merge_conflicts"] == 1
 
 

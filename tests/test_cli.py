@@ -64,18 +64,44 @@ class TestIngestCommand:
         assert main(args + ["--layers", "proteomics"]) == 1
         assert "usage error" in capsys.readouterr().err
 
-    def test_oversized_field_is_data_error(self, ingest_args, tmp_path, capsys):
-        # A field beyond csv's 131072-character limit is a data error naming
-        # the file and line, not a traceback.
+    def test_oversized_field_is_read_and_unmapped_id_dropped(self, ingest_args, tmp_path):
+        # Fields have no size limit: a 200k-character disease id is read like
+        # any other, and since the xref table does not know it, dropped and counted.
         args, out = ingest_args
         rare = tmp_path / "rare.tsv"
         rare.write_text(f"gene_id\tefo_id\tconfidence\nG1\t{'E' * 200_000}\tstrong\n")
         args[args.index("--rare") + 1] = str(rare)
-        assert main(args) == 2
-        err = capsys.readouterr().err
-        assert "data error" in err
-        assert "rare.tsv:2" in err
-        assert not out.exists()
+        assert main(args) == 0
+        report = json.loads((out / "ingest_report.json").read_text())
+        assert report["rare_disease_accepted"] == 1
+        assert report["unmapped_dropped"] == 1
+        assert "G1" not in json.loads((out / "tensor.meta.json").read_text())["modes"]["targets"]
+
+    @pytest.mark.parametrize("kind", ["evidence", "pairs"])
+    @pytest.mark.parametrize("order", [(0, 1, 0), (0, 0, 1), (1, 0, 0)])
+    def test_merge_conflicts_counted_per_merged_row(self, tmp_path, kind, order):
+        # Three EFO ids land on one MeSH id, so three rows merge into one cell
+        # (or pair) whose values differ: one conflict whatever the row order.
+        efo = ("EFO:A", "EFO:B", "EFO:C")
+        files = {
+            "xref": "efo_id\tmesh_id\n" + "".join(f"{e}\tMeSH:X\n" for e in efo),
+            "rare": "gene_id\tefo_id\tconfidence\nG1\tEFO:A\tstrong\n",
+            "gwas": "gene_id\tefo_id\tl2g_score\nG1\tEFO:A\t0.9\n",
+            "burden": "gene_id\tefo_id\tsignificant\n"
+            + ("".join(f"G1\t{e}\t{v}\n" for e, v in zip(efo, order)) if kind == "evidence" else "G1\tEFO:A\t1\n"),
+            "outcomes": "gene_id\tefo_id\tphase\tstatus\tstop_reason_class\n"
+            + ("".join(f"G1\t{e}\t2\t{'approved' if v else 'terminated'}\tnone\n" for e, v in zip(efo, order))
+               if kind == "pairs" else "G1\tEFO:A\t4\tapproved\tnone\n"),
+        }
+        args = ["ingest", "--out", str(tmp_path / "out")]
+        for flag, text in files.items():
+            (tmp_path / f"{flag}.tsv").write_text(text)
+            args += [f"--{flag}", str(tmp_path / f"{flag}.tsv")]
+        assert main(args) == 0
+        report = json.loads((tmp_path / "out" / "ingest_report.json").read_text())
+        merged = "merged_records" if kind == "evidence" else "merged_pairs"
+        assert report[merged] == 2
+        assert report["merge_conflicts"] == 1
 
     def test_outputs_do_not_depend_on_row_order(self, ingest_args, tmp_path):
         # Identifiers are sorted and cells kept in coordinate order, so an input
@@ -533,6 +559,19 @@ class TestTopLevel:
         assert main(args) == 1
         err = capsys.readouterr().err
         assert "usage error" in err and flag in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1.5", "0", "1", "nan"])
+    def test_bad_threshold_rejected_before_sampling(self, simulated_dir, tmp_path, capsys, monkeypatch, value):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("repeated_eval reached with a bad --threshold")
+
+        monkeypatch.setattr(cli, "repeated_eval", unreachable)
+        out = tmp_path / "report.json"
+        args = ["evaluate", "--tensor", str(simulated_dir), "--out", str(out), "--threshold", value]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "--threshold" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "evaluate"])

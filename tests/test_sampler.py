@@ -30,7 +30,7 @@ from trialtensor import (
 from trialtensor import sampler
 from trialtensor.rng import ROLE_LATENT, StreamTree
 
-from conftest import EDITS, FIXTURE_ENTRIES, splice
+from conftest import EDITS, FIXTURE_ENTRIES, splice, tensor_from_entries
 
 
 def _rng(seed=0):
@@ -438,7 +438,7 @@ class TestModeLatents:
     def test_unobserved_entity_draws_from_prior(self):
         # Entity 0 of mode 0 has no cells; its redraw should follow the mode
         # prior. Averaging over many sweeps checks the prior mean.
-        tensor = SparseTensor.from_entries((3, 2, 2), [(1, 0, 0, 0.5), (2, 1, 1, 0.25)])
+        tensor = tensor_from_entries((3, 2, 2), [(1, 0, 0, 0.5), (2, 1, 1, 0.25)])
         state = _make_state(tensor, n_latent=2, seed=1)
         prior_mean = np.array([1.0, -0.5])
         state.params[0].mean[:] = prior_mean
@@ -455,7 +455,7 @@ class TestModeLatents:
     def test_high_alpha_pins_single_observation(self):
         # D=1, one observation y with other-mode product q: the draw
         # approaches y / q as alpha grows.
-        tensor = SparseTensor.from_entries((1, 1, 1), [(0, 0, 0, 0.8)])
+        tensor = tensor_from_entries((1, 1, 1), [(0, 0, 0, 0.8)])
         state = _make_state(tensor, n_latent=1, alpha=1e8, seed=2)
         state.latents[1][0, 0] = 2.0
         state.latents[2][0, 0] = 1.0
@@ -473,7 +473,7 @@ class TestModeLatents:
             for k in range(3)
             if rng.uniform() < 0.6
         ]
-        tensor = SparseTensor.from_entries((7, 5, 3), entries)
+        tensor = tensor_from_entries((7, 5, 3), entries)
         _assert_batched_matches_per_row(tensor, n_latent=4, seed=8)
 
     def test_batched_update_equals_per_row_reference_beyond_one_block(self):
@@ -537,7 +537,7 @@ class TestModeLatents:
         # rank-1 precision alpha * q q' with q = (1, 2): exactly singular.
         # The jitter policy (1e-6 * trace / D on the diagonal) rescues that
         # row only; target 1, with two cells, keeps its exact precision.
-        tensor = SparseTensor.from_entries(
+        tensor = tensor_from_entries(
             (2, 2, 1), [(0, 0, 0, 0.5), (1, 0, 0, 0.3), (1, 1, 0, 0.7)]
         )
         state = _make_state(tensor, n_latent=2, alpha=4.0, seed=3)
@@ -563,7 +563,7 @@ class TestModeLatents:
 
     def test_precision_beyond_jitter_raises(self):
         # A negative-definite prior cannot be rescued by one jitter retry.
-        tensor = SparseTensor.from_entries((2, 1, 1), [(1, 0, 0, 0.5)])
+        tensor = tensor_from_entries((2, 1, 1), [(1, 0, 0, 0.5)])
         state = _make_state(tensor, n_latent=2, seed=4)
         state.params[0].precision[:] = -np.eye(2)
         with pytest.raises(NumericalError, match="not SPD after jitter"):
@@ -572,7 +572,7 @@ class TestModeLatents:
     def test_dims_mismatch(self):
         # Target 2 has a cell, but the state has only two target rows: the
         # indication update must refuse rather than gather a wrong row.
-        tensor = SparseTensor.from_entries((3, 2, 1), [(2, 1, 0, 0.5)])
+        tensor = tensor_from_entries((3, 2, 1), [(2, 1, 0, 0.5)])
         state = init_chains([(2, 2, 1)], 2, [0])
         with pytest.raises(DataError, match="do not match"):
             sample_mode_latents(state, tensor, 1)
@@ -590,7 +590,7 @@ def _chain_tensors():
             for k in range(dims[2])
             if rng.uniform() < 0.6
         ]
-        tensors.append(SparseTensor.from_entries(dims, entries))
+        tensors.append(tensor_from_entries(dims, entries))
     return tensors
 
 
@@ -801,7 +801,7 @@ class TestRun:
             for j in range(8)
             for k in range(3)
         ]
-        tensor = SparseTensor.from_entries((10, 8, 3), entries)
+        tensor = tensor_from_entries((10, 8, 3), entries)
         state = init_chains([tensor.dims], 2, [1], alpha=100.0)
         predicted = all_layers(run(state, [tensor], SamplerSchedule(150, 50, 10))[0])
         rmse = float(np.sqrt(np.mean((predicted - values) ** 2)))
@@ -892,7 +892,7 @@ class TestCheckpoint:
 @pytest.fixture(scope="module")
 def checkpoint_texts(tmp_path_factory):
     directory = tmp_path_factory.mktemp("ckpt")
-    tensor = SparseTensor.from_entries((3, 2, 4), FIXTURE_ENTRIES)
+    tensor = tensor_from_entries((3, 2, 4), FIXTURE_ENTRIES)
     _checkpoint(directory, tensor, n_latent=2, schedule=SamplerSchedule(0, 2, 1))
     return {path.name: path.read_text() for path in directory.iterdir()}
 

@@ -11,13 +11,10 @@ from hypothesis import strategies as st
 from trialtensor import (
     CellSplit,
     DataError,
-    EvidenceRecord,
-    Layer,
-    OutcomePair,
     SparseTensor,
-    StopReason,
     block_union,
     build_tensor,
+    label_outcomes,
     load_tensor,
     save_tensor,
     select_layers,
@@ -26,13 +23,13 @@ from trialtensor import (
 from trialtensor.io import read_json, read_text
 from trialtensor.tensor import _BLOCK_LINES, _meta_indices
 
-from conftest import EDITS, FIXTURE_ENTRIES, cell_value, splice
+from conftest import EDITS, FIXTURE_ENTRIES, cell_value, evidence_table, splice, tensor_from_entries, trial_table
 
 
 def _build_genes(genes):
     """build_tensor over one burden record per listed gene, each on its own disease."""
-    evidence = [EvidenceRecord(gene, f"D{n}", Layer.GENE_BURDEN, 1.0) for n, gene in enumerate(genes)]
-    pairs = [OutcomePair(genes[0], "D0", frozenset({"approved"}), 4, StopReason.NONE, 1)]
+    evidence = evidence_table([(gene, f"D{n}", "gene_burden", 1.0) for n, gene in enumerate(genes)])
+    pairs = label_outcomes(trial_table([(genes[0], "D0", 4, "approved", "none")]))
     return build_tensor(evidence, pairs)
 
 
@@ -69,10 +66,10 @@ class TestSparseTensor:
 
     def test_duplicate_coordinate_is_error(self):
         with pytest.raises(DataError, match="duplicate"):
-            SparseTensor.from_entries((2, 2, 2), [(0, 0, 0, 1.0), (0, 0, 0, 0.5)])
+            tensor_from_entries((2, 2, 2), [(0, 0, 0, 1.0), (0, 0, 0, 0.5)])
 
     def test_bulk_fixture_entries(self):
-        tensor = SparseTensor.from_entries((3, 2, 4), FIXTURE_ENTRIES)
+        tensor = tensor_from_entries((3, 2, 4), FIXTURE_ENTRIES)
         assert tensor.n_entries == 12
         assert tensor.n_entries / np.prod(tensor.dims) == pytest.approx(12 / (3 * 2 * 4))
 
@@ -87,7 +84,7 @@ class TestSparseTensor:
     )
     def test_invalid_entries(self, coord, value, match):
         with pytest.raises(DataError, match=match):
-            SparseTensor.from_entries((2, 2, 2), [(*coord, value)])
+            tensor_from_entries((2, 2, 2), [(*coord, value)])
 
     @pytest.mark.parametrize("dims", [(2**40, 2**40, 8), (2**62, 2, 1), (2**63 - 1, 2, 1)])
     def test_dims_beyond_int64_linear_index_rejected(self, dims):
@@ -114,7 +111,7 @@ class TestSparseTensor:
             i, rest = divmod(lin, dims[1] * dims[2])
             j, k = divmod(rest, dims[2])
             entries.append((i, j, k, data.draw(st.floats(0, 1, allow_nan=False))))
-        tensor = SparseTensor.from_entries(dims, entries)
+        tensor = tensor_from_entries(dims, entries)
         for i, j, k, value in entries:
             assert cell_value(tensor, i, j, k) == value
 
@@ -168,7 +165,7 @@ class TestSparseTensor:
         assert runs.index_a.shape == runs.values.shape == (0,)
 
     def test_block_union_offsets_each_block(self, tiny_tensor):
-        other = SparseTensor.from_entries((2, 3, 2), [(1, 2, 0, 0.25), (0, 0, 1, 1.0), (1, 0, 1, 0.5)])
+        other = tensor_from_entries((2, 3, 2), [(1, 2, 0, 0.25), (0, 0, 1, 1.0), (1, 0, 1, 0.5)])
         blocks = [tiny_tensor, other, tiny_tensor]
         union = block_union(blocks)
         offsets = np.cumsum([(0, 0, 0)] + [block.dims for block in blocks], axis=0)
@@ -229,7 +226,7 @@ class TestSelectLayers:
 
 def _ten_cell_layer():
     entries = [(i, 0, 0, 1.0) for i in range(5)] + [(i, 0, 0, 0.0) for i in range(5, 10)]
-    return SparseTensor.from_entries((10, 1, 1), entries)
+    return tensor_from_entries((10, 1, 1), entries)
 
 
 class TestSplitCells:
@@ -255,7 +252,7 @@ class TestSplitCells:
 
     def test_rows_in_lexicographic_order(self):
         entries = [(i, j, k, float(i % 2)) for i in range(6) for j in range(3) for k in range(2)]
-        tensor = SparseTensor.from_entries((6, 3, 2), entries[::-1])
+        tensor = tensor_from_entries((6, 3, 2), entries[::-1])
         split = split_cells(tensor, 1, 0.4, seed=4)
         for rows in (split.train, split.heldout):
             assert rows.dtype == np.int64
@@ -269,7 +266,7 @@ class TestSplitCells:
         orders = [entries, entries[::-1], [entries[n] for n in rng.permutation(len(entries))]]
         held = []
         for ordered in orders:
-            tensor = SparseTensor.from_entries((6, 3, 2), ordered)
+            tensor = tensor_from_entries((6, 3, 2), ordered)
             split = split_cells(tensor, 0, 0.4, seed=9)
             held.append((tensor.coords[split.heldout].tolist(), tensor.coords[split.train].tolist()))
         assert held[0] == held[1] == held[2]
@@ -280,7 +277,7 @@ class TestSplitCells:
 
     def test_insufficient_class_members(self):
         entries = [(0, 0, 0, 1.0), (1, 0, 0, 0.0), (2, 0, 0, 0.0)]
-        tensor = SparseTensor.from_entries((3, 1, 1), entries)
+        tensor = tensor_from_entries((3, 1, 1), entries)
         with pytest.raises(DataError, match="insufficient class members"):
             split_cells(tensor, 0, 0.5, seed=0)
 
@@ -309,7 +306,7 @@ class TestSplitCells:
     def test_stratification_property(self, n_pos, n_neg, fraction, seed):
         entries = [(i, 0, 0, 1.0) for i in range(n_pos)]
         entries += [(n_pos + i, 0, 0, 0.0) for i in range(n_neg)]
-        tensor = SparseTensor.from_entries((n_pos + n_neg, 1, 1), entries)
+        tensor = tensor_from_entries((n_pos + n_neg, 1, 1), entries)
         split = split_cells(tensor, 0, fraction, seed=seed)
         held_pos = int((tensor.coords[split.heldout, 0] < n_pos).sum())
         assert abs(held_pos - fraction * n_pos) <= 1.0
@@ -339,13 +336,13 @@ class TestSerialization:
 
     @pytest.mark.parametrize("empty", [False, True])
     def test_tsv_bytes_match_per_field_writer(self, tmp_path, empty):
-        tensor = SparseTensor.empty((3, 2, 4)) if empty else SparseTensor.from_entries((3, 2, 4), FIXTURE_ENTRIES)
+        tensor = SparseTensor.empty((3, 2, 4)) if empty else tensor_from_entries((3, 2, 4), FIXTURE_ENTRIES)
         save_tensor(tensor, FIXTURE_NAMES, tmp_path / "tensor.tsv", tmp_path / "tensor.meta.json")
         assert (tmp_path / "tensor.tsv").read_bytes() == _reference_tsv_text(tensor).encode()
 
     def test_tsv_rows_in_coordinate_order(self, tmp_path):
         shuffled = [FIXTURE_ENTRIES[n] for n in np.random.default_rng(3).permutation(len(FIXTURE_ENTRIES))]
-        save_tensor(SparseTensor.from_entries((3, 2, 4), shuffled), FIXTURE_NAMES,
+        save_tensor(tensor_from_entries((3, 2, 4), shuffled), FIXTURE_NAMES,
                     tmp_path / "tensor.tsv", tmp_path / "tensor.meta.json")
         rows = [tuple(map(int, line.split("\t")[:3])) for line in (tmp_path / "tensor.tsv").read_text().splitlines()[1:]]
         assert rows == sorted((i, j, k) for i, j, k, _ in FIXTURE_ENTRIES)
@@ -389,7 +386,7 @@ def _reference_load_tensor(tsv_path, meta_path):
             if not (0 <= i < dims[0] and 0 <= j < dims[1] and 0 <= k < dims[2]):
                 raise DataError(f"{tsv_path}:{lineno}: coordinate ({i}, {j}, {k}) out of range for dims {dims}")
             entries.append((i, j, k, value))
-    return SparseTensor.from_entries(dims, entries), modes
+    return tensor_from_entries(dims, entries), modes
 
 
 def _load_outcome(load, directory):
@@ -410,7 +407,7 @@ def _assert_loads_like_line_loop(directory):
 @pytest.fixture(scope="module")
 def tensor_texts(tmp_path_factory):
     directory = tmp_path_factory.mktemp("tensor")
-    tensor = SparseTensor.from_entries((3, 2, 4), FIXTURE_ENTRIES)
+    tensor = tensor_from_entries((3, 2, 4), FIXTURE_ENTRIES)
     save_tensor(tensor, FIXTURE_NAMES, directory / "tensor.tsv", directory / "tensor.meta.json")
     return {path.name: path.read_text() for path in directory.iterdir()}
 
