@@ -16,12 +16,13 @@ import logging
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from . import ingest as ing
 from .errors import DataError, NumericalError
-from .io import FLOAT_FORMAT, escape_percent, read_text, write_json, write_tsv
+from .io import FLOAT_BLOCK, entry_lines, escape_percent, format_floats, read_text, write_json, write_tsv
 from .metrics import MAX_PHASE, EvalConfig, phase_analysis, repeated_eval
 from .sampler import SamplerSchedule, init_chains, predict_slice, run, save_checkpoint
 from .simulate import SynthConfig, generate, synthetic_modes
@@ -258,10 +259,10 @@ def cmd_ingest(ns: argparse.Namespace) -> int:
         out_dir / "pairs.tsv",
         ("gene_id", "disease_id", "label", "max_phase", "stop_reason_class", "statuses"),
         (
-            "%s\t%s\t%s\t%s\t%s\t%s\n" % (
+            ("%s\t%s\t%s\t%s\t%s\t%s\n" % (
                 gene, disease, "" if label == ing.UNLABELED else label, phase,
                 ing.STOP_REASONS[rank], ",".join(sorted(statuses)),
-            )
+            )).encode()
             for gene, disease, phase, statuses, rank, label in zip(*(column.tolist() for column in pairs))
         ),
     )
@@ -283,22 +284,30 @@ def cmd_train(ns: argparse.Namespace) -> int:
     state = init_chains([tensor.dims], ns.latent_dim, [ns.seed], alpha=ns.alpha)
     (samples,) = run(state, [tensor], schedule)
     save_checkpoint(out_dir / "checkpoint", samples, state, schedule)
-    # One template per target: its identifier joins the per-indication tails.
-    layer = escape_percent(modes[2][0])
-    tails = ["", *(f"\t{escape_percent(ind)}\t{layer}\t{FLOAT_FORMAT}\n" for ind in modes[1])]
     write_tsv(
         out_dir / "predictions.tsv",
         ("target_id", "indication_id", "layer", "score"),
-        (
-            escape_percent(target).join(tails) % tuple(row.tolist())
-            for target, row in zip(modes[0], predict_slice(samples, 0))
-        ),
+        _prediction_lines(modes, predict_slice(samples, 0)),
     )
     logger.info(
         "trained on dims=%s entries=%d, retained %d samples -> %s",
         tensor.dims, tensor.n_entries, schedule.retained, out_dir,
     )
     return 0
+
+
+def _prediction_lines(modes: tuple, scores: np.ndarray) -> Iterator[bytes]:
+    """The ``predictions.tsv`` lines of a ``(n_targets, n_indications)`` score slice, a block of rows at a time.
+
+    Each target's line template joins its identifier to the per-indication
+    tails, ``%`` escaped, with a ``%b`` slot for each score.
+    """
+    layer = escape_percent(modes[2][0])
+    tails = [b"", *(f"\t{escape_percent(ind)}\t{layer}\t%b\n".encode() for ind in modes[1])]
+    step = max(1, FLOAT_BLOCK // max(1, scores.shape[1]))
+    for start in range(0, len(scores), step):
+        templates = [escape_percent(target).encode().join(tails) for target in modes[0][start:start + step]]
+        yield b"".join(templates) % tuple(format_floats(scores[start:start + step]))
 
 
 def cmd_evaluate(ns: argparse.Namespace) -> int:
@@ -346,23 +355,52 @@ def _repeats(*keys: np.ndarray) -> np.ndarray:
     return repeat
 
 
+def _coded(column: np.ndarray, codes: dict[str, int]) -> np.ndarray:
+    """Each row's code for its value, a new value taking the next free code."""
+    values, rows = ing._factorize(column)
+    return np.array([codes.setdefault(value, len(codes)) for value in values.tolist()], dtype=np.int64)[rows]
+
+
 def _read_predictions(path: Path, layer: str, keys: set[tuple[str, str]]) -> dict[tuple[str, str], float]:
     """The scores that the ``layer`` rows of a ``predictions.tsv`` hold for ``keys``; every row is checked.
 
-    Only the wanted keys enter the dict: a full layer has many more rows.
+    The file is read a block of lines at a time. Of the layer's rows only
+    integer codes of the identifiers and line numbers stay for the duplicate
+    check, and only the wanted keys' scores enter the dict. A bad score's
+    error waits for the duplicate check, which sees the whole layer.
     """
-    targets, indications, layers, text, lines = ing._table(path, ("target_id", "indication_id", "layer", "score"))
-    kept = layers == layer
-    if not kept.any():
+    codes: tuple[dict[str, int], dict[str, int]] = ({}, {})
+    target_codes, indication_codes, numbers, scores = [], [], [], {}
+    faults: tuple[list[DataError], list[DataError]] = ([], [])  # unreadable scores, then scores outside [0, 1]
+    for targets, indications, layers, text, lines in ing._blocks(path, ("target_id", "indication_id", "layer", "score")):
+        kept = layers == layer
+        targets, indications, text, lines = targets[kept], indications[kept], text[kept], lines[kept]
+        target_codes.append(_coded(targets, codes[0]))
+        indication_codes.append(_coded(indications, codes[1]))
+        numbers.append(lines)
+        try:
+            score = ing._parsed(path, lines, text, float, "score")
+        except DataError as exc:
+            faults[0].append(exc)
+            continue
+        try:
+            ing._check(path, lines, (score >= 0.0) & (score <= 1.0),
+                       lambda r: f"bad score {text[r]!r}, expected a number in [0, 1]")
+        except DataError as exc:
+            faults[1].append(exc)
+        wanted = np.fromiter((key in keys for key in zip(targets.tolist(), indications.tolist())), bool, len(targets))
+        scores.update(zip(zip(targets[wanted].tolist(), indications[wanted].tolist()), score[wanted].tolist()))
+    numbers = np.concatenate(numbers)
+    if not numbers.size:
         raise DataError(f"{path}: no predictions for layer {layer!r}")
-    targets, indications, text, lines = targets[kept], indications[kept], text[kept], lines[kept]
-    ing._check(path, lines, ~_repeats(targets, indications),
-               lambda r: f"duplicate prediction for {(targets[r], indications[r])}")
-    score = ing._parsed(path, lines, text, float, "score")
-    ing._check(path, lines, (score >= 0.0) & (score <= 1.0),
-               lambda r: f"bad score {text[r]!r}, expected a number in [0, 1]")
-    wanted = np.fromiter((key in keys for key in zip(targets.tolist(), indications.tolist())), bool, len(targets))
-    return dict(zip(zip(targets[wanted].tolist(), indications[wanted].tolist()), score[wanted].tolist()))
+    target_codes, indication_codes = np.concatenate(target_codes), np.concatenate(indication_codes)
+    names = [list(table) for table in codes]
+    ing._check(path, numbers, ~_repeats(target_codes, indication_codes),
+               lambda r: f"duplicate prediction for {(names[0][target_codes[r]], names[1][indication_codes[r]])}")
+    for found in faults:
+        if found:
+            raise found[0]
+    return scores
 
 
 def _read_pairs(path: Path) -> list[tuple[str, str, int]]:
@@ -397,8 +435,9 @@ def cmd_phase(ns: argparse.Namespace) -> int:
         out_dir / "phase_tests.tsv",
         ("phase_a", "phase_b", "u", "p_raw", "p_corrected"),
         (
-            f"%s\t%s\t{FLOAT_FORMAT}\t{FLOAT_FORMAT}\t{FLOAT_FORMAT}\n"
-            % (test["phase_a"], test["phase_b"], test["u"], test["p_raw"], test["p_corrected"])
+            b"%d\t%d\t%b\t%b\t%b\n" % (test["phase_a"], test["phase_b"], *format_floats(
+                [test["u"], test["p_raw"], test["p_corrected"]]
+            ))
             for test in analysis["tests"]
         ),
     )
@@ -419,11 +458,15 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     modes = synthetic_modes(config.dims)
     save_tensor(tensor, modes, out_dir / "tensor.tsv", out_dir / "tensor.meta.json")
     dims = config.dims
-    cell = f"%d\t%d\t%d\t{FLOAT_FORMAT}\n"
+    values = ground_truth.ravel()
+    blocks = ((start, min(start + FLOAT_BLOCK, values.size)) for start in range(0, values.size, FLOAT_BLOCK))
     write_tsv(
         out_dir / "ground_truth.tsv",
         ("i", "j", "k", "value"),
-        (cell % (i, j, k, value) for (i, j, k), value in np.ndenumerate(ground_truth)),
+        (
+            entry_lines(np.column_stack(np.unravel_index(np.arange(start, stop), dims)), values[start:stop])
+            for start, stop in blocks
+        ),
     )
     write_json(
         out_dir / "simulate_manifest.json",

@@ -28,7 +28,7 @@ import logging
 from collections import Counter
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -58,41 +58,77 @@ NEGATIVE_STOP_RANKS = 2
 UNLABELED = -1  # below both labels, so a pair's label is the maximum of its trials'
 
 
-def _table(path: str | Path, required: Sequence[str], optional: Sequence[str] = ()) -> tuple[np.ndarray, ...]:
-    """The ``required`` then ``optional`` columns of a header-bearing TSV, then each row's line number.
+_BLOCK_CHARS = 1 << 16  # characters read at a time: a block of lines is what they hold
 
-    Fields are split on tabs, with no quoting. A trailing ``\\r`` is dropped,
-    so CRLF files read the same, and blank lines are skipped. Every data line
-    must have the header's field count, and no required field may be empty;
-    an optional column the header lacks reads as empty strings.
+
+def _line_blocks(handle: TextIO) -> Iterator[list[str]]:
+    """The lines of a text file opened with ``newline=""``, a block at a time.
+
+    A ``"\\r"`` ending a line goes with it, so CRLF reads as LF; one anywhere
+    else stays in its field. The last line is the text after the last
+    newline, empty when the file ends with one.
+    """
+    carry = ""
+    while chunk := handle.read(_BLOCK_CHARS):
+        lines = (carry + chunk).replace("\r\n", "\n").split("\n")
+        carry = lines.pop()
+        if lines:
+            yield lines
+    yield [carry.removesuffix("\r")]
+
+
+def _blocks(path: str | Path, required: Sequence[str], optional: Sequence[str] = ()) -> Iterator[tuple[np.ndarray, ...]]:
+    """The ``required`` then ``optional`` columns of a header-bearing TSV, then each row's line number,
+    a block of rows at a time; at least one block, empty for a file without rows.
+
+    Fields are split on tabs, with no quoting. CRLF files read the same as LF
+    files, and blank lines are skipped. Every data line must have the
+    header's field count, and no required field may be empty; an optional
+    column the header lacks reads as empty strings. A block is checked when
+    it is read, so the first faulty block names the line.
     """
     path = Path(path)
     with read_text(path, newline="") as handle:
-        # A "\r" ending a line goes with it, so CRLF reads as LF; one anywhere else stays in its field.
-        lines = handle.read().replace("\r\n", "\n").removesuffix("\r").split("\n")
-    header = lines[0].split("\t")
+        blocks = _line_blocks(handle)
+        lines = next(blocks)
+        header = lines[0].split("\t")
+        missing = [col for col in required if col not in header]
+        if missing:
+            raise DataError(f"{path}: missing columns {missing}")
+        first = 2  # the line number of lines[1]
+        yield _rows(path, header, lines[1:], first, required, optional)
+        first += len(lines) - 1
+        for lines in blocks:
+            yield _rows(path, header, lines, first, required, optional)
+            first += len(lines)
+
+
+def _rows(
+    path: Path, header: list[str], lines: list[str], first: int, required: Sequence[str], optional: Sequence[str]
+) -> tuple[np.ndarray, ...]:
+    """One block of :func:`_blocks`: the columns of ``lines``, numbered from ``first``."""
     width = len(header)
-    missing = [col for col in required if col not in header]
-    if missing:
-        raise DataError(f"{path}: missing columns {missing}")
-    numbers = np.flatnonzero(np.fromiter(map(bool, lines), bool, len(lines)))[1:] + 1
-    rows = [line for line in lines[1:] if line]
-    del lines
+    numbers = np.flatnonzero(np.fromiter(map(bool, lines), bool, len(lines))) + first
+    rows = [line for line in lines if line]
     widths = np.fromiter(map(str.count, rows, repeat("\t")), np.int64, len(rows)) + 1
     _check(path, numbers, widths == width, lambda r: f"{widths[r]} fields, the header has {width}")
     # Every row has the header's width, so all rows split as one string and
-    # column c is every width-th field from c. Each string is dropped as soon
-    # as the next one is made, which keeps a large file's peak memory down.
-    text = "\t".join(rows)
+    # column c is every width-th field from c.
+    fields = "\t".join(rows).split("\t") if numbers.size else []
     del rows
-    fields = text.split("\t") if numbers.size else []
-    del text
     columns = [np.array(fields[header.index(col)::width], dtype=object) for col in required]
     _check(path, numbers, np.all([col != "" for col in columns], axis=0),
            lambda r: f"malformed row, expected fields {list(required)}")
     columns += [np.array(fields[header.index(col)::width] if col in header else [""] * len(numbers), dtype=object)
                 for col in optional]
     return (*columns, numbers)
+
+
+def _table(path: str | Path, required: Sequence[str], optional: Sequence[str] = ()) -> tuple[np.ndarray, ...]:
+    """All the blocks of :func:`_blocks` as one table. Columns are joined one
+    at a time, each dropping its blocks, so a file's columns are never held twice."""
+    columns = [list(blocks) for blocks in zip(*_blocks(path, required, optional))]
+    return tuple(np.concatenate(columns.pop(0)) for _ in range(len(columns)))
 
 
 def _check(path: str | Path, lines: np.ndarray, ok: np.ndarray, message: Callable[[int], str]) -> None:

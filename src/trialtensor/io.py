@@ -1,32 +1,31 @@
-"""Atomic file writing and small TSV/JSON helpers.
+"""Atomic file writing, small TSV/JSON helpers and the float format of every text artefact.
 
 Every artifact the package writes goes through :func:`atomic_write`, so a
 crashed or interrupted run never leaves a partially written file behind:
 content lands in a temp file in the destination directory and is moved into
-place with ``os.replace``.
+place with ``os.replace``. Every float in a text artefact is written as
+``%.17g`` by :func:`format_floats`, so ``float`` reads back the value written.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import BinaryIO, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from .errors import DataError
 
-# The float format of every text artefact and of every writer's ``%`` row
-# template: 17 significant digits, so ``float`` reads back the value written.
-FLOAT_FORMAT = "%.17g"
-
+FLOAT_BLOCK = 1 << 12  # the most floats a writer formats at a time
 
 @contextmanager
-def atomic_write(path: str | Path) -> Iterator[TextIO]:
-    """Open a temp file for writing and rename it onto ``path`` on success."""
+def atomic_write(path: str | Path) -> Iterator[BinaryIO]:
+    """Open a temp file for writing bytes and rename it onto ``path`` on success."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -34,7 +33,7 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+        with os.fdopen(fd, "wb") as handle:
             yield handle
         # mkstemp creates the file 0600; give it the mode open() would.
         umask = os.umask(0)
@@ -64,9 +63,146 @@ def read_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
             raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def format_float(value: float) -> str:
-    """17 significant digits, round-trips exactly; stable across runs."""
-    return FLOAT_FORMAT % float(value)
+# --------------------------------------------------------------------------
+# ``%.17g`` over arrays. For 1e-4 <= |v| < 1e15, ``%.17g`` prints the 17
+# significant digits N = round(|v| * 10**(16 - X)) in positional notation,
+# X being the decimal exponent of N's leading digit, and drops the trailing
+# zeros of the fraction. With v = m * 2**e (m the 53-bit mantissa) and
+# q = 16 - X, |v| * 10**q is m * 5**q shifted right by -(e + q) bits: a
+# product below 2**102, taken in two uint64 limbs and rounded half to even,
+# so no bignum is needed (Adams, "Ryu revisited: printf floating point
+# conversion", OOPSLA 2019). Every operand stays uint64: numpy promotes
+# uint64 meeting int64 to float64.
+
+_U64 = np.uint64
+_LOW32 = _U64(0xFFFFFFFF)
+_POW5 = np.array([5**q for q in range(23)], dtype=np.uint64)
+
+
+@functools.cache
+def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The four decimal digits of 0..9999 as ASCII, one uint32 each in memory
+    order, and the count of their trailing zeros. Built from the 100 digit
+    pairs on first use, so an import that writes no text does not hold them."""
+    pairs = np.frombuffer(b"".join(b"%02d" % n for n in range(100)), dtype=np.uint16)
+    digits = np.empty((100, 100, 2), dtype=np.uint16)
+    digits[..., 0], digits[..., 1] = pairs[:, None], pairs
+    trailing = np.array([4] + [len(text) - len(text.rstrip("0")) for text in map(str, range(1, 10_000))])
+    tables = digits.view(np.uint32).ravel(), trailing
+    for table in tables:
+        table.flags.writeable = False  # every call shares them
+    return tables
+
+
+# _KEEP[c] keeps the first c bytes of a uint64 word and clears the rest.
+_KEEP = np.array([b"\xff" * c + b"\0" * (8 - c) for c in range(9)]).view(np.uint64)
+_WIDTH = 24  # the longest fast-path text, "-0.000" and 17 digits, is 23 bytes
+
+
+def _scaled(mantissa: np.ndarray, exponent2: np.ndarray, exponent10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """floor(v * 10**(16 - exponent10)) for v = mantissa * 2**exponent2, and whether
+    round half to even takes it one up."""
+    q = 16 - exponent10
+    power = _POW5[q]
+    shift = (-(exponent2 + q)).astype(np.uint64)  # 1..50 over the fast range
+    m_hi, m_lo = mantissa >> _U64(32), mantissa & _LOW32
+    p_hi, p_lo = power >> _U64(32), power & _LOW32
+    low = m_lo * p_lo
+    middle = m_lo * p_hi + m_hi * p_lo  # below 2**54
+    lo = low + (middle << _U64(32))  # wraps modulo 2**64; the carry goes to hi
+    hi = m_hi * p_hi + (middle >> _U64(32)) + (lo < low).astype(np.uint64)
+    floor = (lo >> shift) | (hi << (_U64(64) - shift))
+    rest = lo & ((_U64(1) << shift) - _U64(1))
+    half = _U64(1) << (shift - _U64(1))
+    return floor, (rest > half) | ((rest == half) & (floor & _U64(1)).astype(bool))
+
+
+def format_floats(values) -> list[bytes]:
+    """``b"%.17g" % v`` for every value of a float array, in order.
+
+    Values with 1e-4 <= |v| < 1e15 are formatted in numpy and ±0 written
+    directly; only smaller, larger and non-finite values go through ``%``,
+    one at a time.
+    """
+    values = np.asarray(values, dtype=np.float64).ravel()
+    size = len(values)
+    magnitude = np.abs(values)
+    fast = (magnitude >= 1e-4) & (magnitude < 1e15)
+    zero = magnitude == 0.0
+    magnitude = np.where(fast, magnitude, 1.0)
+    fraction, exponent2 = np.frexp(magnitude)
+    mantissa = (fraction * 2.0**53).astype(np.uint64)
+    exponent2 = exponent2.astype(np.int64) - 53
+    # log10 may miss the decimal exponent by one next to a power of ten; the
+    # floor of the scaled value, never the rounded one, says which way.
+    exponent = np.floor(np.log10(magnitude)).astype(np.int64)
+    digits, up = _scaled(mantissa, exponent2, exponent)
+    off = np.flatnonzero((digits < _U64(10**16)) | (digits >= _U64(10**17)))
+    if off.size:
+        exponent[off] += np.where(digits[off] < _U64(10**16), -1, 1)
+        digits[off], up[off] = _scaled(mantissa[off], exponent2[off], exponent[off])
+    # Rounding never carries N up to 10**17: that needs a double within 5e-18
+    # (relative) below a power of ten, and the nearest in this range is 8e-17 away.
+    digits += up.astype(np.uint64)
+
+    # Every step below works on the values sorted by (sign, exponent) group,
+    # so that each group is one run of rows; a uint8 key sorts by radix.
+    negative = np.signbit(values)
+    group = (negative * 20 + exponent + 4).astype(np.uint8)
+    order = np.argsort(group, kind="stable")
+    digits, exponent = digits[order], exponent[order]
+
+    # The 17 digits, four at a time: the leading digit, then four groups of four.
+    high = (digits // _U64(10**8)).astype(np.uint32)  # the leading 9 digits
+    low = (digits - high * _U64(10**8)).astype(np.uint32)
+    quads = np.empty((5, size), dtype=np.intp)
+    quads[0], middle = np.divmod(high, np.uint32(10**8))
+    quads[1], quads[2] = np.divmod(middle, np.uint32(10**4))
+    quads[3], quads[4] = np.divmod(low, np.uint32(10**4))
+    digits4, trailing4 = _quad_tables()
+    ascii = np.empty((size, 5), dtype=np.uint32)
+    for column, quad in enumerate(quads):
+        ascii[:, column] = digits4[quad]
+    ascii = ascii.view(np.uint8)[:, 3:]
+    trailing = trailing4[quads[4]]
+    zeros = quads[4] == 0
+    for quad in quads[3:0:-1]:
+        trailing += zeros * trailing4[quad]
+        zeros &= quad == 0
+
+    # Lay each group out with fixed column slices.
+    counts = np.bincount(group, minlength=40)
+    bounds = np.cumsum(counts).tolist()
+    rows = np.zeros((size, _WIDTH), dtype=np.uint8)
+    for key in np.flatnonzero(counts).tolist():
+        sign, x = divmod(key, 20)
+        x -= 4
+        start, stop = bounds[key] - int(counts[key]), bounds[key]
+        out, digit = rows[start:stop], ascii[start:stop]
+        prefix = b"-" * sign
+        if x < 0:
+            prefix += b"0." + b"0" * (-x - 1)
+            out[:, len(prefix):len(prefix) + 17] = digit
+        else:
+            out[:, sign:sign + x + 1] = digit[:, :x + 1]
+            out[:, sign + x + 1] = ord(".")
+            out[:, sign + x + 2:sign + 18] = digit[:, x + 1:]
+        out[:, :len(prefix)] = np.frombuffer(prefix, np.uint8)
+    # Strip the fraction's trailing zeros, and the point when nothing follows it.
+    strip = np.flatnonzero(trailing)
+    point, tail = exponent[strip], trailing[strip]
+    decimals = 16 - point  # digits after the point before stripping
+    length = (negative[order[strip]] + np.where(point < 0, 1 - point, 1) + 17
+              - np.minimum(tail, decimals) - (tail >= decimals))
+    words = rows.view(np.uint64)
+    words[strip] &= _KEEP[np.clip(length[:, None] - np.arange(0, _WIDTH, 8), 0, 8)]
+    text = np.empty(size, dtype=f"S{_WIDTH}")
+    text[order] = rows.view(f"S{_WIDTH}").ravel()  # a bytes item ends at its first NUL padding
+    text[zero] = np.where(negative[zero], b"-0", b"0")
+    text = text.tolist()
+    for index in np.flatnonzero(~(fast | zero)).tolist():
+        text[index] = b"%.17g" % values[index]
+    return text
 
 
 def escape_percent(text: str) -> str:
@@ -74,27 +210,37 @@ def escape_percent(text: str) -> str:
     return text.replace("%", "%%")
 
 
-def float_rows(matrix: np.ndarray) -> str:
-    """A 2-D array as text: one line per row, ``FLOAT_FORMAT`` fields split by tabs."""
+def float_rows(matrix: np.ndarray) -> Iterator[bytes]:
+    """A 2-D array as text, a block of lines at a time: one line per row, fields split by tabs."""
     n_rows, n_cols = matrix.shape
-    template = ("\t".join([FLOAT_FORMAT] * n_cols) + "\n") * n_rows
-    return template % tuple(matrix.ravel().tolist())
+    line = b"\t".join([b"%b"] * n_cols) + b"\n"
+    step = max(1, FLOAT_BLOCK // max(1, n_cols))
+    for start in range(0, n_rows, step):
+        block = matrix[start:start + step]
+        yield line * len(block) % tuple(format_floats(block))
 
 
-def write_tsv(path: str | Path, header: Sequence[str], lines: Iterable[str]) -> None:
+def entry_lines(coords: np.ndarray, values: np.ndarray) -> bytes:
+    """One ``i, j, k, value`` line per row of ``coords`` and entry of ``values``."""
+    fields = np.empty((len(values), 4), dtype=object)
+    fields[:, :3] = coords
+    fields[:, 3] = format_floats(values)
+    return b"%d\t%d\t%d\t%b\n" * len(values) % tuple(fields.ravel().tolist())
+
+
+def write_tsv(path: str | Path, header: Sequence[str], lines: Iterable[bytes]) -> None:
     """Write a header plus already formatted lines as tab-separated text, atomically.
 
     Each item of ``lines`` is one or more complete lines, newline included.
     """
     with atomic_write(path) as handle:
-        handle.write("\t".join(header) + "\n")
+        handle.write("\t".join(header).encode() + b"\n")
         handle.writelines(lines)
 
 
-def write_json(path: str | Path, payload: object) -> None:
+def write_json(path: str | Path, payload: object, sort_keys: bool = True) -> None:
     with atomic_write(path) as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write((json.dumps(payload, indent=2, sort_keys=sort_keys) + "\n").encode())
 
 
 def read_json(path: str | Path) -> object:

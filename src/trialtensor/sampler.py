@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import json
 import operator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,7 +41,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .io import atomic_write, float_rows, read_json, read_text
+from .io import atomic_write, float_rows, read_json, read_text, write_json
 from .rng import ROLE_HYPER, ROLE_INIT, ROLE_LATENT, StreamTree
 from .tensor import CountRuns, SparseTensor, block_union
 
@@ -574,7 +573,7 @@ def save_checkpoint(
     for mode, filename in enumerate(_CHECKPOINT_FILES):
         with atomic_write(directory / filename) as handle:
             for sample in samples:
-                handle.write(float_rows(sample[mode]))
+                handle.writelines(float_rows(sample[mode]))
     manifest = {
         "n_latent": state.n_latent,
         "alpha": state.alpha,
@@ -584,9 +583,7 @@ def save_checkpoint(
         "seed": seed,
         "retained": len(samples),
     }
-    with atomic_write(directory / "manifest.json") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(directory / "manifest.json", manifest)
 
 
 def _read_stack(path: Path, retained: int, n_latent: int) -> np.ndarray:

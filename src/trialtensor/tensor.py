@@ -13,7 +13,6 @@ outcome labels, ``k >= 1`` hold the evidence layers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -22,7 +21,7 @@ from typing import NamedTuple, NoReturn, Sequence
 import numpy as np
 
 from .errors import DataError
-from .io import FLOAT_FORMAT, atomic_write, read_json, read_text, write_tsv
+from .io import FLOAT_BLOCK, entry_lines, read_json, read_text, write_json, write_tsv
 
 
 class CountRuns(NamedTuple):
@@ -254,15 +253,16 @@ def save_tensor(
     for key, identifiers, dim in zip(_META_MODES, modes, tensor.dims):
         if len(identifiers) != dim:
             raise DataError(f"{len(identifiers)} {key} identifiers do not match dim {dim}")
-    cell = f"%d\t%d\t%d\t{FLOAT_FORMAT}\n"
-    write_tsv(tsv_path, _TSV_HEADER, map(cell.__mod__, zip(*tensor.coords.T.tolist(), tensor.values.tolist())))
+    coords, values = tensor.coords, tensor.values
+    write_tsv(tsv_path, _TSV_HEADER, (
+        entry_lines(coords[start:start + FLOAT_BLOCK], values[start:start + FLOAT_BLOCK])
+        for start in range(0, len(values), FLOAT_BLOCK)
+    ))
     meta = {
         "dims": list(tensor.dims),
         "modes": {key: list(identifiers) for key, identifiers in zip(_META_MODES, modes)},
     }
-    with atomic_write(meta_path) as handle:
-        json.dump(meta, handle, indent=2)
-        handle.write("\n")
+    write_json(meta_path, meta, sort_keys=False)
 
 
 def _meta_indices(meta: object, meta_path: str | Path) -> tuple[list, tuple[tuple[str, ...], ...]]:

@@ -13,8 +13,9 @@ import pytest
 import trialtensor
 from trialtensor import SparseTensor, sampler, load_checkpoint, predict_slice, save_tensor
 from trialtensor import cli
+from trialtensor import ingest as ing
 from trialtensor.cli import main
-from trialtensor.io import format_float
+from trialtensor.io import format_floats
 
 
 @pytest.fixture()
@@ -178,7 +179,7 @@ class TestTrainCommand:
         assert len(samples) == manifest["retained"] == 3
         modes = json.loads((tensor_dir / "tensor.meta.json").read_text())["modes"]
         rebuilt = "target_id\tindication_id\tlayer\tscore\n" + "".join(
-            f"{target}\t{indication}\t{modes['layers'][0]}\t{format_float(score)}\n"
+            f"{target}\t{indication}\t{modes['layers'][0]}\t{format_floats([score])[0].decode()}\n"
             for target, row in zip(modes["targets"], predict_slice(samples, 0).tolist())
             for indication, score in zip(modes["indications"], row)
         )
@@ -521,6 +522,53 @@ class TestPhaseCommand:
         assert main(args) == 2
         assert f"pairs.tsv:{len(lines) + 1}: duplicate pair" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("block", [17, 64, 1 << 16])
+    def test_blocked_read_gives_the_same_analysis(self, tmp_path, monkeypatch, block):
+        predictions, pairs = self._write_inputs(tmp_path)
+        lines = predictions.read_text().splitlines()
+        # Rows of another layer and unpaired rows are read and checked, not kept.
+        extra = [f"x{n}\td{n}\tevidence_1\t0.5" for n in range(9)] + [f"u{n}\tv\toutcome\t1" for n in range(9)]
+        predictions.write_text("\n".join(lines[:30] + extra + lines[30:]) + "\n")
+        assert main(["phase-analysis", "--predictions", str(predictions), "--pairs", str(pairs),
+                     "--out", str(tmp_path / "a")]) == 0
+        monkeypatch.setattr(ing, "_BLOCK_CHARS", block)
+        assert main(["phase-analysis", "--predictions", str(predictions), "--pairs", str(pairs),
+                     "--out", str(tmp_path / "b")]) == 0
+        for name in ("phase_analysis.json", "phase_tests.tsv"):
+            assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            ("duplicate", "predictions.tsv:62: duplicate prediction for ('g0_2', 'd0_2')"),
+            ("score", "predictions.tsv:50: bad score 'x'"),
+            ("range_then_score", "predictions.tsv:50: bad score 'x'"),
+            ("range", "predictions.tsv:4: bad score '1.5', expected a number in [0, 1]"),
+            ("duplicate_after_score", "predictions.tsv:62: duplicate prediction for ('g0_2', 'd0_2')"),
+            ("layer", "no predictions for layer 'outcome'"),
+        ],
+    )
+    def test_faults_found_across_blocks(self, tmp_path, capsys, monkeypatch, edit, message):
+        # With blocks of a few lines, each fault and the row it names lie in different blocks.
+        monkeypatch.setattr(ing, "_BLOCK_CHARS", 64)
+        predictions, pairs = self._write_inputs(tmp_path)
+        lines = predictions.read_text().splitlines()
+        fields = [line.split("\t") for line in lines]
+        if edit in ("score", "range_then_score", "duplicate_after_score"):
+            fields[49][3] = "x"
+        if edit in ("range", "range_then_score"):
+            fields[3][3] = "1.5"
+        if edit == "layer":
+            for row in fields[1:]:
+                row[2] = "evidence_1"
+        lines = ["\t".join(row) for row in fields]
+        if edit.startswith("duplicate"):
+            lines.append(lines[3])
+        predictions.write_text("\n".join(lines) + "\n")
+        args = ["phase-analysis", "--predictions", str(predictions), "--pairs", str(pairs), "--out", str(tmp_path / "o")]
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestTopLevel:

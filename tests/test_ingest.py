@@ -21,6 +21,7 @@ from trialtensor import (
     parse_outcomes,
     parse_rare_disease,
 )
+from trialtensor import ingest
 from trialtensor.ingest import _table
 
 import ingest_reference as reference
@@ -347,6 +348,36 @@ class TestTable:
         *_, absent, lines = self._read(tmp_path, "gene_id\tefo_id\tconfidence\nG1\tE1\tstrong\n",
                                        optional=("label",))
         assert absent.tolist() == [""]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(st.sampled_from(["G1\tE1\tstrong", "G22\tE\r2\tlimited", "", "\r", "Gène\tδ\tx"]), max_size=12),
+        crlf=st.booleans(),
+        final_newline=st.booleans(),
+        block=st.integers(1, 40),
+    )
+    def test_blocks_of_any_size_read_as_one(self, rows, crlf, final_newline, block):
+        text = "\n".join(["gene_id\tefo_id\tconfidence", *rows]) + ("\n" if final_newline else "")
+        if crlf:
+            text = text.replace("\n", "\r\n")
+
+        def outcome(tmp):
+            try:
+                return [column.tolist() for column in self._read(Path(tmp), text)]
+            except DataError as exc:
+                return str(exc)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            whole = outcome(tmp)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ingest, "_BLOCK_CHARS", block)
+                assert outcome(tmp) == whole
+
+    def test_fault_in_a_later_block_names_its_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "_BLOCK_CHARS", 16)
+        rows = "".join(f"G{n}\tE{n}\tstrong\n" for n in range(20))
+        with pytest.raises(DataError, match=r"t\.tsv:23: 2 fields, the header has 3"):
+            self._read(tmp_path, f"gene_id\tefo_id\tconfidence\n{rows}\nG\tE\n")
 
 
 # Identifiers for the reference comparison: EFO ids the cross-reference may
