@@ -72,7 +72,9 @@ def read_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
 # product below 2**102, taken in two uint64 limbs and rounded half to even,
 # so no bignum is needed (Adams, "Ryu revisited: printf floating point
 # conversion", OOPSLA 2019). Every operand stays uint64: numpy promotes
-# uint64 meeting int64 to float64.
+# uint64 meeting int64 to float64. Before NEP 50 (numpy < 2) an array meeting
+# a scalar of its own kind keeps the array's dtype whenever the value fits it,
+# so a narrow array never meets a wider scalar here either.
 
 _U64 = np.uint64
 _LOW32 = _U64(0xFFFFFFFF)
@@ -153,8 +155,9 @@ def format_floats(values) -> list[bytes]:
     digits, exponent = digits[order], exponent[order]
 
     # The 17 digits, four at a time: the leading digit, then four groups of four.
-    high = (digits // _U64(10**8)).astype(np.uint32)  # the leading 9 digits
+    high = digits // _U64(10**8)  # the leading 9 digits, kept uint64 for the product
     low = (digits - high * _U64(10**8)).astype(np.uint32)
+    high = high.astype(np.uint32)
     quads = np.empty((5, size), dtype=np.intp)
     quads[0], middle = np.divmod(high, np.uint32(10**8))
     quads[1], quads[2] = np.divmod(middle, np.uint32(10**4))
@@ -220,12 +223,15 @@ def float_rows(matrix: np.ndarray) -> Iterator[bytes]:
         yield line * len(block) % tuple(format_floats(block))
 
 
-def entry_lines(coords: np.ndarray, values: np.ndarray) -> bytes:
-    """One ``i, j, k, value`` line per row of ``coords`` and entry of ``values``."""
-    fields = np.empty((len(values), 4), dtype=object)
-    fields[:, :3] = coords
-    fields[:, 3] = format_floats(values)
-    return b"%d\t%d\t%d\t%b\n" * len(values) % tuple(fields.ravel().tolist())
+def entry_lines(coords: np.ndarray, values: np.ndarray) -> Iterator[bytes]:
+    """One ``i, j, k, value`` line per row of ``coords`` and entry of ``values``,
+    a block of lines at a time."""
+    for start in range(0, len(values), FLOAT_BLOCK):
+        block = values[start:start + FLOAT_BLOCK]
+        fields = np.empty((len(block), 4), dtype=object)
+        fields[:, :3] = coords[start:start + FLOAT_BLOCK]
+        fields[:, 3] = format_floats(block)
+        yield b"%d\t%d\t%d\t%b\n" * len(block) % tuple(fields.ravel().tolist())
 
 
 def write_tsv(path: str | Path, header: Sequence[str], lines: Iterable[bytes]) -> None:

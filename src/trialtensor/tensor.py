@@ -21,7 +21,7 @@ from typing import NamedTuple, NoReturn, Sequence
 import numpy as np
 
 from .errors import DataError
-from .io import FLOAT_BLOCK, entry_lines, read_json, read_text, write_json, write_tsv
+from .io import entry_lines, read_json, read_text, write_json, write_tsv
 
 
 class CountRuns(NamedTuple):
@@ -253,11 +253,7 @@ def save_tensor(
     for key, identifiers, dim in zip(_META_MODES, modes, tensor.dims):
         if len(identifiers) != dim:
             raise DataError(f"{len(identifiers)} {key} identifiers do not match dim {dim}")
-    coords, values = tensor.coords, tensor.values
-    write_tsv(tsv_path, _TSV_HEADER, (
-        entry_lines(coords[start:start + FLOAT_BLOCK], values[start:start + FLOAT_BLOCK])
-        for start in range(0, len(values), FLOAT_BLOCK)
-    ))
+    write_tsv(tsv_path, _TSV_HEADER, entry_lines(tensor.coords, tensor.values))
     meta = {
         "dims": list(tensor.dims),
         "modes": {key: list(identifiers) for key, identifiers in zip(_META_MODES, modes)},

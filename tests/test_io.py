@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from trialtensor.io import escape_percent, float_rows, format_floats
+from trialtensor.io import FLOAT_BLOCK, entry_lines, escape_percent, float_rows, format_floats
 
 
 def _bits(value):
@@ -40,6 +40,18 @@ class TestFloatRows:
     def test_matches_per_field_join(self, matrix):
         expected = "".join("\t".join(f"{v:.17g}" for v in row) + "\n" for row in matrix.tolist())
         assert b"".join(float_rows(matrix)).decode() == expected
+
+
+class TestEntryLines:
+    def test_blocks_join_to_one_line_per_entry(self):
+        n = 2 * FLOAT_BLOCK + 3
+        rng = np.random.default_rng(4)
+        coords, values = rng.integers(0, 10**6, size=(n, 3)), rng.normal(size=n)
+        blocks = list(entry_lines(coords, values))
+        expected = "".join("%d\t%d\t%d\t%.17g\n" % (*c, v) for c, v in zip(coords.tolist(), values.tolist()))
+        assert len(blocks) == 3
+        assert b"".join(blocks).decode() == expected
+        assert list(entry_lines(coords[:0], values[:0])) == []
 
 
 class TestEscapePercent:
