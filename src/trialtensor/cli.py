@@ -66,6 +66,8 @@ def _checked(convert, requirement: str, accept):
 
 _AT_LEAST_1 = _checked(int, "at least 1", lambda value: value >= 1)
 _NON_NEGATIVE = _checked(int, "at least 0", lambda value: value >= 0)
+_N_SEEDS = 1 << 64  # a sampler seed is one 64-bit Philox key word
+_SEED = _checked(int, "in [0, 2**64)", lambda value: 0 <= value < _N_SEEDS)
 
 
 def _add_sampler_flags(parser: argparse.ArgumentParser) -> None:
@@ -75,7 +77,7 @@ def _add_sampler_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--burnin", type=_NON_NEGATIVE, default=500, help="burn-in sweeps (default 500)")
     parser.add_argument("--samples", type=_AT_LEAST_1, default=3500, help="post-burn-in sweeps (default 3500)")
     parser.add_argument("--thin", type=_AT_LEAST_1, default=350, help="retain every thin-th sweep (default 350)")
-    parser.add_argument("--seed", type=_NON_NEGATIVE, default=0, help="random seed")
+    parser.add_argument("--seed", type=_SEED, default=0, help="random seed in [0, 2**64)")
 
 
 def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
@@ -312,6 +314,8 @@ def _prediction_lines(modes: tuple, scores: np.ndarray) -> Iterator[bytes]:
 
 def cmd_evaluate(ns: argparse.Namespace) -> int:
     out_path = Path(_require(ns, "--out"))
+    if ns.seed + ns.n_repeats - 1 >= _N_SEEDS:
+        raise UsageError(f"--seed {ns.seed} + --n-repeats {ns.n_repeats} - 1 is not below 2**64, the seed range")
     tensor, modes = _load_tensor_dir(ns)
     schedule = _schedule(ns)
     seeds = [ns.seed + r for r in range(ns.n_repeats)]

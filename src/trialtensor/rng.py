@@ -6,18 +6,19 @@ mode, its hyperparameter draw, and the one standard-normal block that
 redraws all of its latent rows. The stream identity depends only on that
 key, never on how many draws came before it.
 
-Key layout (second Philox key word): ``sweep`` in bits 32+, ``role`` in bits
-28..31, ``mode`` in bits 0..1. That bounds a run at 2**32 sweeps, 16 roles
-and the three tensor modes.
+Key layout: the seed is the first Philox key word, so seeds are the
+integers in ``[0, 2**64)``. The second word holds ``sweep`` in bits 32+,
+``role`` in bits 28..31 and ``mode`` in bits 0..1. That bounds a run at
+2**32 sweeps, 16 roles and the three tensor modes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+_N_SEEDS = 1 << 64
 _N_MODES = 3
 _MAX_ROLE = 1 << 4
 _MAX_SWEEP = 1 << 32
@@ -28,11 +29,27 @@ ROLE_HYPER = 1
 ROLE_LATENT = 2
 
 
-@dataclass(frozen=True)
 class StreamTree:
-    """Factory of independent ``numpy`` generators keyed by draw identity."""
+    """The independent ``numpy`` streams of one seed, keyed by draw identity.
 
-    seed: int
+    A tree owns one Philox generator. :meth:`stream` re-keys it to
+    ``[seed, path]`` with a zero counter and an empty buffer, the state of a
+    fresh ``Generator(Philox(key=[seed, path]))``, and returns it, so every
+    draw matches that fresh generator's. Taking a stream therefore ends the
+    tree's previous stream: finish one stream's draws before taking the
+    next, and give each chain, or each thread, its own tree.
+    """
+
+    __slots__ = ("seed", "_bits", "_generator", "_state")
+
+    def __init__(self, seed: int):
+        seed = operator.index(seed)
+        if not 0 <= seed < _N_SEEDS:
+            raise ValueError(f"seed {seed} outside [0, 2**64)")
+        self.seed = seed
+        self._bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+        self._generator = np.random.Generator(self._bits)
+        self._state = self._bits.state  # the fresh state; stream() changes only its key
 
     def stream(self, sweep: int, role: int, mode: int) -> np.random.Generator:
         if not 0 <= sweep < _MAX_SWEEP:
@@ -41,6 +58,6 @@ class StreamTree:
             raise ValueError(f"role {role} outside supported range")
         if not 0 <= mode < _N_MODES:
             raise ValueError(f"mode {mode} outside supported range")
-        path = (sweep << 32) | (role << 28) | mode
-        key = np.array([self.seed & _MASK64, path & _MASK64], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        self._state["state"]["key"][1] = (sweep << 32) | (role << 28) | mode
+        self._bits.state = self._state
+        return self._generator

@@ -11,17 +11,21 @@ A :class:`ModelState` holds one or more independent chains that advance in
 lock-step over the block-diagonal union of their training tensors
 (:func:`~trialtensor.tensor.block_union`): each sweep draws each mode once
 for every chain. Given the other two modes, the latent rows of a mode are
-independent, so each mode is redrawn by one stacked Cholesky solve over the
-rows of all chains, its triangular solves taken in 8-column panels. The
-per-row Grams come from the other modes' latent products, one stacked
-product per run of entities with equal cell counts across the union; each
-chain adds its own prior to its contiguous rows. The hyperparameter draw
-keeps each chain's mean, scatter and random draws separate and stacks the
-factorizations and products. What does not change between sweeps (the
-runs themselves, the inverse Wishart scale, the Bartlett lower-triangle
-indices) is computed once. Every chain's randomness comes from its own
-counter-based streams keyed by ``(seed, sweep, role, mode)`` (see
-:mod:`trialtensor.rng`), so a chain draws the same numbers alone or in a
+independent, so each mode is redrawn by one stacked Cholesky factorization
+and one forward and back substitution over the rows of all chains. The
+per-row Grams and right-hand sides come from the other modes' latent
+products, scaled by ``sqrt(alpha)``, one stacked product per run of entities
+with equal cell counts across the union, written in that count-run order;
+each row's chain prior is added through a chain index, and the drawn rows
+return to entity order once. The hyperparameter draw keeps only each
+chain's random draws and scatter product in a per-chain loop; the means,
+posterior inverse scales, Bartlett factors, factorizations and products are
+stacked over chains. What does not change between sweeps (the runs
+themselves, the inverse Wishart scale, the Bartlett lower-triangle indices)
+is computed once. Every chain's randomness comes from its own counter-based
+streams keyed by ``(seed, sweep, role, mode)`` (see :mod:`trialtensor.rng`),
+drawn from one re-keyed generator per chain, and every stacked step treats
+each row or chain alone, so a chain draws the same numbers alone or in a
 batch. A single chain is the one-chain case of the same code.
 
 The model is the list of ``(U, V, W)`` triples :func:`run` retains for a
@@ -50,8 +54,6 @@ _JITTER_REL = 1e-6
 # 256 KiB, so 1024 cells at D=32 or 4096 at D=8 (two such buffers). A
 # single larger entity is one block.
 _BLOCK_DOUBLES = 2**15
-# Column width of the blocked triangular solves in ``_solve_draw``.
-_PANEL = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,18 +143,22 @@ class ModelState:
 
     Chain ``c`` owns rows ``offsets[c, mode]:offsets[c + 1, mode]`` of
     ``latents[mode]`` (chain-major), entry ``c`` of each ``params[mode]``
-    and the random streams of ``seeds[c]``. ``dims`` are those of the
-    chains' :func:`~trialtensor.tensor.block_union`.
+    and the random streams of ``trees[c]``, whose seed is ``seeds[c]``.
+    ``dims`` are those of the chains' :func:`~trialtensor.tensor.block_union`.
     """
 
     latents: list[np.ndarray]
     params: list[ModeParams]
     alpha: float
     n_latent: int
-    seeds: tuple[int, ...]
+    trees: tuple[StreamTree, ...]
     offsets: np.ndarray
     hyperprior: Hyperprior
     sweep: int = 0
+
+    @property
+    def seeds(self) -> tuple[int, ...]:
+        return tuple(tree.seed for tree in self.trees)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -187,7 +193,11 @@ def init_chains(
     hyperprior: Hyperprior | None = None,
     alpha: float = 5.0,
 ) -> ModelState:
-    """Fresh state of one chain per ``(dims, seed)``: latents i.i.d. standard normal, identity priors."""
+    """Fresh state of one chain per ``(dims, seed)``: latents i.i.d. standard normal, identity priors.
+
+    Seeds are integers in ``[0, 2**64)``; :class:`~trialtensor.rng.StreamTree`
+    raises ``ValueError`` for any other.
+    """
     if n_latent < 1:
         raise ValueError("n_latent must be at least 1")
     if alpha <= 0:
@@ -198,14 +208,14 @@ def init_chains(
         hyperprior = Hyperprior.default(n_latent)
     if hyperprior.n_latent != n_latent:
         raise ValueError("hyperprior dimension does not match n_latent")
-    seeds = tuple(int(seed) for seed in seeds)
+    trees = tuple(StreamTree(seed) for seed in seeds)
     offsets = np.zeros((len(seeds) + 1, 3), dtype=np.int64)
     offsets[1:] = np.cumsum(np.asarray(chain_dims, dtype=np.int64).reshape(-1, 3), axis=0)
     offsets.flags.writeable = False
     latents = [
         np.concatenate([
-            StreamTree(seed).stream(0, ROLE_INIT, mode).standard_normal((int(dims[mode]), n_latent))
-            for seed, dims in zip(seeds, chain_dims)
+            tree.stream(0, ROLE_INIT, mode).standard_normal((int(dims[mode]), n_latent))
+            for tree, dims in zip(trees, chain_dims)
         ])
         for mode in range(3)
     ]
@@ -221,7 +231,7 @@ def init_chains(
         params=params,
         alpha=float(alpha),
         n_latent=n_latent,
-        seeds=seeds,
+        trees=trees,
         offsets=offsets,
         hyperprior=hyperprior,
     )
@@ -230,7 +240,7 @@ def init_chains(
 # --------------------------------------------------------------------------
 # Elementary draws. The sweep draws its hyperparameters stacked over chains
 # and does not call ``sample_wishart`` or ``sample_mvn``; they share its
-# ``_draw_bartlett``, ``_wishart`` and ``_mvn``, so holding these single
+# ``_bartlett``, ``_wishart`` and ``_mvn``, so holding these single
 # draws to their analytic moments checks that arithmetic in distribution.
 
 def sample_wishart(scale: np.ndarray, dof: float, rng: np.random.Generator) -> np.ndarray:
@@ -250,18 +260,19 @@ def sample_wishart(scale: np.ndarray, dof: float, rng: np.random.Generator) -> n
         lower = np.linalg.cholesky(scale)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("scale matrix not SPD") from exc
-    bartlett = np.zeros((dim, dim))
-    _draw_bartlett(bartlett, dof, rng)
-    return _wishart(lower, bartlett)
+    chi = rng.chisquare(dof - np.arange(dim))
+    return _wishart(lower, _bartlett(chi, rng.standard_normal(len(_strict_lower(dim)[0]))))
 
 
-def _draw_bartlett(out: np.ndarray, dof: float, rng: np.random.Generator) -> None:
-    # Fill a zeroed (D, D) Bartlett factor: the diagonal, then the strict lower triangle.
-    dim = out.shape[0]
-    np.fill_diagonal(out, np.sqrt(rng.chisquare(dof - np.arange(dim))))
-    if dim > 1:
-        tril = _strict_lower(dim)
-        out[tril] = rng.standard_normal(len(tril[0]))
+def _bartlett(chi: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    # The (..., D, D) Bartlett factors of (..., D) chi-square draws and (..., D(D-1)/2) normals.
+    dim = chi.shape[-1]
+    out = np.zeros(chi.shape + (dim,))
+    diagonal = np.arange(dim)
+    out[..., diagonal, diagonal] = np.sqrt(chi)
+    rows, cols = _strict_lower(dim)
+    out[..., rows, cols] = normals
+    return out
 
 
 def _wishart(root: np.ndarray, bartlett: np.ndarray) -> np.ndarray:
@@ -329,29 +340,22 @@ def _cholesky(mats: np.ndarray, what: str) -> np.ndarray:
 def _solve_draw(lower: np.ndarray, rhs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """``x = L'^-1 (L^-1 b + z)`` for each lower factor ``L`` of an ``(n, D, D)`` stack.
 
-    Both triangular solves run by blocks of ``_PANEL`` columns: each
-    diagonal panel stack goes through ``np.linalg.solve`` and each
-    off-diagonal update is one stacked matmul, so the LU work per row is
-    that of ``D / _PANEL`` small panels instead of one ``D x D`` matrix. At
-    ``D <= _PANEL`` this is exactly the two whole-matrix solves.
+    Forward, then back substitution, one column at a time over the whole
+    stack: each step is one ``einsum`` of every row's solved part with its
+    factor's row, then one subtraction and one division. Each row's
+    arithmetic depends on that row alone, so a row solved in a stack equals
+    the row solved alone, bit for bit.
     """
     dim = lower.shape[1]
-    panels = [slice(start, min(start + _PANEL, dim)) for start in range(0, dim, _PANEL)]
-    half = np.empty(rhs.shape + (1,))
-    for panel in panels:
-        part = rhs[:, panel, None]
-        if panel.start:
-            part = part - lower[:, panel, : panel.start] @ half[:, : panel.start]
-        half[:, panel] = np.linalg.solve(lower[:, panel, panel], part)
-    half += z[..., None]
-    upper = lower.transpose(0, 2, 1)
-    rows = np.empty_like(half)
-    for panel in reversed(panels):
-        part = half[:, panel]
-        if panel.stop < dim:
-            part = part - upper[:, panel, panel.stop :] @ rows[:, panel.stop :]
-        rows[:, panel] = np.linalg.solve(upper[:, panel, panel], part)
-    return rows[..., 0]
+    rows = rhs.copy()  # each column is overwritten by its solution
+    for col in range(dim):
+        done = np.einsum("nk,nk->n", lower[:, col, :col], rows[:, :col])
+        rows[:, col] = (rows[:, col] - done) / lower[:, col, col]
+    rows += z
+    for col in reversed(range(dim)):
+        done = np.einsum("nk,nk->n", lower[:, col + 1 :, col], rows[:, col + 1 :])
+        rows[:, col] = (rows[:, col] - done) / lower[:, col, col]
+    return rows
 
 
 def sample_mode_hyperparams(
@@ -366,38 +370,43 @@ def sample_mode_hyperparams(
     ``(beta0 * mu0 + n * xbar) / (beta0 + n)`` and inverse scale
     ``W0^-1 + n * S + (beta0 * n / (beta0 + n)) (xbar - mu0)(xbar - mu0)'``.
     Precision is drawn from the Wishart, then the mean conditionally on it.
-    Each chain's mean, scatter and draws (Bartlett diagonal, its lower
-    triangle, then the mean's normals) are its own; the Cholesky factors,
-    inverses, Wishart products and mean solves are stacked over chains.
+    Only each chain's scatter product and its draws (Bartlett diagonal, its
+    lower triangle, then the mean's normals) are taken chain by chain; the
+    means, inverse scales, Bartlett factors, factorizations, inverses,
+    Wishart products and mean solves are stacked over chains.
     Returns the ``(n_chains, D)`` means and ``(n_chains, D, D)`` precisions.
     """
     dim = hyperprior.n_latent
     beta0 = hyperprior.mean_strength
     mu0 = hyperprior.mean
-    scale_inv = np.empty((len(blocks), dim, dim))
-    mean_post = np.empty((len(blocks), dim))
-    beta_post = np.empty(len(blocks))
-    bartlett = np.zeros((len(blocks), dim, dim))
-    z = np.empty((len(blocks), dim))
-    for chain, (latents, rng) in enumerate(zip(blocks, rngs, strict=True)):
-        latents = np.asarray(latents, dtype=np.float64)
-        n_rows = latents.shape[0]
-        if n_rows < 1:
-            raise ValueError("empty mode: cannot update hyperparameters")
-        xbar = latents.mean(axis=0)
-        centered = latents - xbar
-        scatter = centered.T @ centered
-        beta_post[chain] = beta0 + n_rows
-        mean_post[chain] = (beta0 * mu0 + n_rows * xbar) / beta_post[chain]
-        dev = xbar - mu0
-        scale_inv[chain] = hyperprior.scale_inverse + scatter + (beta0 * n_rows / beta_post[chain]) * np.outer(dev, dev)
-        _draw_bartlett(bartlett[chain], hyperprior.dof + n_rows, rng)
-        z[chain] = rng.standard_normal(dim)
+    counts = np.array([len(block) for block in blocks])
+    if not (counts >= 1).all():
+        raise ValueError("empty mode: cannot update hyperparameters")
+    starts = np.cumsum(counts) - counts
+    latents = np.concatenate(blocks, dtype=np.float64)
+    xbar = np.add.reduceat(latents, starts, axis=0) / counts[:, None]
+    centered = latents - np.repeat(xbar, counts, axis=0)
+    chi_dof = (hyperprior.dof + counts)[:, None] - np.arange(dim)
+    scatter = np.empty((len(counts), dim, dim))
+    chi = np.empty((len(counts), dim))
+    normals = np.empty((len(counts), len(_strict_lower(dim)[0])))
+    z = np.empty((len(counts), dim))
+    for chain, (rng, rows) in enumerate(zip(rngs, np.split(centered, starts[1:]), strict=True)):
+        np.matmul(rows.T, rows, out=scatter[chain])
+        chi[chain] = rng.chisquare(chi_dof[chain])
+        rng.standard_normal(out=normals[chain])
+        rng.standard_normal(out=z[chain])
+    beta_post = beta0 + counts
+    dev = xbar - mu0
+    scale_inv = hyperprior.scale_inverse + scatter + (beta0 * counts / beta_post)[:, None, None] * (
+        dev[:, :, None] * dev[:, None, :]
+    )
     scale_inv = (scale_inv + scale_inv.transpose(0, 2, 1)) / 2.0
     # With scale_inv = L L', the posterior scale is R R' for R = L'^-1.
     inv_lower = _cholesky(scale_inv, "posterior inverse scale")
     root = np.linalg.inv(inv_lower).transpose(0, 2, 1)
-    precision = _wishart(root, bartlett)
+    precision = _wishart(root, _bartlett(chi, normals))
+    mean_post = (beta0 * mu0 + counts[:, None] * xbar) / beta_post[:, None]
     mean = _mvn(mean_post, beta_post[:, None, None] * precision, z)
     return ModeParams(mean=mean, precision=precision)
 
@@ -405,38 +414,49 @@ def sample_mode_hyperparams(
 _OTHER_MODES = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
 
-def _grams(runs: CountRuns, lat_a: np.ndarray, lat_b: np.ndarray, n_entities: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Grams ``q'q`` and right-hand sides ``q'y`` of every entity of a mode, in entity order.
+def _row_posteriors(state: ModelState, runs: CountRuns, mode: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's posterior precision ``P + alpha q'q`` and right-hand side ``P m + alpha q'y``, in count-run order.
 
-    ``runs`` is the mode's :meth:`SparseTensor.count_runs` layout. ``q`` is
-    gathered for a block of whole entities at a time, at most
-    ``_BLOCK_DOUBLES`` values unless one entity alone needs more, and each
+    ``runs`` is the mode's :meth:`SparseTensor.count_runs` layout, so row
+    ``r`` of each result belongs to entity ``runs.entities[r]``. ``q`` is
+    gathered with the first other mode's rows scaled by ``sqrt(alpha)``, and
+    ``y`` scaled by it too, for a block of whole entities at a time, at most
+    ``_BLOCK_DOUBLES`` values unless one entity alone needs more. Each
     stretch of equal-count entities in a block is one stacked ``(m, c, D)``
-    product, scattered to entity order. Each entity's cells are summed in
-    the same order whatever the block, so its Gram does not depend on the
-    blocks. The block buffers are freed on return, before the caller
-    factors the Grams.
+    product written straight into its rows; then each row of the block gets
+    its chain's prior ``(P, P m)``, taken through the row's chain index.
+    Each entity's cells are summed in the same order whatever the block, so
+    its rows do not depend on the blocks. The block buffers are freed on
+    return, before the caller factors the precisions.
     """
-    n_latent = lat_a.shape[1]
+    root_alpha = np.sqrt(state.alpha)
+    other_a, other_b = _OTHER_MODES[mode]
+    lat_a, lat_b = state.latents[other_a] * root_alpha, state.latents[other_b]
+    n_entities, n_latent = state.latents[mode].shape
+    params = state.params[mode]
+    prior_rhs = np.matmul(params.precision, params.mean[..., None])[..., 0]
+    chain = np.searchsorted(state.offsets[:, mode], runs.entities, side="right") - 1
     grams = np.empty((n_entities, n_latent, n_latent))
     rhs = np.empty((n_entities, n_latent))
     budget = max(1, _BLOCK_DOUBLES // n_latent)  # cells per block
     offsets = runs.offsets.tolist()
     starts = runs.starts.tolist()
-    # Blocks reuse two buffers, as a fresh large array per block costs page
+    # Blocks reuse their buffers, as a fresh large array per block costs page
     # faults. The caller's dims check keeps every index in range, so "clip"
     # never clips; it only spares numpy's buffered bounds check.
     block_cells = min(offsets[-1], max(budget, offsets[-1] - offsets[-2]))
     q_buffer, b_buffer = np.empty((2, block_cells, n_latent))
+    y_buffer = np.empty(block_cells)
     first = 0
     while first < n_entities:
         # A block: the most whole entities within budget, at least one.
         base = offsets[first]
         end = max(first + 1, bisect.bisect_right(offsets, base + budget) - 1)
         cells = slice(base, offsets[end])
-        q_block = np.take(lat_a, runs.index_a[cells], axis=0, out=q_buffer[: cells.stop - base], mode="clip")
-        q_block *= np.take(lat_b, runs.index_b[cells], axis=0, out=b_buffer[: cells.stop - base], mode="clip")
-        y_block = runs.values[cells]
+        size = cells.stop - base
+        q_block = np.take(lat_a, runs.index_a[cells], axis=0, out=q_buffer[:size], mode="clip")
+        q_block *= np.take(lat_b, runs.index_b[cells], axis=0, out=b_buffer[:size], mode="clip")
+        y_block = np.multiply(runs.values[cells], root_alpha, out=y_buffer[:size])
         # One stacked product per stretch of equal-count entities in the block.
         cuts = starts[bisect.bisect_right(starts, first) : bisect.bisect_left(starts, end)]
         for lo, hi in zip([first, *cuts], [*cuts, end]):
@@ -444,9 +464,10 @@ def _grams(runs: CountRuns, lat_a: np.ndarray, lat_b: np.ndarray, n_entities: in
             count = (offsets[hi] - offsets[lo]) // (hi - lo)
             q = q_block[piece].reshape(hi - lo, count, n_latent)
             q_t = q.transpose(0, 2, 1)
-            entities = runs.entities[lo:hi]
-            grams[entities] = q_t @ q
-            rhs[entities] = (q_t @ y_block[piece].reshape(hi - lo, count, 1))[..., 0]
+            np.matmul(q_t, q, out=grams[lo:hi])
+            np.matmul(q_t, y_block[piece].reshape(hi - lo, count, 1), out=rhs[lo:hi].reshape(hi - lo, n_latent, 1))
+        grams[first:end] += params.precision[chain[first:end]]
+        rhs[first:end] += prior_rhs[chain[first:end]]
         first = end
     return grams, rhs
 
@@ -459,33 +480,28 @@ def sample_mode_latents(state: ModelState, tensor: SparseTensor, mode: int) -> n
     posterior precision is ``P + alpha * sum(q q')`` and its mean solves it
     against ``P m + alpha * sum(y q)``, where ``q`` is the elementwise
     product of the other two modes' rows at an observed cell with value
-    ``y`` and ``(m, P)`` is the chain's prior. :func:`_grams` builds every
-    ``q'q`` and ``q'y`` of the union at once, with no Python loop per
-    entity. Entity order is chain-major, so each chain then adds its prior
-    to its contiguous rows and draws its standard-normal block ``z`` from
-    its (sweep, mode) stream. For all rows at once the posterior precisions
-    ``L L'`` are factored and ``x = L'^-1 (L^-1 b + z)`` is solved in
-    panels by :func:`_solve_draw`. An entity with no cells has a zero Gram,
-    so its row is drawn from its chain's prior.
+    ``y`` and ``(m, P)`` is the chain's prior. :func:`_row_posteriors`
+    builds every row's precision and right-hand side of the union at once,
+    in count-run order, with no Python loop per entity. Each chain draws its
+    standard-normal block ``z`` for its contiguous rows from its
+    (sweep, mode) stream. For all rows at once the posterior precisions
+    ``L L'`` are factored and ``x = L'^-1 (L^-1 b + z)`` is solved by
+    substitution in :func:`_solve_draw`; the rows then return to entity
+    order. An entity with no cells has a zero Gram, so its row is drawn from
+    its chain's prior.
     """
     if state.dims != tensor.dims:
         raise DataError(f"state dims {state.dims} do not match tensor dims {tensor.dims}")
     runs = tensor.count_runs(mode)
-    lat_a, lat_b = (state.latents[other] for other in _OTHER_MODES[mode])
-    n_entities, n_latent = state.latents[mode].shape
-    grams, rhs = _grams(runs, lat_a, lat_b, n_entities)
-    params = state.params[mode]
-    grams *= state.alpha
-    rhs *= state.alpha
+    grams, rhs = _row_posteriors(state, runs, mode)
     z = np.empty_like(rhs)
     bounds = state.offsets[:, mode].tolist()
-    for chain, seed in enumerate(state.seeds):
-        rows = slice(bounds[chain], bounds[chain + 1])
-        grams[rows] += params.precision[chain]
-        rhs[rows] += params.precision[chain] @ params.mean[chain]
-        StreamTree(seed).stream(state.sweep, ROLE_LATENT, mode).standard_normal(out=z[rows])
+    for chain, tree in enumerate(state.trees):
+        tree.stream(state.sweep, ROLE_LATENT, mode).standard_normal(out=z[bounds[chain] : bounds[chain + 1]])
     lower = _cholesky(grams, "row posterior precision")
-    return _solve_draw(lower, rhs, z)
+    rows = np.empty_like(rhs)
+    rows[runs.entities] = _solve_draw(lower, rhs, z[runs.entities])
+    return rows
 
 
 def gibbs_step(state: ModelState, tensor: SparseTensor) -> ModelState:
@@ -495,7 +511,7 @@ def gibbs_step(state: ModelState, tensor: SparseTensor) -> ModelState:
     if state.dims != tensor.dims:
         raise DataError(f"state dims {state.dims} do not match tensor dims {tensor.dims}")
     for mode in range(3):
-        rngs = [StreamTree(seed).stream(state.sweep, ROLE_HYPER, mode) for seed in state.seeds]
+        rngs = [tree.stream(state.sweep, ROLE_HYPER, mode) for tree in state.trees]
         blocks = np.split(state.latents[mode], state.offsets[1:-1, mode])
         state.params[mode] = sample_mode_hyperparams(blocks, state.hyperprior, rngs)
         state.latents[mode] = sample_mode_latents(state, tensor, mode)

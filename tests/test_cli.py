@@ -595,6 +595,7 @@ class TestTopLevel:
         [("train", "--latent-dim", "0"), ("train", "--alpha", "0"), ("train", "--alpha", "nan"),
          ("train", "--burnin", "-1"), ("train", "--samples", "0"), ("train", "--thin", "0"),
          ("train", "--seed", "-1"), ("evaluate", "--seed", "-1"), ("evaluate", "--alpha", "-2"),
+         ("train", "--seed", str(2**64)), ("evaluate", "--seed", str(2**64 + 7)),
          ("simulate", "--dims", "3,0,2"), ("simulate", "--rank", "0"), ("simulate", "--noise-sd", "-0.1"),
          ("simulate", "--observed-fraction", "0"), ("simulate", "--observed-fraction", "1.5"),
          ("simulate", "--coupling", "-0.1"), ("simulate", "--coupling", "2"), ("simulate", "--seed", "-1")],
@@ -628,6 +629,20 @@ class TestTopLevel:
         assert main(args) == 1
         err = capsys.readouterr().err
         assert "usage error" in err and "--samples" in err and "--thin" in err
+
+    def test_last_repeat_seed_beyond_range_names_both_flags(self, simulated_dir, tmp_path, capsys, monkeypatch):
+        # Repeat r samples with seed --seed + r, so the last one must be below 2**64 too.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("repeated_eval reached with an out-of-range repeat seed")
+
+        monkeypatch.setattr(cli, "repeated_eval", unreachable)
+        out = tmp_path / "report.json"
+        args = ["evaluate", "--tensor", str(simulated_dir), "--out", str(out),
+                "--seed", str(2**64 - 2), "--n-repeats", "3"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "--seed" in err and "--n-repeats" in err
+        assert not out.exists()
 
     def test_bad_config_value_names_key(self, simulated_dir, tmp_path, capsys):
         config = tmp_path / "run.cfg"

@@ -445,7 +445,7 @@ class TestLockStepEvaluation:
 
     @pytest.mark.parametrize("latent_dim", [8, 16])
     def test_models_together_equal_models_alone(self, evidence_dir, tmp_path, latent_dim):
-        # D = 16 takes the panelled triangular solves of D > 8.
+        # Two latent sizes; at each, a chain's rows must not depend on the other chains' rows.
         together = json.loads(_evaluate(evidence_dir, tmp_path / "both.json", "combined,rare", latent_dim))
         alone = [
             json.loads(_evaluate(evidence_dir, tmp_path / f"{name}.json", name, latent_dim))["models"][0]

@@ -64,6 +64,15 @@ class TestInitModel:
         with pytest.raises(ValueError):
             init_chains([(2, 2, 2)], 4, [0], alpha=-1.0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 7 + 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
+            init_chains([(3, 2, 2), (3, 2, 2)], 2, [0, seed])
+
+    def test_largest_seed_accepted(self):
+        state = init_chains([(3, 2, 2)], 2, [2**64 - 1])
+        assert state.seeds == (2**64 - 1,)
+
 
 class TestSampleWishart:
     def test_samples_are_spd(self):
@@ -298,11 +307,9 @@ class TestSolveDraw:
         z = rng.standard_normal((n_rows, dim))
         got = sampler._solve_draw(lower, rhs, z)
         expected = _two_solve_draw(lower, rhs, z)
-        if dim <= sampler._PANEL:
-            assert np.array_equal(got, expected)
-        else:
-            scale = np.max(np.abs(expected), axis=1)
-            assert np.max(np.max(np.abs(got - expected), axis=1) / scale) <= 1e-12
+        # Every row, the ill-conditioned and the jittered one included.
+        scale = np.max(np.abs(expected), axis=1)
+        assert np.all(np.max(np.abs(got - expected), axis=1) <= 1e-12 * scale)
 
 
 def row_posterior(prior_precision, prior_mean, alpha, q_rows, values):
@@ -386,31 +393,45 @@ def per_row_reference(state, tensor, mode, normals):
     return rows
 
 
+def substitution_draw(lower, rhs, z):
+    """``L'^-1 (L^-1 b + z)`` for one row, by forward then back substitution, one column at a time."""
+    dim = len(rhs)
+    half = np.empty(dim)
+    for col in range(dim):
+        half[col] = (rhs[col] - np.einsum("k,k->", lower[col, :col], half[:col])) / lower[col, col]
+    half += z
+    row = np.empty(dim)
+    for col in reversed(range(dim)):
+        row[col] = (half[col] - np.einsum("k,k->", lower[col + 1 :, col], row[col + 1 :])) / lower[col, col]
+    return row
+
+
 def mode_latents_loop_reference(state, tensor, mode):
-    """``sample_mode_latents`` with one gather per entity, as before block gathers."""
+    """``sample_mode_latents`` one entity at a time, in entity order, with one gather per entity.
+
+    Same arithmetic as the blocked update: ``q`` and ``y`` scaled by
+    ``sqrt(alpha)``, the prior of the chain that the entity's index falls
+    in, then substitution row by row.
+    """
     other_a, other_b = _OTHER_MODES[mode]
     coords, values = tensor.coords, tensor.values
     order = np.argsort(coords[:, mode], kind="stable")  # each entity's cells in storage order
     offsets = np.searchsorted(coords[order, mode], np.arange(state.latents[mode].shape[0] + 1))
-    lat_a, lat_b = state.latents[other_a], state.latents[other_b]
+    root_alpha = np.sqrt(state.alpha)
+    lat_a, lat_b = state.latents[other_a] * root_alpha, state.latents[other_b]
+    params, bounds = state.params[mode], state.offsets[:, mode]
     n_entities, n_latent = state.latents[mode].shape
     grams = np.empty((n_entities, n_latent, n_latent))
     rhs = np.empty((n_entities, n_latent))
     for entity in range(n_entities):
         rows = order[offsets[entity] : offsets[entity + 1]]
         q_rows = lat_a[coords[rows, other_a]] * lat_b[coords[rows, other_b]]
-        grams[entity] = q_rows.T @ q_rows
-        rhs[entity] = q_rows.T @ values[rows]
-    params = state.params[mode]
-    grams *= state.alpha
-    rhs *= state.alpha
-    for chain, lo, hi in chain_bounds(state, mode):
-        grams[lo:hi] += params.precision[chain]
-        rhs[lo:hi] += params.precision[chain] @ params.mean[chain]
+        chain = np.searchsorted(bounds, entity, side="right") - 1
+        grams[entity] = q_rows.T @ q_rows + params.precision[chain]
+        rhs[entity] = q_rows.T @ (values[rows] * root_alpha) + params.precision[chain] @ params.mean[chain]
     lower = sampler._cholesky(grams, "row posterior precision")
     z = mode_normals(state, mode)
-    half = np.linalg.solve(lower, rhs[..., None]) + z[..., None]
-    return np.linalg.solve(lower.transpose(0, 2, 1), half)[..., 0]
+    return np.array([substitution_draw(lower[entity], rhs[entity], z[entity]) for entity in range(n_entities)])
 
 
 def _tensor_with_cell_counts(counts, dims, seed):
@@ -526,7 +547,7 @@ class TestModeLatents:
 
     @pytest.mark.parametrize("block_cells", [5, None])
     def test_batched_update_equals_per_row_reference_beyond_one_panel(self, monkeypatch, block_cells):
-        # D = 20 takes three panels of the blocked triangular solves.
+        # D = 20: wider rows than the other cases, for the column-by-column substitution.
         if block_cells is not None:
             monkeypatch.setattr(sampler, "_BLOCK_DOUBLES", block_cells * 20)
         tensor = _tensor_with_cell_counts(self._RUN_COUNTS, (13, 5, 4), seed=17)
@@ -597,7 +618,6 @@ def _chain_tensors():
 class TestLockStep:
     @pytest.mark.parametrize("n_latent", [3, 12])
     def test_chains_in_lock_step_equal_chains_alone(self, n_latent):
-        # D = 12 takes two panels of the blocked triangular solves.
         tensors, seeds, schedule = _chain_tensors(), [5, 6, 7], SamplerSchedule(2, 4, 2)
         together = run(init_chains([t.dims for t in tensors], n_latent, seeds, alpha=5.0), tensors, schedule)
         assert len(together) == len(tensors)
