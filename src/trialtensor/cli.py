@@ -22,7 +22,10 @@ import numpy as np
 
 from . import ingest as ing
 from .errors import DataError, NumericalError
-from .io import FLOAT_BLOCK, entry_lines, escape_percent, format_floats, read_text, write_json, write_tsv
+from .io import (
+    FLOAT_BLOCK, check, entry_lines, escape_percent, format_floats, line_blocks, parse_fields, read_text, read_tsv,
+    tsv_blocks, write_json, write_tsv,
+)
 from .metrics import MAX_PHASE, EvalConfig, phase_analysis, repeated_eval
 from .sampler import SamplerSchedule, init_chains, predict_slice, run, save_checkpoint
 from .simulate import SynthConfig, generate, synthetic_modes
@@ -146,9 +149,9 @@ def _load_config_defaults(subparser: argparse.ArgumentParser, path: str) -> dict
     """Parse a key=value file, converting values with the matching flag's type."""
     actions = {action.dest: action for action in subparser._actions}
     overrides = {}
-    with read_text(path) as handle:
-        text = handle.read()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    with read_text(path, newline="") as handle:
+        lines = [line for block in line_blocks(handle) for line in block]
+    for lineno, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -353,7 +356,7 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
 
 def _repeats(*keys: np.ndarray) -> np.ndarray:
     """True for each row whose key tuple an earlier row already has."""
-    *_, first = ing._merge((*keys, np.arange(len(keys[0]))), len(keys), (np.minimum,))
+    *_, first = ing.merge((*keys, np.arange(len(keys[0]))), len(keys), (np.minimum,))
     repeat = np.ones(len(keys[0]), dtype=bool)
     repeat[first] = False
     return repeat
@@ -361,7 +364,7 @@ def _repeats(*keys: np.ndarray) -> np.ndarray:
 
 def _coded(column: np.ndarray, codes: dict[str, int]) -> np.ndarray:
     """Each row's code for its value, a new value taking the next free code."""
-    values, rows = ing._factorize(column)
+    values, rows = ing.factorize(column)
     return np.array([codes.setdefault(value, len(codes)) for value in values.tolist()], dtype=np.int64)[rows]
 
 
@@ -376,20 +379,21 @@ def _read_predictions(path: Path, layer: str, keys: set[tuple[str, str]]) -> dic
     codes: tuple[dict[str, int], dict[str, int]] = ({}, {})
     target_codes, indication_codes, numbers, scores = [], [], [], {}
     faults: tuple[list[DataError], list[DataError]] = ([], [])  # unreadable scores, then scores outside [0, 1]
-    for targets, indications, layers, text, lines in ing._blocks(path, ("target_id", "indication_id", "layer", "score")):
+    columns = {"target_id": str, "indication_id": str, "layer": str, "score": str}
+    for targets, indications, layers, text, lines in tsv_blocks(path, columns):
         kept = layers == layer
         targets, indications, text, lines = targets[kept], indications[kept], text[kept], lines[kept]
         target_codes.append(_coded(targets, codes[0]))
         indication_codes.append(_coded(indications, codes[1]))
         numbers.append(lines)
         try:
-            score = ing._parsed(path, lines, text, float, "score")
+            score = parse_fields(path, lines, text.tolist(), float, "score")
         except DataError as exc:
             faults[0].append(exc)
             continue
         try:
-            ing._check(path, lines, (score >= 0.0) & (score <= 1.0),
-                       lambda r: f"bad score {text[r]!r}, expected a number in [0, 1]")
+            check(path, lines, (score >= 0.0) & (score <= 1.0),
+                  lambda r: f"bad score {text[r]!r}, expected a number in [0, 1]")
         except DataError as exc:
             faults[1].append(exc)
         wanted = np.fromiter((key in keys for key in zip(targets.tolist(), indications.tolist())), bool, len(targets))
@@ -399,8 +403,8 @@ def _read_predictions(path: Path, layer: str, keys: set[tuple[str, str]]) -> dic
         raise DataError(f"{path}: no predictions for layer {layer!r}")
     target_codes, indication_codes = np.concatenate(target_codes), np.concatenate(indication_codes)
     names = [list(table) for table in codes]
-    ing._check(path, numbers, ~_repeats(target_codes, indication_codes),
-               lambda r: f"duplicate prediction for {(names[0][target_codes[r]], names[1][indication_codes[r]])}")
+    check(path, numbers, ~_repeats(target_codes, indication_codes),
+          lambda r: f"duplicate prediction for {(names[0][target_codes[r]], names[1][indication_codes[r]])}")
     for found in faults:
         if found:
             raise found[0]
@@ -409,20 +413,16 @@ def _read_predictions(path: Path, layer: str, keys: set[tuple[str, str]]) -> dic
 
 def _read_pairs(path: Path) -> list[tuple[str, str, int]]:
     """The ``(gene_id, disease_id, max_phase)`` triples of a ``pairs.tsv``, one per pair."""
-    genes, diseases, phase, label, reason, lines = ing._table(
-        path, ("gene_id", "disease_id", "max_phase"), optional=("label", "stop_reason_class")
+    genes, diseases, phase, label, reason, lines = read_tsv(
+        path, {"gene_id": str, "disease_id": str, "max_phase": int}, optional=("label", "stop_reason_class")
     )
-    phase = ing._parsed(path, lines, phase, int, "max_phase")
-    ing._check(path, lines, (phase >= 0) & (phase <= MAX_PHASE),
-               lambda r: f"max_phase {phase[r]} outside 0..{MAX_PHASE}")
-    label = ing._per_unique(label, str.strip)
-    ing._check(path, lines, np.isin(label, ("", "0", "1")),
-               lambda r: f"label must be 0, 1 or empty, got {label[r]!r}")
-    reason = ing._per_unique(reason, lambda text: (text or "none").strip().lower())
-    ing._check(path, lines, np.isin(reason, ing.STOP_REASONS),
-               lambda r: f"unknown stop_reason_class {reason[r]!r}")
+    check(path, lines, (phase >= 0) & (phase <= MAX_PHASE), lambda r: f"max_phase {phase[r]} outside 0..{MAX_PHASE}")
+    label = ing.per_unique(label, str.strip)
+    check(path, lines, np.isin(label, ("", "0", "1")), lambda r: f"label must be 0, 1 or empty, got {label[r]!r}")
+    reason = ing.per_unique(reason, lambda text: (text or "none").strip().lower())
+    check(path, lines, np.isin(reason, ing.STOP_REASONS), lambda r: f"unknown stop_reason_class {reason[r]!r}")
     # A repeated pair's score would be counted twice in its phase group.
-    ing._check(path, lines, ~_repeats(genes, diseases), lambda r: f"duplicate pair {(genes[r], diseases[r])}")
+    check(path, lines, ~_repeats(genes, diseases), lambda r: f"duplicate pair {(genes[r], diseases[r])}")
     return list(zip(genes.tolist(), diseases.tolist(), phase.tolist()))
 
 

@@ -1,10 +1,12 @@
-"""Atomic file writing, small TSV/JSON helpers and the float format of every text artefact.
+"""Atomic file writing, the one TSV reader, small JSON helpers and the float format of every text artefact.
 
 Every artifact the package writes goes through :func:`atomic_write`, so a
 crashed or interrupted run never leaves a partially written file behind:
 content lands in a temp file in the destination directory and is moved into
 place with ``os.replace``. Every float in a text artefact is written as
 ``%.17g`` by :func:`format_floats`, so ``float`` reads back the value written.
+Every TSV the package reads, evidence, ``tensor.tsv``, checkpoints,
+``pairs.tsv`` and ``predictions.tsv`` alike, goes through :func:`tsv_blocks`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import os
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence, TextIO
+from itertools import chain, repeat
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -60,7 +63,128 @@ def read_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
         try:
             yield handle
         except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+            # The decoder counts positions from the start of a read, not of the file.
+            raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+
+
+# --------------------------------------------------------------------------
+# The TSV reader. Lines split on "\n", and a "\r" just before it goes with
+# it, so CRLF reads as LF; blank lines are skipped. Fields split on tabs, with
+# no quoting, and columns are found by header name.
+
+_BLOCK_CHARS = 1 << 16  # characters read at a time: a block of lines is what they hold
+_DTYPES = {int: np.int64, float: np.float64}
+
+
+def line_blocks(handle: TextIO) -> Iterator[list[str]]:
+    """The lines of a text file opened with ``newline=""``, a block at a time.
+
+    A ``"\\r"`` ending a line goes with it, so CRLF reads as LF; one anywhere
+    else stays in its field. The last line is the text after the last
+    newline, empty when the file ends with one; it ends the last block, so
+    a file of one read is one block.
+    """
+    lines = [""]
+    while chunk := handle.read(_BLOCK_CHARS):
+        carry = lines.pop()  # the text after the last newline read so far
+        if lines:
+            yield lines
+        lines = (carry + chunk).replace("\r\n", "\n").split("\n")
+    lines[-1] = lines[-1].removesuffix("\r")
+    yield lines
+
+
+def read_header(path: str | Path) -> list[str]:
+    """The column names of a TSV's header row."""
+    with read_text(path, newline="") as handle:
+        return next(line_blocks(handle))[0].split("\t")
+
+
+def tsv_blocks(
+    path: str | Path, columns: Mapping[str, type], optional: Sequence[str] = ()
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """The ``columns`` then ``optional`` columns of a header-bearing TSV, then each row's line number,
+    a block of rows at a time; at least one block, empty for a file without rows.
+
+    ``columns`` maps each required column to how its fields are read: ``str``
+    keeps them as an object array, ``int`` and ``float`` read each as they
+    read text, into an int64 or float64 array. An optional column the header
+    lacks reads as empty strings. Each block is checked when it is read:
+    every line must have the header's field count, then no required ``str``
+    field may be empty, then each number must read, column by column. The
+    first fault names its ``path:line``.
+    """
+    path = Path(path)
+    with read_text(path, newline="") as handle:
+        blocks = line_blocks(handle)
+        lines = next(blocks)
+        header = lines[0].split("\t")
+        missing = [name for name in columns if name not in header]
+        if missing:
+            raise DataError(f"{path}: missing columns {missing}")
+        first = 2  # the line number of the line after the header
+        for lines in chain([lines[1:]], blocks):
+            yield _rows(path, header, lines, first, columns, optional)
+            first += len(lines)
+
+
+def _rows(
+    path: Path, header: list[str], lines: list[str], first: int, columns: Mapping[str, type], optional: Sequence[str]
+) -> tuple[np.ndarray, ...]:
+    """One block of :func:`tsv_blocks`: the columns of ``lines``, numbered from ``first``."""
+    width, step = len(header), len(header) + 1
+    if "" in lines:  # blank lines are skipped; the others keep their numbers
+        numbers = np.flatnonzero(np.fromiter(map(bool, lines), bool, len(lines))) + first
+        lines = [line for line in lines if line]
+    else:
+        numbers = np.arange(first, first + len(lines))
+    # The rows split as one string with a "\n" field after each row but the last.
+    # No other field holds a "\n", so every row has the header's width exactly
+    # when those fall every width + 1 fields; column c is then every
+    # (width + 1)-th field from c.
+    fields = "\t\n\t".join(lines).split("\t") if lines else []
+    if len(fields) + 1 != len(lines) * step or fields[width::step].count("\n") + 1 != len(lines):
+        widths = np.fromiter(map(str.count, lines, repeat("\t")), np.int64, len(lines)) + 1
+        check(path, numbers, widths == width, lambda r: f"{widths[r]} fields, the header has {width}")
+
+    def column(name: str) -> list[str]:
+        return fields[header.index(name)::step] if name in header else [""] * len(numbers)
+
+    text = {name: np.array(column(name), dtype=object) for name, convert in columns.items() if convert is str}
+    check(path, numbers, np.all([array != "" for array in text.values()], axis=0),
+          lambda r: f"malformed row, expected fields {list(columns)}")
+    read = [text[name] if convert is str else parse_fields(path, numbers, column(name), convert, name)
+            for name, convert in columns.items()]
+    return (*read, *(np.array(column(name), dtype=object) for name in optional), numbers)
+
+
+def parse_fields(path: str | Path, lines: np.ndarray, fields: list[str], convert: type, name: str) -> np.ndarray:
+    """``fields`` read by ``convert``, ``int`` or ``float``, into an int64 or float64 array;
+    the first field it rejects is a :class:`DataError` naming its line."""
+    dtype = _DTYPES[convert]
+    try:
+        return np.fromiter(map(convert, fields), dtype, len(fields))
+    except (ValueError, OverflowError):
+        for line, field in zip(lines.tolist(), fields):
+            try:
+                np.fromiter((convert(field),), dtype, 1)
+            except (ValueError, OverflowError) as exc:
+                raise DataError(f"{path}:{line}: bad {name} {field!r}") from exc
+        raise
+
+
+def read_tsv(path: str | Path, columns: Mapping[str, type], optional: Sequence[str] = ()) -> tuple[np.ndarray, ...]:
+    """All the blocks of :func:`tsv_blocks` as one table. Columns are joined one
+    at a time, each dropping its blocks, so a file's columns are never held twice."""
+    joined = [list(blocks) for blocks in zip(*tsv_blocks(path, columns, optional))]
+    return tuple(np.concatenate(joined.pop(0)) for _ in range(len(joined)))
+
+
+def check(path: str | Path, lines: np.ndarray, ok: np.ndarray, message: Callable[[int], str]) -> None:
+    """Raise a :class:`DataError` naming the line of the first row where ``ok`` is False, as ``message(row)`` says."""
+    bad = np.flatnonzero(~np.asarray(ok, dtype=bool))
+    if bad.size:
+        raise DataError(f"{path}:{lines[bad[0]]}: {message(int(bad[0]))}")
 
 
 # --------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .io import atomic_write, float_rows, read_json, read_text, write_json
+from .io import check, float_rows, read_header, read_json, read_tsv, write_json, write_tsv
 from .rng import ROLE_HYPER, ROLE_INIT, ROLE_LATENT, StreamTree
 from .tensor import CountRuns, SparseTensor, block_union
 
@@ -578,6 +578,11 @@ def predict_slice(samples: Sequence[Sample], layer: int) -> np.ndarray:
 _CHECKPOINT_FILES = ("targets.tsv", "indications.tsv", "layers.tsv")
 
 
+def _latent_columns(n_latent: int) -> list[str]:
+    """The header of a checkpoint TSV: one column per latent dimension."""
+    return [f"latent_{d}" for d in range(n_latent)]
+
+
 def save_checkpoint(
     directory: str | Path,
     samples: Sequence[Sample],
@@ -586,10 +591,9 @@ def save_checkpoint(
 ) -> None:
     directory = Path(directory)
     (seed,) = state.seeds  # a checkpoint holds one chain
+    header = _latent_columns(state.n_latent)
     for mode, filename in enumerate(_CHECKPOINT_FILES):
-        with atomic_write(directory / filename) as handle:
-            for sample in samples:
-                handle.writelines(float_rows(sample[mode]))
+        write_tsv(directory / filename, header, (text for sample in samples for text in float_rows(sample[mode])))
     manifest = {
         "n_latent": state.n_latent,
         "alpha": state.alpha,
@@ -600,21 +604,6 @@ def save_checkpoint(
         "retained": len(samples),
     }
     write_json(directory / "manifest.json", manifest)
-
-
-def _read_stack(path: Path, retained: int, n_latent: int) -> np.ndarray:
-    """One checkpoint TSV as a ``(retained, n, n_latent)`` array of finite floats."""
-    with read_text(path) as handle:
-        lines = handle.read().splitlines()
-    try:
-        stack = np.array([[float(v) for v in line.split("\t")] for line in lines])
-    except ValueError as exc:  # a non-numeric field or rows of unequal length
-        raise DataError(f"{path}: {exc}") from exc
-    if retained < 1 or stack.ndim != 2 or stack.shape[1] != n_latent or len(lines) % retained:
-        raise DataError(f"{path}: shape {stack.shape} is not {retained} stacked samples x n x {n_latent}")
-    if not np.isfinite(stack).all():
-        raise DataError(f"{path}: non-finite latent value")
-    return stack.reshape(retained, -1, n_latent)
 
 
 def load_checkpoint(directory: str | Path) -> tuple[list[Sample], Mapping]:
@@ -629,5 +618,17 @@ def load_checkpoint(directory: str | Path) -> tuple[list[Sample], Mapping]:
         retained, n_latent = (operator.index(manifest[key]) for key in ("retained", "n_latent"))
     except (KeyError, TypeError) as exc:
         raise DataError(f"{directory}: manifest needs integer 'retained' and 'n_latent'") from exc
-    stacks = [_read_stack(directory / name, retained, n_latent) for name in _CHECKPOINT_FILES]
+    if retained < 1 or n_latent < 1:
+        raise DataError(f"{directory}: manifest 'retained' and 'n_latent' must be at least 1")
+    stacks = []
+    for path in (directory / name for name in _CHECKPOINT_FILES):
+        # Counted first, so a huge n_latent never becomes a list of names.
+        if len(header := read_header(path)) != n_latent or header != _latent_columns(n_latent):
+            raise DataError(f"{path}: the header is not the {n_latent} columns latent_0 to latent_{n_latent - 1}")
+        *columns, lines = read_tsv(path, dict.fromkeys(header, float))
+        if not len(lines) or len(lines) % retained:
+            raise DataError(f"{path}: {len(lines)} rows are not {retained} stacked samples of at least one row")
+        stack = np.column_stack(columns)
+        check(path, lines, np.isfinite(stack).all(axis=1), lambda r: f"non-finite latent value in {stack[r].tolist()}")
+        stacks.append(stack.reshape(retained, -1, n_latent))
     return list(zip(*stacks)), manifest

@@ -14,14 +14,13 @@ outcome labels, ``k >= 1`` hold the evidence layers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
-from typing import NamedTuple, NoReturn, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .io import entry_lines, read_json, read_text, write_json, write_tsv
+from .io import check, entry_lines, read_json, read_tsv, write_json, write_tsv
 
 
 class CountRuns(NamedTuple):
@@ -43,6 +42,15 @@ class CountRuns(NamedTuple):
     values: np.ndarray
 
 
+def _checked_dims(dims: Sequence[int]) -> tuple[int, int, int]:
+    dims = tuple(int(d) for d in dims)
+    if len(dims) != 3 or any(d <= 0 for d in dims):
+        raise DataError(f"dims must be three positive integers, got {dims}")
+    if dims[0] * dims[1] * dims[2] > np.iinfo(np.int64).max:  # the cell order is an int64 linear index
+        raise DataError(f"dims {dims} hold more cells than an int64 index can number")
+    return dims
+
+
 def _linearize(coords: np.ndarray, dims: Sequence[int]) -> np.ndarray:
     return (coords[:, 0] * dims[1] + coords[:, 1]) * dims[2] + coords[:, 2]
 
@@ -58,11 +66,7 @@ class SparseTensor:
     __slots__ = ("dims", "_coords", "_values", "_runs")
 
     def __init__(self, dims: Sequence[int], coords: np.ndarray, values: np.ndarray):
-        dims = tuple(int(d) for d in dims)
-        if len(dims) != 3 or any(d <= 0 for d in dims):
-            raise DataError(f"dims must be three positive integers, got {dims}")
-        if dims[0] * dims[1] * dims[2] > np.iinfo(np.int64).max:  # the cell order is an int64 linear index
-            raise DataError(f"dims {dims} hold more cells than an int64 index can number")
+        dims = _checked_dims(dims)
         coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
         values = np.asarray(values, dtype=np.float64).reshape(-1)
         if coords.shape[0] != values.shape[0]:
@@ -239,7 +243,6 @@ def split_cells(
 
 _META_MODES = ("targets", "indications", "layers")
 _TSV_HEADER = ("i", "j", "k", "value")
-_BLOCK_LINES = 1 << 14  # entry lines split into fields at a time while loading
 
 
 def save_tensor(
@@ -261,7 +264,7 @@ def save_tensor(
     write_json(meta_path, meta, sort_keys=False)
 
 
-def _meta_indices(meta: object, meta_path: str | Path) -> tuple[list, tuple[tuple[str, ...], ...]]:
+def _meta_indices(meta: object, meta_path: str | Path) -> tuple[tuple[int, int, int], tuple[tuple[str, ...], ...]]:
     """Validate parsed tensor metadata and return its dims and per-mode identifiers."""
     try:
         dims = list(meta["dims"])
@@ -279,49 +282,7 @@ def _meta_indices(meta: object, meta_path: str | Path) -> tuple[list, tuple[tupl
             raise DataError(f"{meta_path}: {len(idents)} {key} identifiers for dims[{mode}] = {dim}")
         if len(set(idents)) != dim:
             raise DataError(f"{meta_path}: duplicate identifiers in 'modes.{key}'")
-    return dims, tuple(tuple(idents) for idents in lists)
-
-
-def _entry_arrays(lines: list[str], dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray] | None:
-    """Coordinates and values of ``tensor.tsv`` entry lines, or None if any line is malformed.
-
-    Fields go through ``int`` and ``float`` column by column, a block of
-    lines at a time; a line is malformed exactly when the line loop of
-    :func:`_raise_malformed` rejects it.
-    """
-    if set(map(str.count, lines, repeat("\t"))) - {3}:
-        return None
-    coords = np.empty((len(lines), 3), dtype=np.int64)
-    values = np.empty(len(lines))
-    try:
-        for start in range(0, len(lines), _BLOCK_LINES):
-            fields = "\t".join(lines[start : start + _BLOCK_LINES]).split("\t")
-            stop = start + len(fields) // 4
-            values[start:stop] = np.fromiter(map(float, fields[3::4]), np.float64, stop - start)
-            del fields[3::4]
-            coords[start:stop] = np.fromiter(map(int, fields), np.int64, 3 * (stop - start)).reshape(-1, 3)
-    except (ValueError, OverflowError):  # not a number, or a coordinate beyond int64
-        return None
-    if coords.size and (coords.min() < 0 or (coords >= np.asarray(dims)).any()):
-        return None
-    return coords, values
-
-
-def _raise_malformed(tsv_path: str | Path, header: str, lines: list[str], dims: Sequence[int]) -> NoReturn:
-    """Raise the :class:`DataError` that names the first malformed line of ``tensor.tsv``."""
-    if header != "\t".join(_TSV_HEADER):
-        raise DataError(f"unexpected tensor header in {tsv_path}: {header!r}")
-    for lineno, line in enumerate(lines, start=2):
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise DataError(f"{tsv_path}:{lineno}: expected 4 fields, got {len(parts)}")
-        try:
-            i, j, k, _ = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
-        except ValueError as exc:
-            raise DataError(f"{tsv_path}:{lineno}: {exc}") from exc
-        if not (0 <= i < dims[0] and 0 <= j < dims[1] and 0 <= k < dims[2]):
-            raise DataError(f"{tsv_path}:{lineno}: coordinate ({i}, {j}, {k}) out of range for dims {dims}")
-    raise DataError(f"{tsv_path}: malformed tensor entries")
+    return _checked_dims(dims), tuple(tuple(idents) for idents in lists)
 
 
 def load_tensor(
@@ -329,15 +290,20 @@ def load_tensor(
 ) -> tuple[SparseTensor, tuple[tuple[str, ...], ...]]:
     """The tensor and per-mode identifiers of a ``tensor.tsv`` plus its JSON sidecar.
 
-    The entries are parsed in one vectorised pass; only when it fails does
-    a line loop run, to name the first malformed ``path:line``.
+    ``tensor.tsv`` goes through :func:`~trialtensor.io.read_tsv`; a cell out
+    of range, a value that is not finite or not in [0, 1] and a repeated cell
+    each name their line.
     """
     dims, modes = _meta_indices(read_json(meta_path), meta_path)
-    with read_text(tsv_path) as handle:
-        header, *lines = handle.read().split("\n")
-    if lines and lines[-1] == "":  # the final newline ends the last line, it starts none
-        lines.pop()
-    entries = _entry_arrays(lines, dims) if header == "\t".join(_TSV_HEADER) else None
-    if entries is None:
-        _raise_malformed(tsv_path, header, lines, dims)
-    return SparseTensor(dims, *entries), modes
+    i, j, k, values, lines = read_tsv(tsv_path, dict(zip(_TSV_HEADER, (int, int, int, float))))
+    coords = np.column_stack((i, j, k))
+    check(tsv_path, lines, ((coords >= 0) & (coords < dims)).all(axis=1),
+          lambda r: f"coordinate {tuple(coords[r].tolist())} out of range for dims {list(dims)}")
+    check(tsv_path, lines, np.isfinite(values), lambda r: f"non-finite value {values[r]}")
+    check(tsv_path, lines, (values >= 0.0) & (values <= 1.0), lambda r: f"value {values[r]} outside [0, 1]")
+    lin = _linearize(coords, dims)
+    order = np.argsort(lin, kind="stable")
+    repeated = np.zeros(len(lin), dtype=bool)
+    repeated[order[1:]] = lin[order[1:]] == lin[order[:-1]]  # a cell an earlier line holds
+    check(tsv_path, lines, ~repeated, lambda r: f"duplicate coordinate {tuple(coords[r].tolist())}")
+    return SparseTensor(dims, coords, values), modes

@@ -131,7 +131,15 @@ EDITS = st.lists(
 )
 
 
-def splice(text: str, edits) -> str:
+# The same edits over raw bytes, for fuzzing readers with files that need not be UTF-8.
+BYTE_EDITS = st.lists(
+    st.tuples(st.integers(0, 10_000), st.integers(0, 12), st.binary(max_size=12)),
+    min_size=1,
+    max_size=3,
+)
+
+
+def splice(text: str | bytes, edits):
     for position, length, insert in edits:
         position %= len(text) + 1
         text = text[:position] + insert + text[position + length :]

@@ -5,17 +5,22 @@ import shutil
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trialtensor
-from trialtensor import SparseTensor, sampler, load_checkpoint, predict_slice, save_tensor
+from trialtensor import DataError, SparseTensor, sampler, load_checkpoint, predict_slice, save_tensor
 from trialtensor import cli
-from trialtensor import ingest as ing
+from trialtensor import io
 from trialtensor.cli import main
 from trialtensor.io import format_floats
+
+from conftest import BYTE_EDITS, splice
 
 
 @pytest.fixture()
@@ -532,7 +537,7 @@ class TestPhaseCommand:
         predictions.write_text("\n".join(lines[:30] + extra + lines[30:]) + "\n")
         assert main(["phase-analysis", "--predictions", str(predictions), "--pairs", str(pairs),
                      "--out", str(tmp_path / "a")]) == 0
-        monkeypatch.setattr(ing, "_BLOCK_CHARS", block)
+        monkeypatch.setattr(io, "_BLOCK_CHARS", block)
         assert main(["phase-analysis", "--predictions", str(predictions), "--pairs", str(pairs),
                      "--out", str(tmp_path / "b")]) == 0
         for name in ("phase_analysis.json", "phase_tests.tsv"):
@@ -551,7 +556,7 @@ class TestPhaseCommand:
     )
     def test_faults_found_across_blocks(self, tmp_path, capsys, monkeypatch, edit, message):
         # With blocks of a few lines, each fault and the row it names lie in different blocks.
-        monkeypatch.setattr(ing, "_BLOCK_CHARS", 64)
+        monkeypatch.setattr(io, "_BLOCK_CHARS", 64)
         predictions, pairs = self._write_inputs(tmp_path)
         lines = predictions.read_text().splitlines()
         fields = [line.split("\t") for line in lines]
@@ -569,6 +574,41 @@ class TestPhaseCommand:
         args = ["phase-analysis", "--predictions", str(predictions), "--pairs", str(pairs), "--out", str(tmp_path / "o")]
         assert main(args) == 2
         assert message in capsys.readouterr().err
+
+
+class TestPhaseInputsBytesFuzz:
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        # The first 16 lines of each file: phase 0's pairs and their scores.
+        files = TestPhaseCommand()._write_inputs(tmp_path_factory.mktemp("phase"))
+        return {path.name: b"".join(path.read_bytes().splitlines(keepends=True)[:16]) for path in files}
+
+    @settings(max_examples=150, deadline=None)
+    @given(edits=BYTE_EDITS)
+    def test_edited_pairs_bytes_read_or_are_data_error(self, inputs, edits):
+        pairs = self._read("pairs.tsv", splice(inputs["pairs.tsv"], edits), cli._read_pairs)
+        if pairs is not None:
+            assert all(isinstance(gene, str) and isinstance(disease, str) and 0 <= phase <= 4
+                       for gene, disease, phase in pairs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(edits=BYTE_EDITS)
+    def test_edited_predictions_bytes_read_or_are_data_error(self, inputs, edits):
+        keys = {(f"g0_{n}", f"d0_{n}") for n in range(12)}
+        scores = self._read("predictions.tsv", splice(inputs["predictions.tsv"], edits),
+                            lambda path: cli._read_predictions(path, "outcome", keys))
+        if scores is not None:
+            assert set(scores) <= keys and all(0.0 <= score <= 1.0 for score in scores.values())
+
+    @staticmethod
+    def _read(name, data, read):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / name
+            path.write_bytes(data)
+            try:
+                return read(path)
+            except DataError:
+                return None
 
 
 class TestTopLevel:
@@ -672,7 +712,7 @@ class TestTopLevel:
             args = list(ingest_args[0])
             rare = args.index("--rare") + 1
             bad = tmp_path / "rare.tsv"
-            bad.write_bytes(open(args[rare], "rb").read() + b"G\xff\tE\thigh\n")
+            bad.write_bytes(Path(args[rare]).read_bytes() + b"G\xff\tE\thigh\n")
             args[rare], args[args.index("--out") + 1] = str(bad), out
         elif case == "predictions":
             bad = tmp_path / "predictions.tsv"

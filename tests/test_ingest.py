@@ -21,13 +21,11 @@ from trialtensor import (
     parse_outcomes,
     parse_rare_disease,
 )
-from trialtensor import ingest
-from trialtensor.ingest import _table
 
 import ingest_reference as reference
 from conftest import (
+    BYTE_EDITS,
     DATA_DIR,
-    EDITS,
     FIXTURE_ENTRIES,
     NO_PAIRS,
     concat_tables,
@@ -283,101 +281,39 @@ class TestBuildTensor:
         assert tensor.dims[0] == 4
 
 
-class TestRowsFuzz:
+_PARSERS = {
+    "rare_disease.tsv": parse_rare_disease,
+    "gene_burden.tsv": parse_gene_burden,
+    "gwas_l2g.tsv": parse_gwas_l2g,
+    "outcomes.tsv": parse_outcomes,
+    "xref.tsv": load_xref,
+}
+
+
+class TestBytesFuzz:
     @settings(max_examples=150, deadline=None)
-    @given(edits=EDITS)
-    def test_edited_text_yields_rows_or_is_data_error(self, edits):
-        text = splice((DATA_DIR / "rare_disease.tsv").read_text(encoding="utf-8"), edits)
-        required = ("gene_id", "efo_id", "confidence")
+    @given(name=st.sampled_from(sorted(set(_PARSERS) - {"xref.tsv"})), edits=BYTE_EDITS)
+    def test_edited_evidence_bytes_parse_or_are_data_error(self, name, edits):
+        table = self._parse(name, edits)
+        if table is not None:
+            assert all(isinstance(column, np.ndarray) and len(column) == len(table[0]) for column in table)
+
+    @settings(max_examples=100, deadline=None)
+    @given(edits=BYTE_EDITS)
+    def test_edited_xref_bytes_map_or_are_data_error(self, edits):
+        xref = self._parse("xref.tsv", edits)
+        if xref is not None:
+            assert all(isinstance(key, str) and isinstance(value, str) for key, value in xref.items())
+
+    @staticmethod
+    def _parse(name, edits):
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "rare.tsv"
-            path.write_text(text, encoding="utf-8")
+            path = Path(tmp) / name
+            path.write_bytes(splice((DATA_DIR / name).read_bytes(), edits))
             try:
-                *columns, _ = _table(path, required)
+                return _PARSERS[name](path)
             except DataError:
-                return
-        assert all(field for column in columns for field in column)
-
-    def test_oversized_field_is_read(self, tmp_path):
-        path = tmp_path / "rare.tsv"
-        path.write_text(f"gene_id\tefo_id\tconfidence\nG1\t{'E' * 200_000}\tstrong\n")
-        genes, diseases, confidence, lines = _table(path, ("gene_id", "efo_id", "confidence"))
-        assert diseases.tolist() == ["E" * 200_000]
-        assert lines.tolist() == [2]
-
-
-REQUIRED = ("gene_id", "efo_id", "confidence")
-
-
-class TestTable:
-    def _read(self, tmp_path, text, required=REQUIRED, **kwargs):
-        path = tmp_path / "t.tsv"
-        path.write_bytes(text.encode("utf-8"))
-        return _table(path, required, **kwargs)
-
-    def test_crlf_reads_like_lf(self, tmp_path):
-        text = "gene_id\tefo_id\tconfidence\nG1\tE1\tstrong\nG2\tE2\tlimited\n"
-        lf = self._read(tmp_path, text)
-        crlf = self._read(tmp_path, text.replace("\n", "\r\n"))
-        assert [column.tolist() for column in lf] == [column.tolist() for column in crlf]
-
-    def test_blank_lines_skipped_and_lines_numbered_as_in_the_file(self, tmp_path):
-        genes, _, _, lines = self._read(tmp_path, "gene_id\tefo_id\tconfidence\n\nG1\tE1\tstrong\n\r\nG2\tE2\tx")
-        assert genes.tolist() == ["G1", "G2"]
-        assert lines.tolist() == [3, 5]
-        with pytest.raises(DataError, match=r"t\.tsv:4: malformed row"):
-            self._read(tmp_path, "gene_id\tefo_id\tconfidence\n\nG1\tE1\tstrong\nG2\t\tx\n")
-
-    @pytest.mark.parametrize("row", ["G1\tE1\tstrong\textra", "G1\tE1", "G1"])
-    def test_field_count_must_match_header(self, tmp_path, row):
-        with pytest.raises(DataError, match=r"t\.tsv:3: \d fields, the header has 3"):
-            self._read(tmp_path, f"gene_id\tefo_id\tconfidence\nG0\tE0\tstrong\n{row}\n")
-
-    def test_no_quoting_and_only_newline_splits_lines(self, tmp_path):
-        genes, diseases, _, _ = self._read(
-            tmp_path, 'gene_id\tefo_id\tconfidence\n"G1"\tE\x85F\u2028G\rH\tstrong\n'
-        )
-        assert genes.tolist() == ['"G1"']
-        assert diseases.tolist() == ["E\x85F\u2028G\rH"]
-
-    def test_optional_columns(self, tmp_path):
-        *_, label, lines = self._read(
-            tmp_path, "gene_id\tefo_id\tconfidence\tlabel\nG1\tE1\tstrong\t\n", optional=("label",)
-        )
-        assert label.tolist() == [""]
-        *_, absent, lines = self._read(tmp_path, "gene_id\tefo_id\tconfidence\nG1\tE1\tstrong\n",
-                                       optional=("label",))
-        assert absent.tolist() == [""]
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        rows=st.lists(st.sampled_from(["G1\tE1\tstrong", "G22\tE\r2\tlimited", "", "\r", "Gène\tδ\tx"]), max_size=12),
-        crlf=st.booleans(),
-        final_newline=st.booleans(),
-        block=st.integers(1, 40),
-    )
-    def test_blocks_of_any_size_read_as_one(self, rows, crlf, final_newline, block):
-        text = "\n".join(["gene_id\tefo_id\tconfidence", *rows]) + ("\n" if final_newline else "")
-        if crlf:
-            text = text.replace("\n", "\r\n")
-
-        def outcome(tmp):
-            try:
-                return [column.tolist() for column in self._read(Path(tmp), text)]
-            except DataError as exc:
-                return str(exc)
-
-        with tempfile.TemporaryDirectory() as tmp:
-            whole = outcome(tmp)
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(ingest, "_BLOCK_CHARS", block)
-                assert outcome(tmp) == whole
-
-    def test_fault_in_a_later_block_names_its_line(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ingest, "_BLOCK_CHARS", 16)
-        rows = "".join(f"G{n}\tE{n}\tstrong\n" for n in range(20))
-        with pytest.raises(DataError, match=r"t\.tsv:23: 2 fields, the header has 3"):
-            self._read(tmp_path, f"gene_id\tefo_id\tconfidence\n{rows}\nG\tE\n")
+                return None
 
 
 # Identifiers for the reference comparison: EFO ids the cross-reference may

@@ -1,12 +1,17 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from trialtensor.io import FLOAT_BLOCK, entry_lines, escape_percent, float_rows, format_floats
+from trialtensor import DataError, io
+from trialtensor.io import FLOAT_BLOCK, entry_lines, escape_percent, float_rows, format_floats, read_tsv
+
+from conftest import DATA_DIR, EDITS, splice
 
 
 def _bits(value):
@@ -116,3 +121,129 @@ class TestFormatFloats:
 
     def test_empty(self):
         assert format_floats(np.empty(0)) == []
+
+
+REQUIRED = ("gene_id", "efo_id", "confidence")
+TEXT = dict.fromkeys(REQUIRED, str)
+
+
+class TestRowsFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(edits=EDITS)
+    def test_edited_text_yields_rows_or_is_data_error(self, edits):
+        text = splice((DATA_DIR / "rare_disease.tsv").read_text(encoding="utf-8"), edits)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rare.tsv"
+            path.write_text(text, encoding="utf-8")
+            try:
+                *columns, _ = read_tsv(path, TEXT)
+            except DataError:
+                return
+        assert all(field for column in columns for field in column)
+
+    def test_oversized_field_is_read(self, tmp_path):
+        path = tmp_path / "rare.tsv"
+        path.write_text(f"gene_id\tefo_id\tconfidence\nG1\t{'E' * 200_000}\tstrong\n")
+        genes, diseases, confidence, lines = read_tsv(path, TEXT)
+        assert diseases.tolist() == ["E" * 200_000]
+        assert lines.tolist() == [2]
+
+
+class TestTable:
+    def _read(self, tmp_path, text, columns=TEXT, **kwargs):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        return read_tsv(path, columns, **kwargs)
+
+    def test_crlf_reads_like_lf(self, tmp_path):
+        text = "gene_id\tefo_id\tconfidence\nG1\tE1\tstrong\nG2\tE2\tlimited\n"
+        lf = self._read(tmp_path, text)
+        crlf = self._read(tmp_path, text.replace("\n", "\r\n"))
+        assert [column.tolist() for column in lf] == [column.tolist() for column in crlf]
+
+    def test_blank_lines_skipped_and_lines_numbered_as_in_the_file(self, tmp_path):
+        genes, _, _, lines = self._read(tmp_path, "gene_id\tefo_id\tconfidence\n\nG1\tE1\tstrong\n\r\nG2\tE2\tx")
+        assert genes.tolist() == ["G1", "G2"]
+        assert lines.tolist() == [3, 5]
+        with pytest.raises(DataError, match=r"t\.tsv:4: malformed row"):
+            self._read(tmp_path, "gene_id\tefo_id\tconfidence\n\nG1\tE1\tstrong\nG2\t\tx\n")
+
+    @pytest.mark.parametrize("row", ["G1\tE1\tstrong\textra", "G1\tE1", "G1"])
+    def test_field_count_must_match_header(self, tmp_path, row):
+        with pytest.raises(DataError, match=r"t\.tsv:3: \d fields, the header has 3"):
+            self._read(tmp_path, f"gene_id\tefo_id\tconfidence\nG0\tE0\tstrong\n{row}\n")
+
+    def test_rows_that_share_fields_out_are_caught(self, tmp_path):
+        # Four and two fields make six, as two rows of three would.
+        with pytest.raises(DataError, match=r"t\.tsv:2: 4 fields, the header has 3"):
+            self._read(tmp_path, "gene_id\tefo_id\tconfidence\nG1\tE1\tstrong\tx\nG2\tE2\n")
+
+    def test_no_quoting_and_only_newline_splits_lines(self, tmp_path):
+        genes, diseases, _, _ = self._read(
+            tmp_path, 'gene_id\tefo_id\tconfidence\n"G1"\tE\x85F\u2028G\rH\tstrong\n'
+        )
+        assert genes.tolist() == ['"G1"']
+        assert diseases.tolist() == ["E\x85F\u2028G\rH"]
+
+    def test_optional_columns(self, tmp_path):
+        *_, label, lines = self._read(
+            tmp_path, "gene_id\tefo_id\tconfidence\tlabel\nG1\tE1\tstrong\t\n", optional=("label",)
+        )
+        assert label.tolist() == [""]
+        *_, absent, lines = self._read(tmp_path, "gene_id\tefo_id\tconfidence\nG1\tE1\tstrong\n",
+                                       optional=("label",))
+        assert absent.tolist() == [""]
+
+    def test_numeric_columns(self, tmp_path):
+        columns = {"n": int, "x": float, "name": str}
+        n, x, name, lines = self._read(tmp_path, "name\tx\tn\r\na\t0.5\t-3\r\nb\t 1e3\t+0\r\n", columns)
+        assert (n.dtype, x.dtype, name.dtype) == (np.int64, np.float64, object)
+        assert n.tolist() == [-3, 0] and x.tolist() == [0.5, 1000.0] and name.tolist() == ["a", "b"]
+        assert self._read(tmp_path, "n\tx\n", {"n": int, "x": float})[0].dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [("1\t0.5\ta\nx\t0.5\ta\n", "t.tsv:3: bad n 'x'"),
+         ("1.0\t0.5\ta\n", "t.tsv:2: bad n '1.0'"),
+         (f"{2**63}\t0.5\ta\n", f"t.tsv:2: bad n '{2**63}'"),
+         ("1\tnan\ta\n2\t\t\ta\n", "t.tsv:3: 4 fields, the header has 3"),
+         ("1\t0.5\ta\n\t0.5\ta\nx\t1\ta\n", "t.tsv:3: bad n ''"),
+         ("1\tone\ta\nx\t0.5\ta\n", "t.tsv:3: bad n 'x'"),
+         ("1\tone\ta\n2\t0.5\ta\n", "t.tsv:2: bad x 'one'"),
+         ("x\ty\ta\n1\t0.5\t\n", "t.tsv:3: malformed row, expected fields ['n', 'x', 'name']")],
+    )
+    def test_numeric_faults_name_their_line(self, tmp_path, rows, message):
+        # An empty text field is found first, then the numbers column by column.
+        with pytest.raises(DataError) as caught:
+            self._read(tmp_path, "n\tx\tname\n" + rows, {"n": int, "x": float, "name": str})
+        assert message in str(caught.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(st.sampled_from(["G1\tE1\tstrong", "G22\tE\r2\tlimited", "", "\r", "Gène\tδ\tx"]), max_size=12),
+        crlf=st.booleans(),
+        final_newline=st.booleans(),
+        block=st.integers(1, 40),
+    )
+    def test_blocks_of_any_size_read_as_one(self, rows, crlf, final_newline, block):
+        text = "\n".join(["gene_id\tefo_id\tconfidence", *rows]) + ("\n" if final_newline else "")
+        if crlf:
+            text = text.replace("\n", "\r\n")
+
+        def outcome(tmp):
+            try:
+                return [column.tolist() for column in self._read(Path(tmp), text)]
+            except DataError as exc:
+                return str(exc)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            whole = outcome(tmp)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(io, "_BLOCK_CHARS", block)
+                assert outcome(tmp) == whole
+
+    def test_fault_in_a_later_block_names_its_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io, "_BLOCK_CHARS", 16)
+        rows = "".join(f"G{n}\tE{n}\tstrong\n" for n in range(20))
+        with pytest.raises(DataError, match=r"t\.tsv:23: 2 fields, the header has 3"):
+            self._read(tmp_path, f"gene_id\tefo_id\tconfidence\n{rows}\nG\tE\n")

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from trialtensor import (
 from trialtensor import sampler
 from trialtensor.rng import ROLE_LATENT, StreamTree
 
-from conftest import EDITS, FIXTURE_ENTRIES, splice, tensor_from_entries
+from conftest import BYTE_EDITS, EDITS, FIXTURE_ENTRIES, splice, tensor_from_entries
 
 
 def _rng(seed=0):
@@ -852,19 +853,28 @@ def _patch_manifest(directory, **changes):
 
 
 def _reference_checkpoint_text(samples, mode):
-    """A checkpoint TSV as the per-field writer that the row template replaced wrote it."""
-    return "".join("\t".join(f"{v:.17g}" for v in row) + "\n" for sample in samples for row in sample[mode])
+    """A checkpoint TSV written field by field: a header naming the latent columns, then the rows."""
+    header = "\t".join(f"latent_{d}" for d in range(samples[0][mode].shape[1])) + "\n"
+    return header + "".join("\t".join(f"{v:.17g}" for v in row) + "\n" for sample in samples for row in sample[mode])
 
 
 _BAD_CHECKPOINTS = {
     "missing file": lambda d: (d / "layers.tsv").unlink(),
-    "non-numeric field": lambda d: _rewrite_line(d / "targets.tsv", 1, "0.5\tabc\t0.1"),
-    "too few columns": lambda d: _rewrite_line(d / "indications.tsv", 0, "0.5\t0.1"),
+    "non-numeric field": lambda d: _rewrite_line(d / "targets.tsv", 2, "0.5\tabc\t0.1"),
+    "too few columns": lambda d: _rewrite_line(d / "indications.tsv", 1, "0.5\t0.1"),
     "rows not a multiple of retained": lambda d: (d / "layers.tsv").write_text(
         "\n".join((d / "layers.tsv").read_text().splitlines()[:-1]) + "\n"
     ),
     "empty file": lambda d: (d / "targets.tsv").write_text(""),
-    "non-finite value": lambda d: _rewrite_line(d / "targets.tsv", 0, "nan\t0.1\t0.2"),
+    "header only": lambda d: (d / "targets.tsv").write_text("latent_0\tlatent_1\tlatent_2\n"),
+    "no header, as written before the header row": lambda d: (d / "layers.tsv").write_text(
+        "".join((d / "layers.tsv").read_text().splitlines(keepends=True)[1:])
+    ),
+    "other column names": lambda d: _rewrite_line(d / "targets.tsv", 0, "latent_0\tlatent_2\tlatent_1"),
+    "an extra column": lambda d: (d / "targets.tsv").write_text(
+        "".join(line + "\t0.5\n" for line in (d / "targets.tsv").read_text().splitlines())
+    ),
+    "non-finite value": lambda d: _rewrite_line(d / "targets.tsv", 1, "nan\t0.1\t0.2"),
     "retained disagrees": lambda d: _patch_manifest(d, retained=3),
     "retained zero": lambda d: _patch_manifest(d, retained=0),
     "n_latent disagrees": lambda d: _patch_manifest(d, n_latent=2),
@@ -890,7 +900,8 @@ class TestCheckpoint:
 
     def test_files_stack_samples_in_retention_order(self, tiny_tensor, tmp_path):
         samples = _checkpoint(tmp_path / "ckpt", tiny_tensor)
-        lines = (tmp_path / "ckpt" / "targets.tsv").read_text().splitlines()
+        header, *lines = (tmp_path / "ckpt" / "targets.tsv").read_text().splitlines()
+        assert header == "latent_0\tlatent_1\tlatent_2"
         assert len(lines) == 2 * tiny_tensor.dims[0]
         assert [float(v) for v in lines[3].split("\t")] == samples[1][0][0].tolist()
 
@@ -906,6 +917,18 @@ class TestCheckpoint:
         _checkpoint(tmp_path / "ckpt", tiny_tensor)
         _BAD_CHECKPOINTS[case](tmp_path / "ckpt")
         with pytest.raises(DataError):
+            load_checkpoint(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize(
+        "name,line,text,message",
+        [("targets.tsv", 3, "0.5\tabc\t0.1", "targets.tsv:4: bad latent_1 'abc'"),
+         ("indications.tsv", 2, "nan\t0.1\t0.2", "indications.tsv:3: non-finite latent value in [nan, 0.1, 0.2]"),
+         ("layers.tsv", 1, "0.5\t0.1", "layers.tsv:2: 2 fields, the header has 3")],
+    )
+    def test_fault_names_its_line(self, tiny_tensor, tmp_path, name, line, text, message):
+        _checkpoint(tmp_path / "ckpt", tiny_tensor)
+        _rewrite_line(tmp_path / "ckpt" / name, line, text)
+        with pytest.raises(DataError, match=re.escape(message)):
             load_checkpoint(tmp_path / "ckpt")
 
 
@@ -924,11 +947,19 @@ class TestCheckpointFuzz:
         edits=EDITS,
     )
     def test_edited_text_loads_or_is_data_error(self, checkpoint_texts, name, edits):
-        text = splice(checkpoint_texts[name], edits)
+        self._check_edited(name, splice(checkpoint_texts[name], edits).encode(), checkpoint_texts)
+
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(["targets.tsv", "indications.tsv", "layers.tsv"]), edits=BYTE_EDITS)
+    def test_edited_bytes_load_or_are_data_error(self, checkpoint_texts, name, edits):
+        self._check_edited(name, splice(checkpoint_texts[name].encode(), edits), checkpoint_texts)
+
+    @staticmethod
+    def _check_edited(name, data, checkpoint_texts):
         with tempfile.TemporaryDirectory() as tmp:
             directory = Path(tmp)
             for filename, original in checkpoint_texts.items():
-                (directory / filename).write_text(text if filename == name else original, encoding="utf-8")
+                (directory / filename).write_bytes(data if filename == name else original.encode())
             try:
                 samples, manifest = load_checkpoint(directory)
             except DataError:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -21,9 +22,11 @@ from trialtensor import (
     split_cells,
 )
 from trialtensor.io import read_json, read_text
-from trialtensor.tensor import _BLOCK_LINES, _meta_indices
+from trialtensor.tensor import _meta_indices
 
-from conftest import EDITS, FIXTURE_ENTRIES, cell_value, evidence_table, splice, tensor_from_entries, trial_table
+from conftest import (
+    BYTE_EDITS, EDITS, FIXTURE_ENTRIES, cell_value, evidence_table, splice, tensor_from_entries, trial_table,
+)
 
 
 def _build_genes(genes):
@@ -368,24 +371,52 @@ def _reference_tsv_text(tensor):
 
 
 def _reference_load_tensor(tsv_path, meta_path):
-    """The line loop that load_tensor's vectorised pass replaced."""
+    """A line loop over tensor.tsv by the TSV reader's rules.
+
+    Each kind of fault is looked for over the whole file, in the reader's
+    order and then load_tensor's: missing columns, field counts, each
+    column's numbers, coordinates out of range, non-finite values, values
+    outside [0, 1] and repeated cells.
+    """
     dims, modes = _meta_indices(read_json(meta_path), meta_path)
-    entries = []
-    with read_text(tsv_path) as handle:
-        header = handle.readline().rstrip("\n")
-        if header.split("\t") != ["i", "j", "k", "value"]:
-            raise DataError(f"unexpected tensor header in {tsv_path}: {header!r}")
-        for lineno, line in enumerate(handle, start=2):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 4:
-                raise DataError(f"{tsv_path}:{lineno}: expected 4 fields, got {len(parts)}")
+    with read_text(tsv_path, newline="") as handle:
+        lines = handle.read().replace("\r\n", "\n").split("\n")
+    lines[-1] = lines[-1].removesuffix("\r")  # a "\r" ending the file ends its last line
+    header, *lines = lines
+    header, names = header.split("\t"), ["i", "j", "k", "value"]
+    missing = [name for name in names if name not in header]
+    if missing:
+        raise DataError(f"{tsv_path}: missing columns {missing}")
+    rows = [(lineno, line.split("\t")) for lineno, line in enumerate(lines, start=2) if line]
+    for lineno, parts in rows:
+        if len(parts) != len(header):
+            raise DataError(f"{tsv_path}:{lineno}: {len(parts)} fields, the header has {len(header)}")
+    fields = [(lineno, [parts[header.index(name)] for name in names]) for lineno, parts in rows]
+    entries = [[] for _ in fields]
+    for column, (name, convert) in enumerate(zip(names, (int, int, int, float))):
+        for (lineno, row), entry in zip(fields, entries):
             try:
-                i, j, k, value = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
+                number = convert(row[column])
             except ValueError as exc:
-                raise DataError(f"{tsv_path}:{lineno}: {exc}") from exc
-            if not (0 <= i < dims[0] and 0 <= j < dims[1] and 0 <= k < dims[2]):
-                raise DataError(f"{tsv_path}:{lineno}: coordinate ({i}, {j}, {k}) out of range for dims {dims}")
-            entries.append((i, j, k, value))
+                raise DataError(f"{tsv_path}:{lineno}: bad {name} {row[column]!r}") from exc
+            if convert is int and not -(2**63) <= number < 2**63:
+                raise DataError(f"{tsv_path}:{lineno}: bad {name} {row[column]!r}")
+            entry.append(number)
+    numbered = [(lineno, entry) for (lineno, _), entry in zip(fields, entries)]
+    for lineno, (i, j, k, _) in numbered:
+        if not (0 <= i < dims[0] and 0 <= j < dims[1] and 0 <= k < dims[2]):
+            raise DataError(f"{tsv_path}:{lineno}: coordinate ({i}, {j}, {k}) out of range for dims {list(dims)}")
+    for lineno, (*_, value) in numbered:
+        if not math.isfinite(value):
+            raise DataError(f"{tsv_path}:{lineno}: non-finite value {value}")
+    for lineno, (*_, value) in numbered:
+        if not 0.0 <= value <= 1.0:
+            raise DataError(f"{tsv_path}:{lineno}: value {value} outside [0, 1]")
+    seen = set()
+    for lineno, (*cell, _) in numbered:
+        if tuple(cell) in seen:
+            raise DataError(f"{tsv_path}:{lineno}: duplicate coordinate {tuple(cell)}")
+        seen.add(tuple(cell))
     return tensor_from_entries(dims, entries), modes
 
 
@@ -416,13 +447,21 @@ class TestLoadTensorFuzz:
     @settings(max_examples=150, deadline=None)
     @given(name=st.sampled_from(["tensor.tsv", "tensor.meta.json"]), edits=EDITS)
     def test_edited_text_loads_or_is_data_error(self, tensor_texts, name, edits):
-        # The vectorised pass and the reference line loop return the same
-        # arrays or raise the same message on every edited text.
+        # load_tensor and the reference line loop return the same arrays or
+        # raise the same message on every edited text.
+        self._check_edited({name: splice(tensor_texts[name], edits).encode()}, tensor_texts)
+
+    @settings(max_examples=150, deadline=None)
+    @given(edits=BYTE_EDITS)
+    def test_edited_bytes_load_or_are_data_error(self, tensor_texts, edits):
+        self._check_edited({"tensor.tsv": splice(tensor_texts["tensor.tsv"].encode(), edits)}, tensor_texts)
+
+    @staticmethod
+    def _check_edited(edited, tensor_texts):
         with tempfile.TemporaryDirectory() as tmp:
             directory = Path(tmp)
             for filename, original in tensor_texts.items():
-                text = splice(original, edits) if filename == name else original
-                (directory / filename).write_text(text, encoding="utf-8")
+                (directory / filename).write_bytes(edited.get(filename, original.encode()))
             outcome = _assert_loads_like_line_loop(directory)
         if not isinstance(outcome, str):
             dims, _, _, idents = outcome
@@ -443,9 +482,34 @@ class TestLoadTensorFuzz:
         (tmp_path / "tensor.meta.json").write_text(tensor_texts["tensor.meta.json"], encoding="utf-8")
         _assert_loads_like_line_loop(tmp_path)
 
-    @pytest.mark.parametrize("bad_line", [None, 3, _BLOCK_LINES + 50])
+    @pytest.mark.parametrize(
+        "line,row,message",
+        [(3, "0\t1\t0\t1.5", "value 1.5 outside [0, 1]"), (4, "1\t0\t0\tnan", "non-finite value nan"),
+         (5, "0\t0\t0\t0.25", "duplicate coordinate (0, 0, 0)"), (2, "0\t0\t0\t-inf", "non-finite value -inf")],
+    )
+    def test_value_faults_name_their_line(self, tensor_texts, tmp_path, line, row, message):
+        lines = tensor_texts["tensor.tsv"].split("\n")
+        lines[line - 1] = row
+        (tmp_path / "tensor.tsv").write_text("\n".join(lines), encoding="utf-8")
+        (tmp_path / "tensor.meta.json").write_text(tensor_texts["tensor.meta.json"], encoding="utf-8")
+        with pytest.raises(DataError) as caught:
+            load_tensor(tmp_path / "tensor.tsv", tmp_path / "tensor.meta.json")
+        assert str(caught.value) == f"{tmp_path / 'tensor.tsv'}:{line}: {message}"
+        _assert_loads_like_line_loop(tmp_path)
+
+    def test_crlf_blank_lines_and_column_order(self, tensor_texts, tmp_path):
+        lines = tensor_texts["tensor.tsv"].rstrip("\n").split("\n")
+        swapped = ["\t".join(line.split("\t")[::-1] + ["note"]) for line in lines]
+        (tmp_path / "tensor.tsv").write_text("\r\n\r\n".join(swapped) + "\r\n", encoding="utf-8")
+        (tmp_path / "tensor.meta.json").write_text(tensor_texts["tensor.meta.json"], encoding="utf-8")
+        tensor, _ = load_tensor(tmp_path / "tensor.tsv", tmp_path / "tensor.meta.json")
+        assert np.array_equal(tensor.coords, tensor_from_entries((3, 2, 4), FIXTURE_ENTRIES).coords)
+        _assert_loads_like_line_loop(tmp_path)
+
+    # 16_484 rows take several blocks of the reader.
+    @pytest.mark.parametrize("bad_line", [None, 3, 16_434])
     def test_files_longer_than_a_block(self, tmp_path, bad_line):
-        n = _BLOCK_LINES + 100
+        n = 16_484
         tensor = SparseTensor(
             (n, 1, 2), np.column_stack([np.arange(n), np.zeros(n), np.arange(n) % 2]), np.arange(n) % 3 / 2
         )
