@@ -24,13 +24,13 @@ from .ingest import (
     parse_rare_disease,
 )
 from .metrics import (
-    EvalConfig,
     auroc,
     class_imbalance,
     f1,
     mann_whitney_u,
     phase_analysis,
     repeated_eval,
+    summarize,
 )
 from .rng import StreamTree
 from .sampler import (
@@ -51,7 +51,6 @@ from .sampler import (
 )
 from .simulate import SynthConfig, generate, synthetic_modes
 from .tensor import (
-    CellSplit,
     SparseTensor,
     block_union,
     load_tensor,

@@ -24,9 +24,9 @@ from . import ingest as ing
 from .errors import DataError, NumericalError
 from .io import (
     FLOAT_BLOCK, check, entry_lines, escape_percent, format_floats, line_blocks, parse_fields, read_text, read_tsv,
-    tsv_blocks, write_json, write_tsv,
+    repeats, tsv_blocks, write_json, write_tsv,
 )
-from .metrics import MAX_PHASE, EvalConfig, phase_analysis, repeated_eval
+from .metrics import MAX_PHASE, class_imbalance, phase_analysis, repeated_eval, summarize
 from .sampler import SamplerSchedule, init_chains, predict_slice, run, save_checkpoint
 from .simulate import SynthConfig, generate, synthetic_modes
 from .tensor import load_tensor, save_tensor, select_layers
@@ -71,6 +71,8 @@ _AT_LEAST_1 = _checked(int, "at least 1", lambda value: value >= 1)
 _NON_NEGATIVE = _checked(int, "at least 0", lambda value: value >= 0)
 _N_SEEDS = 1 << 64  # a sampler seed is one 64-bit Philox key word
 _SEED = _checked(int, "in [0, 2**64)", lambda value: 0 <= value < _N_SEEDS)
+_UNIT = _checked(float, "in [0, 1]", lambda value: 0 <= value <= 1)
+_OPEN_UNIT = _checked(float, "in (0, 1)", lambda value: 0 < value < 1)
 
 
 def _add_sampler_flags(parser: argparse.ArgumentParser) -> None:
@@ -96,7 +98,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--xref", help="EFO to MeSH cross-reference TSV")
     p.add_argument("--out", help="output directory")
     p.add_argument("--layers", default="combined", help="evidence layers: combined or comma list (rare,burden,gwas)")
-    p.add_argument("--l2g-threshold", type=float, default=0.5, help="L2G inclusion threshold (default 0.5)")
+    p.add_argument("--l2g-threshold", type=_UNIT, default=0.5, help="L2G inclusion threshold (default 0.5)")
     p.add_argument("--config", help="key=value defaults file")
     commands["ingest"] = p
 
@@ -112,10 +114,10 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--tensor", help="directory holding tensor.tsv and tensor.meta.json")
     p.add_argument("--out", help="output JSON path")
     p.add_argument("--models", default="combined", help="comma list of model specs (combined, rare, burden+gwas, ...)")
-    p.add_argument("--n-repeats", type=int, default=10, help="number of repeated splits (default 10)")
-    p.add_argument("--heldout-fraction", type=float, default=0.2, help="held-out fraction per split (default 0.2)")
-    p.add_argument("--threshold", type=_checked(float, "in (0, 1)", lambda value: 0 < value < 1), default=0.5,
-                   help="F1 threshold (default 0.5)")
+    p.add_argument("--n-repeats", type=_checked(int, "at least 2", lambda value: value >= 2), default=10,
+                   help="number of repeated splits (default 10)")
+    p.add_argument("--heldout-fraction", type=_OPEN_UNIT, default=0.2, help="held-out fraction per split (default 0.2)")
+    p.add_argument("--threshold", type=_OPEN_UNIT, default=0.5, help="F1 threshold (default 0.5)")
     _add_sampler_flags(p)
     p.add_argument("--config", help="key=value defaults file")
     commands["evaluate"] = p
@@ -135,7 +137,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
                    help="observation noise sd (default 0.1)")
     p.add_argument("--observed-fraction", type=_checked(float, "in (0, 1]", lambda value: 0 < value <= 1),
                    default=0.2, help="cell observation probability")
-    p.add_argument("--coupling", type=_checked(float, "in [0, 1]", lambda value: 0 <= value <= 1), default=0.0,
+    p.add_argument("--coupling", type=_UNIT, default=0.0,
                    help="evidence/outcome structure sharing in [0,1]")
     p.add_argument("--seed", type=_NON_NEGATIVE, default=0, help="random seed")
     p.add_argument("--out", help="output directory")
@@ -322,20 +324,12 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
     tensor, modes = _load_tensor_dir(ns)
     schedule = _schedule(ns)
     seeds = [ns.seed + r for r in range(ns.n_repeats)]
-    configs = []
-    for spec in ns.models.split(","):
-        spec = spec.strip()
-        keep = _resolve_layer_names(spec, modes[2])
-        configs.append(EvalConfig(
-            model_name=spec,
-            layers=None if keep is None else tuple(keep),
-            n_latent=ns.latent_dim,
-            alpha=ns.alpha,
-            schedule=schedule,
-            heldout_fraction=ns.heldout_fraction,
-            threshold=ns.threshold,
-        ))
-    reports = repeated_eval(tensor, configs, ns.n_repeats, seeds)
+    names = [spec.strip() for spec in ns.models.split(",")]
+    models = [_resolve_layer_names(name, modes[2]) for name in names]
+    aurocs, f1s = repeated_eval(
+        tensor, models, seeds, ns.latent_dim, ns.alpha, schedule, ns.heldout_fraction, ns.threshold
+    )
+    reports = summarize(names, aurocs, f1s, class_imbalance(tensor.layer_entries(0)[1]), ns.threshold)
     for report in reports:
         logger.info(
             "model %s: auroc %.3f +/- %.3f, f1 %.3f +/- %.3f", report["model_name"],
@@ -354,65 +348,62 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _repeats(*keys: np.ndarray) -> np.ndarray:
-    """True for each row whose key tuple an earlier row already has."""
-    *_, first = ing.merge((*keys, np.arange(len(keys[0]))), len(keys), (np.minimum,))
-    repeat = np.ones(len(keys[0]), dtype=bool)
-    repeat[first] = False
-    return repeat
-
-
 def _coded(column: np.ndarray, codes: dict[str, int]) -> np.ndarray:
     """Each row's code for its value, a new value taking the next free code."""
     values, rows = ing.factorize(column)
     return np.array([codes.setdefault(value, len(codes)) for value in values.tolist()], dtype=np.int64)[rows]
 
 
-def _read_predictions(path: Path, layer: str, keys: set[tuple[str, str]]) -> dict[tuple[str, str], float]:
-    """The scores that the ``layer`` rows of a ``predictions.tsv`` hold for ``keys``; every row is checked.
+def _read_predictions(path: Path, layer: str, genes: np.ndarray, diseases: np.ndarray) -> np.ndarray:
+    """The score that the ``layer`` rows of a ``predictions.tsv`` hold for each
+    ``(genes[p], diseases[p])`` pair, ``nan`` where they hold none; every row is checked.
 
     The file is read a block of lines at a time. Of the layer's rows only
-    integer codes of the identifiers and line numbers stay for the duplicate
-    check, and only the wanted keys' scores enter the dict. A bad score's
-    error waits for the duplicate check, which sees the whole layer.
+    integer codes of the identifiers, line numbers and scores stay; the
+    pairs' identifiers take the first codes. A bad score's error waits for
+    the duplicate check, which sees the whole layer. Rows and pairs are
+    then joined on one int64 key per identifier pair, in sorted order.
     """
     codes: tuple[dict[str, int], dict[str, int]] = ({}, {})
-    target_codes, indication_codes, numbers, scores = [], [], [], {}
+    pair_codes = _coded(genes, codes[0]), _coded(diseases, codes[1])
+    target_codes, indication_codes, numbers, scores = [], [], [], []
     faults: tuple[list[DataError], list[DataError]] = ([], [])  # unreadable scores, then scores outside [0, 1]
     columns = {"target_id": str, "indication_id": str, "layer": str, "score": str}
     for targets, indications, layers, text, lines in tsv_blocks(path, columns):
         kept = layers == layer
-        targets, indications, text, lines = targets[kept], indications[kept], text[kept], lines[kept]
-        target_codes.append(_coded(targets, codes[0]))
-        indication_codes.append(_coded(indications, codes[1]))
+        text, lines = text[kept], lines[kept]
+        target_codes.append(_coded(targets[kept], codes[0]))
+        indication_codes.append(_coded(indications[kept], codes[1]))
         numbers.append(lines)
         try:
-            score = parse_fields(path, lines, text.tolist(), float, "score")
+            scores.append(parse_fields(path, lines, text.tolist(), float, "score"))
         except DataError as exc:
             faults[0].append(exc)
             continue
         try:
-            check(path, lines, (score >= 0.0) & (score <= 1.0),
+            check(path, lines, (scores[-1] >= 0.0) & (scores[-1] <= 1.0),
                   lambda r: f"bad score {text[r]!r}, expected a number in [0, 1]")
         except DataError as exc:
             faults[1].append(exc)
-        wanted = np.fromiter((key in keys for key in zip(targets.tolist(), indications.tolist())), bool, len(targets))
-        scores.update(zip(zip(targets[wanted].tolist(), indications[wanted].tolist()), score[wanted].tolist()))
     numbers = np.concatenate(numbers)
     if not numbers.size:
         raise DataError(f"{path}: no predictions for layer {layer!r}")
     target_codes, indication_codes = np.concatenate(target_codes), np.concatenate(indication_codes)
-    names = [list(table) for table in codes]
-    check(path, numbers, ~_repeats(target_codes, indication_codes),
-          lambda r: f"duplicate prediction for {(names[0][target_codes[r]], names[1][indication_codes[r]])}")
+    width = len(codes[1])
+    key = target_codes * width + indication_codes
+    order, repeated = repeats(key)
+    check(path, numbers, ~repeated, lambda r: "duplicate prediction for {}".format(
+        (list(codes[0])[target_codes[r]], list(codes[1])[indication_codes[r]])))
     for found in faults:
         if found:
             raise found[0]
-    return scores
+    pair_key = pair_codes[0] * width + pair_codes[1]
+    rows = order[np.minimum(np.searchsorted(key, pair_key, sorter=order), len(key) - 1)]
+    return np.where(key[rows] == pair_key, np.concatenate(scores)[rows], np.nan)
 
 
-def _read_pairs(path: Path) -> list[tuple[str, str, int]]:
-    """The ``(gene_id, disease_id, max_phase)`` triples of a ``pairs.tsv``, one per pair."""
+def _read_pairs(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(gene_id, disease_id, max_phase)`` columns of a ``pairs.tsv``, one row per pair."""
     genes, diseases, phase, label, reason, lines = read_tsv(
         path, {"gene_id": str, "disease_id": str, "max_phase": int}, optional=("label", "stop_reason_class")
     )
@@ -422,16 +413,16 @@ def _read_pairs(path: Path) -> list[tuple[str, str, int]]:
     reason = ing.per_unique(reason, lambda text: (text or "none").strip().lower())
     check(path, lines, np.isin(reason, ing.STOP_REASONS), lambda r: f"unknown stop_reason_class {reason[r]!r}")
     # A repeated pair's score would be counted twice in its phase group.
-    check(path, lines, ~_repeats(genes, diseases), lambda r: f"duplicate pair {(genes[r], diseases[r])}")
-    return list(zip(genes.tolist(), diseases.tolist(), phase.tolist()))
+    _, repeated = repeats(ing.factorize(genes)[1] * len(diseases) + ing.factorize(diseases)[1])
+    check(path, lines, ~repeated, lambda r: f"duplicate pair {(genes[r], diseases[r])}")
+    return genes, diseases, phase
 
 
 def cmd_phase(ns: argparse.Namespace) -> int:
     out_dir = Path(_require(ns, "--out"))
     predictions_path = _require_file(ns, "--predictions")
-    pairs = _read_pairs(_require_file(ns, "--pairs"))
-    predictions = _read_predictions(predictions_path, ns.layer, {(gene, disease) for gene, disease, _ in pairs})
-    analysis = phase_analysis(predictions, pairs)
+    genes, diseases, phases = _read_pairs(_require_file(ns, "--pairs"))
+    analysis = phase_analysis(_read_predictions(predictions_path, ns.layer, genes, diseases), phases)
     for phase in analysis["excluded_phases"]:
         logger.warning("phase %d excluded from testing (fewer than 2 scores)", phase)
     write_json(out_dir / "phase_analysis.json", analysis)

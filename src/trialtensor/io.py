@@ -180,11 +180,21 @@ def read_tsv(path: str | Path, columns: Mapping[str, type], optional: Sequence[s
     return tuple(np.concatenate(joined.pop(0)) for _ in range(len(joined)))
 
 
-def check(path: str | Path, lines: np.ndarray, ok: np.ndarray, message: Callable[[int], str]) -> None:
-    """Raise a :class:`DataError` naming the line of the first row where ``ok`` is False, as ``message(row)`` says."""
+def check(path: str | Path | None, lines: np.ndarray | None, ok: np.ndarray, message: Callable[[int], str]) -> None:
+    """Raise a :class:`DataError` at the first row where ``ok`` is False, as ``message(row)`` says;
+    with a ``path``, the error names the row's line from ``lines``."""
     bad = np.flatnonzero(~np.asarray(ok, dtype=bool))
     if bad.size:
-        raise DataError(f"{path}:{lines[bad[0]]}: {message(int(bad[0]))}")
+        where = "" if path is None else f"{path}:{lines[bad[0]]}: "
+        raise DataError(where + message(int(bad[0])))
+
+
+def repeats(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable ascending order of an int64 ``key``, and True for each row whose key an earlier row holds."""
+    order = np.argsort(key, kind="stable")
+    repeated = np.zeros(len(key), dtype=bool)
+    repeated[order[1:]] = key[order[1:]] == key[order[:-1]]
+    return order, repeated
 
 
 # --------------------------------------------------------------------------

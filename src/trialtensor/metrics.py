@@ -4,20 +4,21 @@ AUROC uses the midrank formula, which equals the probability that a random
 positive outscores a random negative with ties counted half. The
 Mann-Whitney test enumerates all label arrangements exactly for pooled
 sizes up to 12 and otherwise uses the tie-corrected, continuity-corrected
-normal approximation. :func:`repeated_eval` and :func:`phase_analysis`
-return their reports as the plain dicts that the CLI writes as JSON.
+normal approximation. :func:`repeated_eval` returns per-chain metric
+arrays and :func:`phase_analysis` takes per-pair arrays; :func:`summarize`
+and :func:`phase_analysis` return the plain dicts that the CLI writes as JSON.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError
+from .io import check
 from .sampler import SamplerSchedule, init_chains, predict_slice, run
 from .tensor import SparseTensor, select_layers, split_cells
 
@@ -78,11 +79,11 @@ def f1(scores: Sequence[float], labels: Sequence[float], threshold: float = 0.5)
 
     Returning 0 instead of NaN keeps reports stable under extreme class
     imbalance, where a split can end up with no predicted or no actual
-    positives.
+    positives. Non-finite scores are a :class:`DataError`.
     """
     if not 0.0 < threshold < 1.0:
         raise DataError(f"threshold must be in (0, 1), got {threshold}")
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _finite_scores(scores)
     positive = _as_binary_labels(labels)
     if scores.shape[0] != positive.shape[0]:
         raise DataError("scores and labels differ in length")
@@ -168,98 +169,85 @@ def bonferroni(p_value: float, m: int) -> float:
 # --------------------------------------------------------------------------
 # Repeated-split model evaluation.
 
-@dataclass(frozen=True)
-class EvalConfig:
-    """One model configuration for repeated train/held-out evaluation.
-
-    ``layers`` selects tensor layers (layer 0, the outcome slice, must come
-    first); ``None`` keeps the whole tensor.
-    """
-
-    model_name: str = "combined"
-    layers: tuple[int, ...] | None = None
-    n_latent: int = 32
-    alpha: float = 5.0
-    schedule: SamplerSchedule = SamplerSchedule()
-    heldout_fraction: float = 0.2
-    threshold: float = 0.5
-
-
 def repeated_eval(
     tensor: SparseTensor,
-    configs: Sequence[EvalConfig],
-    n_repeats: int,
+    models: Sequence[Sequence[int] | None],
     seeds: Sequence[int],
-) -> list[dict]:
-    """Stratified split, train, predict held-out cells, repeat; mean +/- sd per model.
+    n_latent: int,
+    alpha: float,
+    schedule: SamplerSchedule,
+    heldout_fraction: float,
+    threshold: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stratified split, train, score the held-out cells, once per (model, seed).
 
-    For each model configuration and repeat, hold out ``heldout_fraction``
-    of the outcome-layer cells (stratified by label), train on everything
-    else, score the held-out cells and compute AUROC and F1 against their
-    observed labels. The reported spread is the sample standard deviation
-    across repeats; both the split and the sampler derive from the same
-    per-repeat seed, so identical seeds reproduce identical metrics.
-    Returns one dict per configuration, as ``evaluate`` writes it under
-    ``"models"``: ``model_name``, ``auroc`` and ``f1`` (each ``mean`` and
-    ``sd``), ``imbalance``, ``n_repeats`` and ``threshold``.
+    ``models[m]`` selects tensor layers (layer 0, the outcome slice, must
+    come first), or is ``None`` for the whole tensor. For each model and
+    seed, hold out ``heldout_fraction`` of the outcome-layer cells
+    (stratified by label), train on everything else, score the held-out
+    cells and compute AUROC and F1 at ``threshold`` against their observed
+    labels. Both the split and the sampler derive from the seed, so
+    identical seeds reproduce identical metrics. Returns the AUROCs and the
+    F1s, each of shape ``(len(models), len(seeds))``; :func:`summarize`
+    turns them into the report.
 
-    The configurations must share ``n_latent``, ``alpha`` and ``schedule``:
-    their (model, repeat) chains are sampled in lock-step batches
+    The (model, seed) chains are sampled in lock-step batches
     (:func:`~trialtensor.sampler.run`), consecutive chains joining a batch
     while the union's largest mode holds at most ``_BATCH_GRAM_DOUBLES``
-    Gram doubles. Each chain draws from its own streams, so every report
-    is the same whatever the batches.
+    Gram doubles. Each chain draws from its own streams, so every metric is
+    the same whatever the batches.
     """
-    if n_repeats < 2:
-        raise DataError("n_repeats must be at least 2")
-    if len(seeds) < n_repeats:
-        raise DataError(f"need {n_repeats} seeds, got {len(seeds)}")
-    if not configs:
-        raise DataError("no model configuration to evaluate")
-    shared = {(config.n_latent, config.alpha, config.schedule) for config in configs}
-    if len(shared) > 1:
-        raise DataError("model configurations must share n_latent, alpha and schedule")
-    n_latent, alpha, schedule = shared.pop()
+    if len(seeds) < 2:
+        raise DataError(f"need at least 2 seeds, got {len(seeds)}")
+    if not models:
+        raise DataError("no model to evaluate")
     model_tensors = []
-    for config in configs:
-        if config.layers is not None:
-            if len(config.layers) == 0 or config.layers[0] != 0:
-                raise DataError("layer selection must start with the outcome layer 0")
-            model_tensors.append(select_layers(tensor, config.layers))
-        else:
-            model_tensors.append(tensor)
-        if model_tensors[-1].layer_entries(0)[1].size == 0:
-            raise DataError("tensor has no outcome-layer cells")
-    # One chain per (model, repeat), model-major.
-    chains = [(model, int(seed)) for model in range(len(configs)) for seed in seeds[:n_repeats]]
-    aurocs = [0.0] * len(chains)
-    f1s = [0.0] * len(chains)
+    for layers in models:
+        if layers is not None and (len(layers) == 0 or layers[0] != 0):
+            raise DataError("layer selection must start with the outcome layer 0")
+        model_tensors.append(tensor if layers is None else select_layers(tensor, layers))
+    # One chain per (model, seed), model-major.
+    chains = [(model, int(seed)) for model in range(len(models)) for seed in seeds]
+    aurocs, f1s = np.empty(len(chains)), np.empty(len(chains))
     for batch in _batches([model_tensors[model].dims for model, _ in chains], n_latent):
         trains, held = [], []
         for index in batch:
             model, seed = chains[index]
             model_tensor = model_tensors[model]
-            split = split_cells(model_tensor, layer=0, heldout_fraction=configs[model].heldout_fraction, seed=seed)
-            heldout = model_tensor.coords[split.heldout]
+            rows = split_cells(model_tensor, layer=0, heldout_fraction=heldout_fraction, seed=seed)
+            heldout = model_tensor.coords[rows]
             trains.append(model_tensor.without_cells(heldout))
-            held.append((heldout, model_tensor.values[split.heldout]))
+            held.append((heldout, model_tensor.values[rows]))
         state = init_chains([train.dims for train in trains], n_latent, [chains[i][1] for i in batch], alpha=alpha)
         for index, samples, (heldout, labels) in zip(batch, run(state, trains, schedule), held):
             scores = predict_slice(samples, 0)[heldout[:, 0], heldout[:, 1]]  # layer-0 cells only
             aurocs[index] = auroc(scores, labels)
-            f1s[index] = f1(scores, labels, configs[chains[index][0]].threshold)
-    reports = []
-    for model, (config, model_tensor) in enumerate(zip(configs, model_tensors)):
-        repeats = slice(model * n_repeats, (model + 1) * n_repeats)
-        reports.append({
-            "model_name": config.model_name,
-            "auroc": {"mean": float(np.mean(aurocs[repeats])), "sd": float(np.std(aurocs[repeats], ddof=1))},
-            "f1": {"mean": float(np.mean(f1s[repeats])), "sd": float(np.std(f1s[repeats], ddof=1))},
-            "imbalance": class_imbalance(model_tensor.layer_entries(0)[1]),
-            "n_repeats": n_repeats,
-            "threshold": config.threshold,
-        })
-    return reports
+            f1s[index] = f1(scores, labels, threshold)
+    return aurocs.reshape(len(models), len(seeds)), f1s.reshape(len(models), len(seeds))
+
+
+def summarize(
+    names: Sequence[str], aurocs: np.ndarray, f1s: np.ndarray, imbalance: float, threshold: float
+) -> list[dict]:
+    """The report of :func:`repeated_eval`'s ``(model, seed)`` metrics: one dict per model, as
+    ``evaluate`` writes it under ``"models"``.
+
+    Each holds ``model_name``, ``auroc`` and ``f1`` (each the ``mean`` and
+    the sample standard deviation ``sd`` over the seeds), ``imbalance`` (the
+    outcome layer's positive share, the same for every model, since each
+    keeps layer 0), ``n_repeats`` and ``threshold``.
+    """
+    return [
+        {
+            "model_name": name,
+            "auroc": {"mean": float(np.mean(model_aurocs)), "sd": float(np.std(model_aurocs, ddof=1))},
+            "f1": {"mean": float(np.mean(model_f1s)), "sd": float(np.std(model_f1s, ddof=1))},
+            "imbalance": imbalance,
+            "n_repeats": len(model_aurocs),
+            "threshold": threshold,
+        }
+        for name, model_aurocs, model_f1s in zip(names, aurocs, f1s)
+    ]
 
 
 def _batches(chain_dims: Sequence[Sequence[int]], n_latent: int) -> list[list[int]]:
@@ -285,31 +273,24 @@ def _batches(chain_dims: Sequence[Sequence[int]], n_latent: int) -> list[list[in
 MAX_PHASE = 4
 
 
-def phase_analysis(
-    predictions: Mapping[tuple[str, str], float],
-    outcome_pairs: Iterable[tuple[str, str, int]],
-) -> dict:
+def phase_analysis(scores: np.ndarray, phases: np.ndarray) -> dict:
     """Group pair scores by max clinical phase and test all phase pairs.
 
-    ``outcome_pairs`` holds ``(gene_id, disease_id, max_phase)`` triples.
-    Phases run 0 (preclinical) through 4. Groups with fewer than two scores
-    are excluded from testing and reported; Bonferroni correction uses the
-    number of tests actually performed. Returns the ``phase_analysis.json``
-    payload: per-phase ``groups`` and ``group_sizes`` (keyed by the phase as
-    a string), the ``tests`` in ascending phase order, ``n_comparisons``,
+    ``scores[p]`` is pair ``p``'s score, ``nan`` where it has none, and
+    ``phases[p]`` its max phase, 0 (preclinical) through 4. Groups with
+    fewer than two scores are excluded from testing and reported;
+    Bonferroni correction uses the number of tests actually performed.
+    Returns the ``phase_analysis.json`` payload: per-phase ``groups`` (in
+    pair order) and ``group_sizes`` (keyed by the phase as a string), the
+    ``tests`` in ascending phase order, ``n_comparisons``,
     ``excluded_phases`` and ``unmatched_pairs``.
     """
-    groups: dict[int, list[float]] = {phase: [] for phase in range(MAX_PHASE + 1)}
-    unmatched = 0
-    for gene_id, disease_id, max_phase in outcome_pairs:
-        score = predictions.get((gene_id, disease_id))
-        if score is None:
-            unmatched += 1
-            continue
-        if not 0 <= max_phase <= MAX_PHASE:
-            raise DataError(f"max_phase {max_phase} outside 0..{MAX_PHASE}")
-        groups[max_phase].append(float(score))
-    excluded = [phase for phase, scores in groups.items() if len(scores) < 2]
+    scores, phases = np.asarray(scores, dtype=np.float64), np.asarray(phases)
+    scored = ~np.isnan(scores)
+    check(None, None, ~scored | ((phases >= 0) & (phases <= MAX_PHASE)),
+          lambda p: f"max_phase {phases[p]} outside 0..{MAX_PHASE}")
+    groups = {phase: scores[scored & (phases == phase)].tolist() for phase in range(MAX_PHASE + 1)}
+    excluded = [phase for phase, group in groups.items() if len(group) < 2]
     tested = [phase for phase in groups if phase not in excluded]
     combos = list(itertools.combinations(tested, 2))
     tests = []
@@ -323,10 +304,10 @@ def phase_analysis(
             "p_corrected": bonferroni(p_value, len(combos)),
         })
     return {
-        "groups": {str(phase): scores for phase, scores in groups.items()},
-        "group_sizes": {str(phase): len(scores) for phase, scores in groups.items()},
+        "groups": {str(phase): group for phase, group in groups.items()},
+        "group_sizes": {str(phase): len(group) for phase, group in groups.items()},
         "tests": tests,
         "n_comparisons": len(tests),
         "excluded_phases": excluded,
-        "unmatched_pairs": unmatched,
+        "unmatched_pairs": int(np.count_nonzero(~scored)),
     }

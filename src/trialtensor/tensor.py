@@ -13,14 +13,13 @@ outcome labels, ``k >= 1`` hold the evidence layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .io import check, entry_lines, read_json, read_tsv, write_json, write_tsv
+from .io import check, entry_lines, read_json, read_tsv, repeats, write_json, write_tsv
 
 
 class CountRuns(NamedTuple):
@@ -65,26 +64,25 @@ class SparseTensor:
 
     __slots__ = ("dims", "_coords", "_values", "_runs")
 
-    def __init__(self, dims: Sequence[int], coords: np.ndarray, values: np.ndarray):
+    def __init__(
+        self, dims: Sequence[int], coords: np.ndarray, values: np.ndarray,
+        *, path: str | Path | None = None, lines: np.ndarray | None = None,
+    ):
+        """A cell out of range, a value not finite or not in [0, 1] and a repeated
+        cell are each a :class:`DataError` naming the first cell that breaks
+        the rule; for cells read from a file, ``path`` and each cell's line
+        number in ``lines`` make it name that line."""
         dims = _checked_dims(dims)
         coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
         values = np.asarray(values, dtype=np.float64).reshape(-1)
         if coords.shape[0] != values.shape[0]:
             raise DataError("coordinate and value counts differ")
-        if coords.size:
-            if coords.min() < 0 or (coords >= np.asarray(dims)).any():
-                raise DataError("coordinate out of range for dims")
-            if not np.isfinite(values).all():
-                raise DataError("non-finite value in tensor")
-            if values.min() < 0.0 or values.max() > 1.0:
-                raise DataError("tensor values must lie in [0, 1]")
-        lin = _linearize(coords, dims)
-        order = np.argsort(lin, kind="stable")
-        lin = lin[order]
-        repeated = np.flatnonzero(lin[1:] == lin[:-1])
-        if repeated.size:
-            dup = coords[order[repeated[0]]]
-            raise DataError(f"duplicate coordinate {tuple(int(c) for c in dup)}")
+        check(path, lines, ((coords >= 0) & (coords < dims)).all(axis=1),
+              lambda r: f"coordinate {tuple(coords[r].tolist())} out of range for dims {list(dims)}")
+        check(path, lines, np.isfinite(values), lambda r: f"non-finite value {values[r]}")
+        check(path, lines, (values >= 0.0) & (values <= 1.0), lambda r: f"value {values[r]} outside [0, 1]")
+        order, repeated = repeats(_linearize(coords, dims))
+        check(path, lines, ~repeated, lambda r: f"duplicate coordinate {tuple(coords[r].tolist())}")
         coords, values = coords[order], values[order]  # the tensor's own copies
         coords.flags.writeable = False
         values.flags.writeable = False
@@ -187,34 +185,16 @@ def select_layers(tensor: SparseTensor, keep: Sequence[int]) -> SparseTensor:
     return SparseTensor((tensor.dims[0], tensor.dims[1], len(keep)), coords, tensor.values[mask])
 
 
-@dataclass(frozen=True)
-class CellSplit:
-    """Disjoint train/held-out partition of one layer's observed cells.
-
-    ``train`` and ``heldout`` are int64 arrays of entry rows into the
-    tensor's ``coords``/``values``, each ascending, so in coordinate order.
-    """
-
-    train: np.ndarray
-    heldout: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        if np.intersect1d(self.train, self.heldout).size:
-            raise DataError("train and heldout sets overlap")
-
-
-def split_cells(
-    tensor: SparseTensor, layer: int, heldout_fraction: float, seed: int
-) -> CellSplit:
-    """Stratified, seeded split of one layer's cells into train/held-out.
+def split_cells(tensor: SparseTensor, layer: int, heldout_fraction: float, seed: int) -> np.ndarray:
+    """The held-out cells of a stratified, seeded split of one layer's cells.
 
     Protocol (deterministic given ``seed``): cells are classed as positive
     (value >= 0.5) or negative, each class is sorted lexicographically by
     coordinate, and ``floor(n_class * fraction + 0.5)`` cells are drawn
     per class without replacement from one ``numpy`` PCG64 generator,
-    positives first. The split holds entry rows, not coordinates:
-    ``tensor.coords[split.heldout]`` are the held-out cells.
+    positives first. Returns the held-out cells' entry rows into the
+    tensor's ``coords``/``values``, ascending as int64, so in coordinate
+    order: ``tensor.coords[heldout]`` are the held-out cells.
     """
     if not 0.0 < heldout_fraction < 1.0:
         raise DataError(f"heldout_fraction must be in (0, 1), got {heldout_fraction}")
@@ -232,8 +212,7 @@ def split_cells(
     for cells in (pos, neg):
         n_held = int(np.floor(cells.size * heldout_fraction + 0.5))
         chosen.append(cells[rng.choice(cells.size, size=n_held, replace=False)])
-    held = np.isin(rows, np.concatenate(chosen))
-    return CellSplit(train=rows[~held], heldout=rows[held], seed=seed)
+    return np.sort(np.concatenate(chosen))
 
 
 # --------------------------------------------------------------------------
@@ -290,20 +269,9 @@ def load_tensor(
 ) -> tuple[SparseTensor, tuple[tuple[str, ...], ...]]:
     """The tensor and per-mode identifiers of a ``tensor.tsv`` plus its JSON sidecar.
 
-    ``tensor.tsv`` goes through :func:`~trialtensor.io.read_tsv`; a cell out
-    of range, a value that is not finite or not in [0, 1] and a repeated cell
-    each name their line.
+    ``tensor.tsv`` goes through :func:`~trialtensor.io.read_tsv`; a cell
+    that breaks a :class:`SparseTensor` rule names its line.
     """
     dims, modes = _meta_indices(read_json(meta_path), meta_path)
     i, j, k, values, lines = read_tsv(tsv_path, dict(zip(_TSV_HEADER, (int, int, int, float))))
-    coords = np.column_stack((i, j, k))
-    check(tsv_path, lines, ((coords >= 0) & (coords < dims)).all(axis=1),
-          lambda r: f"coordinate {tuple(coords[r].tolist())} out of range for dims {list(dims)}")
-    check(tsv_path, lines, np.isfinite(values), lambda r: f"non-finite value {values[r]}")
-    check(tsv_path, lines, (values >= 0.0) & (values <= 1.0), lambda r: f"value {values[r]} outside [0, 1]")
-    lin = _linearize(coords, dims)
-    order = np.argsort(lin, kind="stable")
-    repeated = np.zeros(len(lin), dtype=bool)
-    repeated[order[1:]] = lin[order[1:]] == lin[order[:-1]]  # a cell an earlier line holds
-    check(tsv_path, lines, ~repeated, lambda r: f"duplicate coordinate {tuple(coords[r].tolist())}")
-    return SparseTensor(dims, coords, values), modes
+    return SparseTensor(dims, np.column_stack((i, j, k)), values, path=tsv_path, lines=lines), modes

@@ -18,10 +18,10 @@ import pytest
 from scipy.stats import rankdata
 
 from trialtensor import (
-    EvalConfig,
     SamplerSchedule,
     SynthConfig,
     auroc,
+    class_imbalance,
     generate,
     gibbs_step,
     init_chains,
@@ -35,6 +35,7 @@ from trialtensor import (
     sample_mvn,
     sample_wishart,
     split_cells,
+    summarize,
 )
 from trialtensor.cli import main
 from trialtensor.metrics import _exact_two_sided_p, _normal_two_sided_p
@@ -132,15 +133,15 @@ def test_c3_synthetic_recovery():
             seed=42, coupling=0.9,
         )
         tensor, truth, _ = generate(config)
-        split = split_cells(tensor, layer=0, heldout_fraction=0.2, seed=7)
-        heldout = tensor.coords[split.heldout]
+        rows = split_cells(tensor, layer=0, heldout_fraction=0.2, seed=7)
+        heldout = tensor.coords[rows]
         train_tensor = tensor.without_cells(heldout)
         state = init_chains([tensor.dims], 16, [1], alpha=100.0)
         schedule = SamplerSchedule(200, 800, 80)
         assert schedule.retained == 10
         (samples,) = run(state, [train_tensor], schedule)
         scores = predict_slice(samples, 0)[heldout[:, 0], heldout[:, 1]]
-        observed = tensor.values[split.heldout]
+        observed = tensor.values[rows]
         binarized_truth = truth[tuple(heldout.T)] >= 0.5
         rmse = float(np.sqrt(np.mean((scores - observed) ** 2)))
         assert rmse <= 2.0 * sigma
@@ -156,19 +157,15 @@ def test_c4_combined_evidence_ordering():
         tensor, _, _ = generate(config)
         schedule = SamplerSchedule(80, 240, 48)
         seeds = [100 + r for r in range(10)]
-        eval_configs = [
-            EvalConfig(
-                model_name=name, layers=layers, n_latent=8, alpha=40.0,
-                schedule=schedule, heldout_fraction=0.2,
-            )
-            for name, layers in [
-                ("combined", None),
-                ("evidence_1", (0, 1)),
-                ("evidence_2", (0, 2)),
-                ("evidence_3", (0, 3)),
-            ]
-        ]
-        reports = {report["model_name"]: report for report in repeated_eval(tensor, eval_configs, 10, seeds)}
+        names, models = zip(*[
+            ("combined", None),
+            ("evidence_1", (0, 1)),
+            ("evidence_2", (0, 2)),
+            ("evidence_3", (0, 3)),
+        ])
+        aurocs, f1s = repeated_eval(tensor, models, seeds, 8, 40.0, schedule, 0.2, 0.5)
+        imbalance = class_imbalance(tensor.layer_entries(0)[1])
+        reports = {report["model_name"]: report for report in summarize(names, aurocs, f1s, imbalance, 0.5)}
         combined = reports["combined"]
         for name in ("evidence_1", "evidence_2", "evidence_3"):
             single = reports[name]

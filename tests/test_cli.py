@@ -18,8 +18,10 @@ from trialtensor import DataError, SparseTensor, sampler, load_checkpoint, predi
 from trialtensor import cli
 from trialtensor import io
 from trialtensor.cli import main
-from trialtensor.io import format_floats
+from trialtensor.io import format_floats, write_json
+from trialtensor.metrics import phase_analysis
 
+import phase_reference as reference
 from conftest import BYTE_EDITS, splice
 
 
@@ -589,16 +591,16 @@ class TestPhaseInputsBytesFuzz:
         pairs = self._read("pairs.tsv", splice(inputs["pairs.tsv"], edits), cli._read_pairs)
         if pairs is not None:
             assert all(isinstance(gene, str) and isinstance(disease, str) and 0 <= phase <= 4
-                       for gene, disease, phase in pairs)
+                       for gene, disease, phase in zip(*pairs))
 
     @settings(max_examples=150, deadline=None)
     @given(edits=BYTE_EDITS)
     def test_edited_predictions_bytes_read_or_are_data_error(self, inputs, edits):
-        keys = {(f"g0_{n}", f"d0_{n}") for n in range(12)}
+        genes, diseases = (np.array([f"{prefix}0_{n}" for n in range(12)], dtype=object) for prefix in "gd")
         scores = self._read("predictions.tsv", splice(inputs["predictions.tsv"], edits),
-                            lambda path: cli._read_predictions(path, "outcome", keys))
+                            lambda path: cli._read_predictions(path, "outcome", genes, diseases))
         if scores is not None:
-            assert set(scores) <= keys and all(0.0 <= score <= 1.0 for score in scores.values())
+            assert scores.shape == genes.shape and all(0.0 <= score <= 1.0 for score in scores[~np.isnan(scores)])
 
     @staticmethod
     def _read(name, data, read):
@@ -609,6 +611,53 @@ class TestPhaseInputsBytesFuzz:
                 return read(path)
             except DataError:
                 return None
+
+
+# Identifiers shared by pairs and predictions, so extra rows and other layers reuse a pair's gene or disease.
+_JOIN_KEYS = [(f"g{gene}", f"d{disease}") for gene in range(5) for disease in range(4)]
+_JOIN_SCORES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestPhaseJoinReference:
+    """The array join of pairs to predictions against the dict-keyed join it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_array_join_equals_dict_join(self, data):
+        pairs = data.draw(st.lists(st.sampled_from(_JOIN_KEYS), unique=True, max_size=12))
+        phases = data.draw(st.lists(st.integers(0, 4), min_size=len(pairs), max_size=len(pairs)))
+        # Outcome rows for some pairs and for keys that are no pair; rows of another layer for any key.
+        outcome = data.draw(st.lists(st.sampled_from(_JOIN_KEYS), unique=True, min_size=1))
+        other = data.draw(st.lists(st.sampled_from(_JOIN_KEYS), unique=True))
+        rows = [(*key, "outcome", data.draw(_JOIN_SCORES)) for key in outcome]
+        if data.draw(st.booleans()):  # sometimes a repeated outcome row, which both joins must refuse alike
+            rows.append((*data.draw(st.sampled_from(outcome)), "outcome", data.draw(_JOIN_SCORES)))
+        rows += [(*key, "evidence_1", data.draw(_JOIN_SCORES)) for key in other]
+        rows = data.draw(st.permutations(rows))
+        triples = [(*key, phase) for key, phase in zip(pairs, phases)]
+        with tempfile.TemporaryDirectory() as tmp:
+            pairs_path, predictions_path = Path(tmp) / "pairs.tsv", Path(tmp) / "predictions.tsv"
+            pairs_path.write_text("gene_id\tdisease_id\tlabel\tmax_phase\tstop_reason_class\tstatuses\n" + "".join(
+                f"{gene}\t{disease}\t\t{phase}\tnone\tcompleted\n" for gene, disease, phase in triples
+            ))
+            predictions_path.write_text("target_id\tindication_id\tlayer\tscore\n" + "".join(
+                f"{target}\t{indication}\t{layer}\t{score!r}\n" for target, indication, layer, score in rows
+            ))
+            genes, diseases, read_phases = cli._read_pairs(pairs_path)
+            assert list(zip(genes.tolist(), diseases.tolist(), read_phases.tolist())) == triples
+            try:
+                expected = reference.read_predictions(predictions_path, "outcome", set(pairs))
+            except DataError as exc:
+                with pytest.raises(DataError) as caught:
+                    cli._read_predictions(predictions_path, "outcome", genes, diseases)
+                assert str(caught.value) == str(exc)
+                return
+            scores = cli._read_predictions(predictions_path, "outcome", genes, diseases)
+            assert np.isnan(scores).tolist() == [key not in expected for key in pairs]
+            assert scores[~np.isnan(scores)].tolist() == [expected[key] for key in pairs if key in expected]
+            write_json(Path(tmp) / "new.json", phase_analysis(scores, read_phases))
+            write_json(Path(tmp) / "old.json", reference.phase_analysis(expected, triples))
+            assert (Path(tmp) / "new.json").read_bytes() == (Path(tmp) / "old.json").read_bytes()
 
 
 class TestTopLevel:
@@ -638,12 +687,14 @@ class TestTopLevel:
          ("train", "--seed", str(2**64)), ("evaluate", "--seed", str(2**64 + 7)),
          ("simulate", "--dims", "3,0,2"), ("simulate", "--rank", "0"), ("simulate", "--noise-sd", "-0.1"),
          ("simulate", "--observed-fraction", "0"), ("simulate", "--observed-fraction", "1.5"),
-         ("simulate", "--coupling", "-0.1"), ("simulate", "--coupling", "2"), ("simulate", "--seed", "-1")],
+         ("simulate", "--coupling", "-0.1"), ("simulate", "--coupling", "2"), ("simulate", "--seed", "-1"),
+         ("evaluate", "--n-repeats", "1"), ("evaluate", "--heldout-fraction", "1.5"),
+         ("evaluate", "--heldout-fraction", "nan"), ("ingest", "--l2g-threshold", "2")],
     )
     def test_bad_flag_value_names_flag(self, simulated_dir, tmp_path, capsys, command, flag, value):
         out = tmp_path / "o"
         args = [command, "--out", str(out), flag, value]
-        if command != "simulate":
+        if command in ("train", "evaluate"):
             args += ["--tensor", str(simulated_dir)]
         assert main(args) == 1
         err = capsys.readouterr().err

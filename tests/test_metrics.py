@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from trialtensor import (
     DataError,
-    EvalConfig,
     SamplerSchedule,
     SynthConfig,
     auroc,
@@ -19,6 +18,7 @@ from trialtensor import (
     phase_analysis,
     repeated_eval,
     save_tensor,
+    summarize,
     synthetic_modes,
 )
 from trialtensor import metrics
@@ -116,6 +116,8 @@ class TestAuroc:
     def test_non_finite_score_rejected(self, bad):
         with pytest.raises(DataError, match="non-finite"):
             auroc([0.1, bad, 0.7, 0.3], [0, 1, 1, 0])
+        with pytest.raises(DataError, match="non-finite"):
+            f1([bad, 0.9, 0.1], [1, 1, 0])
 
 
 # Few distinct values, so that most draws are tie-heavy; -0.0 ties with 0.0.
@@ -290,23 +292,19 @@ class TestBonferroni:
             bonferroni(0.1, 0)
 
 
-def _pair(gene, disease, phase):
-    return (gene, disease, phase)
-
-
 class TestPhaseAnalysis:
     def _build(self, group_sizes, shift_phase=None, shift=0.0, seed=0):
+        # One pair per score: its score and its phase.
         rng = np.random.default_rng(seed)
-        predictions = {}
+        predictions = []
         pairs = []
         for phase, size in group_sizes.items():
-            for idx in range(size):
-                gene, disease = f"g{phase}_{idx}", f"d{phase}_{idx}"
+            for _ in range(size):
                 score = float(np.clip(rng.normal(0.4, 0.05), 0, 1))
                 if phase == shift_phase:
                     score = float(np.clip(score + shift, 0, 1))
-                predictions[(gene, disease)] = score
-                pairs.append(_pair(gene, disease, phase))
+                predictions.append(score)
+                pairs.append(phase)
         return predictions, pairs
 
     def test_five_phases_give_ten_tests(self):
@@ -316,13 +314,12 @@ class TestPhaseAnalysis:
         assert analysis["excluded_phases"] == []
 
     def test_identical_groups_all_corrected_to_one(self):
-        predictions = {}
+        predictions = []
         pairs = []
         for phase in range(5):
-            for idx, score in enumerate([0.2, 0.4, 0.6]):
-                gene, disease = f"g{phase}_{idx}", f"d{phase}_{idx}"
-                predictions[(gene, disease)] = score
-                pairs.append(_pair(gene, disease, phase))
+            for score in [0.2, 0.4, 0.6]:
+                predictions.append(score)
+                pairs.append(phase)
         analysis = phase_analysis(predictions, pairs)
         assert all(test["p_corrected"] == 1.0 for test in analysis["tests"])
 
@@ -342,7 +339,8 @@ class TestPhaseAnalysis:
 
     def test_unmatched_pairs_counted(self):
         predictions, pairs = self._build({0: 3, 1: 3})
-        pairs.append(_pair("missing", "missing", 4))
+        predictions.append(np.nan)  # a pair without a score
+        pairs.append(4)
         analysis = phase_analysis(predictions, pairs)
         assert analysis["unmatched_pairs"] == 1
 
@@ -368,30 +366,25 @@ def coupled_tensor():
     return tensor
 
 
+def _evaluate_one(tensor, seeds, n_latent=32, alpha=5.0, schedule=SamplerSchedule(), layers=None):
+    """The report of one model over ``seeds``, held out at 0.2 and scored at 0.5."""
+    aurocs, f1s = repeated_eval(tensor, [layers], seeds, n_latent, alpha, schedule, 0.2, 0.5)
+    [report] = summarize(["combined"], aurocs, f1s, class_imbalance(tensor.layer_entries(0)[1]), 0.5)
+    return report
+
+
 class TestRepeatedEval:
     def test_identical_seeds_zero_sd(self, coupled_tensor):
-        config = EvalConfig(
-            n_latent=4, alpha=30.0, schedule=SamplerSchedule(10, 20, 10), heldout_fraction=0.2
-        )
-        [report] = repeated_eval(coupled_tensor, [config], 2, [7, 7])
+        report = _evaluate_one(coupled_tensor, [7, 7], n_latent=4, alpha=30.0, schedule=SamplerSchedule(10, 20, 10))
         assert report["auroc"]["sd"] == 0.0
         assert report["f1"]["sd"] == 0.0
 
     def test_synthetic_recovery_auroc(self, coupled_tensor):
-        config = EvalConfig(
-            n_latent=8, alpha=40.0, schedule=SamplerSchedule(60, 150, 30), heldout_fraction=0.2
-        )
-        [report] = repeated_eval(coupled_tensor, [config], 2, [1, 2])
+        report = _evaluate_one(coupled_tensor, [1, 2], n_latent=8, alpha=40.0, schedule=SamplerSchedule(60, 150, 30))
         assert report["auroc"]["mean"] >= 0.9
 
     def test_report_schema(self, coupled_tensor):
-        config = EvalConfig(
-            model_name="combined",
-            n_latent=4,
-            alpha=30.0,
-            schedule=SamplerSchedule(5, 10, 5),
-        )
-        [report] = repeated_eval(coupled_tensor, [config], 2, [3, 4])
+        report = _evaluate_one(coupled_tensor, [3, 4], n_latent=4, alpha=30.0, schedule=SamplerSchedule(5, 10, 5))
         assert set(report) == {
             "model_name", "auroc", "f1", "imbalance", "n_repeats", "threshold",
         }
@@ -400,20 +393,16 @@ class TestRepeatedEval:
         assert report["threshold"] == 0.5
 
     def test_layer_subset_must_start_at_outcome(self, coupled_tensor):
-        config = EvalConfig(layers=(1, 2), schedule=SamplerSchedule(1, 2, 1))
         with pytest.raises(DataError):
-            repeated_eval(coupled_tensor, [config], 2, [1, 2])
+            _evaluate_one(coupled_tensor, [1, 2], schedule=SamplerSchedule(1, 2, 1), layers=(1, 2))
 
     def test_needs_two_repeats(self, coupled_tensor):
         with pytest.raises(DataError):
-            repeated_eval(coupled_tensor, [EvalConfig()], 1, [1])
+            _evaluate_one(coupled_tensor, [1])
 
-    def test_models_must_share_sampler_settings(self, coupled_tensor):
-        configs = [EvalConfig(n_latent=4), EvalConfig(n_latent=8)]
-        with pytest.raises(DataError, match="share n_latent"):
-            repeated_eval(coupled_tensor, configs, 2, [1, 2])
+    def test_needs_a_model(self, coupled_tensor):
         with pytest.raises(DataError, match="no model"):
-            repeated_eval(coupled_tensor, [], 2, [1, 2])
+            repeated_eval(coupled_tensor, [], [1, 2], 32, 5.0, SamplerSchedule(), 0.2, 0.5)
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trialtensor import (
-    CellSplit,
     DataError,
     SparseTensor,
     block_union,
@@ -235,33 +234,32 @@ def _ten_cell_layer():
 class TestSplitCells:
     def test_proportional_rounding(self):
         tensor = _ten_cell_layer()
-        split = split_cells(tensor, 0, 0.2, seed=3)
-        assert len(split.heldout) == 2
-        assert sorted(tensor.values[split.heldout]) == [0.0, 1.0]
+        heldout = split_cells(tensor, 0, 0.2, seed=3)
+        assert len(heldout) == 2
+        assert sorted(tensor.values[heldout]) == [0.0, 1.0]
 
     def test_deterministic(self):
         tensor = _ten_cell_layer()
         first = split_cells(tensor, 0, 0.4, seed=11)
         second = split_cells(tensor, 0, 0.4, seed=11)
-        assert np.array_equal(first.heldout, second.heldout)
-        assert np.array_equal(first.train, second.train)
+        assert np.array_equal(first, second)
 
     def test_partition_is_exhaustive(self):
         tensor = _ten_cell_layer()
-        split = split_cells(tensor, 0, 0.3, seed=2)
+        heldout = split_cells(tensor, 0, 0.3, seed=2)
         layer_rows = np.nonzero(tensor.coords[:, 2] == 0)[0]
-        assert np.array_equal(np.sort(np.concatenate([split.train, split.heldout])), layer_rows)
-        assert np.intersect1d(split.train, split.heldout).size == 0
+        # The layer's other rows are the training rows.
+        assert np.isin(heldout, layer_rows).all()
+        assert np.unique(heldout).size == heldout.size
 
     def test_rows_in_lexicographic_order(self):
         entries = [(i, j, k, float(i % 2)) for i in range(6) for j in range(3) for k in range(2)]
         tensor = tensor_from_entries((6, 3, 2), entries[::-1])
-        split = split_cells(tensor, 1, 0.4, seed=4)
-        for rows in (split.train, split.heldout):
-            assert rows.dtype == np.int64
-            cells = [tuple(c) for c in tensor.coords[rows].tolist()]
-            assert all(k == 1 for _, _, k in cells)
-            assert cells == sorted(set(cells))
+        rows = split_cells(tensor, 1, 0.4, seed=4)
+        assert rows.dtype == np.int64
+        cells = [tuple(c) for c in tensor.coords[rows].tolist()]
+        assert all(k == 1 for _, _, k in cells)
+        assert cells == sorted(set(cells))
 
     def test_heldout_cells_do_not_depend_on_entry_order(self):
         entries = [(i, j, k, float((i + j) % 2)) for i in range(6) for j in range(3) for k in range(2)]
@@ -270,13 +268,8 @@ class TestSplitCells:
         held = []
         for ordered in orders:
             tensor = tensor_from_entries((6, 3, 2), ordered)
-            split = split_cells(tensor, 0, 0.4, seed=9)
-            held.append((tensor.coords[split.heldout].tolist(), tensor.coords[split.train].tolist()))
+            held.append(tensor.coords[split_cells(tensor, 0, 0.4, seed=9)].tolist())
         assert held[0] == held[1] == held[2]
-
-    def test_overlap_rejected(self):
-        with pytest.raises(DataError, match="overlap"):
-            CellSplit(train=np.array([1, 2]), heldout=np.array([2, 3]), seed=0)
 
     def test_insufficient_class_members(self):
         entries = [(0, 0, 0, 1.0), (1, 0, 0, 0.0), (2, 0, 0, 0.0)]
@@ -286,7 +279,7 @@ class TestSplitCells:
 
     def test_reference_shuffle_oracle(self, tiny_tensor):
         # Independent re-implementation of the documented draw protocol.
-        split = split_cells(tiny_tensor, 0, 0.5, seed=41)
+        heldout = split_cells(tiny_tensor, 0, 0.5, seed=41)
         coords, values = tiny_tensor.layer_entries(0)
         cells = [tuple(int(c) for c in xyz) for xyz in coords]
         pos = sorted(c for c, v in zip(cells, values) if v >= 0.5)
@@ -297,7 +290,7 @@ class TestSplitCells:
             n_held = int(np.floor(len(group) * 0.5 + 0.5))
             for idx in rng.choice(len(group), size=n_held, replace=False):
                 expected.add(group[idx])
-        assert [tuple(c) for c in tiny_tensor.coords[split.heldout].tolist()] == sorted(expected)
+        assert [tuple(c) for c in tiny_tensor.coords[heldout].tolist()] == sorted(expected)
 
     @given(
         n_pos=st.integers(2, 40),
@@ -310,8 +303,8 @@ class TestSplitCells:
         entries = [(i, 0, 0, 1.0) for i in range(n_pos)]
         entries += [(n_pos + i, 0, 0, 0.0) for i in range(n_neg)]
         tensor = tensor_from_entries((n_pos + n_neg, 1, 1), entries)
-        split = split_cells(tensor, 0, fraction, seed=seed)
-        held_pos = int((tensor.coords[split.heldout, 0] < n_pos).sum())
+        heldout = split_cells(tensor, 0, fraction, seed=seed)
+        held_pos = int((tensor.coords[heldout, 0] < n_pos).sum())
         assert abs(held_pos - fraction * n_pos) <= 1.0
 
     def test_bad_fraction(self, tiny_tensor):
