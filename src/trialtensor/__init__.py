@@ -34,7 +34,6 @@ from .metrics import (
 )
 from .rng import StreamTree
 from .sampler import (
-    Hyperprior,
     ModelState,
     ModeParams,
     SamplerSchedule,
@@ -45,8 +44,6 @@ from .sampler import (
     run,
     sample_mode_hyperparams,
     sample_mode_latents,
-    sample_mvn,
-    sample_wishart,
     save_checkpoint,
 )
 from .simulate import SynthConfig, generate, synthetic_modes

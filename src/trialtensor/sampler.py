@@ -3,9 +3,17 @@
 The model places a Gaussian likelihood with fixed precision ``alpha`` on each
 observed cell, whose mean is the three-way latent product
 ``sum_d U[i,d] * V[j,d] * W[k,d]``. Each mode's latent rows get a Gaussian
-prior whose mean and precision carry a conjugate Gaussian-Wishart hyperprior,
-so the full conditional of every quantity is available in closed form and
-one sweep samples, per mode: hyperparameters, then all latent rows.
+prior ``Normal(mu, Lambda^-1)``, and ``(mu, Lambda)`` get one fixed
+conjugate Gaussian-Wishart prior, the BPMF default of Salakhutdinov &
+Mnih (2008): ``mu0 = 0``, ``beta0 = 2``, ``W0 = I`` and ``nu0 = D``. Given a
+mode's ``n`` rows with mean ``xbar`` and centered scatter ``n * S``, the
+posterior has ``beta_n = 2 + n``, ``nu_n = D + n``,
+``mu_n = n * xbar / beta_n`` and
+``W_n^-1 = I + n * S + (2 * n / beta_n) * xbar xbar'``; ``Lambda`` is drawn
+from ``Wishart(W_n, nu_n)``, then ``mu`` from
+``Normal(mu_n, (beta_n * Lambda)^-1)``. So the full conditional of every
+quantity is available in closed form and one sweep samples, per mode:
+hyperparameters, then all latent rows.
 
 A :class:`ModelState` holds one or more independent chains that advance in
 lock-step over the block-diagonal union of their training tensors
@@ -21,12 +29,12 @@ return to entity order once. The hyperparameter draw keeps only each
 chain's random draws and scatter product in a per-chain loop; the means,
 posterior inverse scales, Bartlett factors, factorizations and products are
 stacked over chains. What does not change between sweeps (the runs
-themselves, the inverse Wishart scale, the Bartlett lower-triangle indices)
-is computed once. Every chain's randomness comes from its own counter-based
-streams keyed by ``(seed, sweep, role, mode)`` (see :mod:`trialtensor.rng`),
-drawn from one re-keyed generator per chain, and every stacked step treats
-each row or chain alone, so a chain draws the same numbers alone or in a
-batch. A single chain is the one-chain case of the same code.
+themselves, the Bartlett lower-triangle indices) is computed once. Every
+chain's randomness comes from its own counter-based streams keyed by
+``(seed, sweep, role, mode)`` (see :mod:`trialtensor.rng`), drawn from one
+re-keyed generator per chain, and every stacked step treats each row or
+chain alone, so a chain draws the same numbers alone or in a batch. A
+single chain is the one-chain case of the same code.
 
 The model is the list of ``(U, V, W)`` triples :func:`run` retains for a
 chain; a checkpoint stores exactly them, and :func:`predict_slice` scores a
@@ -37,8 +45,7 @@ from __future__ import annotations
 
 import bisect
 import functools
-import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -50,80 +57,12 @@ from .rng import ROLE_HYPER, ROLE_INIT, ROLE_LATENT, StreamTree
 from .tensor import CountRuns, SparseTensor, block_union
 
 _JITTER_REL = 1e-6
+# Strength beta0 with which the Gaussian-Wishart prior's zero mean ties down each mode's mean.
+_BETA0 = 2.0
 # Largest block of other-mode products ``q`` gathered at once, in doubles:
 # 256 KiB, so 1024 cells at D=32 or 4096 at D=8 (two such buffers). A
 # single larger entity is one block.
 _BLOCK_DOUBLES = 2**15
-
-
-@dataclass(frozen=True, eq=False)
-class Hyperprior:
-    """Gaussian-Wishart hyperprior shared by all three modes.
-
-    ``precision_scale`` is the Wishart scale matrix and ``dof`` its degrees
-    of freedom; ``mean_strength`` scales how strongly the prior mean ties
-    down the sampled per-mode mean. ``scale_inverse``, the inverse of
-    ``precision_scale`` that every posterior draw starts from, is computed
-    once here.
-
-    Two priors are equal when their arrays hold equal values and their
-    scalars compare equal. A prior holds arrays, so it is not hashable.
-    """
-
-    mean: np.ndarray
-    mean_strength: float
-    precision_scale: np.ndarray
-    dof: float
-    scale_inverse: np.ndarray = field(init=False, repr=False)
-
-    __hash__ = None
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        # A read-only copy, so the inverse cached below cannot go stale.
-        scale = np.array(self.precision_scale, dtype=np.float64)
-        scale.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "precision_scale", scale)
-        n_latent = mean.shape[0]
-        if scale.shape != (n_latent, n_latent):
-            raise ValueError("precision_scale shape does not match mean length")
-        if not np.allclose(scale, scale.T):
-            raise NumericalError("scale matrix not SPD: not symmetric")
-        try:
-            np.linalg.cholesky(scale)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("scale matrix not SPD") from exc
-        if self.dof < n_latent:
-            raise ValueError(f"dof {self.dof} below latent dimension {n_latent}")
-        if self.mean_strength <= 0:
-            raise ValueError("mean_strength must be positive")
-        inverse = np.linalg.inv(scale)
-        inverse.flags.writeable = False
-        object.__setattr__(self, "scale_inverse", inverse)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Hyperprior):
-            return NotImplemented
-        return bool(
-            self.mean_strength == other.mean_strength
-            and self.dof == other.dof
-            and np.array_equal(self.mean, other.mean)
-            and np.array_equal(self.precision_scale, other.precision_scale)
-        )
-
-    @property
-    def n_latent(self) -> int:
-        return int(self.mean.shape[0])
-
-    @classmethod
-    def default(cls, n_latent: int) -> "Hyperprior":
-        return cls(
-            mean=np.zeros(n_latent),
-            mean_strength=2.0,
-            precision_scale=np.eye(n_latent),
-            dof=float(n_latent),
-        )
 
 
 @dataclass
@@ -153,7 +92,6 @@ class ModelState:
     n_latent: int
     trees: tuple[StreamTree, ...]
     offsets: np.ndarray
-    hyperprior: Hyperprior
     sweep: int = 0
 
     @property
@@ -190,7 +128,6 @@ def init_chains(
     chain_dims: Sequence[Sequence[int]],
     n_latent: int,
     seeds: Sequence[int],
-    hyperprior: Hyperprior | None = None,
     alpha: float = 5.0,
 ) -> ModelState:
     """Fresh state of one chain per ``(dims, seed)``: latents i.i.d. standard normal, identity priors.
@@ -204,10 +141,6 @@ def init_chains(
         raise ValueError("alpha must be positive")
     if len(chain_dims) != len(seeds) or not seeds:
         raise ValueError(f"need one seed per chain, got {len(seeds)} for {len(chain_dims)} chains")
-    if hyperprior is None:
-        hyperprior = Hyperprior.default(n_latent)
-    if hyperprior.n_latent != n_latent:
-        raise ValueError("hyperprior dimension does not match n_latent")
     trees = tuple(StreamTree(seed) for seed in seeds)
     offsets = np.zeros((len(seeds) + 1, 3), dtype=np.int64)
     offsets[1:] = np.cumsum(np.asarray(chain_dims, dtype=np.int64).reshape(-1, 3), axis=0)
@@ -221,7 +154,7 @@ def init_chains(
     ]
     params = [
         ModeParams(
-            mean=np.tile(hyperprior.mean, (len(seeds), 1)),
+            mean=np.zeros((len(seeds), n_latent)),
             precision=np.tile(np.eye(n_latent), (len(seeds), 1, 1)),
         )
         for _ in range(3)
@@ -233,35 +166,7 @@ def init_chains(
         n_latent=n_latent,
         trees=trees,
         offsets=offsets,
-        hyperprior=hyperprior,
     )
-
-
-# --------------------------------------------------------------------------
-# Elementary draws. The sweep draws its hyperparameters stacked over chains
-# and does not call ``sample_wishart`` or ``sample_mvn``; they share its
-# ``_bartlett``, ``_wishart`` and ``_mvn``, so holding these single
-# draws to their analytic moments checks that arithmetic in distribution.
-
-def sample_wishart(scale: np.ndarray, dof: float, rng: np.random.Generator) -> np.ndarray:
-    """Draw from Wishart(scale, dof) by the Bartlett decomposition.
-
-    With ``L = chol(scale)`` and ``A`` lower triangular having
-    ``A[i, i] ~ sqrt(chi2(dof - i))`` and standard-normal entries below the
-    diagonal, ``L A A' L'`` is Wishart-distributed. The draw order (diagonal
-    first, then the strictly-lower entries row-major) is part of the
-    determinism contract.
-    """
-    scale = np.asarray(scale, dtype=np.float64)
-    dim = scale.shape[0]
-    if dof < dim:
-        raise ValueError(f"degrees of freedom {dof} below dimension {dim}")
-    try:
-        lower = np.linalg.cholesky(scale)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("scale matrix not SPD") from exc
-    chi = rng.chisquare(dof - np.arange(dim))
-    return _wishart(lower, _bartlett(chi, rng.standard_normal(len(_strict_lower(dim)[0]))))
 
 
 def _bartlett(chi: np.ndarray, normals: np.ndarray) -> np.ndarray:
@@ -289,17 +194,6 @@ def _strict_lower(dim: int) -> tuple[np.ndarray, np.ndarray]:
     rows.flags.writeable = False
     cols.flags.writeable = False
     return rows, cols
-
-
-def sample_mvn(mean: np.ndarray, precision: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw from Normal(mean, precision^-1) without forming the inverse.
-
-    Uses the Cholesky factor of the precision and a single solve: if
-    ``precision = L L'`` and ``z`` is standard normal, then
-    ``mean + solve(L', z)`` has covariance ``precision^-1``.
-    """
-    mean = np.asarray(mean, dtype=np.float64)
-    return _mvn(mean, np.asarray(precision, dtype=np.float64), rng.standard_normal(mean.shape[0]))
 
 
 def _mvn(mean: np.ndarray, precision: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -358,35 +252,33 @@ def _solve_draw(lower: np.ndarray, rhs: np.ndarray, z: np.ndarray) -> np.ndarray
     return rows
 
 
-def sample_mode_hyperparams(
-    blocks: Sequence[np.ndarray], hyperprior: Hyperprior, rngs: Sequence[np.random.Generator]
-) -> ModeParams:
+def sample_mode_hyperparams(blocks: Sequence[np.ndarray], rngs: Sequence[np.random.Generator]) -> ModeParams:
     """Gaussian-Wishart posterior draw of each chain given its rows of one mode.
 
     ``blocks[c]`` holds chain ``c``'s latent rows and ``rngs[c]`` is its
-    stream. Conjugate update: with ``n`` rows, sample mean ``xbar`` and
-    centered scatter ``n * S``, the posterior has strength ``beta0 + n``,
-    degrees of freedom ``dof0 + n``, mean
-    ``(beta0 * mu0 + n * xbar) / (beta0 + n)`` and inverse scale
-    ``W0^-1 + n * S + (beta0 * n / (beta0 + n)) (xbar - mu0)(xbar - mu0)'``.
-    Precision is drawn from the Wishart, then the mean conditionally on it.
+    stream. Conjugate update under the fixed prior (``mu0 = 0``,
+    ``beta0 = 2``, ``W0 = I``, ``nu0 = D``): with ``n`` rows, sample mean
+    ``xbar`` and centered scatter ``n * S``, the posterior has strength
+    ``beta_n = 2 + n``, degrees of freedom ``nu_n = D + n``, mean
+    ``mu_n = n * xbar / beta_n`` and inverse scale
+    ``W_n^-1 = I + n * S + (2 * n / beta_n) xbar xbar'``. The precision
+    ``Lambda`` is drawn from ``Wishart(W_n, nu_n)``, then the mean from
+    ``Normal(mu_n, (beta_n * Lambda)^-1)``.
     Only each chain's scatter product and its draws (Bartlett diagonal, its
     lower triangle, then the mean's normals) are taken chain by chain; the
     means, inverse scales, Bartlett factors, factorizations, inverses,
     Wishart products and mean solves are stacked over chains.
     Returns the ``(n_chains, D)`` means and ``(n_chains, D, D)`` precisions.
     """
-    dim = hyperprior.n_latent
-    beta0 = hyperprior.mean_strength
-    mu0 = hyperprior.mean
     counts = np.array([len(block) for block in blocks])
     if not (counts >= 1).all():
         raise ValueError("empty mode: cannot update hyperparameters")
     starts = np.cumsum(counts) - counts
     latents = np.concatenate(blocks, dtype=np.float64)
+    dim = latents.shape[1]
     xbar = np.add.reduceat(latents, starts, axis=0) / counts[:, None]
     centered = latents - np.repeat(xbar, counts, axis=0)
-    chi_dof = (hyperprior.dof + counts)[:, None] - np.arange(dim)
+    chi_dof = (dim + counts)[:, None] - np.arange(dim)
     scatter = np.empty((len(counts), dim, dim))
     chi = np.empty((len(counts), dim))
     normals = np.empty((len(counts), len(_strict_lower(dim)[0])))
@@ -396,17 +288,16 @@ def sample_mode_hyperparams(
         chi[chain] = rng.chisquare(chi_dof[chain])
         rng.standard_normal(out=normals[chain])
         rng.standard_normal(out=z[chain])
-    beta_post = beta0 + counts
-    dev = xbar - mu0
-    scale_inv = hyperprior.scale_inverse + scatter + (beta0 * counts / beta_post)[:, None, None] * (
-        dev[:, :, None] * dev[:, None, :]
+    beta_post = _BETA0 + counts
+    scale_inv = np.eye(dim) + scatter + (_BETA0 * counts / beta_post)[:, None, None] * (
+        xbar[:, :, None] * xbar[:, None, :]
     )
     scale_inv = (scale_inv + scale_inv.transpose(0, 2, 1)) / 2.0
     # With scale_inv = L L', the posterior scale is R R' for R = L'^-1.
     inv_lower = _cholesky(scale_inv, "posterior inverse scale")
     root = np.linalg.inv(inv_lower).transpose(0, 2, 1)
     precision = _wishart(root, _bartlett(chi, normals))
-    mean_post = (beta0 * mu0 + counts[:, None] * xbar) / beta_post[:, None]
+    mean_post = counts[:, None] * xbar / beta_post[:, None]
     mean = _mvn(mean_post, beta_post[:, None, None] * precision, z)
     return ModeParams(mean=mean, precision=precision)
 
@@ -513,7 +404,7 @@ def gibbs_step(state: ModelState, tensor: SparseTensor) -> ModelState:
     for mode in range(3):
         rngs = [tree.stream(state.sweep, ROLE_HYPER, mode) for tree in state.trees]
         blocks = np.split(state.latents[mode], state.offsets[1:-1, mode])
-        state.params[mode] = sample_mode_hyperparams(blocks, state.hyperprior, rngs)
+        state.params[mode] = sample_mode_hyperparams(blocks, rngs)
         state.latents[mode] = sample_mode_latents(state, tensor, mode)
     state.sweep += 1
     return state
@@ -614,10 +505,9 @@ def load_checkpoint(directory: str | Path) -> tuple[list[Sample], Mapping]:
     """
     directory = Path(directory)
     manifest = read_json(directory / "manifest.json")
-    try:
-        retained, n_latent = (operator.index(manifest[key]) for key in ("retained", "n_latent"))
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"{directory}: manifest needs integer 'retained' and 'n_latent'") from exc
+    retained, n_latent = (manifest.get(key) if isinstance(manifest, dict) else None for key in ("retained", "n_latent"))
+    if type(retained) is not int or type(n_latent) is not int:  # JSON true, 2.0 and "2" are not counts
+        raise DataError(f"{directory}: manifest needs integer 'retained' and 'n_latent'")
     if retained < 1 or n_latent < 1:
         raise DataError(f"{directory}: manifest 'retained' and 'n_latent' must be at least 1")
     stacks = []

@@ -192,9 +192,11 @@ def split_cells(tensor: SparseTensor, layer: int, heldout_fraction: float, seed:
     (value >= 0.5) or negative, each class is sorted lexicographically by
     coordinate, and ``floor(n_class * fraction + 0.5)`` cells are drawn
     per class without replacement from one ``numpy`` PCG64 generator,
-    positives first. Returns the held-out cells' entry rows into the
-    tensor's ``coords``/``values``, ascending as int64, so in coordinate
-    order: ``tensor.coords[heldout]`` are the held-out cells.
+    positives first. A class of which that holds out no cell is a
+    :class:`DataError`, raised before any draw. Returns the held-out cells'
+    entry rows into the tensor's ``coords``/``values``, ascending as int64,
+    so in coordinate order: ``tensor.coords[heldout]`` are the held-out
+    cells.
     """
     if not 0.0 < heldout_fraction < 1.0:
         raise DataError(f"heldout_fraction must be in (0, 1), got {heldout_fraction}")
@@ -207,11 +209,14 @@ def split_cells(tensor: SparseTensor, layer: int, heldout_fraction: float, seed:
         raise DataError(
             f"insufficient class members in layer {layer}: {pos.size} positive, {neg.size} negative"
         )
+    n_held = [int(np.floor(cells.size * heldout_fraction + 0.5)) for cells in (pos, neg)]
+    for name, cells, held in zip(("positive", "negative"), (pos, neg), n_held):
+        if not held:  # the held-out cells must hold both classes to be scored
+            raise DataError(
+                f"heldout_fraction {heldout_fraction} holds out none of the {cells.size} {name} cells in layer {layer}"
+            )
     rng = np.random.default_rng(seed)
-    chosen = []
-    for cells in (pos, neg):
-        n_held = int(np.floor(cells.size * heldout_fraction + 0.5))
-        chosen.append(cells[rng.choice(cells.size, size=n_held, replace=False)])
+    chosen = [cells[rng.choice(cells.size, size=held, replace=False)] for cells, held in zip((pos, neg), n_held)]
     return np.sort(np.concatenate(chosen))
 
 

@@ -32,18 +32,23 @@ from trialtensor import (
     repeated_eval,
     run,
     sample_mode_latents,
-    sample_mvn,
-    sample_wishart,
     split_cells,
     summarize,
 )
 from trialtensor.cli import main
 from trialtensor.metrics import _exact_two_sided_p, _normal_two_sided_p
-from trialtensor.rng import StreamTree
 
 from conftest import NO_PAIRS, cell_value, evidence_rows, evidence_table, ingest_fixture, pair_rows
 from test_metrics import brute_force_auroc, pairwise_exact_mww_p
-from test_sampler import all_layers, mode_normals, per_row_reference
+from test_sampler import (
+    all_layers,
+    mode_normals,
+    per_row_reference,
+    posterior_moments,
+    stacked_draws,
+    whitened_residuals,
+    wishart_se,
+)
 
 
 @contextmanager
@@ -90,39 +95,24 @@ def test_c1_thinning_arithmetic(ingested_dir, tmp_path):
 
 
 def test_c2_sampler_distribution_checks():
-    with criterion(2, "Wishart mean within 3 MC se of dof*scale; MVN covariance matches inverse"):
-        n_draws = 100_000
-        cases = [
-            (np.array([[2.0]]), 3.0),
-            (np.array([[1.0, 0.3], [0.3, 2.0]]), 5.0),
-            (np.array(
-                [[1.5, 0.2, 0.0, 0.1],
-                 [0.2, 1.0, 0.3, 0.0],
-                 [0.0, 0.3, 2.0, 0.2],
-                 [0.1, 0.0, 0.2, 1.2]]), 6.0),
-        ]
-        for idx, (scale, dof) in enumerate(cases):
-            rng = StreamTree(100 + idx).stream(0, 3, 0)
-            dim = scale.shape[0]
-            total = np.zeros((dim, dim))
-            for _ in range(n_draws):
-                total += sample_wishart(scale, dof, rng)
-            mean = total / n_draws
-            expected = dof * scale
-            variance = dof * (scale**2 + np.outer(np.diag(scale), np.diag(scale)))
-            se = np.sqrt(variance / n_draws)
-            assert np.all(np.abs(mean - expected) <= 3.0 * se)
-
-        rng = StreamTree(55).stream(0, 3, 0)
-        precision = np.array([[2.0, 1.0], [1.0, 2.0]])
-        expected_cov = np.linalg.inv(precision)
-        draws = np.array([sample_mvn(np.zeros(2), precision, rng) for _ in range(n_draws)])
-        cov = np.cov(draws.T)
-        # se of a covariance entry: sqrt((s_ii s_jj + s_ij^2) / n)
-        se = np.sqrt(
-            (np.outer(np.diag(expected_cov), np.diag(expected_cov)) + expected_cov**2) / n_draws
-        )
-        assert np.all(np.abs(cov - expected_cov) <= 3.0 * se)
+    with criterion(
+        2,
+        "sweep's hyperparameter draw: mean precision within 3 MC se of nu_n*W_n; whitened mean "
+        "residuals zero-mean with identity covariance within 3 se",
+    ):
+        n_chains = 100_000
+        for dim in (1, 2, 4):
+            # Fixed rows away from the prior mean, so the beta0*n/beta_n term of W_n counts.
+            rows = np.random.default_rng(dim).normal(1.0, 0.5, (2 * dim + 2, dim))
+            beta_n, nu_n, mu_n, w_n = posterior_moments(rows)
+            params = stacked_draws(rows, n_chains, 100 + dim)
+            mean_precision = params.precision.mean(axis=0)
+            assert np.all(np.abs(mean_precision - nu_n * w_n) <= 3.0 * wishart_se(w_n, nu_n, n_chains))
+            residuals = whitened_residuals(params, beta_n, mu_n)
+            assert np.all(np.abs(residuals.mean(axis=0)) <= 3.0 / np.sqrt(n_chains))
+            # se of a standard-normal covariance entry: sqrt(2 / n) on the diagonal, sqrt(1 / n) off it
+            se = np.sqrt((1.0 + np.eye(dim)) / n_chains)
+            assert np.all(np.abs(np.cov(residuals.T).reshape(dim, dim) - np.eye(dim)) <= 3.0 * se)
 
 
 def test_c3_synthetic_recovery():

@@ -402,6 +402,24 @@ class TestEvaluateCommand:
             assert 0.0 <= model["auroc"]["mean"] <= 1.0
             assert model["auroc"]["sd"] >= 0.0
 
+    def test_class_without_heldout_cell_fails_before_sampling(self, tmp_path, capsys, monkeypatch):
+        # Two positive outcome cells at --heldout-fraction 0.2 hold out none.
+        cells = np.argwhere(np.ones((5, 4, 2), dtype=bool))
+        values = ((cells[:, 2] == 0) & (cells[:, 0] == 0) & (cells[:, 1] < 2)).astype(float)
+        names = ([f"T{i}" for i in range(5)], [f"D{j}" for j in range(4)], ["outcome", "evidence_1"])
+        tensor_dir = tmp_path / "t"
+        save_tensor(SparseTensor((5, 4, 2), cells, values), names, tensor_dir / "tensor.tsv", tensor_dir / "tensor.meta.json")
+
+        def run(*args):
+            raise AssertionError("sampled before the split was checked")
+
+        monkeypatch.setattr(trialtensor.metrics, "run", run)
+        report = tmp_path / "r.json"
+        args = ["evaluate", "--tensor", str(tensor_dir), "--out", str(report), "--heldout-fraction", "0.2"]
+        assert main(args) == 2
+        assert not report.exists()
+        assert "holds out none of the 2 positive cells in layer 0" in capsys.readouterr().err
+
     def test_unknown_model_layer(self, simulated_dir, tmp_path, capsys):
         args = [
             "evaluate", "--tensor", str(simulated_dir), "--out", str(tmp_path / "r.json"),

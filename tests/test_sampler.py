@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from trialtensor import (
     DataError,
-    Hyperprior,
     NumericalError,
     SamplerSchedule,
     SparseTensor,
@@ -24,12 +23,10 @@ from trialtensor import (
     run,
     sample_mode_hyperparams,
     sample_mode_latents,
-    sample_mvn,
-    sample_wishart,
     save_checkpoint,
 )
 from trialtensor import sampler
-from trialtensor.rng import ROLE_LATENT, StreamTree
+from trialtensor.rng import ROLE_HYPER, ROLE_LATENT, StreamTree
 
 from conftest import BYTE_EDITS, EDITS, FIXTURE_ENTRIES, splice, tensor_from_entries
 
@@ -75,127 +72,139 @@ class TestInitModel:
         assert state.seeds == (2**64 - 1,)
 
 
+BETA0 = 2.0  # the model's fixed prior: mu0 = 0, beta0 = 2, W0 = I, nu0 = D
+
+
+def posterior_moments(rows):
+    """``(beta_n, nu_n, mu_n, W_n)`` of one mode's rows under the fixed prior, written out here.
+
+    ``W_n = (I + n S + (beta0 n / beta_n) xbar xbar')^-1`` and ``nu_n = D + n``.
+    """
+    n_rows, dim = rows.shape
+    xbar = rows.mean(axis=0)
+    beta_n = BETA0 + n_rows
+    scatter = (rows - xbar).T @ (rows - xbar)
+    w_n = np.linalg.inv(np.eye(dim) + scatter + (BETA0 * n_rows / beta_n) * np.outer(xbar, xbar))
+    return beta_n, dim + n_rows, n_rows * xbar / beta_n, w_n
+
+
+def stacked_draws(rows, n_chains, seed):
+    """The sweep's draw for ``n_chains`` chains that share ``rows`` as their block and one stream."""
+    rng = StreamTree(seed).stream(0, ROLE_HYPER, 0)
+    return sample_mode_hyperparams([rows] * n_chains, [rng] * n_chains)
+
+
+def whitened_residuals(params, beta_n, mu_n):
+    """``L'(mu - mu_n)`` per chain, with ``beta_n * Lambda = L L'``: standard normal if the draw is right."""
+    lower = np.linalg.cholesky(beta_n * params.precision)
+    return np.einsum("cij,ci->cj", lower, params.mean - mu_n)
+
+
+def wishart_se(w_n, nu_n, n_draws):
+    """Monte Carlo se of the mean of ``n_draws`` Wishart(W, nu) draws: ``Var(L_ij) = nu (W_ij^2 + W_ii W_jj)``."""
+    return np.sqrt(nu_n * (w_n**2 + np.outer(np.diag(w_n), np.diag(w_n))) / n_draws)
+
+
 class TestSampleWishart:
     def test_samples_are_spd(self):
-        rng = _rng(1)
-        scale = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 1.5]])
-        for _ in range(200):
-            sample = sample_wishart(scale, 6.0, rng)
-            np.linalg.cholesky(sample)  # raises if not SPD
+        rows = _rng(1).normal(0.5, 1.0, (5, 3))
+        for precision in stacked_draws(rows, 200, 1).precision:
+            np.linalg.cholesky(precision)  # raises if not SPD
 
     def test_identity_moments_d2(self):
-        rng = _rng(2)
+        # Rows at the prior mean leave W_n = I, so the precision is Wishart(I, 2 + 3).
         n = 20_000
-        total = np.zeros((2, 2))
-        for _ in range(n):
-            total += sample_wishart(np.eye(2), 5.0, rng)
-        mean = total / n
-        # Var(W_ij) = nu * (W0_ij^2 + W0_ii * W0_jj)
-        se_diag = np.sqrt(2 * 5.0 / n)
-        se_off = np.sqrt(5.0 / n)
-        assert abs(mean[0, 0] - 5.0) < 3 * se_diag
-        assert abs(mean[1, 1] - 5.0) < 3 * se_diag
-        assert abs(mean[0, 1]) < 3 * se_off
+        rows = np.zeros((3, 2))
+        _, nu_n, _, w_n = posterior_moments(rows)
+        assert nu_n == 5 and np.array_equal(w_n, np.eye(2))
+        mean = stacked_draws(rows, n, 2).precision.mean(axis=0)
+        se = wishart_se(w_n, nu_n, n)
+        assert np.all(np.abs(mean - 5.0 * np.eye(2)) < 3 * se)
 
     def test_scalar_chi_square_moments(self):
-        rng = _rng(3)
         n = 20_000
-        draws = np.array([sample_wishart(np.array([[2.0]]), 3.0, rng)[0, 0] for _ in range(n)])
-        # scalar Wishart(2, 3) = 2 * chi2(3): mean 6, variance 2 * 3 * 4 = 24
-        assert abs(draws.mean() - 6.0) < 3 * np.sqrt(24.0 / n)
-        assert abs(draws.var() - 24.0) < 0.15 * 24.0
-
-    def test_not_spd(self):
-        with pytest.raises(NumericalError, match="scale matrix not SPD"):
-            sample_wishart(np.array([[1.0, 2.0], [2.0, 1.0]]), 5.0, _rng())
-
-    def test_dof_below_dim(self):
-        with pytest.raises(ValueError):
-            sample_wishart(np.eye(3), 2.0, _rng())
+        rows = np.array([[0.5], [-0.5]])  # xbar 0, n S = 0.5, so W_n = 1 / 1.5 and nu_n = 3
+        draws = stacked_draws(rows, n, 3).precision[:, 0, 0]
+        scale = 1.0 / 1.5
+        # W_n * chi2(3): mean 3 W_n, variance 6 W_n^2
+        assert abs(draws.mean() - 3.0 * scale) < 3 * np.sqrt(6.0 * scale**2 / n)
+        assert abs(draws.var() - 6.0 * scale**2) < 0.15 * 6.0 * scale**2
 
 
 class TestSampleMvn:
     def test_identity_covariance(self):
-        rng = _rng(4)
-        draws = np.array([sample_mvn(np.zeros(2), np.eye(2), rng) for _ in range(20_000)])
-        cov = np.cov(draws.T)
-        se = 3.0 / np.sqrt(20_000)
+        n = 20_000
+        rows = _rng(4).normal(0.8, 0.5, (4, 2))
+        beta_n, _, mu_n, _ = posterior_moments(rows)
+        residuals = whitened_residuals(stacked_draws(rows, n, 4), beta_n, mu_n)
+        cov = np.cov(residuals.T)
+        se = 3.0 / np.sqrt(n)
         assert np.all(np.abs(cov - np.eye(2)) < 3 * se + 0.01)
-        assert np.all(np.abs(draws.mean(axis=0)) < 3.0 / np.sqrt(20_000))
+        assert np.all(np.abs(residuals.mean(axis=0)) < 3.0 / np.sqrt(n))
 
     def test_correlated_precision(self):
-        rng = _rng(5)
-        precision = np.array([[2.0, 1.0], [1.0, 2.0]])
-        expected = np.linalg.inv(precision)  # [[2/3, -1/3], [-1/3, 2/3]]
-        draws = np.array([sample_mvn(np.zeros(2), precision, rng) for _ in range(20_000)])
-        cov = np.cov(draws.T)
-        assert np.all(np.abs(cov - expected) < 0.02)
+        # Marginally over Lambda, mu - mu_n has covariance E[(beta_n Lambda)^-1] = W_n^-1 / (beta_n (nu_n - D - 1)).
+        n = 20_000
+        rows = _rng(5).multivariate_normal([0.3, -0.6], [[9.0, 8.1], [8.1, 9.0]], size=8)
+        beta_n, nu_n, mu_n, w_n = posterior_moments(rows)
+        expected = np.linalg.inv(w_n) / (beta_n * (nu_n - 2 - 1))
+        assert abs(expected[0, 1]) > 0.5 * np.sqrt(expected[0, 0] * expected[1, 1])
+        cov = np.cov((stacked_draws(rows, n, 5).mean - mu_n).T)
+        assert np.all(np.abs(cov - expected) < 0.05 * np.sqrt(np.outer(np.diag(expected), np.diag(expected))))
 
     def test_concentration_at_high_precision(self):
-        rng = _rng(6)
-        mean = np.array([0.4, -0.2])
-        draws = np.array([sample_mvn(mean, 1e6 * np.eye(2), rng) for _ in range(5_000)])
-        within = np.all(np.abs(draws - mean) < 0.005, axis=1)
+        # Many rows at one point: beta_n * Lambda is about n^2, so the mean sits on mu_n.
+        rows = np.tile([0.4, -0.2], (2000, 1))
+        _, _, mu_n, _ = posterior_moments(rows)
+        draws = stacked_draws(rows, 500, 6).mean
+        within = np.all(np.abs(draws - mu_n) < 0.005, axis=1)
         assert within.mean() >= 0.99
 
     def test_not_spd(self):
         with pytest.raises(NumericalError, match="precision not SPD"):
-            sample_mvn(np.zeros(2), np.array([[1.0, 3.0], [3.0, 1.0]]), _rng())
+            sampler._mvn(np.zeros(2), np.array([[1.0, 3.0], [3.0, 1.0]]), np.zeros(2))
 
     @pytest.mark.parametrize("dim", [1, 8, 32])
     def test_matches_triangular_solve_reference(self, dim):
         rng = _rng(dim)
-        factor = rng.standard_normal((dim, dim))
-        precision = factor @ factor.T + dim * np.eye(dim)
-        mean = rng.standard_normal(dim)
-        draw = sample_mvn(mean, precision, _rng(40 + dim))
-        reference = cholesky_draw(mean, precision, _rng(40 + dim).standard_normal(dim))
+        factor = rng.standard_normal((3, dim, dim))
+        precision = factor @ factor.transpose(0, 2, 1) + dim * np.eye(dim)
+        mean = rng.standard_normal((3, dim))
+        z = _rng(40 + dim).standard_normal((3, dim))
+        draw = sampler._mvn(mean, precision, z)
+        reference = [cholesky_draw(m, p, row) for m, p, row in zip(mean, precision, z)]
         assert np.max(np.abs(draw - reference)) <= 1e-12
 
 
-def hyperparams_reference(latents, hyperprior, rng):
-    """Gaussian-Wishart posterior draw written out with ``solve_triangular``.
+def hyperparams_reference(latents, rng):
+    """Gaussian-Wishart posterior draw under the fixed prior, written out with ``solve_triangular``.
 
     Same stream order as the sampler: Bartlett diagonal, Bartlett lower
     triangle, then the mean's normal block.
     """
     n_rows, dim = latents.shape
-    beta0, mu0 = hyperprior.mean_strength, hyperprior.mean
     xbar = latents.mean(axis=0)
-    beta_post = beta0 + n_rows
-    dev = xbar - mu0
+    beta_post = BETA0 + n_rows
     scale_inv = (
-        np.linalg.inv(hyperprior.precision_scale)
+        np.eye(dim)
         + (latents - xbar).T @ (latents - xbar)
-        + (beta0 * n_rows / beta_post) * np.outer(dev, dev)
+        + (BETA0 * n_rows / beta_post) * np.outer(xbar, xbar)
     )
     inv_lower = np.linalg.cholesky((scale_inv + scale_inv.T) / 2.0)
     root = solve_triangular(inv_lower, np.eye(dim), lower=True).T
-    bartlett = np.diag(np.sqrt(rng.chisquare(hyperprior.dof + n_rows - np.arange(dim))))
+    bartlett = np.diag(np.sqrt(rng.chisquare(dim + n_rows - np.arange(dim))))
     tril = np.tril_indices(dim, k=-1)
     bartlett[tril] = rng.standard_normal(len(tril[0]))
     precision = root @ bartlett @ (root @ bartlett).T
     precision = (precision + precision.T) / 2.0
-    mean_post = (beta0 * mu0 + n_rows * xbar) / beta_post
+    mean_post = n_rows * xbar / beta_post
     return cholesky_draw(mean_post, beta_post * precision, rng.standard_normal(dim)), precision
 
 
 class TestModeHyperparams:
     def test_empty_mode_rejected(self):
         with pytest.raises(ValueError, match="empty mode"):
-            sample_mode_hyperparams([np.empty((0, 3))], Hyperprior.default(3), [_rng()])
-
-    def test_mean_collapses_onto_prior_mean(self):
-        # All rows equal to the prior mean and a huge prior strength pin the
-        # posterior mean at the prior mean exactly; the draw then has
-        # negligible spread.
-        prior_mean = np.array([0.7, -1.2])
-        hyper = Hyperprior(
-            mean=prior_mean, mean_strength=1e12, precision_scale=np.eye(2), dof=2.0
-        )
-        latents = np.tile(prior_mean, (50, 1))
-        params = sample_mode_hyperparams([latents], hyper, [_rng(7)])
-        assert np.allclose(params.mean[0], prior_mean, atol=1e-4)
+            sample_mode_hyperparams([np.empty((0, 3))], [_rng()])
 
     def test_posterior_consistency(self):
         # With many rows from a known Gaussian, the sampled precision
@@ -204,79 +213,30 @@ class TestModeHyperparams:
         true_precision = np.array([[2.0, 0.5], [0.5, 1.5]])
         cov = np.linalg.inv(true_precision)
         rows = rng.multivariate_normal(np.zeros(2), cov, size=10_000)
-        hyper = Hyperprior.default(2)
         draws = np.zeros((2, 2))
         n_draws = 200
         for _ in range(n_draws):
-            draws += sample_mode_hyperparams([rows], hyper, [rng]).precision[0]
+            draws += sample_mode_hyperparams([rows], [rng]).precision[0]
         mean_precision = draws / n_draws
         assert np.all(np.abs(mean_precision - true_precision) <= 0.1 * np.abs(true_precision) + 0.02)
 
     @pytest.mark.parametrize("dim", [1, 8, 32])
     def test_matches_triangular_solve_reference(self, dim):
-        rng = _rng(100 + dim)
-        factor = rng.standard_normal((dim, dim))
-        hyper = Hyperprior(
-            mean=rng.standard_normal(dim),
-            mean_strength=2.0,
-            precision_scale=factor @ factor.T + dim * np.eye(dim),
-            dof=dim + 2.0,
-        )
-        latents = 1.5 * rng.standard_normal((60, dim)) + 0.3
-        params = sample_mode_hyperparams([latents], hyper, [_rng(7)])
-        mean, precision = hyperparams_reference(latents, hyper, _rng(7))
+        latents = 1.5 * _rng(100 + dim).standard_normal((60, dim)) + 0.3
+        params = sample_mode_hyperparams([latents], [_rng(7)])
+        mean, precision = hyperparams_reference(latents, _rng(7))
         assert np.max(np.abs(params.precision[0] - precision)) <= 1e-12
         assert np.max(np.abs(params.mean[0] - mean)) <= 1e-12
-
 
     def test_cached_constants_are_read_only(self):
         rows, cols = sampler._strict_lower(5)
         assert sampler._strict_lower(5)[0] is rows
         assert np.array_equal(rows, np.tril_indices(5, k=-1)[0])
         assert np.array_equal(cols, np.tril_indices(5, k=-1)[1])
-        hyper = Hyperprior.default(3)
-        assert np.array_equal(hyper.scale_inverse, np.linalg.inv(np.eye(3)))
-        for array in (rows, cols, hyper.scale_inverse, hyper.precision_scale):
+        for array in (rows, cols):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
-
-    def test_caller_scale_is_copied(self):
-        scale = np.eye(2)
-        hyper = Hyperprior(mean=np.zeros(2), mean_strength=1.0, precision_scale=scale, dof=2.0)
-        scale[0, 0] = 9.0
-        assert scale.flags.writeable
-        assert hyper.precision_scale[0, 0] == 1.0
-
-
-class TestHyperpriorEquality:
-    def test_equal_by_value(self):
-        assert Hyperprior.default(3) == Hyperprior.default(3)
-        assert not Hyperprior.default(3) != Hyperprior.default(3)
-        built = Hyperprior(mean=[0, 0, 0], mean_strength=2, precision_scale=np.eye(3).tolist(), dof=3)
-        assert built == Hyperprior.default(3)
-
-    @pytest.mark.parametrize(
-        "changes",
-        [
-            {"mean": np.array([0.0, 0.0, 0.5])},
-            {"mean_strength": 2.5},
-            {"precision_scale": 2.0 * np.eye(3)},
-            {"dof": 4.0},
-        ],
-    )
-    def test_unequal_fields(self, changes):
-        fields = dict(mean=np.zeros(3), mean_strength=2.0, precision_scale=np.eye(3), dof=3.0)
-        assert Hyperprior(**{**fields, **changes}) != Hyperprior(**fields)
-
-    def test_different_dimension_and_type(self):
-        assert Hyperprior.default(3) != Hyperprior.default(2)
-        assert Hyperprior.default(1) != 1.0
-        assert Hyperprior.default(2) != {"mean": np.zeros(2)}
-
-    def test_unhashable(self):
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(Hyperprior.default(2))
 
 
 def _two_solve_draw(lower, rhs, z):
@@ -917,6 +877,14 @@ class TestCheckpoint:
         _checkpoint(tmp_path / "ckpt", tiny_tensor)
         _BAD_CHECKPOINTS[case](tmp_path / "ckpt")
         with pytest.raises(DataError):
+            load_checkpoint(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("key,n_latent", [("retained", 3), ("n_latent", 1)])
+    def test_boolean_count_rejected(self, tiny_tensor, tmp_path, key, n_latent):
+        # JSON true is 1 to operator.index: a 2-sample checkpoint would load as one sample of twice the rows.
+        _checkpoint(tmp_path / "ckpt", tiny_tensor, n_latent=n_latent)
+        _patch_manifest(tmp_path / "ckpt", **{key: True})
+        with pytest.raises(DataError, match="manifest needs integer 'retained' and 'n_latent'"):
             load_checkpoint(tmp_path / "ckpt")
 
     @pytest.mark.parametrize(

@@ -277,6 +277,14 @@ class TestSplitCells:
         with pytest.raises(DataError, match="insufficient class members"):
             split_cells(tensor, 0, 0.5, seed=0)
 
+    def test_class_with_no_heldout_cell(self):
+        # floor(2 * 0.2 + 0.5) = 0 positives held out: the split could never be scored.
+        entries = [(i, 0, 0, float(i < 2)) for i in range(10)]
+        tensor = tensor_from_entries((10, 1, 1), entries)
+        with pytest.raises(DataError, match=r"heldout_fraction 0\.2 holds out none of the 2 positive cells in layer 0"):
+            split_cells(tensor, 0, 0.2, seed=0)
+        assert len(split_cells(tensor, 0, 0.3, seed=0)) == 3  # 1 positive, 2 negatives
+
     def test_reference_shuffle_oracle(self, tiny_tensor):
         # Independent re-implementation of the documented draw protocol.
         heldout = split_cells(tiny_tensor, 0, 0.5, seed=41)
@@ -303,6 +311,10 @@ class TestSplitCells:
         entries = [(i, 0, 0, 1.0) for i in range(n_pos)]
         entries += [(n_pos + i, 0, 0, 0.0) for i in range(n_neg)]
         tensor = tensor_from_entries((n_pos + n_neg, 1, 1), entries)
+        if min(np.floor(n * fraction + 0.5) for n in (n_pos, n_neg)) == 0:
+            with pytest.raises(DataError, match="holds out none"):
+                split_cells(tensor, 0, fraction, seed=seed)
+            return
         heldout = split_cells(tensor, 0, fraction, seed=seed)
         held_pos = int((tensor.coords[heldout, 0] < n_pos).sum())
         assert abs(held_pos - fraction * n_pos) <= 1.0
