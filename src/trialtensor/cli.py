@@ -26,7 +26,8 @@ from .io import (
     FLOAT_BLOCK, check, entry_lines, escape_percent, format_floats, line_blocks, parse_fields, read_text, read_tsv,
     repeats, tsv_blocks, write_json, write_tsv,
 )
-from .metrics import MAX_PHASE, class_imbalance, phase_analysis, repeated_eval, summarize
+from .metrics import class_imbalance, phase_analysis, repeated_eval, summarize
+from .rng import N_SEEDS
 from .sampler import SamplerSchedule, init_chains, predict_slice, run, save_checkpoint
 from .simulate import SynthConfig, generate, synthetic_modes
 from .tensor import load_tensor, save_tensor, select_layers
@@ -69,16 +70,15 @@ def _checked(convert, requirement: str, accept):
 
 _AT_LEAST_1 = _checked(int, "at least 1", lambda value: value >= 1)
 _NON_NEGATIVE = _checked(int, "at least 0", lambda value: value >= 0)
-_N_SEEDS = 1 << 64  # a sampler seed is one 64-bit Philox key word
-_SEED = _checked(int, "in [0, 2**64)", lambda value: 0 <= value < _N_SEEDS)
+_SEED = _checked(int, "in [0, 2**64)", lambda value: 0 <= value < N_SEEDS)
 _UNIT = _checked(float, "in [0, 1]", lambda value: 0 <= value <= 1)
 _OPEN_UNIT = _checked(float, "in (0, 1)", lambda value: 0 < value < 1)
 
 
 def _add_sampler_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--latent-dim", type=_AT_LEAST_1, default=32, help="latent dimension (default 32)")
-    parser.add_argument("--alpha", type=_checked(float, "positive", lambda value: value > 0), default=5.0,
-                        help="observation precision (default 5.0)")
+    parser.add_argument("--alpha", type=_checked(float, "positive and finite", lambda value: 0 < value < np.inf),
+                        default=5.0, help="observation precision (default 5.0)")
     parser.add_argument("--burnin", type=_NON_NEGATIVE, default=500, help="burn-in sweeps (default 500)")
     parser.add_argument("--samples", type=_AT_LEAST_1, default=3500, help="post-burn-in sweeps (default 3500)")
     parser.add_argument("--thin", type=_AT_LEAST_1, default=350, help="retain every thin-th sweep (default 350)")
@@ -319,7 +319,7 @@ def _prediction_lines(modes: tuple, scores: np.ndarray) -> Iterator[bytes]:
 
 def cmd_evaluate(ns: argparse.Namespace) -> int:
     out_path = Path(_require(ns, "--out"))
-    if ns.seed + ns.n_repeats - 1 >= _N_SEEDS:
+    if ns.seed + ns.n_repeats - 1 >= N_SEEDS:
         raise UsageError(f"--seed {ns.seed} + --n-repeats {ns.n_repeats} - 1 is not below 2**64, the seed range")
     tensor, modes = _load_tensor_dir(ns)
     schedule = _schedule(ns)
@@ -407,7 +407,8 @@ def _read_pairs(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     genes, diseases, phase, label, reason, lines = read_tsv(
         path, {"gene_id": str, "disease_id": str, "max_phase": int}, optional=("label", "stop_reason_class")
     )
-    check(path, lines, (phase >= 0) & (phase <= MAX_PHASE), lambda r: f"max_phase {phase[r]} outside 0..{MAX_PHASE}")
+    check(path, lines, (phase >= 0) & (phase <= ing.MAX_PHASE),
+          lambda r: f"max_phase {phase[r]} outside 0..{ing.MAX_PHASE}")
     label = ing.per_unique(label, str.strip)
     check(path, lines, np.isin(label, ("", "0", "1")), lambda r: f"label must be 0, 1 or empty, got {label[r]!r}")
     reason = ing.per_unique(reason, lambda text: (text or "none").strip().lower())

@@ -57,6 +57,8 @@ NEGATIVE_STOP_RANKS = 2
 
 UNLABELED = -1  # below both labels, so a pair's label is the maximum of its trials'
 
+MAX_PHASE = 4  # trial phases run from 0 (preclinical) to 4
+
 
 def factorize(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of a column in ascending order, and each row's index into them.
@@ -142,7 +144,7 @@ def parse_outcomes(path: str | Path, report: Counter | None = None) -> tuple[np.
     report = report if report is not None else Counter()
     columns = {"gene_id": str, "efo_id": str, "phase": int, "status": str, "stop_reason_class": str}
     genes, diseases, phase, status, reason, lines = read_tsv(path, columns)
-    check(path, lines, (phase >= 0) & (phase <= 4), lambda r: f"phase {phase[r]} outside 0..4")
+    check(path, lines, (phase >= 0) & (phase <= MAX_PHASE), lambda r: f"phase {phase[r]} outside 0..{MAX_PHASE}")
     reason = per_unique(reason, lambda text: text.strip().lower())
     check(path, lines, np.isin(reason, STOP_REASONS), lambda r: f"unknown stop_reason_class {reason[r]!r}")
     report["outcome_rows"] += len(genes)

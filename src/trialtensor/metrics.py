@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
+from .ingest import MAX_PHASE
 from .io import check
 from .sampler import SamplerSchedule, init_chains, predict_slice, run
 from .tensor import SparseTensor, select_layers, split_cells
@@ -269,8 +270,6 @@ def _batches(chain_dims: Sequence[Sequence[int]], n_latent: int) -> list[list[in
 
 # --------------------------------------------------------------------------
 # Phase-stratified significance analysis.
-
-MAX_PHASE = 4
 
 
 def phase_analysis(scores: np.ndarray, phases: np.ndarray) -> dict:

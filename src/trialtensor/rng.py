@@ -18,7 +18,7 @@ import operator
 
 import numpy as np
 
-_N_SEEDS = 1 << 64
+N_SEEDS = 1 << 64  # a seed is one 64-bit Philox key word
 _N_MODES = 3
 _MAX_ROLE = 1 << 4
 _MAX_SWEEP = 1 << 32
@@ -44,7 +44,7 @@ class StreamTree:
 
     def __init__(self, seed: int):
         seed = operator.index(seed)
-        if not 0 <= seed < _N_SEEDS:
+        if not 0 <= seed < N_SEEDS:
             raise ValueError(f"seed {seed} outside [0, 2**64)")
         self.seed = seed
         self._bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))

@@ -11,9 +11,13 @@ posterior has ``beta_n = 2 + n``, ``nu_n = D + n``,
 ``mu_n = n * xbar / beta_n`` and
 ``W_n^-1 = I + n * S + (2 * n / beta_n) * xbar xbar'``; ``Lambda`` is drawn
 from ``Wishart(W_n, nu_n)``, then ``mu`` from
-``Normal(mu_n, (beta_n * Lambda)^-1)``. So the full conditional of every
-quantity is available in closed form and one sweep samples, per mode:
-hyperparameters, then all latent rows.
+``Normal(mu_n, (beta_n * Lambda)^-1)``. The mean reuses the Wishart draw's
+factors: with ``W_n^-1 = L L'`` and Bartlett factor ``B``,
+``Lambda = A A'`` for ``A = L'^-1 B``, so
+``mu = mu_n + L B'^-1 z / sqrt(beta_n)`` for standard-normal ``z`` has
+covariance ``(A A')^-1 / beta_n``, exactly that law, from one triangular
+solve. So the full conditional of every quantity is available in closed
+form and one sweep samples, per mode: hyperparameters, then all latent rows.
 
 A :class:`ModelState` holds one or more independent chains that advance in
 lock-step over the block-diagonal union of their training tensors
@@ -27,8 +31,11 @@ with equal cell counts across the union, written in that count-run order;
 each row's chain prior is added through a chain index, and the drawn rows
 return to entity order once. The hyperparameter draw keeps only each
 chain's random draws and scatter product in a per-chain loop; the means,
-posterior inverse scales, Bartlett factors, factorizations and products are
-stacked over chains. What does not change between sweeps (the runs
+posterior inverse scales, Bartlett factors, factorizations, products and
+solves are stacked over chains. Every Cholesky factor comes from
+:func:`_cholesky`, which raises :class:`~trialtensor.errors.NumericalError`
+for a matrix that is not SPD after one jitter retry or whose factor is not
+finite. What does not change between sweeps (the runs
 themselves, the Bartlett lower-triangle indices) is computed once. Every
 chain's randomness comes from its own counter-based streams keyed by
 ``(seed, sweep, role, mode)`` (see :mod:`trialtensor.rng`), drawn from one
@@ -109,7 +116,7 @@ class ModelState:
 
 @dataclass(frozen=True)
 class SamplerSchedule:
-    """Burn-in, post-burn-in sweep count, and thinning interval."""
+    """Burn-in, post-burn-in sweep count, and thinning interval; it retains at least one sample."""
 
     burnin: int = 500
     samples: int = 3500
@@ -118,6 +125,8 @@ class SamplerSchedule:
     def __post_init__(self):
         if self.burnin < 0 or self.samples < 1 or self.thin < 1:
             raise ValueError(f"invalid schedule {self}")
+        if self.samples < self.thin:
+            raise ValueError(f"schedule retains no samples (samples={self.samples} < thin={self.thin})")
 
     @property
     def retained(self) -> int:
@@ -137,8 +146,8 @@ def init_chains(
     """
     if n_latent < 1:
         raise ValueError("n_latent must be at least 1")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if len(chain_dims) != len(seeds) or not seeds:
         raise ValueError(f"need one seed per chain, got {len(seeds)} for {len(chain_dims)} chains")
     trees = tuple(StreamTree(seed) for seed in seeds)
@@ -180,13 +189,6 @@ def _bartlett(chi: np.ndarray, normals: np.ndarray) -> np.ndarray:
     return out
 
 
-def _wishart(root: np.ndarray, bartlett: np.ndarray) -> np.ndarray:
-    # Wishart(root @ root', dof) for any square root, triangular or not; stacks too.
-    factor = root @ bartlett
-    sample = factor @ np.swapaxes(factor, -1, -2)
-    return (sample + np.swapaxes(sample, -1, -2)) / 2.0
-
-
 @functools.lru_cache(maxsize=None)
 def _strict_lower(dim: int) -> tuple[np.ndarray, np.ndarray]:
     # Row-major strictly-lower indices, shared by every draw of this size.
@@ -196,39 +198,31 @@ def _strict_lower(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def _mvn(mean: np.ndarray, precision: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # mean + L'^-1 z for precision = L L'; stacks of (..., D) means too.
-    try:
-        lower = np.linalg.cholesky(precision)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("precision not SPD") from exc
-    return mean + np.linalg.solve(np.swapaxes(lower, -1, -2), z[..., None])[..., 0]
-
-
-def _jittered(mat: np.ndarray) -> np.ndarray:
-    # Jitter policy: one retry with 1e-6 * (trace / dim) added to the diagonal.
-    dim = mat.shape[0]
-    eps = _JITTER_REL * float(np.trace(mat)) / dim
-    if eps <= 0.0:
-        eps = _JITTER_REL
-    return mat + eps * np.eye(dim)
-
-
 def _cholesky(mats: np.ndarray, what: str) -> np.ndarray:
     """Lower Cholesky factor of a ``(D, D)`` matrix or of each in an ``(n, D, D)`` stack.
 
-    Only the matrices whose factorization fails get the jitter retry; a
-    second failure raises :class:`NumericalError`.
+    Only the matrices whose factorization fails get the jitter retry, one
+    retry with ``1e-6 * trace / D`` added to the diagonal; a second failure
+    raises :class:`NumericalError`, and so does a factor with a non-finite
+    diagonal. LAPACK raises nothing for a NaN matrix, but a non-finite
+    entry anywhere in the lower triangle it reads either fails the
+    factorization or reaches the factor's diagonal, so only the diagonal
+    is checked.
     """
     try:
-        return np.linalg.cholesky(mats)
+        lower = np.linalg.cholesky(mats)
     except np.linalg.LinAlgError:
         if mats.ndim == 3:
             return np.stack([_cholesky(mat, what) for mat in mats])
-    try:
-        return np.linalg.cholesky(_jittered(mats))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"{what} not SPD after jitter") from exc
+        dim = mats.shape[0]
+        eps = _JITTER_REL * float(np.trace(mats)) / dim
+        try:
+            lower = np.linalg.cholesky(mats + (eps if eps > 0.0 else _JITTER_REL) * np.eye(dim))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"{what} not SPD after jitter") from exc
+    if not np.isfinite(np.diagonal(lower, axis1=-2, axis2=-1)).all():
+        raise NumericalError(f"{what} has a non-finite Cholesky factor")
+    return lower
 
 
 def _solve_draw(lower: np.ndarray, rhs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -263,11 +257,16 @@ def sample_mode_hyperparams(blocks: Sequence[np.ndarray], rngs: Sequence[np.rand
     ``mu_n = n * xbar / beta_n`` and inverse scale
     ``W_n^-1 = I + n * S + (2 * n / beta_n) xbar xbar'``. The precision
     ``Lambda`` is drawn from ``Wishart(W_n, nu_n)``, then the mean from
-    ``Normal(mu_n, (beta_n * Lambda)^-1)``.
+    ``Normal(mu_n, (beta_n * Lambda)^-1)`` through the same factors: with
+    ``W_n^-1 = L L'`` and Bartlett factor ``B``, ``Lambda = A A'`` for
+    ``A = L'^-1 B``, so ``mu = mu_n + A'^-1 z / sqrt(beta_n)``, that is
+    ``mu_n + L B'^-1 z / sqrt(beta_n)``, has covariance
+    ``(A A')^-1 / beta_n = (beta_n * Lambda)^-1`` with no second
+    factorization.
     Only each chain's scatter product and its draws (Bartlett diagonal, its
-    lower triangle, then the mean's normals) are taken chain by chain; the
-    means, inverse scales, Bartlett factors, factorizations, inverses,
-    Wishart products and mean solves are stacked over chains.
+    lower triangle, then the mean's normals ``z``) are taken chain by chain;
+    the means, inverse scales, Bartlett factors, factorizations, inverses,
+    Wishart products and triangular solves are stacked over chains.
     Returns the ``(n_chains, D)`` means and ``(n_chains, D, D)`` precisions.
     """
     counts = np.array([len(block) for block in blocks])
@@ -293,12 +292,14 @@ def sample_mode_hyperparams(blocks: Sequence[np.ndarray], rngs: Sequence[np.rand
         xbar[:, :, None] * xbar[:, None, :]
     )
     scale_inv = (scale_inv + scale_inv.transpose(0, 2, 1)) / 2.0
-    # With scale_inv = L L', the posterior scale is R R' for R = L'^-1.
+    # With scale_inv = L L', Lambda = A A' for A = L'^-1 B.
     inv_lower = _cholesky(scale_inv, "posterior inverse scale")
-    root = np.linalg.inv(inv_lower).transpose(0, 2, 1)
-    precision = _wishart(root, _bartlett(chi, normals))
-    mean_post = counts[:, None] * xbar / beta_post[:, None]
-    mean = _mvn(mean_post, beta_post[:, None, None] * precision, z)
+    bartlett = _bartlett(chi, normals)
+    factor = np.linalg.inv(inv_lower).transpose(0, 2, 1) @ bartlett
+    precision = factor @ factor.transpose(0, 2, 1)
+    precision = (precision + precision.transpose(0, 2, 1)) / 2.0
+    shift = inv_lower @ np.linalg.solve(bartlett.transpose(0, 2, 1), z[..., None])
+    mean = counts[:, None] * xbar / beta_post[:, None] + shift[..., 0] / np.sqrt(beta_post)[:, None]
     return ModeParams(mean=mean, precision=precision)
 
 
@@ -429,10 +430,6 @@ def run(
     arrays a run of that chain alone returns; :func:`gibbs_step` assigns
     fresh arrays, so later sweeps never alter a retained triple.
     """
-    if schedule.retained == 0:
-        raise ValueError(
-            f"schedule retains no samples (samples={schedule.samples} < thin={schedule.thin})"
-        )
     chain_dims = [tuple(dims) for dims in np.diff(state.offsets, axis=0).tolist()]
     if chain_dims != [tensor.dims for tensor in tensors]:
         raise DataError(f"chain dims {chain_dims} do not match tensor dims {[t.dims for t in tensors]}")

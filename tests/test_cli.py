@@ -697,6 +697,15 @@ class TestTopLevel:
         assert "numerical error: Singular matrix" in err
         assert "usage error" not in err
 
+    def test_overflowing_alpha_is_numerical_error(self, ingested_dir, tmp_path, capsys):
+        # sqrt(1e308) squared in the Grams overflows to inf, then NaN.
+        out = tmp_path / "o"
+        args = ["train", "--tensor", str(ingested_dir), "--out", str(out), "--alpha", "1e308"] + SMALL_SCHEDULE
+        with pytest.warns(RuntimeWarning):
+            assert main(args) == 3
+        assert "numerical error: row posterior precision has a non-finite Cholesky factor" in capsys.readouterr().err
+        assert not (out / "predictions.tsv").exists()
+
     @pytest.mark.parametrize(
         "command,flag,value",
         [("train", "--latent-dim", "0"), ("train", "--alpha", "0"), ("train", "--alpha", "nan"),
@@ -707,7 +716,8 @@ class TestTopLevel:
          ("simulate", "--observed-fraction", "0"), ("simulate", "--observed-fraction", "1.5"),
          ("simulate", "--coupling", "-0.1"), ("simulate", "--coupling", "2"), ("simulate", "--seed", "-1"),
          ("evaluate", "--n-repeats", "1"), ("evaluate", "--heldout-fraction", "1.5"),
-         ("evaluate", "--heldout-fraction", "nan"), ("ingest", "--l2g-threshold", "2")],
+         ("evaluate", "--heldout-fraction", "nan"), ("ingest", "--l2g-threshold", "2"),
+         ("train", "--alpha", "inf"), ("evaluate", "--alpha", "inf")],
     )
     def test_bad_flag_value_names_flag(self, simulated_dir, tmp_path, capsys, command, flag, value):
         out = tmp_path / "o"

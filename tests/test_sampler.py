@@ -59,8 +59,9 @@ class TestInitModel:
     def test_bad_args(self):
         with pytest.raises(ValueError):
             init_chains([(2, 2, 2)], 0, [0])
-        with pytest.raises(ValueError):
-            init_chains([(2, 2, 2)], 4, [0], alpha=-1.0)
+        for alpha in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="alpha must be positive and finite"):
+                init_chains([(2, 2, 2)], 4, [0], alpha=alpha)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 7 + 2**64])
     def test_seed_outside_64_bits_rejected(self, seed):
@@ -160,27 +161,14 @@ class TestSampleMvn:
         within = np.all(np.abs(draws - mu_n) < 0.005, axis=1)
         assert within.mean() >= 0.99
 
-    def test_not_spd(self):
-        with pytest.raises(NumericalError, match="precision not SPD"):
-            sampler._mvn(np.zeros(2), np.array([[1.0, 3.0], [3.0, 1.0]]), np.zeros(2))
-
-    @pytest.mark.parametrize("dim", [1, 8, 32])
-    def test_matches_triangular_solve_reference(self, dim):
-        rng = _rng(dim)
-        factor = rng.standard_normal((3, dim, dim))
-        precision = factor @ factor.transpose(0, 2, 1) + dim * np.eye(dim)
-        mean = rng.standard_normal((3, dim))
-        z = _rng(40 + dim).standard_normal((3, dim))
-        draw = sampler._mvn(mean, precision, z)
-        reference = [cholesky_draw(m, p, row) for m, p, row in zip(mean, precision, z)]
-        assert np.max(np.abs(draw - reference)) <= 1e-12
-
 
 def hyperparams_reference(latents, rng):
     """Gaussian-Wishart posterior draw under the fixed prior, written out with ``solve_triangular``.
 
     Same stream order as the sampler: Bartlett diagonal, Bartlett lower
-    triangle, then the mean's normal block.
+    triangle, then the mean's normal block ``z``. With ``W_n^-1 = L L'``,
+    ``Lambda = A A'`` for ``A = L'^-1 B``, and the mean is
+    ``mu_n + L B'^-1 z / sqrt(beta_n)``.
     """
     n_rows, dim = latents.shape
     xbar = latents.mean(axis=0)
@@ -198,7 +186,8 @@ def hyperparams_reference(latents, rng):
     precision = root @ bartlett @ (root @ bartlett).T
     precision = (precision + precision.T) / 2.0
     mean_post = n_rows * xbar / beta_post
-    return cholesky_draw(mean_post, beta_post * precision, rng.standard_normal(dim)), precision
+    z = rng.standard_normal(dim)
+    return mean_post + inv_lower @ solve_triangular(bartlett.T, z, lower=False) / np.sqrt(beta_post), precision
 
 
 class TestModeHyperparams:
@@ -227,6 +216,11 @@ class TestModeHyperparams:
         mean, precision = hyperparams_reference(latents, _rng(7))
         assert np.max(np.abs(params.precision[0] - precision)) <= 1e-12
         assert np.max(np.abs(params.mean[0] - mean)) <= 1e-12
+
+    def test_nan_row_is_numerical_error(self):
+        rows = np.array([[0.5, np.nan], [0.1, 0.2], [-0.3, 0.4]])
+        with pytest.raises(NumericalError, match="posterior inverse scale has a non-finite Cholesky factor"):
+            sample_mode_hyperparams([np.ones((2, 2)), rows], [_rng(), _rng()])
 
     def test_cached_constants_are_read_only(self):
         rows, cols = sampler._strict_lower(5)
@@ -271,6 +265,23 @@ class TestSolveDraw:
         # Every row, the ill-conditioned and the jittered one included.
         scale = np.max(np.abs(expected), axis=1)
         assert np.all(np.max(np.abs(got - expected), axis=1) <= 1e-12 * scale)
+
+
+class TestCholesky:
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 32])
+    def test_non_finite_entry_anywhere_in_lower_triangle(self, dim, value, stacked):
+        # LAPACK reads only the lower triangle; checking the factor's
+        # diagonal must catch a non-finite value at every place it reads.
+        factor = _rng(300 + dim).standard_normal((dim, dim))
+        spd = factor @ factor.T + dim * np.eye(dim)
+        for row, col in zip(*np.tril_indices(dim)):
+            bad = spd.copy()
+            bad[row, col] = value
+            mats = np.stack([spd, bad, spd]) if stacked else bad
+            with pytest.raises(NumericalError, match="^test matrix (has a non-finite Cholesky factor|not SPD)"):
+                sampler._cholesky(mats, "test matrix")
 
 
 def row_posterior(prior_precision, prior_mean, alpha, q_rows, values):
@@ -417,6 +428,12 @@ def _assert_batched_matches_per_row(tensor, n_latent, seed):
 
 
 class TestModeLatents:
+    def test_nan_in_other_mode_is_numerical_error(self, tiny_tensor):
+        state = _make_state(tiny_tensor, n_latent=2, seed=1)
+        state.latents[1][0, 1] = np.nan  # indication 0 has cells with targets 0, 1 and 2
+        with pytest.raises(NumericalError, match="row posterior precision has a non-finite Cholesky factor"):
+            sample_mode_latents(state, tiny_tensor, 0)
+
     def test_unobserved_entity_draws_from_prior(self):
         # Entity 0 of mode 0 has no cells; its redraw should follow the mode
         # prior. Averaging over many sweeps checks the prior mean.
@@ -715,7 +732,15 @@ class TestPredict:
 class TestSchedule:
     @given(samples=st.integers(1, 10_000), thin=st.integers(1, 500))
     def test_retained_law(self, samples, thin):
-        assert SamplerSchedule(0, samples, thin).retained == samples // thin
+        if samples < thin:
+            with pytest.raises(ValueError, match="retains no samples"):
+                SamplerSchedule(0, samples, thin)
+        else:
+            assert SamplerSchedule(0, samples, thin).retained == samples // thin
+
+    def test_empty_retention_rejected(self):
+        with pytest.raises(ValueError, match=r"retains no samples \(samples=3 < thin=5\)"):
+            SamplerSchedule(0, 3, 5)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -762,11 +787,6 @@ class TestRun:
         scores = all_layers(run(state, [tiny_tensor], SamplerSchedule(1, 4, 2))[0])
         assert scores.shape == tiny_tensor.dims
         assert ((scores >= 0.0) & (scores <= 1.0)).all()
-
-    def test_empty_retention_rejected(self, tiny_tensor):
-        state = _make_state(tiny_tensor)
-        with pytest.raises(ValueError):
-            run(state, [tiny_tensor], SamplerSchedule(0, 3, 5))
 
     def test_noiseless_rank_one_recovery(self):
         # Fully observed rank-1 tensor, alpha = 100: averaged predictions
