@@ -35,7 +35,6 @@ from .metrics import (
 from .rng import StreamTree
 from .sampler import (
     ModelState,
-    ModeParams,
     SamplerSchedule,
     gibbs_step,
     init_chains,

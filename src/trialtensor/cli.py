@@ -197,9 +197,10 @@ def _parse_dims(text: str) -> tuple[int, int, int]:
 
 
 def _schedule(ns: argparse.Namespace) -> SamplerSchedule:
-    if ns.samples < ns.thin:
-        raise UsageError(f"--samples {ns.samples} is below --thin {ns.thin}, so no sweep would be retained")
-    return SamplerSchedule(burnin=ns.burnin, samples=ns.samples, thin=ns.thin)
+    try:
+        return SamplerSchedule(burnin=ns.burnin, samples=ns.samples, thin=ns.thin)
+    except ValueError as exc:
+        raise UsageError(f"--burnin {ns.burnin} --samples {ns.samples} --thin {ns.thin}: {exc}") from exc
 
 
 def _evidence_selection(text: str) -> list[str]:
@@ -283,11 +284,11 @@ def cmd_ingest(ns: argparse.Namespace) -> int:
 
 def cmd_train(ns: argparse.Namespace) -> int:
     out_dir = Path(_require(ns, "--out"))
+    schedule = _schedule(ns)
     tensor, modes = _load_tensor_dir(ns)
     keep = _resolve_layer_names(ns.layers, modes[2])
     if keep is not None:
         tensor = select_layers(tensor, keep)
-    schedule = _schedule(ns)
     state = init_chains([tensor.dims], ns.latent_dim, [ns.seed], alpha=ns.alpha)
     (samples,) = run(state, [tensor], schedule)
     save_checkpoint(out_dir / "checkpoint", samples, state, schedule)
@@ -321,8 +322,8 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
     out_path = Path(_require(ns, "--out"))
     if ns.seed + ns.n_repeats - 1 >= N_SEEDS:
         raise UsageError(f"--seed {ns.seed} + --n-repeats {ns.n_repeats} - 1 is not below 2**64, the seed range")
-    tensor, modes = _load_tensor_dir(ns)
     schedule = _schedule(ns)
+    tensor, modes = _load_tensor_dir(ns)
     seeds = [ns.seed + r for r in range(ns.n_repeats)]
     names = [spec.strip() for spec in ns.models.split(",")]
     models = [_resolve_layer_names(name, modes[2]) for name in names]

@@ -21,7 +21,7 @@ import numpy as np
 N_SEEDS = 1 << 64  # a seed is one 64-bit Philox key word
 _N_MODES = 3
 _MAX_ROLE = 1 << 4
-_MAX_SWEEP = 1 << 32
+N_SWEEPS = 1 << 32  # a sweep number fills the high half of the second key word
 
 # Stream roles.
 ROLE_INIT = 0
@@ -52,7 +52,7 @@ class StreamTree:
         self._state = self._bits.state  # the fresh state; stream() changes only its key
 
     def stream(self, sweep: int, role: int, mode: int) -> np.random.Generator:
-        if not 0 <= sweep < _MAX_SWEEP:
+        if not 0 <= sweep < N_SWEEPS:
             raise ValueError(f"sweep {sweep} outside supported range")
         if not 0 <= role < _MAX_ROLE:
             raise ValueError(f"role {role} outside supported range")

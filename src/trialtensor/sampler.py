@@ -17,14 +17,18 @@ factors: with ``W_n^-1 = L L'`` and Bartlett factor ``B``,
 ``mu = mu_n + L B'^-1 z / sqrt(beta_n)`` for standard-normal ``z`` has
 covariance ``(A A')^-1 / beta_n``, exactly that law, from one triangular
 solve. So the full conditional of every quantity is available in closed
-form and one sweep samples, per mode: hyperparameters, then all latent rows.
+form and one sweep samples, per mode: hyperparameters from the mode's
+current rows, then all of its latent rows given them. The prior lives only
+within that step, so a chain's state is its latent rows alone.
 
 A :class:`ModelState` holds one or more independent chains that advance in
 lock-step over the block-diagonal union of their training tensors
-(:func:`~trialtensor.tensor.block_union`): each sweep draws each mode once
-for every chain. Given the other two modes, the latent rows of a mode are
-independent, so each mode is redrawn by one stacked Cholesky factorization
-and one forward and back substitution over the rows of all chains. The
+(:func:`~trialtensor.tensor.block_union`): their latent rows, stacked
+chain-major, each chain's random streams, and the row offsets that address
+each chain's rows. Each sweep draws each mode once for every chain. Given
+the other two modes, the latent rows of a mode are independent, so each
+mode is redrawn by one stacked Cholesky factorization and one forward and
+back substitution over the rows of all chains. The
 per-row Grams and right-hand sides come from the other modes' latent
 products, scaled by ``sqrt(alpha)``, one stacked product per run of entities
 with equal cell counts across the union, written in that count-run order;
@@ -60,8 +64,8 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .io import check, float_rows, read_header, read_json, read_tsv, write_json, write_tsv
-from .rng import ROLE_HYPER, ROLE_INIT, ROLE_LATENT, StreamTree
-from .tensor import CountRuns, SparseTensor, block_union
+from .rng import N_SWEEPS, ROLE_HYPER, ROLE_INIT, ROLE_LATENT, StreamTree
+from .tensor import OTHER_MODES, CountRuns, SparseTensor, block_union
 
 _JITTER_REL = 1e-6
 # Strength beta0 with which the Gaussian-Wishart prior's zero mean ties down each mode's mean.
@@ -73,30 +77,17 @@ _BLOCK_DOUBLES = 2**15
 
 
 @dataclass
-class ModeParams:
-    """Each chain's Gaussian prior on one mode's latent rows: Normal(mean, precision^-1).
-
-    ``mean`` is ``(n_chains, D)`` and ``precision`` ``(n_chains, D, D)``.
-    """
-
-    mean: np.ndarray
-    precision: np.ndarray
-
-
-@dataclass
 class ModelState:
-    """Latent rows and per-mode priors of chains sampled in lock-step.
+    """Latent rows of chains sampled in lock-step, and their random streams.
 
     Chain ``c`` owns rows ``offsets[c, mode]:offsets[c + 1, mode]`` of
-    ``latents[mode]`` (chain-major), entry ``c`` of each ``params[mode]``
-    and the random streams of ``trees[c]``, whose seed is ``seeds[c]``.
-    ``dims`` are those of the chains' :func:`~trialtensor.tensor.block_union`.
+    ``latents[mode]`` (chain-major) and the random streams of ``trees[c]``,
+    whose seed is ``seeds[c]``. ``dims`` are those of the chains'
+    :func:`~trialtensor.tensor.block_union`.
     """
 
     latents: list[np.ndarray]
-    params: list[ModeParams]
     alpha: float
-    n_latent: int
     trees: tuple[StreamTree, ...]
     offsets: np.ndarray
     sweep: int = 0
@@ -109,14 +100,19 @@ class ModelState:
     def dims(self) -> tuple[int, int, int]:
         return tuple(mat.shape[0] for mat in self.latents)
 
+    @property
+    def n_latent(self) -> int:
+        return self.latents[0].shape[1]
+
     def chain_latents(self) -> list[Sample]:
         """Each chain's current ``(U, V, W)``, as views of ``latents``."""
-        return list(zip(*(np.split(mat, self.offsets[1:-1, mode]) for mode, mat in enumerate(self.latents))))
+        bounds = self.offsets.tolist()
+        return [tuple(mat[lo[m] : hi[m]] for m, mat in enumerate(self.latents)) for lo, hi in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
 class SamplerSchedule:
-    """Burn-in, post-burn-in sweep count, and thinning interval; it retains at least one sample."""
+    """Burn-in, post-burn-in sweep count, and thinning interval; at least one sample, at most ``N_SWEEPS`` sweeps."""
 
     burnin: int = 500
     samples: int = 3500
@@ -127,6 +123,8 @@ class SamplerSchedule:
             raise ValueError(f"invalid schedule {self}")
         if self.samples < self.thin:
             raise ValueError(f"schedule retains no samples (samples={self.samples} < thin={self.thin})")
+        if self.burnin + self.samples > N_SWEEPS:
+            raise ValueError(f"schedule of {self.burnin + self.samples} sweeps is over the 2**32 the streams allow")
 
     @property
     def retained(self) -> int:
@@ -139,7 +137,7 @@ def init_chains(
     seeds: Sequence[int],
     alpha: float = 5.0,
 ) -> ModelState:
-    """Fresh state of one chain per ``(dims, seed)``: latents i.i.d. standard normal, identity priors.
+    """Fresh state of one chain per ``(dims, seed)``: latents i.i.d. standard normal.
 
     Seeds are integers in ``[0, 2**64)``; :class:`~trialtensor.rng.StreamTree`
     raises ``ValueError`` for any other.
@@ -161,21 +159,7 @@ def init_chains(
         ])
         for mode in range(3)
     ]
-    params = [
-        ModeParams(
-            mean=np.zeros((len(seeds), n_latent)),
-            precision=np.tile(np.eye(n_latent), (len(seeds), 1, 1)),
-        )
-        for _ in range(3)
-    ]
-    return ModelState(
-        latents=latents,
-        params=params,
-        alpha=float(alpha),
-        n_latent=n_latent,
-        trees=trees,
-        offsets=offsets,
-    )
+    return ModelState(latents=latents, alpha=float(alpha), trees=trees, offsets=offsets)
 
 
 def _bartlett(chi: np.ndarray, normals: np.ndarray) -> np.ndarray:
@@ -246,11 +230,15 @@ def _solve_draw(lower: np.ndarray, rhs: np.ndarray, z: np.ndarray) -> np.ndarray
     return rows
 
 
-def sample_mode_hyperparams(blocks: Sequence[np.ndarray], rngs: Sequence[np.random.Generator]) -> ModeParams:
+def sample_mode_hyperparams(
+    latents: np.ndarray, bounds: np.ndarray, rngs: Sequence[np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian-Wishart posterior draw of each chain given its rows of one mode.
 
-    ``blocks[c]`` holds chain ``c``'s latent rows and ``rngs[c]`` is its
-    stream. Conjugate update under the fixed prior (``mu0 = 0``,
+    ``latents`` holds the mode's rows of every chain, chain-major; chain
+    ``c`` owns rows ``bounds[c]:bounds[c + 1]``, with ``bounds[0] == 0`` and
+    ``bounds[-1] == len(latents)``, and ``rngs[c]`` is its stream.
+    Conjugate update under the fixed prior (``mu0 = 0``,
     ``beta0 = 2``, ``W0 = I``, ``nu0 = D``): with ``n`` rows, sample mean
     ``xbar`` and centered scatter ``n * S``, the posterior has strength
     ``beta_n = 2 + n``, degrees of freedom ``nu_n = D + n``, mean
@@ -267,23 +255,22 @@ def sample_mode_hyperparams(blocks: Sequence[np.ndarray], rngs: Sequence[np.rand
     lower triangle, then the mean's normals ``z``) are taken chain by chain;
     the means, inverse scales, Bartlett factors, factorizations, inverses,
     Wishart products and triangular solves are stacked over chains.
-    Returns the ``(n_chains, D)`` means and ``(n_chains, D, D)`` precisions.
+    Returns the prior ``(means, precisions)`` for :func:`sample_mode_latents`,
+    ``(n_chains, D)`` and ``(n_chains, D, D)``.
     """
-    counts = np.array([len(block) for block in blocks])
+    counts = np.diff(bounds)
     if not (counts >= 1).all():
         raise ValueError("empty mode: cannot update hyperparameters")
-    starts = np.cumsum(counts) - counts
-    latents = np.concatenate(blocks, dtype=np.float64)
     dim = latents.shape[1]
-    xbar = np.add.reduceat(latents, starts, axis=0) / counts[:, None]
+    xbar = np.add.reduceat(latents, bounds[:-1], axis=0) / counts[:, None]
     centered = latents - np.repeat(xbar, counts, axis=0)
     chi_dof = (dim + counts)[:, None] - np.arange(dim)
     scatter = np.empty((len(counts), dim, dim))
     chi = np.empty((len(counts), dim))
     normals = np.empty((len(counts), len(_strict_lower(dim)[0])))
     z = np.empty((len(counts), dim))
-    for chain, (rng, rows) in enumerate(zip(rngs, np.split(centered, starts[1:]), strict=True)):
-        np.matmul(rows.T, rows, out=scatter[chain])
+    for chain, (rng, lo, hi) in enumerate(zip(rngs, bounds[:-1].tolist(), bounds[1:].tolist(), strict=True)):
+        np.matmul(centered[lo:hi].T, centered[lo:hi], out=scatter[chain])
         chi[chain] = rng.chisquare(chi_dof[chain])
         rng.standard_normal(out=normals[chain])
         rng.standard_normal(out=z[chain])
@@ -300,13 +287,12 @@ def sample_mode_hyperparams(blocks: Sequence[np.ndarray], rngs: Sequence[np.rand
     precision = (precision + precision.transpose(0, 2, 1)) / 2.0
     shift = inv_lower @ np.linalg.solve(bartlett.transpose(0, 2, 1), z[..., None])
     mean = counts[:, None] * xbar / beta_post[:, None] + shift[..., 0] / np.sqrt(beta_post)[:, None]
-    return ModeParams(mean=mean, precision=precision)
+    return mean, precision
 
 
-_OTHER_MODES = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
-
-
-def _row_posteriors(state: ModelState, runs: CountRuns, mode: int) -> tuple[np.ndarray, np.ndarray]:
+def _row_posteriors(
+    state: ModelState, runs: CountRuns, mode: int, prior: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
     """Every row's posterior precision ``P + alpha q'q`` and right-hand side ``P m + alpha q'y``, in count-run order.
 
     ``runs`` is the mode's :meth:`SparseTensor.count_runs` layout, so row
@@ -316,17 +302,18 @@ def _row_posteriors(state: ModelState, runs: CountRuns, mode: int) -> tuple[np.n
     ``_BLOCK_DOUBLES`` values unless one entity alone needs more. Each
     stretch of equal-count entities in a block is one stacked ``(m, c, D)``
     product written straight into its rows; then each row of the block gets
-    its chain's prior ``(P, P m)``, taken through the row's chain index.
+    its chain's ``(P, P m)`` from ``prior = (means, precisions)``, taken
+    through the row's chain index.
     Each entity's cells are summed in the same order whatever the block, so
     its rows do not depend on the blocks. The block buffers are freed on
     return, before the caller factors the precisions.
     """
     root_alpha = np.sqrt(state.alpha)
-    other_a, other_b = _OTHER_MODES[mode]
+    other_a, other_b = OTHER_MODES[mode]
     lat_a, lat_b = state.latents[other_a] * root_alpha, state.latents[other_b]
     n_entities, n_latent = state.latents[mode].shape
-    params = state.params[mode]
-    prior_rhs = np.matmul(params.precision, params.mean[..., None])[..., 0]
+    means, precisions = prior
+    prior_rhs = np.matmul(precisions, means[..., None])[..., 0]
     chain = np.searchsorted(state.offsets[:, mode], runs.entities, side="right") - 1
     grams = np.empty((n_entities, n_latent, n_latent))
     rhs = np.empty((n_entities, n_latent))
@@ -358,16 +345,20 @@ def _row_posteriors(state: ModelState, runs: CountRuns, mode: int) -> tuple[np.n
             q_t = q.transpose(0, 2, 1)
             np.matmul(q_t, q, out=grams[lo:hi])
             np.matmul(q_t, y_block[piece].reshape(hi - lo, count, 1), out=rhs[lo:hi].reshape(hi - lo, n_latent, 1))
-        grams[first:end] += params.precision[chain[first:end]]
+        grams[first:end] += precisions[chain[first:end]]
         rhs[first:end] += prior_rhs[chain[first:end]]
         first = end
     return grams, rhs
 
 
-def sample_mode_latents(state: ModelState, tensor: SparseTensor, mode: int) -> np.ndarray:
+def sample_mode_latents(
+    state: ModelState, tensor: SparseTensor, mode: int, prior: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
     """Redraw every latent row of one mode, for every chain, from its full conditional.
 
-    ``tensor`` is the chains' :func:`~trialtensor.tensor.block_union`. Rows
+    ``tensor`` is the chains' :func:`~trialtensor.tensor.block_union` and
+    ``prior`` the ``(means, precisions)`` that
+    :func:`sample_mode_hyperparams` drew for this mode in the same sweep. Rows
     are conditionally independent given the other two modes: a row's
     posterior precision is ``P + alpha * sum(q q')`` and its mean solves it
     against ``P m + alpha * sum(y q)``, where ``q`` is the elementwise
@@ -380,12 +371,12 @@ def sample_mode_latents(state: ModelState, tensor: SparseTensor, mode: int) -> n
     ``L L'`` are factored and ``x = L'^-1 (L^-1 b + z)`` is solved by
     substitution in :func:`_solve_draw`; the rows then return to entity
     order. An entity with no cells has a zero Gram, so its row is drawn from
-    its chain's prior.
+    its chain's prior. Dims unlike ``tensor``'s raise :class:`DataError` first.
     """
     if state.dims != tensor.dims:
         raise DataError(f"state dims {state.dims} do not match tensor dims {tensor.dims}")
     runs = tensor.count_runs(mode)
-    grams, rhs = _row_posteriors(state, runs, mode)
+    grams, rhs = _row_posteriors(state, runs, mode, prior)
     z = np.empty_like(rhs)
     bounds = state.offsets[:, mode].tolist()
     for chain, tree in enumerate(state.trees):
@@ -398,15 +389,14 @@ def sample_mode_latents(state: ModelState, tensor: SparseTensor, mode: int) -> n
 
 def gibbs_step(state: ModelState, tensor: SparseTensor) -> ModelState:
     """One lock-step sweep of every chain over their union ``tensor``: per
-    mode (target, indication, layer order), sample each chain's
-    hyperparameters, then every latent row of that mode."""
-    if state.dims != tensor.dims:
-        raise DataError(f"state dims {state.dims} do not match tensor dims {tensor.dims}")
+    mode (target, indication, layer order), draw each chain's prior from
+    its rows of that mode, then redraw the rows given it. A ``tensor`` of
+    other dims fails the first mode's :func:`sample_mode_latents`, so it
+    changes no row."""
     for mode in range(3):
         rngs = [tree.stream(state.sweep, ROLE_HYPER, mode) for tree in state.trees]
-        blocks = np.split(state.latents[mode], state.offsets[1:-1, mode])
-        state.params[mode] = sample_mode_hyperparams(blocks, rngs)
-        state.latents[mode] = sample_mode_latents(state, tensor, mode)
+        prior = sample_mode_hyperparams(state.latents[mode], state.offsets[:, mode], rngs)
+        state.latents[mode] = sample_mode_latents(state, tensor, mode, prior)
     state.sweep += 1
     return state
 

@@ -21,6 +21,10 @@ import numpy as np
 from .errors import DataError
 from .io import check, entry_lines, read_json, read_tsv, repeats, write_json, write_tsv
 
+# Each mode's two other modes, lower mode first: whose coordinates are a
+# mode's CountRuns.index_a and index_b.
+OTHER_MODES = ((1, 2), (0, 2), (0, 1))
+
 
 class CountRuns(NamedTuple):
     """One mode's cells laid out by entity, entities in (cell count, id) order.
@@ -123,7 +127,7 @@ class SparseTensor:
             sorted_counts = counts[entities]
             offsets = np.concatenate([[0], np.cumsum(sorted_counts)])
             starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_counts)) + 1, [len(entities)]])
-            other_a, other_b = (other for other in range(3) if other != mode)
+            other_a, other_b = OTHER_MODES[mode]
             coords_a, coords_b = self._coords[cells, other_a], self._coords[cells, other_b]
             runs = CountRuns(entities, offsets, starts, coords_a, coords_b, self._values[cells])
             for array in runs:

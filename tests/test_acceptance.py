@@ -42,6 +42,7 @@ from conftest import NO_PAIRS, cell_value, evidence_rows, evidence_table, ingest
 from test_metrics import brute_force_auroc, pairwise_exact_mww_p
 from test_sampler import (
     all_layers,
+    drawn_prior,
     mode_normals,
     per_row_reference,
     posterior_moments,
@@ -105,10 +106,10 @@ def test_c2_sampler_distribution_checks():
             # Fixed rows away from the prior mean, so the beta0*n/beta_n term of W_n counts.
             rows = np.random.default_rng(dim).normal(1.0, 0.5, (2 * dim + 2, dim))
             beta_n, nu_n, mu_n, w_n = posterior_moments(rows)
-            params = stacked_draws(rows, n_chains, 100 + dim)
-            mean_precision = params.precision.mean(axis=0)
+            means, precisions = stacked_draws(rows, n_chains, 100 + dim)
+            mean_precision = precisions.mean(axis=0)
             assert np.all(np.abs(mean_precision - nu_n * w_n) <= 3.0 * wishart_se(w_n, nu_n, n_chains))
-            residuals = whitened_residuals(params, beta_n, mu_n)
+            residuals = whitened_residuals(means, precisions, beta_n, mu_n)
             assert np.all(np.abs(residuals.mean(axis=0)) <= 3.0 / np.sqrt(n_chains))
             # se of a standard-normal covariance entry: sqrt(2 / n) on the diagonal, sqrt(1 / n) off it
             se = np.sqrt((1.0 + np.eye(dim)) / n_chains)
@@ -269,8 +270,9 @@ def test_c8_determinism(ingested_dir, tmp_path):
         state = init_chains([tensor.dims], 6, [9], alpha=20.0)
         run(state, [tensor], SamplerSchedule(10, 20, 5))
         for mode in range(3):
-            expected = per_row_reference(state, tensor, mode, mode_normals(state, mode))
-            batched = sample_mode_latents(state, tensor, mode)
+            prior = drawn_prior(state, mode)
+            expected = per_row_reference(state, tensor, mode, mode_normals(state, mode), prior)
+            batched = sample_mode_latents(state, tensor, mode, prior)
             assert np.max(np.abs(batched - expected)) <= 1e-12
 
 

@@ -749,6 +749,20 @@ class TestTopLevel:
         err = capsys.readouterr().err
         assert "usage error" in err and "--samples" in err and "--thin" in err
 
+    @pytest.mark.parametrize("command,entry", [("train", "run"), ("evaluate", "repeated_eval")])
+    def test_sweeps_beyond_stream_range_name_burnin(self, simulated_dir, tmp_path, capsys, monkeypatch, command, entry):
+        # 2**32 - 1 burn-in sweeps plus 2 samples need sweep number 2**32, past the streams' range.
+        def unreachable(*args, **kwargs):
+            raise AssertionError(f"{entry} reached with a schedule past the stream range")
+
+        monkeypatch.setattr(cli, entry, unreachable)
+        args = [command, "--tensor", str(simulated_dir), "--out", str(tmp_path / "o"),
+                "--burnin", "4294967295", "--samples", "2", "--thin", "1"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "--burnin" in err and "4294967297 sweeps" in err
+        assert not (tmp_path / "o").exists()
+
     def test_last_repeat_seed_beyond_range_names_both_flags(self, simulated_dir, tmp_path, capsys, monkeypatch):
         # Repeat r samples with seed --seed + r, so the last one must be below 2**64 too.
         def unreachable(*args, **kwargs):

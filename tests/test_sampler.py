@@ -26,7 +26,7 @@ from trialtensor import (
     save_checkpoint,
 )
 from trialtensor import sampler
-from trialtensor.rng import ROLE_HYPER, ROLE_LATENT, StreamTree
+from trialtensor.rng import N_SWEEPS, ROLE_HYPER, ROLE_LATENT, StreamTree
 
 from conftest import BYTE_EDITS, EDITS, FIXTURE_ENTRIES, splice, tensor_from_entries
 
@@ -41,8 +41,7 @@ class TestInitModel:
         assert state.latents[0].shape == (3, 32)
         assert state.latents[1].shape == (2, 32)
         assert state.latents[2].shape == (4, 32)
-        assert state.params[0].mean.shape == (1, 32)
-        assert state.params[0].precision.shape == (1, 32, 32)
+        assert state.n_latent == 32
 
     def test_deterministic(self):
         a = init_chains([(5, 4, 3)], 8, [9])
@@ -90,15 +89,15 @@ def posterior_moments(rows):
 
 
 def stacked_draws(rows, n_chains, seed):
-    """The sweep's draw for ``n_chains`` chains that share ``rows`` as their block and one stream."""
+    """The sweep's draw ``(means, precisions)`` for ``n_chains`` chains that each hold ``rows`` and share one stream."""
     rng = StreamTree(seed).stream(0, ROLE_HYPER, 0)
-    return sample_mode_hyperparams([rows] * n_chains, [rng] * n_chains)
+    return sample_mode_hyperparams(np.tile(rows, (n_chains, 1)), np.arange(n_chains + 1) * len(rows), [rng] * n_chains)
 
 
-def whitened_residuals(params, beta_n, mu_n):
+def whitened_residuals(means, precisions, beta_n, mu_n):
     """``L'(mu - mu_n)`` per chain, with ``beta_n * Lambda = L L'``: standard normal if the draw is right."""
-    lower = np.linalg.cholesky(beta_n * params.precision)
-    return np.einsum("cij,ci->cj", lower, params.mean - mu_n)
+    lower = np.linalg.cholesky(beta_n * precisions)
+    return np.einsum("cij,ci->cj", lower, means - mu_n)
 
 
 def wishart_se(w_n, nu_n, n_draws):
@@ -109,7 +108,7 @@ def wishart_se(w_n, nu_n, n_draws):
 class TestSampleWishart:
     def test_samples_are_spd(self):
         rows = _rng(1).normal(0.5, 1.0, (5, 3))
-        for precision in stacked_draws(rows, 200, 1).precision:
+        for precision in stacked_draws(rows, 200, 1)[1]:
             np.linalg.cholesky(precision)  # raises if not SPD
 
     def test_identity_moments_d2(self):
@@ -118,14 +117,14 @@ class TestSampleWishart:
         rows = np.zeros((3, 2))
         _, nu_n, _, w_n = posterior_moments(rows)
         assert nu_n == 5 and np.array_equal(w_n, np.eye(2))
-        mean = stacked_draws(rows, n, 2).precision.mean(axis=0)
+        mean = stacked_draws(rows, n, 2)[1].mean(axis=0)
         se = wishart_se(w_n, nu_n, n)
         assert np.all(np.abs(mean - 5.0 * np.eye(2)) < 3 * se)
 
     def test_scalar_chi_square_moments(self):
         n = 20_000
         rows = np.array([[0.5], [-0.5]])  # xbar 0, n S = 0.5, so W_n = 1 / 1.5 and nu_n = 3
-        draws = stacked_draws(rows, n, 3).precision[:, 0, 0]
+        draws = stacked_draws(rows, n, 3)[1][:, 0, 0]
         scale = 1.0 / 1.5
         # W_n * chi2(3): mean 3 W_n, variance 6 W_n^2
         assert abs(draws.mean() - 3.0 * scale) < 3 * np.sqrt(6.0 * scale**2 / n)
@@ -137,7 +136,7 @@ class TestSampleMvn:
         n = 20_000
         rows = _rng(4).normal(0.8, 0.5, (4, 2))
         beta_n, _, mu_n, _ = posterior_moments(rows)
-        residuals = whitened_residuals(stacked_draws(rows, n, 4), beta_n, mu_n)
+        residuals = whitened_residuals(*stacked_draws(rows, n, 4), beta_n, mu_n)
         cov = np.cov(residuals.T)
         se = 3.0 / np.sqrt(n)
         assert np.all(np.abs(cov - np.eye(2)) < 3 * se + 0.01)
@@ -150,14 +149,14 @@ class TestSampleMvn:
         beta_n, nu_n, mu_n, w_n = posterior_moments(rows)
         expected = np.linalg.inv(w_n) / (beta_n * (nu_n - 2 - 1))
         assert abs(expected[0, 1]) > 0.5 * np.sqrt(expected[0, 0] * expected[1, 1])
-        cov = np.cov((stacked_draws(rows, n, 5).mean - mu_n).T)
+        cov = np.cov((stacked_draws(rows, n, 5)[0] - mu_n).T)
         assert np.all(np.abs(cov - expected) < 0.05 * np.sqrt(np.outer(np.diag(expected), np.diag(expected))))
 
     def test_concentration_at_high_precision(self):
         # Many rows at one point: beta_n * Lambda is about n^2, so the mean sits on mu_n.
         rows = np.tile([0.4, -0.2], (2000, 1))
         _, _, mu_n, _ = posterior_moments(rows)
-        draws = stacked_draws(rows, 500, 6).mean
+        draws = stacked_draws(rows, 500, 6)[0]
         within = np.all(np.abs(draws - mu_n) < 0.005, axis=1)
         assert within.mean() >= 0.99
 
@@ -193,7 +192,7 @@ def hyperparams_reference(latents, rng):
 class TestModeHyperparams:
     def test_empty_mode_rejected(self):
         with pytest.raises(ValueError, match="empty mode"):
-            sample_mode_hyperparams([np.empty((0, 3))], [_rng()])
+            sample_mode_hyperparams(np.empty((0, 3)), np.array([0, 0]), [_rng()])
 
     def test_posterior_consistency(self):
         # With many rows from a known Gaussian, the sampled precision
@@ -205,22 +204,22 @@ class TestModeHyperparams:
         draws = np.zeros((2, 2))
         n_draws = 200
         for _ in range(n_draws):
-            draws += sample_mode_hyperparams([rows], [rng]).precision[0]
+            draws += sample_mode_hyperparams(rows, np.array([0, len(rows)]), [rng])[1][0]
         mean_precision = draws / n_draws
         assert np.all(np.abs(mean_precision - true_precision) <= 0.1 * np.abs(true_precision) + 0.02)
 
     @pytest.mark.parametrize("dim", [1, 8, 32])
     def test_matches_triangular_solve_reference(self, dim):
         latents = 1.5 * _rng(100 + dim).standard_normal((60, dim)) + 0.3
-        params = sample_mode_hyperparams([latents], [_rng(7)])
+        means, precisions = sample_mode_hyperparams(latents, np.array([0, len(latents)]), [_rng(7)])
         mean, precision = hyperparams_reference(latents, _rng(7))
-        assert np.max(np.abs(params.precision[0] - precision)) <= 1e-12
-        assert np.max(np.abs(params.mean[0] - mean)) <= 1e-12
+        assert np.max(np.abs(precisions[0] - precision)) <= 1e-12
+        assert np.max(np.abs(means[0] - mean)) <= 1e-12
 
     def test_nan_row_is_numerical_error(self):
         rows = np.array([[0.5, np.nan], [0.1, 0.2], [-0.3, 0.4]])
         with pytest.raises(NumericalError, match="posterior inverse scale has a non-finite Cholesky factor"):
-            sample_mode_hyperparams([np.ones((2, 2)), rows], [_rng(), _rng()])
+            sample_mode_hyperparams(np.concatenate([np.ones((2, 2)), rows]), np.array([0, 2, 5]), [_rng(), _rng()])
 
     def test_cached_constants_are_read_only(self):
         rows, cols = sampler._strict_lower(5)
@@ -326,6 +325,18 @@ def _make_state(tensor, n_latent=2, alpha=5.0, seed=0):
 _OTHER_MODES = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
 
+def identity_prior(state):
+    """Each chain's zero-mean, identity-precision prior ``(means, precisions)``."""
+    n_chains, dim = len(state.seeds), state.n_latent
+    return np.zeros((n_chains, dim)), np.tile(np.eye(dim), (n_chains, 1, 1))
+
+
+def drawn_prior(state, mode):
+    """The prior ``(means, precisions)`` the next sweep draws for ``mode``, from each chain's ``ROLE_HYPER`` stream."""
+    rngs = [StreamTree(seed).stream(state.sweep, ROLE_HYPER, mode) for seed in state.seeds]
+    return sample_mode_hyperparams(state.latents[mode], state.offsets[:, mode], rngs)
+
+
 def chain_bounds(state, mode):
     """``(chain, first row, end row)`` of each chain's rows of one mode."""
     bounds = state.offsets[:, mode].tolist()
@@ -353,14 +364,14 @@ def cholesky_draw(mean, precision, z):
     return mean + solve_triangular(np.linalg.cholesky(precision).T, z, lower=False)
 
 
-def per_row_reference(state, tensor, mode, normals):
+def per_row_reference(state, tensor, mode, normals, prior):
     """Row-at-a-time update: row_posterior with the row's chain prior, then a Cholesky draw from ``normals``."""
-    params = state.params[mode]
+    means, precisions = prior
     rows = np.empty_like(state.latents[mode])
     for chain, lo, hi in chain_bounds(state, mode):
         for entity in range(lo, hi):
             q_rows, values = fiber_cells(state, tensor, mode, entity)
-            precision, mean = row_posterior(params.precision[chain], params.mean[chain], state.alpha, q_rows, values)
+            precision, mean = row_posterior(precisions[chain], means[chain], state.alpha, q_rows, values)
             rows[entity] = cholesky_draw(mean, precision, normals[entity])
     return rows
 
@@ -378,7 +389,7 @@ def substitution_draw(lower, rhs, z):
     return row
 
 
-def mode_latents_loop_reference(state, tensor, mode):
+def mode_latents_loop_reference(state, tensor, mode, prior):
     """``sample_mode_latents`` one entity at a time, in entity order, with one gather per entity.
 
     Same arithmetic as the blocked update: ``q`` and ``y`` scaled by
@@ -391,7 +402,7 @@ def mode_latents_loop_reference(state, tensor, mode):
     offsets = np.searchsorted(coords[order, mode], np.arange(state.latents[mode].shape[0] + 1))
     root_alpha = np.sqrt(state.alpha)
     lat_a, lat_b = state.latents[other_a] * root_alpha, state.latents[other_b]
-    params, bounds = state.params[mode], state.offsets[:, mode]
+    (means, precisions), bounds = prior, state.offsets[:, mode]
     n_entities, n_latent = state.latents[mode].shape
     grams = np.empty((n_entities, n_latent, n_latent))
     rhs = np.empty((n_entities, n_latent))
@@ -399,8 +410,8 @@ def mode_latents_loop_reference(state, tensor, mode):
         rows = order[offsets[entity] : offsets[entity + 1]]
         q_rows = lat_a[coords[rows, other_a]] * lat_b[coords[rows, other_b]]
         chain = np.searchsorted(bounds, entity, side="right") - 1
-        grams[entity] = q_rows.T @ q_rows + params.precision[chain]
-        rhs[entity] = q_rows.T @ (values[rows] * root_alpha) + params.precision[chain] @ params.mean[chain]
+        grams[entity] = q_rows.T @ q_rows + precisions[chain]
+        rhs[entity] = q_rows.T @ (values[rows] * root_alpha) + precisions[chain] @ means[chain]
     lower = sampler._cholesky(grams, "row posterior precision")
     z = mode_normals(state, mode)
     return np.array([substitution_draw(lower[entity], rhs[entity], z[entity]) for entity in range(n_entities)])
@@ -422,8 +433,9 @@ def _assert_batched_matches_per_row(tensor, n_latent, seed):
     for _ in range(3):
         gibbs_step(state, tensor)
     for mode in range(3):
-        expected = per_row_reference(state, tensor, mode, mode_normals(state, mode))
-        batched = sample_mode_latents(state, tensor, mode)
+        prior = drawn_prior(state, mode)
+        expected = per_row_reference(state, tensor, mode, mode_normals(state, mode), prior)
+        batched = sample_mode_latents(state, tensor, mode, prior)
         assert np.max(np.abs(batched - expected)) <= 1e-12
 
 
@@ -432,7 +444,7 @@ class TestModeLatents:
         state = _make_state(tiny_tensor, n_latent=2, seed=1)
         state.latents[1][0, 1] = np.nan  # indication 0 has cells with targets 0, 1 and 2
         with pytest.raises(NumericalError, match="row posterior precision has a non-finite Cholesky factor"):
-            sample_mode_latents(state, tiny_tensor, 0)
+            sample_mode_latents(state, tiny_tensor, 0, identity_prior(state))
 
     def test_unobserved_entity_draws_from_prior(self):
         # Entity 0 of mode 0 has no cells; its redraw should follow the mode
@@ -440,13 +452,12 @@ class TestModeLatents:
         tensor = tensor_from_entries((3, 2, 2), [(1, 0, 0, 0.5), (2, 1, 1, 0.25)])
         state = _make_state(tensor, n_latent=2, seed=1)
         prior_mean = np.array([1.0, -0.5])
-        state.params[0].mean[:] = prior_mean
-        state.params[0].precision[:] = 4.0 * np.eye(2)
+        prior = (prior_mean[None], 4.0 * np.eye(2)[None])
         total = np.zeros(2)
         n = 3000
         for sweep in range(n):
             state.sweep = sweep
-            total += sample_mode_latents(state, tensor, 0)[0]
+            total += sample_mode_latents(state, tensor, 0, prior)[0]
         avg = total / n
         se = 0.5 / np.sqrt(n)
         assert np.all(np.abs(avg - prior_mean) < 4 * se)
@@ -458,7 +469,7 @@ class TestModeLatents:
         state = _make_state(tensor, n_latent=1, alpha=1e8, seed=2)
         state.latents[1][0, 0] = 2.0
         state.latents[2][0, 0] = 1.0
-        new_rows = sample_mode_latents(state, tensor, 0)
+        new_rows = sample_mode_latents(state, tensor, 0, identity_prior(state))
         assert abs(new_rows[0, 0] - 0.8 / 2.0) < 1e-3
 
     def test_batched_update_equals_per_row_reference(self):
@@ -501,8 +512,9 @@ class TestModeLatents:
         for _ in range(2):
             gibbs_step(state, tensor)
         for mode in range(3):
-            expected = mode_latents_loop_reference(state, tensor, mode)
-            assert np.array_equal(sample_mode_latents(state, tensor, mode), expected)
+            prior = drawn_prior(state, mode)
+            expected = mode_latents_loop_reference(state, tensor, mode, prior)
+            assert np.array_equal(sample_mode_latents(state, tensor, mode, prior), expected)
 
     # Mode-0 cell counts with runs of 3 empty, 1, 3, 5 and 1 entities (counts
     # 0, 1, 2, 3, 9); the empty ones are the first, fifth and last entity.
@@ -520,8 +532,9 @@ class TestModeLatents:
         for _ in range(2):
             gibbs_step(state, tensor)
         for mode in range(3):
-            expected = mode_latents_loop_reference(state, tensor, mode)
-            assert np.array_equal(sample_mode_latents(state, tensor, mode), expected)
+            prior = drawn_prior(state, mode)
+            expected = mode_latents_loop_reference(state, tensor, mode, prior)
+            assert np.array_equal(sample_mode_latents(state, tensor, mode, prior), expected)
 
     @pytest.mark.parametrize("block_cells", [5, None])
     def test_batched_update_equals_per_row_reference_beyond_one_panel(self, monkeypatch, block_cells):
@@ -542,9 +555,7 @@ class TestModeLatents:
         state = _make_state(tensor, n_latent=2, alpha=4.0, seed=3)
         state.latents[1][:] = [[1.0, 2.0], [3.0, 1.0]]
         state.latents[2][:] = [[1.0, 1.0]]
-        state.params[0].precision[:] = 0.0
-        state.params[0].mean[:] = 0.0
-        prior_precision, prior_mean = state.params[0].precision[0], state.params[0].mean[0]
+        prior_precision, prior_mean = np.zeros((2, 2)), np.zeros(2)
         q_rows, values = fiber_cells(state, tensor, 0, 0)
         with pytest.raises(NumericalError, match="singular"):
             row_posterior(prior_precision, prior_mean, state.alpha, q_rows, values)
@@ -553,7 +564,7 @@ class TestModeLatents:
         mean = np.linalg.solve(precision, state.alpha * (q_rows.T @ values))
 
         normals = mode_normals(state, 0)
-        batched = sample_mode_latents(state, tensor, 0)
+        batched = sample_mode_latents(state, tensor, 0, (prior_mean[None], prior_precision[None]))
         assert np.all(np.isfinite(batched))
         assert np.allclose(batched[0], cholesky_draw(mean, precision, normals[0]), rtol=1e-8, atol=0.0)
         q_rows, values = fiber_cells(state, tensor, 0, 1)
@@ -564,9 +575,8 @@ class TestModeLatents:
         # A negative-definite prior cannot be rescued by one jitter retry.
         tensor = tensor_from_entries((2, 1, 1), [(1, 0, 0, 0.5)])
         state = _make_state(tensor, n_latent=2, seed=4)
-        state.params[0].precision[:] = -np.eye(2)
         with pytest.raises(NumericalError, match="not SPD after jitter"):
-            sample_mode_latents(state, tensor, 0)
+            sample_mode_latents(state, tensor, 0, (np.zeros((1, 2)), -np.eye(2)[None]))
 
     def test_dims_mismatch(self):
         # Target 2 has a cell, but the state has only two target rows: the
@@ -574,7 +584,7 @@ class TestModeLatents:
         tensor = tensor_from_entries((3, 2, 1), [(2, 1, 0, 0.5)])
         state = init_chains([(2, 2, 1)], 2, [0])
         with pytest.raises(DataError, match="do not match"):
-            sample_mode_latents(state, tensor, 1)
+            sample_mode_latents(state, tensor, 1, identity_prior(state))
 
 
 def _chain_tensors():
@@ -624,10 +634,11 @@ class TestLockStep:
         union = block_union(tensors)
         for _ in range(2):
             gibbs_step(state, union)
-        assert not np.array_equal(state.params[0].precision[0], state.params[0].precision[1])
         for mode in range(3):
-            expected = per_row_reference(state, union, mode, mode_normals(state, mode))
-            assert np.max(np.abs(sample_mode_latents(state, union, mode) - expected)) <= 1e-12
+            prior = drawn_prior(state, mode)
+            assert not np.array_equal(prior[1][0], prior[1][1])
+            expected = per_row_reference(state, union, mode, mode_normals(state, mode), prior)
+            assert np.max(np.abs(sample_mode_latents(state, union, mode, prior) - expected)) <= 1e-12
 
     def test_run_rejects_tensors_of_other_dims(self, tiny_tensor):
         state = init_chains([tiny_tensor.dims, tiny_tensor.dims], 2, [1, 2])
@@ -661,9 +672,15 @@ class TestGibbsStep:
             assert np.array_equal(mat_b, mat_c)
 
     def test_dims_mismatch(self, tiny_tensor):
+        # The first mode's update refuses before any row changes: the sweep leaves the state as it was.
         state = init_chains([(4, 2, 4)], 2, [0])
+        latents = list(state.latents)
+        copies = [mat.copy() for mat in latents]
         with pytest.raises(DataError):
             gibbs_step(state, tiny_tensor)
+        assert all(now is then for now, then in zip(state.latents, latents, strict=True))
+        assert all(np.array_equal(now, copy) for now, copy in zip(state.latents, copies, strict=True))
+        assert state.sweep == 0
 
 
 def triple_product_reference(samples, coords):
@@ -747,6 +764,13 @@ class TestSchedule:
             SamplerSchedule(-1, 10, 1)
         with pytest.raises(ValueError):
             SamplerSchedule(0, 10, 0)
+
+    def test_sweeps_beyond_stream_range_rejected(self):
+        # Sweeps are numbered 0 to burnin + samples - 1, and the streams number 2**32 of them.
+        assert N_SWEEPS == 2**32
+        with pytest.raises(ValueError, match=r"4294967297 sweeps is over the 2\*\*32"):
+            SamplerSchedule(2**32, 1, 1)
+        assert SamplerSchedule(2**32 - 1, 1, 1).retained == 1
 
     def test_paper_defaults_retain_ten(self):
         assert SamplerSchedule().retained == 10
