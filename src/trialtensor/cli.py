@@ -16,7 +16,7 @@ import logging
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -97,21 +97,21 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--outcomes", help="clinical trial outcomes TSV")
     p.add_argument("--xref", help="EFO to MeSH cross-reference TSV")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--layers", default="combined", help="evidence layers: combined or comma list (rare,burden,gwas)")
+    p.add_argument("--layers", default="combined", help="layer list, e.g. rare+gwas (default combined: every layer)")
     p.add_argument("--l2g-threshold", type=_UNIT, default=0.5, help="L2G inclusion threshold (default 0.5)")
     p.add_argument("--config", help="key=value defaults file")
     commands["ingest"] = p
 
     p = subparsers.add_parser("train", description="Run the Gibbs sampler and write predictions.")
-    p.add_argument("--tensor", help="directory holding tensor.tsv and tensor.meta.json")
+    p.add_argument("--tensor", help="tensor directory written by ingest or simulate")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--layers", default="all", help="layer subset by name, e.g. rare_disease (outcome always kept)")
+    p.add_argument("--layers", default="all", help="layer list, e.g. rare+gwas (outcome always kept)")
     _add_sampler_flags(p)
     p.add_argument("--config", help="key=value defaults file")
     commands["train"] = p
 
     p = subparsers.add_parser("evaluate", description="Repeated-split evaluation of model variants.")
-    p.add_argument("--tensor", help="directory holding tensor.tsv and tensor.meta.json")
+    p.add_argument("--tensor", help="tensor directory written by ingest or simulate")
     p.add_argument("--out", help="output JSON path")
     p.add_argument("--models", default="combined", help="comma list of model specs (combined, rare, burden+gwas, ...)")
     p.add_argument("--n-repeats", type=_checked(int, "at least 2", lambda value: value >= 2), default=10,
@@ -203,41 +203,24 @@ def _schedule(ns: argparse.Namespace) -> SamplerSchedule:
         raise UsageError(f"--burnin {ns.burnin} --samples {ns.samples} --thin {ns.thin}: {exc}") from exc
 
 
-def _evidence_selection(text: str) -> list[str]:
-    if text.strip().lower() in ("combined", "all"):
-        return list(ing.LAYER_ORDER)
-    selection = []
-    for part in text.split(","):
-        name = _LAYER_ALIASES.get(part.strip().lower())
-        if name is None:
-            raise UsageError(f"unknown evidence layer {part.strip()!r} in --layers")
-        selection.append(name)
-    return selection
+def _resolve_layer_names(text: str, layers: Sequence[str], flag: str) -> list[int]:
+    """The indices of the layers a layer list names, layer 0 first.
 
-
-def _resolve_layer_names(text: str, layers: tuple[str, ...]) -> list[int] | None:
-    """Map a comma list of layer names onto tensor layer indices (0 prepended)."""
+    ``combined`` or ``all`` names every layer. Otherwise parts are
+    separated by ``,`` or ``+``; an alias of ``_LAYER_ALIASES`` matches
+    whatever its case, any other part only the exact layer name, and a
+    repeated layer counts once. An unknown part is a usage error naming ``flag``.
+    """
     if text.strip().lower() in ("all", "combined"):
-        return None
+        return list(range(len(layers)))
     keep = [0]
     for part in text.replace("+", ",").split(","):
-        name = part.strip()
-        name = _LAYER_ALIASES.get(name.lower(), name)
+        name = _LAYER_ALIASES.get(part.strip().lower(), part.strip())
         if name not in layers:
-            raise DataError(f"unknown layer {part.strip()!r}; tensor has {list(layers)}")
-        k = layers.index(name)
-        if k != 0 and k not in keep:
-            keep.append(k)
+            raise UsageError(f"unknown layer {part.strip()!r} in {flag}; the layers are {list(layers)}")
+        if layers.index(name) not in keep:
+            keep.append(layers.index(name))
     return keep
-
-
-def _load_tensor_dir(ns: argparse.Namespace) -> tuple:
-    directory = Path(_require(ns, "--tensor"))
-    tsv = directory / "tensor.tsv"
-    meta = directory / "tensor.meta.json"
-    if not tsv.exists() or not meta.exists():
-        raise DataError(f"input for --tensor incomplete: expected {tsv} and {meta}")
-    return load_tensor(tsv, meta)
 
 
 # --------------------------------------------------------------------------
@@ -245,9 +228,12 @@ def _load_tensor_dir(ns: argparse.Namespace) -> tuple:
 
 def cmd_ingest(ns: argparse.Namespace) -> int:
     out_dir = Path(_require(ns, "--out"))
+    layers = (ing.OUTCOME_LAYER_NAME, *ing.LAYER_ORDER)
+    selection = [layers[k] for k in _resolve_layer_names(ns.layers, layers, "--layers")[1:]]
+    if not selection:
+        raise UsageError(f"--layers {ns.layers!r} names no evidence layer")
     report = Counter()
     xref = ing.load_xref(_require_file(ns, "--xref"))
-    selection = _evidence_selection(ns.layers)
     tables = []
     if "rare_disease" in selection:
         tables.append(ing.parse_rare_disease(_require_file(ns, "--rare"), report=report))
@@ -262,7 +248,7 @@ def cmd_ingest(ns: argparse.Namespace) -> int:
     pairs = ing.label_outcomes(trials, report=report)
     evidence, pairs = ing.map_ontology(evidence, pairs, xref, report=report)
     tensor, modes = ing.build_tensor(evidence, pairs, selection)
-    save_tensor(tensor, modes, out_dir / "tensor.tsv", out_dir / "tensor.meta.json")
+    save_tensor(tensor, modes, out_dir)
     write_tsv(
         out_dir / "pairs.tsv",
         ("gene_id", "disease_id", "label", "max_phase", "stop_reason_class", "statuses"),
@@ -285,10 +271,8 @@ def cmd_ingest(ns: argparse.Namespace) -> int:
 def cmd_train(ns: argparse.Namespace) -> int:
     out_dir = Path(_require(ns, "--out"))
     schedule = _schedule(ns)
-    tensor, modes = _load_tensor_dir(ns)
-    keep = _resolve_layer_names(ns.layers, modes[2])
-    if keep is not None:
-        tensor = select_layers(tensor, keep)
+    tensor, modes = load_tensor(_require_file(ns, "--tensor"))
+    tensor = select_layers(tensor, _resolve_layer_names(ns.layers, modes[2], "--layers"))
     state = init_chains([tensor.dims], ns.latent_dim, [ns.seed], alpha=ns.alpha)
     (samples,) = run(state, [tensor], schedule)
     save_checkpoint(out_dir / "checkpoint", samples, state, schedule)
@@ -323,10 +307,10 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
     if ns.seed + ns.n_repeats - 1 >= N_SEEDS:
         raise UsageError(f"--seed {ns.seed} + --n-repeats {ns.n_repeats} - 1 is not below 2**64, the seed range")
     schedule = _schedule(ns)
-    tensor, modes = _load_tensor_dir(ns)
+    tensor, modes = load_tensor(_require_file(ns, "--tensor"))
     seeds = [ns.seed + r for r in range(ns.n_repeats)]
     names = [spec.strip() for spec in ns.models.split(",")]
-    models = [_resolve_layer_names(name, modes[2]) for name in names]
+    models = [_resolve_layer_names(name, modes[2], "--models") for name in names]
     aurocs, f1s = repeated_eval(
         tensor, models, seeds, ns.latent_dim, ns.alpha, schedule, ns.heldout_fraction, ns.threshold
     )
@@ -453,7 +437,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     )
     tensor, ground_truth, _ = generate(config)
     modes = synthetic_modes(config.dims)
-    save_tensor(tensor, modes, out_dir / "tensor.tsv", out_dir / "tensor.meta.json")
+    save_tensor(tensor, modes, out_dir)
     dims = config.dims
     # Every cell's coordinates in C order, 12 bytes a cell next to the truth's 8.
     coords = np.indices(dims, dtype=np.int32).reshape(3, -1).T

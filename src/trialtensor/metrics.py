@@ -172,7 +172,7 @@ def bonferroni(p_value: float, m: int) -> float:
 
 def repeated_eval(
     tensor: SparseTensor,
-    models: Sequence[Sequence[int] | None],
+    models: Sequence[Sequence[int]],
     seeds: Sequence[int],
     n_latent: int,
     alpha: float,
@@ -182,15 +182,16 @@ def repeated_eval(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stratified split, train, score the held-out cells, once per (model, seed).
 
-    ``models[m]`` selects tensor layers (layer 0, the outcome slice, must
-    come first), or is ``None`` for the whole tensor. For each model and
-    seed, hold out ``heldout_fraction`` of the outcome-layer cells
-    (stratified by label), train on everything else, score the held-out
-    cells and compute AUROC and F1 at ``threshold`` against their observed
-    labels. Both the split and the sampler derive from the seed, so
-    identical seeds reproduce identical metrics. Returns the AUROCs and the
-    F1s, each of shape ``(len(models), len(seeds))``; :func:`summarize`
-    turns them into the report.
+    ``models[m]`` lists the tensor layers it keeps; layer 0, the outcome
+    slice, must come first. For each model and seed, hold out
+    ``heldout_fraction`` of the outcome-layer cells (stratified by label,
+    :func:`~trialtensor.tensor.split_cells`), train on the model tensor
+    without those entry rows, score the held-out cells and compute AUROC
+    and F1 at ``threshold`` against their observed labels. Both the split
+    and the sampler derive from the seed, so identical seeds reproduce
+    identical metrics. Returns the AUROCs and the F1s, each of shape
+    ``(len(models), len(seeds))``; :func:`summarize` turns them into the
+    report.
 
     The (model, seed) chains are sampled in lock-step batches
     (:func:`~trialtensor.sampler.run`), consecutive chains joining a batch
@@ -204,9 +205,9 @@ def repeated_eval(
         raise DataError("no model to evaluate")
     model_tensors = []
     for layers in models:
-        if layers is not None and (len(layers) == 0 or layers[0] != 0):
-            raise DataError("layer selection must start with the outcome layer 0")
-        model_tensors.append(tensor if layers is None else select_layers(tensor, layers))
+        if layers is None or len(layers) == 0 or layers[0] != 0:
+            raise DataError(f"layer selection {layers} must start with the outcome layer 0")
+        model_tensors.append(select_layers(tensor, layers))
     # One chain per (model, seed), model-major.
     chains = [(model, int(seed)) for model in range(len(models)) for seed in seeds]
     aurocs, f1s = np.empty(len(chains)), np.empty(len(chains))
@@ -216,9 +217,9 @@ def repeated_eval(
             model, seed = chains[index]
             model_tensor = model_tensors[model]
             rows = split_cells(model_tensor, layer=0, heldout_fraction=heldout_fraction, seed=seed)
-            heldout = model_tensor.coords[rows]
-            trains.append(model_tensor.without_cells(heldout))
-            held.append((heldout, model_tensor.values[rows]))
+            coords, values = model_tensor.coords, model_tensor.values
+            trains.append(SparseTensor(model_tensor.dims, np.delete(coords, rows, axis=0), np.delete(values, rows)))
+            held.append((coords[rows], values[rows]))
         state = init_chains([train.dims for train in trains], n_latent, [chains[i][1] for i in batch], alpha=alpha)
         for index, samples, (heldout, labels) in zip(batch, run(state, trains, schedule), held):
             scores = predict_slice(samples, 0)[heldout[:, 0], heldout[:, 1]]  # layer-0 cells only

@@ -140,17 +140,6 @@ class SparseTensor:
         mask = self._coords[:, 2] == layer
         return self._coords[mask], self._values[mask]
 
-    def without_cells(self, cells: np.ndarray) -> "SparseTensor":
-        """Copy without the cells of an ``(n, 3)`` coordinate array.
-
-        Survivors stay in coordinate order; cells the tensor does not hold,
-        including out-of-range ones, are ignored.
-        """
-        cells = np.asarray(cells, dtype=np.int64).reshape(-1, 3)
-        cells = cells[((cells >= 0) & (cells < np.asarray(self.dims))).all(axis=1)]
-        keep = ~np.isin(_linearize(self._coords, self.dims), _linearize(cells, self.dims))
-        return SparseTensor(self.dims, self._coords[keep], self._values[keep])
-
 
 def block_union(tensors: Sequence[SparseTensor]) -> SparseTensor:
     """Block-diagonal union: tensor ``c``'s entity ``e`` of each mode becomes ``offsets[c, mode] + e``.
@@ -173,8 +162,14 @@ def block_union(tensors: Sequence[SparseTensor]) -> SparseTensor:
 
 
 def select_layers(tensor: SparseTensor, keep: Sequence[int]) -> SparseTensor:
-    """Subset the layer mode, renumbering kept layers to 0..len(keep)-1."""
+    """Subset the layer mode, renumbering kept layers to 0..len(keep)-1.
+
+    Keeping every layer in order returns ``tensor`` itself, which, being
+    immutable, is its own copy.
+    """
     keep = [int(k) for k in keep]
+    if keep == list(range(tensor.dims[2])):
+        return tensor
     if len(set(keep)) != len(keep):
         raise DataError("layer selection contains duplicates")
     for k in keep:
@@ -225,25 +220,28 @@ def split_cells(tensor: SparseTensor, layer: int, heldout_fraction: float, seed:
 
 
 # --------------------------------------------------------------------------
-# Serialization: a TSV of entries plus a JSON sidecar with dims and the
-# three identifier sequences. Each mode's identifiers are a tuple of strings
-# in index order: entity ``e`` of the mode is named by ``identifiers[e]``.
+# Serialization: a directory holding ``tensor.tsv``, a TSV of entries, and
+# ``tensor.meta.json``, a JSON sidecar with dims and the three identifier
+# sequences. Each mode's identifiers are a tuple of strings in index order:
+# entity ``e`` of the mode is named by ``identifiers[e]``.
 
 _META_MODES = ("targets", "indications", "layers")
 _TSV_HEADER = ("i", "j", "k", "value")
 
 
-def save_tensor(
-    tensor: SparseTensor,
-    modes: Sequence[Sequence[str]],
-    tsv_path: str | Path,
-    meta_path: str | Path,
-) -> None:
+def _tensor_files(directory: str | Path) -> tuple[Path, Path]:
+    """The ``tensor.tsv`` and ``tensor.meta.json`` paths of a tensor directory."""
+    return Path(directory) / "tensor.tsv", Path(directory) / "tensor.meta.json"
+
+
+def save_tensor(tensor: SparseTensor, modes: Sequence[Sequence[str]], directory: str | Path) -> None:
+    """Write ``tensor`` and its per-mode identifiers into ``directory``, creating it if need be."""
     if len(modes) != 3:
         raise DataError("expected one identifier sequence per tensor mode")
     for key, identifiers, dim in zip(_META_MODES, modes, tensor.dims):
         if len(identifiers) != dim:
             raise DataError(f"{len(identifiers)} {key} identifiers do not match dim {dim}")
+    tsv_path, meta_path = _tensor_files(directory)
     write_tsv(tsv_path, _TSV_HEADER, entry_lines(tensor.coords, tensor.values))
     meta = {
         "dims": list(tensor.dims),
@@ -273,14 +271,14 @@ def _meta_indices(meta: object, meta_path: str | Path) -> tuple[tuple[int, int, 
     return _checked_dims(dims), tuple(tuple(idents) for idents in lists)
 
 
-def load_tensor(
-    tsv_path: str | Path, meta_path: str | Path
-) -> tuple[SparseTensor, tuple[tuple[str, ...], ...]]:
-    """The tensor and per-mode identifiers of a ``tensor.tsv`` plus its JSON sidecar.
+def load_tensor(directory: str | Path) -> tuple[SparseTensor, tuple[tuple[str, ...], ...]]:
+    """The tensor and per-mode identifiers that :func:`save_tensor` wrote into ``directory``.
 
     ``tensor.tsv`` goes through :func:`~trialtensor.io.read_tsv`; a cell
-    that breaks a :class:`SparseTensor` rule names its line.
+    that breaks a :class:`SparseTensor` rule names its line. A missing or
+    unreadable file is a :class:`DataError` naming it.
     """
+    tsv_path, meta_path = _tensor_files(directory)
     dims, modes = _meta_indices(read_json(meta_path), meta_path)
     i, j, k, values, lines = read_tsv(tsv_path, dict(zip(_TSV_HEADER, (int, int, int, float))))
     return SparseTensor(dims, np.column_stack((i, j, k)), values, path=tsv_path, lines=lines), modes

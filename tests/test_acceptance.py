@@ -19,6 +19,7 @@ from scipy.stats import rankdata
 
 from trialtensor import (
     SamplerSchedule,
+    SparseTensor,
     SynthConfig,
     auroc,
     class_imbalance,
@@ -126,7 +127,7 @@ def test_c3_synthetic_recovery():
         tensor, truth, _ = generate(config)
         rows = split_cells(tensor, layer=0, heldout_fraction=0.2, seed=7)
         heldout = tensor.coords[rows]
-        train_tensor = tensor.without_cells(heldout)
+        train_tensor = SparseTensor(tensor.dims, np.delete(tensor.coords, rows, axis=0), np.delete(tensor.values, rows))
         state = init_chains([tensor.dims], 16, [1], alpha=100.0)
         schedule = SamplerSchedule(200, 800, 80)
         assert schedule.retained == 10
@@ -149,7 +150,7 @@ def test_c4_combined_evidence_ordering():
         schedule = SamplerSchedule(80, 240, 48)
         seeds = [100 + r for r in range(10)]
         names, models = zip(*[
-            ("combined", None),
+            ("combined", (0, 1, 2, 3)),
             ("evidence_1", (0, 1)),
             ("evidence_2", (0, 2)),
             ("evidence_3", (0, 3)),

@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trialtensor
-from trialtensor import DataError, SparseTensor, sampler, load_checkpoint, predict_slice, save_tensor
+from trialtensor import (
+    DataError, SparseTensor, sampler, load_checkpoint, load_tensor, predict_slice, save_tensor, select_layers,
+)
 from trialtensor import cli
 from trialtensor import io
 from trialtensor.cli import main
@@ -70,7 +72,23 @@ class TestIngestCommand:
     def test_unknown_layer_is_usage_error(self, ingest_args, capsys):
         args, _ = ingest_args
         assert main(args + ["--layers", "proteomics"]) == 1
-        assert "usage error" in capsys.readouterr().err
+        assert ("usage error: unknown layer 'proteomics' in --layers; the layers are "
+                "['outcome', 'rare_disease', 'gene_burden', 'gwas']") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spelling,layers", [
+        ("rare+gwas", "rare,gwas"), ("gwas, rare", "rare,gwas"), ("RARE", "rare"), ("Burden", "burden"),
+        ("rare,rare_disease,RARE", "rare"), ("outcome+gene_burden", "burden"), ("ALL", "combined"),
+        ("rare+burden+gwas", "combined"),
+    ])
+    def test_layer_spellings_write_the_same_bytes(self, ingest_args, tmp_path, spelling, layers):
+        # Parts split on "," or "+", aliases match in any case, repeats collapse,
+        # and the evidence layers keep their ingest order.
+        args, out = ingest_args
+        assert main(args + ["--layers", layers]) == 0
+        spelled = tmp_path / "spelled"
+        assert main(args[:-1] + [str(spelled), "--layers", spelling]) == 0
+        for path in sorted(out.iterdir()):
+            assert (spelled / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_oversized_field_is_read_and_unmapped_id_dropped(self, ingest_args, tmp_path):
         # Fields have no size limit: a 200k-character disease id is read like
@@ -174,6 +192,25 @@ class TestTrainCommand:
         lines = (out / "predictions.tsv").read_text().splitlines()
         assert {line.split("\t")[2] for line in lines[1:]} == {"outcome"}
 
+    @pytest.mark.parametrize("spelling,keep", [
+        ("outcome", [0]), ("RARE", [0, 1]), ("rare_disease+rare,outcome", [0, 1]), ("gwas+Burden", [0, 3, 2]),
+        ("all", [0, 1, 2, 3]),
+    ])
+    def test_layer_list_trains_the_selected_tensor(self, ingested_dir, tmp_path, spelling, keep):
+        # Training on a layer list writes what training on that selection, saved as a tensor, writes.
+        tensor, modes = load_tensor(ingested_dir)
+        selected = tmp_path / "selected"
+        save_tensor(select_layers(tensor, keep), (*modes[:2], [modes[2][k] for k in keep]), selected)
+        outputs = {}
+        for name, tensor_dir, layers in (("spelled", ingested_dir, spelling), ("saved", selected, "all")):
+            args = ["train", "--tensor", str(tensor_dir), "--out", str(tmp_path / name), "--layers", layers]
+            assert main(args + ["--seed", "3"] + SMALL_SCHEDULE) == 0
+            outputs[name] = {path.relative_to(tmp_path / name): path.read_bytes()
+                             for path in sorted((tmp_path / name).rglob("*")) if path.is_file()}
+        assert outputs["spelled"] == outputs["saved"]
+        layer_rows = outputs["spelled"][Path("checkpoint", "layers.tsv")].decode().splitlines()[1:]
+        assert len(layer_rows) == 3 * len(keep)  # retained samples x layers
+
     @pytest.mark.parametrize("tensor_fixture,latent_dim", [("ingested_dir", "3"), ("simulated_dir", "8")])
     def test_checkpoint_reproduces_predictions(self, request, tensor_fixture, latent_dim, tmp_path):
         # The checkpoint holds the retained samples, so scoring them again
@@ -202,7 +239,7 @@ class TestTrainCommand:
         dims = tuple(len(ns) for ns in names)
         cells = np.argwhere(np.ones(dims, dtype=bool))[::2]
         tensor = SparseTensor(dims, cells, (cells.sum(axis=1) % 2).astype(float))
-        save_tensor(tensor, names, tmp_path / "t" / "tensor.tsv", tmp_path / "t" / "tensor.meta.json")
+        save_tensor(tensor, names, tmp_path / "t")
         out = tmp_path / "model"
         assert main(["train", "--tensor", str(tmp_path / "t"), "--out", str(out), "--seed", "3"] + SMALL_SCHEDULE) == 0
         samples, _ = load_checkpoint(out / "checkpoint")
@@ -408,7 +445,7 @@ class TestEvaluateCommand:
         values = ((cells[:, 2] == 0) & (cells[:, 0] == 0) & (cells[:, 1] < 2)).astype(float)
         names = ([f"T{i}" for i in range(5)], [f"D{j}" for j in range(4)], ["outcome", "evidence_1"])
         tensor_dir = tmp_path / "t"
-        save_tensor(SparseTensor((5, 4, 2), cells, values), names, tensor_dir / "tensor.tsv", tensor_dir / "tensor.meta.json")
+        save_tensor(SparseTensor((5, 4, 2), cells, values), names, tensor_dir)
 
         def run(*args):
             raise AssertionError("sampled before the split was checked")
@@ -423,11 +460,12 @@ class TestEvaluateCommand:
     def test_unknown_model_layer(self, simulated_dir, tmp_path, capsys):
         args = [
             "evaluate", "--tensor", str(simulated_dir), "--out", str(tmp_path / "r.json"),
-            "--models", "wrongname", "--n-repeats", "2",
+            "--models", "combined,rare+wrongname", "--n-repeats", "2",
             "--burnin", "1", "--samples", "2", "--thin", "1",
         ]
-        assert main(args) == 2
-        assert "unknown layer" in capsys.readouterr().err
+        assert main(args) == 1
+        assert ("usage error: unknown layer 'rare' in --models; the layers are "
+                "['outcome', 'evidence_1', 'evidence_2']") in capsys.readouterr().err
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -717,7 +755,9 @@ class TestTopLevel:
          ("simulate", "--coupling", "-0.1"), ("simulate", "--coupling", "2"), ("simulate", "--seed", "-1"),
          ("evaluate", "--n-repeats", "1"), ("evaluate", "--heldout-fraction", "1.5"),
          ("evaluate", "--heldout-fraction", "nan"), ("ingest", "--l2g-threshold", "2"),
-         ("train", "--alpha", "inf"), ("evaluate", "--alpha", "inf")],
+         ("train", "--alpha", "inf"), ("evaluate", "--alpha", "inf"), ("ingest", "--layers", "rare+"),
+         ("ingest", "--layers", "Outcome"), ("ingest", "--layers", "outcome"), ("train", "--layers", "wrongname"),
+         ("train", "--layers", "Evidence_1")],
     )
     def test_bad_flag_value_names_flag(self, simulated_dir, tmp_path, capsys, command, flag, value):
         out = tmp_path / "o"

@@ -18,6 +18,8 @@ from trialtensor import (
     phase_analysis,
     repeated_eval,
     save_tensor,
+    select_layers,
+    split_cells,
     summarize,
     synthetic_modes,
 )
@@ -366,7 +368,7 @@ def coupled_tensor():
     return tensor
 
 
-def _evaluate_one(tensor, seeds, n_latent=32, alpha=5.0, schedule=SamplerSchedule(), layers=None):
+def _evaluate_one(tensor, seeds, n_latent=32, alpha=5.0, schedule=SamplerSchedule(), layers=(0, 1, 2)):
     """The report of one model over ``seeds``, held out at 0.2 and scored at 0.5."""
     aurocs, f1s = repeated_eval(tensor, [layers], seeds, n_latent, alpha, schedule, 0.2, 0.5)
     [report] = summarize(["combined"], aurocs, f1s, class_imbalance(tensor.layer_entries(0)[1]), 0.5)
@@ -396,6 +398,33 @@ class TestRepeatedEval:
         with pytest.raises(DataError):
             _evaluate_one(coupled_tensor, [1, 2], schedule=SamplerSchedule(1, 2, 1), layers=(1, 2))
 
+    @pytest.mark.parametrize("layers", [None, ()])
+    def test_model_not_starting_at_outcome_fails_before_sampling(self, coupled_tensor, monkeypatch, layers):
+        def run(*args):
+            raise AssertionError("sampled a model that does not start at layer 0")
+
+        monkeypatch.setattr(metrics, "run", run)
+        with pytest.raises(DataError, match="must start with the outcome layer 0"):
+            repeated_eval(coupled_tensor, [(0, 1), layers], [1, 2], 4, 30.0, SamplerSchedule(1, 2, 1), 0.2, 0.5)
+
+    def test_chain_trains_on_model_tensor_without_heldout_rows(self, coupled_tensor, monkeypatch):
+        trained = []
+        real_run = metrics.run
+        monkeypatch.setattr(metrics, "run", lambda state, tensors, schedule: (
+            trained.extend(tensors) or real_run(state, tensors, schedule)
+        ))
+        models, seeds = [(0, 1, 2), (0, 2)], [5, 6]
+        repeated_eval(coupled_tensor, models, seeds, 4, 30.0, SamplerSchedule(1, 2, 1), 0.2, 0.5)
+        chains = [(layers, seed) for layers in models for seed in seeds]
+        assert len(trained) == len(chains)
+        for train, (layers, seed) in zip(trained, chains):
+            model_tensor = select_layers(coupled_tensor, layers)
+            kept = np.ones(model_tensor.n_entries, dtype=bool)
+            kept[split_cells(model_tensor, 0, 0.2, seed)] = False
+            assert train.dims == model_tensor.dims
+            assert np.array_equal(train.coords, model_tensor.coords[kept])
+            assert np.array_equal(train.values, model_tensor.values[kept])
+
     def test_needs_two_repeats(self, coupled_tensor):
         with pytest.raises(DataError):
             _evaluate_one(coupled_tensor, [1])
@@ -414,7 +443,7 @@ def evidence_dir(tmp_path_factory):
     targets, indications, _ = synthetic_modes(tensor.dims)
     layers = ("outcome", "rare_disease", "gene_burden", "gwas")
     out = tmp_path_factory.mktemp("evidence")
-    save_tensor(tensor, (targets, indications, layers), out / "tensor.tsv", out / "tensor.meta.json")
+    save_tensor(tensor, (targets, indications, layers), out)
     return out
 
 

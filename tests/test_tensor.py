@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -192,26 +193,6 @@ class TestSparseTensor:
         with pytest.raises(DataError, match="no tensors"):
             block_union([])
 
-    def test_without_cells(self, tiny_tensor):
-        trimmed = tiny_tensor.without_cells(np.array([(0, 0, 0), (1, 1, 3)]))
-        assert trimmed.n_entries == 10
-        assert cell_value(trimmed, 0, 0, 0) is None
-        assert cell_value(trimmed, 0, 1, 0) == 0.0
-
-    def test_without_cells_keeps_storage_order_and_ignores_absent(self, tiny_tensor):
-        drop = [1, 4, 7]
-        absent = np.array([
-            (2, 0, 0),  # in range, unobserved
-            (0, 2, 0),  # out of range; its linear index is that of (1, 0, 0)
-            (0, 0, 4),  # out of range; its linear index is that of (0, 1, 0)
-            (-1, 2, 0),  # out of range; its linear index is that of (0, 0, 0)
-        ])
-        trimmed = tiny_tensor.without_cells(np.vstack([tiny_tensor.coords[drop], absent]))
-        keep = np.ones(tiny_tensor.n_entries, dtype=bool)
-        keep[drop] = False
-        assert np.array_equal(trimmed.coords, tiny_tensor.coords[keep])
-        assert np.array_equal(trimmed.values, tiny_tensor.values[keep])
-
 
 class TestSelectLayers:
     def test_subset_renumbers(self, tiny_tensor):
@@ -224,6 +205,12 @@ class TestSelectLayers:
     def test_bad_layer(self, tiny_tensor):
         with pytest.raises(DataError):
             select_layers(tiny_tensor, [0, 9])
+
+    def test_every_layer_in_order_is_the_tensor(self, tiny_tensor):
+        assert select_layers(tiny_tensor, range(tiny_tensor.dims[2])) is tiny_tensor
+        reordered = select_layers(tiny_tensor, [0, 2, 1, 3])
+        assert reordered is not tiny_tensor
+        assert cell_value(reordered, 0, 0, 3) == cell_value(tiny_tensor, 0, 0, 3)
 
 
 def _ten_cell_layer():
@@ -327,10 +314,9 @@ class TestSplitCells:
 class TestSerialization:
     def test_roundtrip(self, tiny_tensor, tmp_path):
         modes = (("g1", "g2", "g3"), ("d1", "d2"), ("outcome", "rare_disease", "gene_burden", "gwas"))
-        tsv, meta = tmp_path / "tensor.tsv", tmp_path / "tensor.meta.json"
-        save_tensor(tiny_tensor, modes, tsv, meta)
-        assert tsv.read_text().splitlines()[0] == "i\tj\tk\tvalue"
-        loaded, loaded_modes = load_tensor(tsv, meta)
+        save_tensor(tiny_tensor, modes, tmp_path)
+        assert (tmp_path / "tensor.tsv").read_text().splitlines()[0] == "i\tj\tk\tvalue"
+        loaded, loaded_modes = load_tensor(tmp_path)
         assert loaded.dims == tiny_tensor.dims
         assert np.array_equal(loaded.coords, tiny_tensor.coords)
         assert np.array_equal(loaded.values, tiny_tensor.values)
@@ -340,18 +326,26 @@ class TestSerialization:
     def test_size_mismatch_rejected(self, tiny_tensor, tmp_path):
         modes = (("g1",), ("d1", "d2"), ("a", "b", "c", "d"))
         with pytest.raises(DataError):
-            save_tensor(tiny_tensor, modes, tmp_path / "t.tsv", tmp_path / "t.meta.json")
+            save_tensor(tiny_tensor, modes, tmp_path)
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("missing", ["tensor.tsv", "tensor.meta.json"])
+    def test_missing_file_is_data_error_naming_it(self, tiny_tensor, tmp_path, missing):
+        modes = (("g1", "g2", "g3"), ("d1", "d2"), ("outcome", "rare_disease", "gene_burden", "gwas"))
+        save_tensor(tiny_tensor, modes, tmp_path)
+        (tmp_path / missing).unlink()
+        with pytest.raises(DataError, match=re.escape(f"cannot read {tmp_path / missing}: ")):
+            load_tensor(tmp_path)
 
     @pytest.mark.parametrize("empty", [False, True])
     def test_tsv_bytes_match_per_field_writer(self, tmp_path, empty):
         tensor = SparseTensor.empty((3, 2, 4)) if empty else tensor_from_entries((3, 2, 4), FIXTURE_ENTRIES)
-        save_tensor(tensor, FIXTURE_NAMES, tmp_path / "tensor.tsv", tmp_path / "tensor.meta.json")
+        save_tensor(tensor, FIXTURE_NAMES, tmp_path)
         assert (tmp_path / "tensor.tsv").read_bytes() == _reference_tsv_text(tensor).encode()
 
     def test_tsv_rows_in_coordinate_order(self, tmp_path):
         shuffled = [FIXTURE_ENTRIES[n] for n in np.random.default_rng(3).permutation(len(FIXTURE_ENTRIES))]
-        save_tensor(tensor_from_entries((3, 2, 4), shuffled), FIXTURE_NAMES,
-                    tmp_path / "tensor.tsv", tmp_path / "tensor.meta.json")
+        save_tensor(tensor_from_entries((3, 2, 4), shuffled), FIXTURE_NAMES, tmp_path)
         rows = [tuple(map(int, line.split("\t")[:3])) for line in (tmp_path / "tensor.tsv").read_text().splitlines()[1:]]
         assert rows == sorted((i, j, k) for i, j, k, _ in FIXTURE_ENTRIES)
 
@@ -361,7 +355,7 @@ class TestSerialization:
         (tmp_path / "tensor.meta.json").write_text(json.dumps(meta))
         (tmp_path / "tensor.tsv").write_text("i\tj\tk\tvalue\n0\t0\t0\t1\n")
         with pytest.raises(DataError, match=rf"'dims\[0\]' must be an integer, got {type_name} "):
-            load_tensor(tmp_path / "tensor.tsv", tmp_path / "tensor.meta.json")
+            load_tensor(tmp_path)
 
 
 FIXTURE_NAMES = (("G1", "G2", "G3"), ("D1", "D2"), ("o", "a", "b", "c"))
@@ -375,14 +369,15 @@ def _reference_tsv_text(tensor):
     return "".join(lines)
 
 
-def _reference_load_tensor(tsv_path, meta_path):
-    """A line loop over tensor.tsv by the TSV reader's rules.
+def _reference_load_tensor(directory):
+    """A line loop over a directory's tensor.tsv by the TSV reader's rules.
 
     Each kind of fault is looked for over the whole file, in the reader's
     order and then load_tensor's: missing columns, field counts, each
     column's numbers, coordinates out of range, non-finite values, values
     outside [0, 1] and repeated cells.
     """
+    tsv_path, meta_path = directory / "tensor.tsv", directory / "tensor.meta.json"
     dims, modes = _meta_indices(read_json(meta_path), meta_path)
     with read_text(tsv_path, newline="") as handle:
         lines = handle.read().replace("\r\n", "\n").split("\n")
@@ -428,7 +423,7 @@ def _reference_load_tensor(tsv_path, meta_path):
 def _load_outcome(load, directory):
     """What a loader makes of a tensor directory: its arrays, bit for bit, or its error message."""
     try:
-        tensor, modes = load(directory / "tensor.tsv", directory / "tensor.meta.json")
+        tensor, modes = load(directory)
     except DataError as exc:
         return str(exc)
     return tensor.dims, tensor.coords.tolist(), tensor.values.view(np.int64).tolist(), list(modes)
@@ -444,7 +439,7 @@ def _assert_loads_like_line_loop(directory):
 def tensor_texts(tmp_path_factory):
     directory = tmp_path_factory.mktemp("tensor")
     tensor = tensor_from_entries((3, 2, 4), FIXTURE_ENTRIES)
-    save_tensor(tensor, FIXTURE_NAMES, directory / "tensor.tsv", directory / "tensor.meta.json")
+    save_tensor(tensor, FIXTURE_NAMES, directory)
     return {path.name: path.read_text() for path in directory.iterdir()}
 
 
@@ -498,7 +493,7 @@ class TestLoadTensorFuzz:
         (tmp_path / "tensor.tsv").write_text("\n".join(lines), encoding="utf-8")
         (tmp_path / "tensor.meta.json").write_text(tensor_texts["tensor.meta.json"], encoding="utf-8")
         with pytest.raises(DataError) as caught:
-            load_tensor(tmp_path / "tensor.tsv", tmp_path / "tensor.meta.json")
+            load_tensor(tmp_path)
         assert str(caught.value) == f"{tmp_path / 'tensor.tsv'}:{line}: {message}"
         _assert_loads_like_line_loop(tmp_path)
 
@@ -507,7 +502,7 @@ class TestLoadTensorFuzz:
         swapped = ["\t".join(line.split("\t")[::-1] + ["note"]) for line in lines]
         (tmp_path / "tensor.tsv").write_text("\r\n\r\n".join(swapped) + "\r\n", encoding="utf-8")
         (tmp_path / "tensor.meta.json").write_text(tensor_texts["tensor.meta.json"], encoding="utf-8")
-        tensor, _ = load_tensor(tmp_path / "tensor.tsv", tmp_path / "tensor.meta.json")
+        tensor, _ = load_tensor(tmp_path)
         assert np.array_equal(tensor.coords, tensor_from_entries((3, 2, 4), FIXTURE_ENTRIES).coords)
         _assert_loads_like_line_loop(tmp_path)
 
@@ -518,8 +513,7 @@ class TestLoadTensorFuzz:
         tensor = SparseTensor(
             (n, 1, 2), np.column_stack([np.arange(n), np.zeros(n), np.arange(n) % 2]), np.arange(n) % 3 / 2
         )
-        save_tensor(tensor, [[f"t{i}" for i in range(n)], ["d"], ["o", "e"]],
-                    tmp_path / "tensor.tsv", tmp_path / "tensor.meta.json")
+        save_tensor(tensor, [[f"t{i}" for i in range(n)], ["d"], ["o", "e"]], tmp_path)
         if bad_line is not None:
             lines = (tmp_path / "tensor.tsv").read_text().split("\n")
             lines[bad_line - 1] = f"{n}\t0\t0\t1"
