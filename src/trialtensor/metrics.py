@@ -212,19 +212,18 @@ def repeated_eval(
     chains = [(model, int(seed)) for model in range(len(models)) for seed in seeds]
     aurocs, f1s = np.empty(len(chains)), np.empty(len(chains))
     for batch in _batches([model_tensors[model].dims for model, _ in chains], n_latent):
-        trains, held = [], []
-        for index in batch:
-            model, seed = chains[index]
-            model_tensor = model_tensors[model]
-            rows = split_cells(model_tensor, layer=0, heldout_fraction=heldout_fraction, seed=seed)
-            coords, values = model_tensor.coords, model_tensor.values
-            trains.append(SparseTensor(model_tensor.dims, np.delete(coords, rows, axis=0), np.delete(values, rows)))
-            held.append((coords[rows], values[rows]))
-        state = init_chains([train.dims for train in trains], n_latent, [chains[i][1] for i in batch], alpha=alpha)
-        for index, samples, (heldout, labels) in zip(batch, run(state, trains, schedule), held):
-            scores = predict_slice(samples, 0)[heldout[:, 0], heldout[:, 1]]  # layer-0 cells only
-            aurocs[index] = auroc(scores, labels)
-            f1s[index] = f1(scores, labels, threshold)
+        fulls = [model_tensors[chains[i][0]] for i in batch]  # each chain's model tensor
+        held = [split_cells(full, 0, heldout_fraction, chains[i][1]) for full, i in zip(fulls, batch)]  # entry rows
+        state = init_chains([full.dims for full in fulls], n_latent, [chains[i][1] for i in batch], alpha=alpha)
+        # Built in the call, so that while the batch samples its union is the only copy of the training cells.
+        chain_samples = run(state, [
+            SparseTensor(full.dims, np.delete(full.coords, rows, axis=0), np.delete(full.values, rows))
+            for full, rows in zip(fulls, held)
+        ], schedule)
+        for index, samples, full, rows in zip(batch, chain_samples, fulls, held):
+            scores = predict_slice(samples, 0)[full.coords[rows, 0], full.coords[rows, 1]]  # layer-0 cells only
+            aurocs[index] = auroc(scores, full.values[rows])
+            f1s[index] = f1(scores, full.values[rows], threshold)
     return aurocs.reshape(len(models), len(seeds)), f1s.reshape(len(models), len(seeds))
 
 

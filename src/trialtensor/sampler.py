@@ -28,11 +28,12 @@ chain-major, each chain's random streams, and the row offsets that address
 each chain's rows. Each sweep draws each mode once for every chain. Given
 the other two modes, the latent rows of a mode are independent, so each
 mode is redrawn by one stacked Cholesky factorization and one forward and
-back substitution over the rows of all chains. The
-per-row Grams and right-hand sides come from the other modes' latent
-products, scaled by ``sqrt(alpha)``, one stacked product per run of entities
-with equal cell counts across the union, written in that count-run order;
-each row's chain prior is added through a chain index, and the drawn rows
+back substitution over the rows of all chains. Each row's Gram and
+right-hand side are one ``(D + 1, D)`` product ``[q | y]' q`` of its cells'
+other-mode latent products ``q`` and values ``y``, both scaled by
+``sqrt(alpha)``, stacked per run of equal-count entities across the union
+in that count-run order, and no gather outgrows a fixed block of cells.
+Each row's chain prior is added through a chain index, and the drawn rows
 return to entity order once. The hyperparameter draw keeps only each
 chain's random draws and scatter product in a per-chain loop; the means,
 posterior inverse scales, Bartlett factors, factorizations, products and
@@ -71,8 +72,8 @@ _JITTER_REL = 1e-6
 # Strength beta0 with which the Gaussian-Wishart prior's zero mean ties down each mode's mean.
 _BETA0 = 2.0
 # Largest block of other-mode products ``q`` gathered at once, in doubles:
-# 256 KiB, so 1024 cells at D=32 or 4096 at D=8 (two such buffers). A
-# single larger entity is one block.
+# 256 KiB, so 1024 cells at D=32 or 4096 at D=8 (two such buffers, each with
+# one more column, for ``y``). A larger entity is gathered in chunks of that many cells.
 _BLOCK_DOUBLES = 2**15
 
 
@@ -251,8 +252,9 @@ def sample_mode_hyperparams(
     ``mu_n + L B'^-1 z / sqrt(beta_n)``, has covariance
     ``(A A')^-1 / beta_n = (beta_n * Lambda)^-1`` with no second
     factorization.
-    Only each chain's scatter product and its draws (Bartlett diagonal, its
-    lower triangle, then the mean's normals ``z``) are taken chain by chain;
+    Only each chain's scatter product and its two draws (the Bartlett
+    diagonal's chi-squares, then one normal block holding the Bartlett lower
+    triangle and the mean's ``z``) are taken chain by chain;
     the means, inverse scales, Bartlett factors, factorizations, inverses,
     Wishart products and triangular solves are stacked over chains.
     Returns the prior ``(means, precisions)`` for :func:`sample_mode_latents`,
@@ -265,15 +267,13 @@ def sample_mode_hyperparams(
     xbar = np.add.reduceat(latents, bounds[:-1], axis=0) / counts[:, None]
     centered = latents - np.repeat(xbar, counts, axis=0)
     chi_dof = (dim + counts)[:, None] - np.arange(dim)
-    scatter = np.empty((len(counts), dim, dim))
-    chi = np.empty((len(counts), dim))
-    normals = np.empty((len(counts), len(_strict_lower(dim)[0])))
-    z = np.empty((len(counts), dim))
+    scatter, chi = np.empty((len(counts), dim, dim)), np.empty((len(counts), dim))
+    n_lower = len(_strict_lower(dim)[0])
+    normals = np.empty((len(counts), n_lower + dim))  # the Bartlett lower triangle, then z
     for chain, (rng, lo, hi) in enumerate(zip(rngs, bounds[:-1].tolist(), bounds[1:].tolist(), strict=True)):
         np.matmul(centered[lo:hi].T, centered[lo:hi], out=scatter[chain])
         chi[chain] = rng.chisquare(chi_dof[chain])
         rng.standard_normal(out=normals[chain])
-        rng.standard_normal(out=z[chain])
     beta_post = _BETA0 + counts
     scale_inv = np.eye(dim) + scatter + (_BETA0 * counts / beta_post)[:, None, None] * (
         xbar[:, :, None] * xbar[:, None, :]
@@ -281,11 +281,11 @@ def sample_mode_hyperparams(
     scale_inv = (scale_inv + scale_inv.transpose(0, 2, 1)) / 2.0
     # With scale_inv = L L', Lambda = A A' for A = L'^-1 B.
     inv_lower = _cholesky(scale_inv, "posterior inverse scale")
-    bartlett = _bartlett(chi, normals)
+    bartlett = _bartlett(chi, normals[:, :n_lower])
     factor = np.linalg.inv(inv_lower).transpose(0, 2, 1) @ bartlett
     precision = factor @ factor.transpose(0, 2, 1)
     precision = (precision + precision.transpose(0, 2, 1)) / 2.0
-    shift = inv_lower @ np.linalg.solve(bartlett.transpose(0, 2, 1), z[..., None])
+    shift = inv_lower @ np.linalg.solve(bartlett.transpose(0, 2, 1), normals[:, n_lower:, None])
     mean = counts[:, None] * xbar / beta_post[:, None] + shift[..., 0] / np.sqrt(beta_post)[:, None]
     return mean, precision
 
@@ -296,55 +296,60 @@ def _row_posteriors(
     """Every row's posterior precision ``P + alpha q'q`` and right-hand side ``P m + alpha q'y``, in count-run order.
 
     ``runs`` is the mode's :meth:`SparseTensor.count_runs` layout, so row
-    ``r`` of each result belongs to entity ``runs.entities[r]``. ``q`` is
-    gathered with the first other mode's rows scaled by ``sqrt(alpha)``, and
-    ``y`` scaled by it too, for a block of whole entities at a time, at most
-    ``_BLOCK_DOUBLES`` values unless one entity alone needs more. Each
-    stretch of equal-count entities in a block is one stacked ``(m, c, D)``
-    product written straight into its rows; then each row of the block gets
-    its chain's ``(P, P m)`` from ``prior = (means, precisions)``, taken
-    through the row's chain index.
-    Each entity's cells are summed in the same order whatever the block, so
-    its rows do not depend on the blocks. The block buffers are freed on
-    return, before the caller factors the precisions.
+    ``r`` of each result belongs to entity ``runs.entities[r]``. Each cell
+    is gathered as a row ``[q | y]``, both scaled by ``sqrt(alpha)``, in
+    blocks of whole entities of at most ``_BLOCK_DOUBLES // D`` cells; each
+    stretch of equal-count entities in a block is one stacked product
+    ``[q | y]' q`` written into its rows' ``(D + 1, D)`` systems, the Gram
+    above the right-hand side. An entity over the budget is gathered in
+    budget-sized chunks from its first cell, their products summed in
+    order, so no row depends on the blocks or the other chains. Each row
+    then gets its chain's ``(P, P m)`` from ``prior = (means, precisions)``
+    through its chain index. Returns two views of the systems.
     """
     root_alpha = np.sqrt(state.alpha)
     other_a, other_b = OTHER_MODES[mode]
-    lat_a, lat_b = state.latents[other_a] * root_alpha, state.latents[other_b]
     n_entities, n_latent = state.latents[mode].shape
+    # The other modes' rows with a zero spare column, which each gathered block fills with y.
+    lat_a, lat_b = (np.zeros((state.dims[other], n_latent + 1)) for other in (other_a, other_b))
+    np.multiply(state.latents[other_a], root_alpha, out=lat_a[:, :n_latent])
+    lat_b[:, :n_latent] = state.latents[other_b]
     means, precisions = prior
     prior_rhs = np.matmul(precisions, means[..., None])[..., 0]
     chain = np.searchsorted(state.offsets[:, mode], runs.entities, side="right") - 1
-    grams = np.empty((n_entities, n_latent, n_latent))
-    rhs = np.empty((n_entities, n_latent))
+    systems = np.empty((n_entities, n_latent + 1, n_latent))
+    grams, rhs = systems[:, :n_latent], systems[:, n_latent]
     budget = max(1, _BLOCK_DOUBLES // n_latent)  # cells per block
-    offsets = runs.offsets.tolist()
-    starts = runs.starts.tolist()
-    # Blocks reuse their buffers, as a fresh large array per block costs page
-    # faults. The caller's dims check keeps every index in range, so "clip"
-    # never clips; it only spares numpy's buffered bounds check.
-    block_cells = min(offsets[-1], max(budget, offsets[-1] - offsets[-2]))
-    q_buffer, b_buffer = np.empty((2, block_cells, n_latent))
-    y_buffer = np.empty(block_cells)
+    offsets, starts = runs.offsets.tolist(), runs.starts.tolist()
+    # Blocks reuse two buffers: a fresh large array per block costs page faults. The caller's
+    # dims check keeps every index in range, so "clip" never clips; it spares a buffered check.
+    qy_buffer, b_buffer = np.empty((2, min(budget, offsets[-1]), n_latent + 1))
+
+    def gather(lo: int, hi: int) -> np.ndarray:
+        # The rows [q | sqrt(alpha) y] of cells lo:hi.
+        qy = np.take(lat_a, runs.index_a[lo:hi], axis=0, out=qy_buffer[: hi - lo], mode="clip")
+        qy *= np.take(lat_b, runs.index_b[lo:hi], axis=0, out=b_buffer[: hi - lo], mode="clip")
+        np.multiply(runs.values[lo:hi], root_alpha, out=qy[:, n_latent])
+        return qy
+
     first = 0
     while first < n_entities:
-        # A block: the most whole entities within budget, at least one.
+        # A block: the most whole entities within budget, or one entity over it.
         base = offsets[first]
         end = max(first + 1, bisect.bisect_right(offsets, base + budget) - 1)
-        cells = slice(base, offsets[end])
-        size = cells.stop - base
-        q_block = np.take(lat_a, runs.index_a[cells], axis=0, out=q_buffer[:size], mode="clip")
-        q_block *= np.take(lat_b, runs.index_b[cells], axis=0, out=b_buffer[:size], mode="clip")
-        y_block = np.multiply(runs.values[cells], root_alpha, out=y_buffer[:size])
-        # One stacked product per stretch of equal-count entities in the block.
-        cuts = starts[bisect.bisect_right(starts, first) : bisect.bisect_left(starts, end)]
-        for lo, hi in zip([first, *cuts], [*cuts, end]):
-            piece = slice(offsets[lo] - base, offsets[hi] - base)
-            count = (offsets[hi] - offsets[lo]) // (hi - lo)
-            q = q_block[piece].reshape(hi - lo, count, n_latent)
-            q_t = q.transpose(0, 2, 1)
-            np.matmul(q_t, q, out=grams[lo:hi])
-            np.matmul(q_t, y_block[piece].reshape(hi - lo, count, 1), out=rhs[lo:hi].reshape(hi - lo, n_latent, 1))
+        if offsets[end] - base > budget:
+            systems[first] = 0.0
+            for lo in range(base, offsets[end], budget):
+                qy = gather(lo, min(lo + budget, offsets[end]))
+                systems[first] += np.matmul(qy.T, qy[:, :n_latent])
+        else:
+            qy_block = gather(base, offsets[end])
+            # One stacked product per stretch of equal-count entities in the block.
+            cuts = starts[bisect.bisect_right(starts, first) : bisect.bisect_left(starts, end)]
+            for lo, hi in zip([first, *cuts], [*cuts, end]):
+                count = (offsets[hi] - offsets[lo]) // (hi - lo)  # not -1: a stretch may hold no cells
+                qy = qy_block[offsets[lo] - base : offsets[hi] - base].reshape(hi - lo, count, n_latent + 1)
+                np.matmul(qy.transpose(0, 2, 1), qy[..., :n_latent], out=systems[lo:hi])
         grams[first:end] += precisions[chain[first:end]]
         rhs[first:end] += prior_rhs[chain[first:end]]
         first = end
@@ -364,14 +369,13 @@ def sample_mode_latents(
     against ``P m + alpha * sum(y q)``, where ``q`` is the elementwise
     product of the other two modes' rows at an observed cell with value
     ``y`` and ``(m, P)`` is the chain's prior. :func:`_row_posteriors`
-    builds every row's precision and right-hand side of the union at once,
-    in count-run order, with no Python loop per entity. Each chain draws its
-    standard-normal block ``z`` for its contiguous rows from its
-    (sweep, mode) stream. For all rows at once the posterior precisions
-    ``L L'`` are factored and ``x = L'^-1 (L^-1 b + z)`` is solved by
-    substitution in :func:`_solve_draw`; the rows then return to entity
-    order. An entity with no cells has a zero Gram, so its row is drawn from
-    its chain's prior. Dims unlike ``tensor``'s raise :class:`DataError` first.
+    builds every row's system of the union in count-run order, and each chain draws
+    the standard normals ``z`` of its rows from its (sweep, mode) stream.
+    For all rows at once the precisions ``L L'`` are factored and
+    ``x = L'^-1 (L^-1 b + z)`` is solved in :func:`_solve_draw`; the rows
+    then return to entity order. An entity with no cells has a zero Gram,
+    so its row is drawn from its chain's prior. Dims unlike ``tensor``'s
+    raise :class:`DataError` first.
     """
     if state.dims != tensor.dims:
         raise DataError(f"state dims {state.dims} do not match tensor dims {tensor.dims}")
@@ -424,6 +428,7 @@ def run(
     if chain_dims != [tensor.dims for tensor in tensors]:
         raise DataError(f"chain dims {chain_dims} do not match tensor dims {[t.dims for t in tensors]}")
     tensor = block_union(tensors)
+    del tensors  # the union holds the cells; a caller that built the list in the call frees the tensors now
     for _ in range(schedule.burnin):
         gibbs_step(state, tensor)
     retained = []

@@ -1,5 +1,6 @@
 import itertools
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from trialtensor import (
     summarize,
     synthetic_modes,
 )
-from trialtensor import metrics
+from trialtensor import metrics, sampler
 from trialtensor.cli import main
 from trialtensor.metrics import _exact_two_sided_p, _midranks, _normal_two_sided_p, bonferroni
 
@@ -424,6 +425,26 @@ class TestRepeatedEval:
             assert train.dims == model_tensor.dims
             assert np.array_equal(train.coords, model_tensor.coords[kept])
             assert np.array_equal(train.values, model_tensor.values[kept])
+
+    def test_batch_keeps_no_training_tensor_while_it_samples(self, coupled_tensor, monkeypatch):
+        # The union that run samples holds the batch's cells; every per-chain
+        # training tensor must be gone by the first sweep.
+        refs, alive = [], []
+        real_union, real_step = sampler.block_union, sampler.gibbs_step
+
+        def union(tensors):
+            refs.extend(weakref.ref(train.coords) for train in tensors)
+            return real_union(tensors)
+
+        def step(state, tensor):
+            alive.append(sum(ref() is not None for ref in refs))
+            return real_step(state, tensor)
+
+        monkeypatch.setattr(sampler, "block_union", union)
+        monkeypatch.setattr(sampler, "gibbs_step", step)
+        repeated_eval(coupled_tensor, [(0, 1, 2), (0, 2)], [5, 6], 4, 30.0, SamplerSchedule(1, 2, 1), 0.2, 0.5)
+        assert len(refs) == 4
+        assert alive == [0, 0, 0]
 
     def test_needs_two_repeats(self, coupled_tensor):
         with pytest.raises(DataError):

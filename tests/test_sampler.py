@@ -2,6 +2,7 @@ import copy
 import json
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +217,33 @@ class TestModeHyperparams:
         assert np.max(np.abs(precisions[0] - precision)) <= 1e-12
         assert np.max(np.abs(means[0] - mean)) <= 1e-12
 
+    @pytest.mark.parametrize("dim", [1, 2, 8])
+    def test_one_normal_draw_equals_two(self, dim):
+        # Each chain draws its Bartlett lower triangle and z in one call: the
+        # same numbers as two calls from the same stream, triangle first.
+        n_lower = dim * (dim - 1) // 2
+
+        class TwoCalls:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def chisquare(self, dof):
+                return self.rng.chisquare(dof)
+
+            def standard_normal(self, out):
+                out[:n_lower] = self.rng.standard_normal(n_lower)
+                out[n_lower:] = self.rng.standard_normal(len(out) - n_lower)
+
+        latents = _rng(dim).standard_normal((9, dim))
+        bounds = np.array([0, 4, 9])
+
+        def streams():
+            return [StreamTree(seed).stream(0, ROLE_HYPER, 0) for seed in (3, 4)]
+
+        got = sample_mode_hyperparams(latents, bounds, streams())
+        two = sample_mode_hyperparams(latents, bounds, [TwoCalls(rng) for rng in streams()])
+        assert all(np.array_equal(a, b) for a, b in zip(got, two, strict=True))
+
     def test_nan_row_is_numerical_error(self):
         rows = np.array([[0.5, np.nan], [0.1, 0.2], [-0.3, 0.4]])
         with pytest.raises(NumericalError, match="posterior inverse scale has a non-finite Cholesky factor"):
@@ -390,11 +418,14 @@ def substitution_draw(lower, rhs, z):
 
 
 def mode_latents_loop_reference(state, tensor, mode, prior):
-    """``sample_mode_latents`` one entity at a time, in entity order, with one gather per entity.
+    """``sample_mode_latents`` one entity at a time, in entity order, with one product per entity.
 
-    Same arithmetic as the blocked update: ``q`` and ``y`` scaled by
-    ``sqrt(alpha)``, the prior of the chain that the entity's index falls
-    in, then substitution row by row.
+    Same arithmetic as the blocked update: each cell is a row
+    ``[q | sqrt(alpha) y]`` with ``q`` scaled by ``sqrt(alpha)``, and the
+    entity's Gram and right-hand side are the ``(D + 1, D)`` product
+    ``[q | y]' q``, summed over chunks of ``_BLOCK_DOUBLES // D`` cells
+    from its first cell when it has more; then the prior of the chain that
+    the entity's index falls in, and substitution row by row.
     """
     other_a, other_b = _OTHER_MODES[mode]
     coords, values = tensor.coords, tensor.values
@@ -404,14 +435,22 @@ def mode_latents_loop_reference(state, tensor, mode, prior):
     lat_a, lat_b = state.latents[other_a] * root_alpha, state.latents[other_b]
     (means, precisions), bounds = prior, state.offsets[:, mode]
     n_entities, n_latent = state.latents[mode].shape
+    budget = max(1, sampler._BLOCK_DOUBLES // n_latent)
     grams = np.empty((n_entities, n_latent, n_latent))
     rhs = np.empty((n_entities, n_latent))
     for entity in range(n_entities):
         rows = order[offsets[entity] : offsets[entity + 1]]
         q_rows = lat_a[coords[rows, other_a]] * lat_b[coords[rows, other_b]]
+        qy = np.column_stack([q_rows, values[rows] * root_alpha])
+        if len(rows) <= budget:
+            system = qy.T @ qy[:, :n_latent]
+        else:
+            system = np.zeros((n_latent + 1, n_latent))
+            for lo in range(0, len(rows), budget):
+                system += qy[lo : lo + budget].T @ qy[lo : lo + budget, :n_latent]
         chain = np.searchsorted(bounds, entity, side="right") - 1
-        grams[entity] = q_rows.T @ q_rows + precisions[chain]
-        rhs[entity] = q_rows.T @ (values[rows] * root_alpha) + precisions[chain] @ means[chain]
+        grams[entity] = system[:n_latent] + precisions[chain]
+        rhs[entity] = system[n_latent] + precisions[chain] @ means[chain]
     lower = sampler._cholesky(grams, "row posterior precision")
     z = mode_normals(state, mode)
     return np.array([substitution_draw(lower[entity], rhs[entity], z[entity]) for entity in range(n_entities)])
@@ -544,6 +583,31 @@ class TestModeLatents:
         tensor = _tensor_with_cell_counts(self._RUN_COUNTS, (13, 5, 4), seed=17)
         _assert_batched_matches_per_row(tensor, n_latent=20, seed=18)
 
+    def test_gather_bounded_by_block_budget(self):
+        # The single layer entity holds 20 budgets' cells at D = 4. It is
+        # gathered in budget-sized chunks, so building its system holds a few
+        # budgets of doubles, not its 20 budgets of q.
+        n_latent = 4
+        dims = (512, 320, 1)
+        assert dims[0] * dims[1] == 20 * sampler._BLOCK_DOUBLES // n_latent
+        coords = np.stack(np.unravel_index(np.arange(dims[0] * dims[1]), dims), axis=1)
+        tensor = SparseTensor(dims, coords, _rng(21).uniform(size=len(coords)))
+        state = _make_state(tensor, n_latent=n_latent, seed=22)
+        runs, prior = tensor.count_runs(2), drawn_prior(state, 2)
+        tracemalloc.start()
+        try:
+            grams, rhs = sampler._row_posteriors(state, runs, 2, prior)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * sampler._BLOCK_DOUBLES * 8
+        q_rows, values = fiber_cells(state, tensor, 2, 0)
+        means, precisions = prior
+        expected_gram = precisions[0] + state.alpha * q_rows.T @ q_rows
+        expected_rhs = precisions[0] @ means[0] + state.alpha * q_rows.T @ values
+        assert np.max(np.abs(grams[0] - expected_gram)) <= 1e-12 * np.max(np.abs(expected_gram))
+        assert np.max(np.abs(rhs[0] - expected_rhs)) <= 1e-12 * np.max(np.abs(expected_rhs))
+
     def test_singular_row_precision_rescued_by_jitter(self):
         # With a zero prior precision, target 0's single cell gives the
         # rank-1 precision alpha * q q' with q = (1, 2): exactly singular.
@@ -670,6 +734,10 @@ class TestGibbsStep:
             gibbs_step(state_c, tiny_tensor)
         for mat_b, mat_c in zip(state_b.latents, state_c.latents):
             assert np.array_equal(mat_b, mat_c)
+
+    def test_empty_tensor_draws_every_row_from_its_prior(self):
+        # No entity holds a cell, so every row's system is its chain prior alone.
+        _assert_batched_matches_per_row(SparseTensor.empty((3, 2, 2)), n_latent=3, seed=23)
 
     def test_dims_mismatch(self, tiny_tensor):
         # The first mode's update refuses before any row changes: the sweep leaves the state as it was.
