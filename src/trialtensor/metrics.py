@@ -212,14 +212,14 @@ def repeated_eval(
     chains = [(model, int(seed)) for model in range(len(models)) for seed in seeds]
     aurocs, f1s = np.empty(len(chains)), np.empty(len(chains))
     for batch in _batches([model_tensors[model].dims for model, _ in chains], n_latent):
-        fulls = [model_tensors[chains[i][0]] for i in batch]  # each chain's model tensor
-        held = [split_cells(full, 0, heldout_fraction, chains[i][1]) for full, i in zip(fulls, batch)]  # entry rows
+        fulls = [model_tensors[chains[i][0]] for i in batch]
+        held = [split_cells(full, 0, heldout_fraction, chains[i][1]) for full, i in zip(fulls, batch)]
         state = init_chains([full.dims for full in fulls], n_latent, [chains[i][1] for i in batch], alpha=alpha)
-        # Built in the call, so that while the batch samples its union is the only copy of the training cells.
-        chain_samples = run(state, [
+        # A generator keeps no tensor it has yielded, so the union run builds is the only copy of the cells.
+        chain_samples = run(state, (
             SparseTensor(full.dims, np.delete(full.coords, rows, axis=0), np.delete(full.values, rows))
             for full, rows in zip(fulls, held)
-        ], schedule)
+        ), schedule)
         for index, samples, full, rows in zip(batch, chain_samples, fulls, held):
             scores = predict_slice(samples, 0)[full.coords[rows, 0], full.coords[rows, 1]]  # layer-0 cells only
             aurocs[index] = auroc(scores, full.values[rows])

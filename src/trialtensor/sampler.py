@@ -59,7 +59,7 @@ import bisect
 import functools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -310,10 +310,9 @@ def _row_posteriors(
     root_alpha = np.sqrt(state.alpha)
     other_a, other_b = OTHER_MODES[mode]
     n_entities, n_latent = state.latents[mode].shape
-    # The other modes' rows with a zero spare column, which each gathered block fills with y.
-    lat_a, lat_b = (np.zeros((state.dims[other], n_latent + 1)) for other in (other_a, other_b))
+    # The first other mode's rows with a spare column, which each gathered block fills with y.
+    lat_a, lat_b = np.empty((state.dims[other_a], n_latent + 1)), state.latents[other_b]
     np.multiply(state.latents[other_a], root_alpha, out=lat_a[:, :n_latent])
-    lat_b[:, :n_latent] = state.latents[other_b]
     means, precisions = prior
     prior_rhs = np.matmul(precisions, means[..., None])[..., 0]
     chain = np.searchsorted(state.offsets[:, mode], runs.entities, side="right") - 1
@@ -323,12 +322,13 @@ def _row_posteriors(
     offsets, starts = runs.offsets.tolist(), runs.starts.tolist()
     # Blocks reuse two buffers: a fresh large array per block costs page faults. The caller's
     # dims check keeps every index in range, so "clip" never clips; it spares a buffered check.
-    qy_buffer, b_buffer = np.empty((2, min(budget, offsets[-1]), n_latent + 1))
+    qy_buffer = np.empty((min(budget, offsets[-1]), n_latent + 1))
+    b_buffer = np.empty((len(qy_buffer), n_latent))
 
     def gather(lo: int, hi: int) -> np.ndarray:
         # The rows [q | sqrt(alpha) y] of cells lo:hi.
         qy = np.take(lat_a, runs.index_a[lo:hi], axis=0, out=qy_buffer[: hi - lo], mode="clip")
-        qy *= np.take(lat_b, runs.index_b[lo:hi], axis=0, out=b_buffer[: hi - lo], mode="clip")
+        qy[:, :n_latent] *= np.take(lat_b, runs.index_b[lo:hi], axis=0, out=b_buffer[: hi - lo], mode="clip")
         np.multiply(runs.values[lo:hi], root_alpha, out=qy[:, n_latent])
         return qy
 
@@ -338,10 +338,8 @@ def _row_posteriors(
         base = offsets[first]
         end = max(first + 1, bisect.bisect_right(offsets, base + budget) - 1)
         if offsets[end] - base > budget:
-            systems[first] = 0.0
-            for lo in range(base, offsets[end], budget):
-                qy = gather(lo, min(lo + budget, offsets[end]))
-                systems[first] += np.matmul(qy.T, qy[:, :n_latent])
+            chunks = (gather(lo, min(lo + budget, offsets[end])) for lo in range(base, offsets[end], budget))
+            systems[first] = sum(np.matmul(qy.T, qy[:, :n_latent]) for qy in chunks)
         else:
             qy_block = gather(base, offsets[end])
             # One stacked product per stretch of equal-count entities in the block.
@@ -412,11 +410,11 @@ Sample = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def run(
-    state: ModelState, tensors: Sequence[SparseTensor], schedule: SamplerSchedule
+    state: ModelState, tensors: Iterable[SparseTensor], schedule: SamplerSchedule
 ) -> list[list[Sample]]:
     """Burn in, then sample every chain in lock-step, retaining every ``thin``-th post-burn-in sweep.
 
-    ``tensors[c]`` is chain ``c``'s training tensor. Sweeps are numbered
+    The ``c``-th of ``tensors`` is chain ``c``'s training tensor. Sweeps are numbered
     1-based after burn-in and a sweep is retained when its number is an
     exact multiple of ``thin``, so the retained count is
     ``schedule.retained == samples // thin``. Returns, per chain, its
@@ -424,11 +422,12 @@ def run(
     arrays a run of that chain alone returns; :func:`gibbs_step` assigns
     fresh arrays, so later sweeps never alter a retained triple.
     """
+    tensors = list(tensors)
     chain_dims = [tuple(dims) for dims in np.diff(state.offsets, axis=0).tolist()]
     if chain_dims != [tensor.dims for tensor in tensors]:
         raise DataError(f"chain dims {chain_dims} do not match tensor dims {[t.dims for t in tensors]}")
     tensor = block_union(tensors)
-    del tensors  # the union holds the cells; a caller that built the list in the call frees the tensors now
+    del tensors  # the union holds the cells; tensors a caller passed as a generator are freed now
     for _ in range(schedule.burnin):
         gibbs_step(state, tensor)
     retained = []

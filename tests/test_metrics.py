@@ -409,11 +409,10 @@ class TestRepeatedEval:
             repeated_eval(coupled_tensor, [(0, 1), layers], [1, 2], 4, 30.0, SamplerSchedule(1, 2, 1), 0.2, 0.5)
 
     def test_chain_trains_on_model_tensor_without_heldout_rows(self, coupled_tensor, monkeypatch):
+        # run takes the chains' tensors as an iterable; block_union gets them as a list.
         trained = []
-        real_run = metrics.run
-        monkeypatch.setattr(metrics, "run", lambda state, tensors, schedule: (
-            trained.extend(tensors) or real_run(state, tensors, schedule)
-        ))
+        real_union = sampler.block_union
+        monkeypatch.setattr(sampler, "block_union", lambda tensors: trained.extend(tensors) or real_union(tensors))
         models, seeds = [(0, 1, 2), (0, 2)], [5, 6]
         repeated_eval(coupled_tensor, models, seeds, 4, 30.0, SamplerSchedule(1, 2, 1), 0.2, 0.5)
         chains = [(layers, seed) for layers in models for seed in seeds]
@@ -428,9 +427,10 @@ class TestRepeatedEval:
 
     def test_batch_keeps_no_training_tensor_while_it_samples(self, coupled_tensor, monkeypatch):
         # The union that run samples holds the batch's cells; every per-chain
-        # training tensor must be gone by the first sweep.
-        refs, alive = [], []
-        real_union, real_step = sampler.block_union, sampler.gibbs_step
+        # training tensor must be gone by the first sweep, even while the
+        # caller's frame still holds run's argument (as CPython 3.10's does).
+        refs, alive, arguments = [], [], []
+        real_union, real_step, real_run = sampler.block_union, sampler.gibbs_step, metrics.run
 
         def union(tensors):
             refs.extend(weakref.ref(train.coords) for train in tensors)
@@ -440,8 +440,13 @@ class TestRepeatedEval:
             alive.append(sum(ref() is not None for ref in refs))
             return real_step(state, tensor)
 
+        def held_run(state, tensors, schedule):
+            arguments.append(tensors)
+            return real_run(state, tensors, schedule)
+
         monkeypatch.setattr(sampler, "block_union", union)
         monkeypatch.setattr(sampler, "gibbs_step", step)
+        monkeypatch.setattr(metrics, "run", held_run)
         repeated_eval(coupled_tensor, [(0, 1, 2), (0, 2)], [5, 6], 4, 30.0, SamplerSchedule(1, 2, 1), 0.2, 0.5)
         assert len(refs) == 4
         assert alive == [0, 0, 0]
@@ -505,10 +510,8 @@ class TestLockStepEvaluation:
         if budget is not None:
             monkeypatch.setattr(metrics, "_BATCH_GRAM_DOUBLES", budget)
         batches = []
-        real_run = metrics.run
-        monkeypatch.setattr(metrics, "run", lambda state, tensors, schedule: (
-            batches.append(len(tensors)) or real_run(state, tensors, schedule)
-        ))
+        real_union = sampler.block_union
+        monkeypatch.setattr(sampler, "block_union", lambda tensors: batches.append(len(tensors)) or real_union(tensors))
         assert _evaluate(evidence_dir, tmp_path / "split.json", "combined,rare", 8) == expected
         assert batches == sizes
 
