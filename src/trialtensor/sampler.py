@@ -310,9 +310,11 @@ def _row_posteriors(
     root_alpha = np.sqrt(state.alpha)
     other_a, other_b = OTHER_MODES[mode]
     n_entities, n_latent = state.latents[mode].shape
-    # The first other mode's rows with a spare column, which each gathered block fills with y.
-    lat_a, lat_b = np.empty((state.dims[other_a], n_latent + 1)), state.latents[other_b]
+    # The other modes' rows with a zero spare column, which each gathered block fills with y. Both
+    # carry it, so a block's product is one contiguous multiply, not a strided loop per row.
+    lat_a, lat_b = (np.zeros((state.dims[other], n_latent + 1)) for other in (other_a, other_b))
     np.multiply(state.latents[other_a], root_alpha, out=lat_a[:, :n_latent])
+    lat_b[:, :n_latent] = state.latents[other_b]
     means, precisions = prior
     prior_rhs = np.matmul(precisions, means[..., None])[..., 0]
     chain = np.searchsorted(state.offsets[:, mode], runs.entities, side="right") - 1
@@ -322,13 +324,12 @@ def _row_posteriors(
     offsets, starts = runs.offsets.tolist(), runs.starts.tolist()
     # Blocks reuse two buffers: a fresh large array per block costs page faults. The caller's
     # dims check keeps every index in range, so "clip" never clips; it spares a buffered check.
-    qy_buffer = np.empty((min(budget, offsets[-1]), n_latent + 1))
-    b_buffer = np.empty((len(qy_buffer), n_latent))
+    qy_buffer, b_buffer = np.empty((2, min(budget, offsets[-1]), n_latent + 1))
 
     def gather(lo: int, hi: int) -> np.ndarray:
         # The rows [q | sqrt(alpha) y] of cells lo:hi.
         qy = np.take(lat_a, runs.index_a[lo:hi], axis=0, out=qy_buffer[: hi - lo], mode="clip")
-        qy[:, :n_latent] *= np.take(lat_b, runs.index_b[lo:hi], axis=0, out=b_buffer[: hi - lo], mode="clip")
+        qy *= np.take(lat_b, runs.index_b[lo:hi], axis=0, out=b_buffer[: hi - lo], mode="clip")
         np.multiply(runs.values[lo:hi], root_alpha, out=qy[:, n_latent])
         return qy
 
