@@ -17,9 +17,12 @@ factors: with ``W_n^-1 = L L'`` and Bartlett factor ``B``,
 ``mu = mu_n + L B'^-1 z / sqrt(beta_n)`` for standard-normal ``z`` has
 covariance ``(A A')^-1 / beta_n``, exactly that law, from one triangular
 solve. So the full conditional of every quantity is available in closed
-form and one sweep samples, per mode: hyperparameters from the mode's
-current rows, then all of its latent rows given them. The prior lives only
-within that step, so a chain's state is its latent rows alone.
+form and one sweep samples, per mode, hyperparameters from the mode's
+current rows, then all of its latent rows given them. A mode's
+hyperparameters read only its own rows, which the sweep has not redrawn
+before that mode's turn, so the sweep draws all three modes' priors first,
+in one stacked call. The priors live only within the sweep, so a chain's
+state is its latent rows alone.
 
 A :class:`ModelState` holds one or more independent chains that advance in
 lock-step over the block-diagonal union of their training tensors
@@ -35,16 +38,17 @@ other-mode latent products ``q`` and values ``y``, both scaled by
 in that count-run order, and no gather outgrows a fixed block of cells.
 Each row's chain prior is added through a chain index, and the drawn rows
 return to entity order once. The hyperparameter draw keeps only each
-chain's random draws and scatter product in a per-chain loop; the means,
-posterior inverse scales, Bartlett factors, factorizations, products and
-solves are stacked over chains. Every Cholesky factor comes from
+chain's scatter product of each mode in a loop; the means, posterior
+inverse scales, Bartlett factors, factorizations, products and solves are
+stacked over modes and chains. Every Cholesky factor comes from
 :func:`_cholesky`, which raises :class:`~trialtensor.errors.NumericalError`
 for a matrix that is not SPD after one jitter retry or whose factor is not
 finite. What does not change between sweeps (the runs
-themselves, the Bartlett lower-triangle indices) is computed once. Every
-chain's randomness comes from its own counter-based streams keyed by
-``(seed, sweep, role, mode)`` (see :mod:`trialtensor.rng`), drawn from one
-re-keyed generator per chain, and every stacked step treats each row or
+themselves, the Bartlett lower-triangle indices) is computed once. The
+draw functions draw nothing: they are deterministic functions of the noise
+they are given. :func:`_sweep_noise` draws each chain's noise for a sweep
+from its own counter-based streams keyed by ``(seed, sweep, role, mode)``
+(see :mod:`trialtensor.rng`), and every stacked step treats each row or
 chain alone, so a chain draws the same numbers alone or in a batch. A
 single chain is the one-chain case of the same code.
 
@@ -232,13 +236,16 @@ def _solve_draw(lower: np.ndarray, rhs: np.ndarray, z: np.ndarray) -> np.ndarray
 
 
 def sample_mode_hyperparams(
-    latents: np.ndarray, bounds: np.ndarray, rngs: Sequence[np.random.Generator]
+    latents: np.ndarray, bounds: np.ndarray, chi: np.ndarray, normals: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian-Wishart posterior draw of each chain given its rows of one mode.
+    """Gaussian-Wishart posterior draw of each chain given its rows, a deterministic function of its noise.
 
-    ``latents`` holds the mode's rows of every chain, chain-major; chain
-    ``c`` owns rows ``bounds[c]:bounds[c + 1]``, with ``bounds[0] == 0`` and
-    ``bounds[-1] == len(latents)``, and ``rngs[c]`` is its stream.
+    ``latents`` holds the rows of every chain, chain-major; chain ``c``
+    owns rows ``bounds[c]:bounds[c + 1]``, with ``bounds[0] == 0`` and
+    ``bounds[-1] == len(latents)``. Its noise is ``chi[c]``, chi-square
+    draws with ``nu_n - i`` degrees of freedom for the Bartlett diagonal
+    ``i = 0 .. D - 1``, and ``normals[c]``, standard normals holding the
+    Bartlett lower triangle (row-major) and then the mean's ``z``.
     Conjugate update under the fixed prior (``mu0 = 0``,
     ``beta0 = 2``, ``W0 = I``, ``nu0 = D``): with ``n`` rows, sample mean
     ``xbar`` and centered scatter ``n * S``, the posterior has strength
@@ -252,11 +259,10 @@ def sample_mode_hyperparams(
     ``mu_n + L B'^-1 z / sqrt(beta_n)``, has covariance
     ``(A A')^-1 / beta_n = (beta_n * Lambda)^-1`` with no second
     factorization.
-    Only each chain's scatter product and its two draws (the Bartlett
-    diagonal's chi-squares, then one normal block holding the Bartlett lower
-    triangle and the mean's ``z``) are taken chain by chain;
-    the means, inverse scales, Bartlett factors, factorizations, inverses,
-    Wishart products and triangular solves are stacked over chains.
+    Only each chain's scatter product is taken chain by chain; the means,
+    inverse scales, Bartlett factors, factorizations, inverses, Wishart
+    products and triangular solves are stacked over chains, so the chains
+    may be any mix of chains and modes.
     Returns the prior ``(means, precisions)`` for :func:`sample_mode_latents`,
     ``(n_chains, D)`` and ``(n_chains, D, D)``.
     """
@@ -266,14 +272,10 @@ def sample_mode_hyperparams(
     dim = latents.shape[1]
     xbar = np.add.reduceat(latents, bounds[:-1], axis=0) / counts[:, None]
     centered = latents - np.repeat(xbar, counts, axis=0)
-    chi_dof = (dim + counts)[:, None] - np.arange(dim)
-    scatter, chi = np.empty((len(counts), dim, dim)), np.empty((len(counts), dim))
-    n_lower = len(_strict_lower(dim)[0])
-    normals = np.empty((len(counts), n_lower + dim))  # the Bartlett lower triangle, then z
-    for chain, (rng, lo, hi) in enumerate(zip(rngs, bounds[:-1].tolist(), bounds[1:].tolist(), strict=True)):
+    scatter = np.empty((len(counts), dim, dim))
+    for chain, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
         np.matmul(centered[lo:hi].T, centered[lo:hi], out=scatter[chain])
-        chi[chain] = rng.chisquare(chi_dof[chain])
-        rng.standard_normal(out=normals[chain])
+    n_lower = len(_strict_lower(dim)[0])
     beta_post = _BETA0 + counts
     scale_inv = np.eye(dim) + scatter + (_BETA0 * counts / beta_post)[:, None, None] * (
         xbar[:, :, None] * xbar[:, None, :]
@@ -356,7 +358,7 @@ def _row_posteriors(
 
 
 def sample_mode_latents(
-    state: ModelState, tensor: SparseTensor, mode: int, prior: tuple[np.ndarray, np.ndarray]
+    state: ModelState, tensor: SparseTensor, mode: int, prior: tuple[np.ndarray, np.ndarray], z: np.ndarray
 ) -> np.ndarray:
     """Redraw every latent row of one mode, for every chain, from its full conditional.
 
@@ -368,9 +370,8 @@ def sample_mode_latents(
     against ``P m + alpha * sum(y q)``, where ``q`` is the elementwise
     product of the other two modes' rows at an observed cell with value
     ``y`` and ``(m, P)`` is the chain's prior. :func:`_row_posteriors`
-    builds every row's system of the union in count-run order, and each chain draws
-    the standard normals ``z`` of its rows from its (sweep, mode) stream.
-    For all rows at once the precisions ``L L'`` are factored and
+    builds every row's system of the union in count-run order; ``z`` holds
+    each row's standard normals, in entity order. For all rows at once the precisions ``L L'`` are factored and
     ``x = L'^-1 (L^-1 b + z)`` is solved in :func:`_solve_draw`; the rows
     then return to entity order. An entity with no cells has a zero Gram,
     so its row is drawn from its chain's prior. Dims unlike ``tensor``'s
@@ -380,26 +381,59 @@ def sample_mode_latents(
         raise DataError(f"state dims {state.dims} do not match tensor dims {tensor.dims}")
     runs = tensor.count_runs(mode)
     grams, rhs = _row_posteriors(state, runs, mode, prior)
-    z = np.empty_like(rhs)
-    bounds = state.offsets[:, mode].tolist()
-    for chain, tree in enumerate(state.trees):
-        tree.stream(state.sweep, ROLE_LATENT, mode).standard_normal(out=z[bounds[chain] : bounds[chain + 1]])
     lower = _cholesky(grams, "row posterior precision")
     rows = np.empty_like(rhs)
     rows[runs.entities] = _solve_draw(lower, rhs, z[runs.entities])
     return rows
 
 
+def _sweep_noise(state: ModelState) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Every chain's random draws for sweep ``state.sweep``, from its own streams.
+
+    Returns, per mode and chain, the prior's chi-squares ``(3, n_chains, D)``
+    and normals ``(3, n_chains, D(D-1)/2 + D)`` in the layout
+    :func:`sample_mode_hyperparams` reads, and per mode the standard normals
+    of every latent row, chain-major like ``state.latents``. The draws
+    depend only on each chain's seed, the sweep and the chain's dims.
+    """
+    dim = state.n_latent
+    chi_dof = (dim + np.diff(state.offsets, axis=0).T)[..., None] - np.arange(dim)
+    chi = np.empty(chi_dof.shape)
+    normals = np.empty(chi.shape[:2] + (len(_strict_lower(dim)[0]) + dim,))
+    z = [np.empty_like(mat) for mat in state.latents]
+    bounds = state.offsets.tolist()
+    for chain, tree in enumerate(state.trees):
+        for mode in range(3):
+            rng = tree.stream(state.sweep, ROLE_HYPER, mode)
+            chi[mode, chain] = rng.chisquare(chi_dof[mode, chain])
+            rng.standard_normal(out=normals[mode, chain])
+            rows = z[mode][bounds[chain][mode] : bounds[chain + 1][mode]]
+            tree.stream(state.sweep, ROLE_LATENT, mode).standard_normal(out=rows)
+    return chi, normals, z
+
+
 def gibbs_step(state: ModelState, tensor: SparseTensor) -> ModelState:
-    """One lock-step sweep of every chain over their union ``tensor``: per
-    mode (target, indication, layer order), draw each chain's prior from
-    its rows of that mode, then redraw the rows given it. A ``tensor`` of
-    other dims fails the first mode's :func:`sample_mode_latents`, so it
-    changes no row."""
+    """One lock-step sweep of every chain over their union ``tensor``.
+
+    A mode's prior reads only that mode's rows, which the sweep has not
+    redrawn before that mode's turn. So one :func:`sample_mode_hyperparams`
+    call first draws every chain's prior of all three modes, over the
+    modes' rows concatenated with ``(mode, chain)`` bounds; then each mode,
+    in target, indication, layer order, has its rows redrawn given its
+    prior. All noise comes from :func:`_sweep_noise`. A ``tensor`` of other
+    dims fails the first mode's :func:`sample_mode_latents`, so it changes
+    no row.
+    """
+    chi, normals, z = _sweep_noise(state)
+    n_chains = len(state.trees)
+    first_rows = np.cumsum(state.dims) - state.dims  # each mode's first row in the concatenation
+    bounds = np.append(0, (state.offsets[1:] + first_rows).T)
+    means, precisions = sample_mode_hyperparams(
+        np.concatenate(state.latents), bounds, chi.reshape(3 * n_chains, -1), normals.reshape(3 * n_chains, -1)
+    )
     for mode in range(3):
-        rngs = [tree.stream(state.sweep, ROLE_HYPER, mode) for tree in state.trees]
-        prior = sample_mode_hyperparams(state.latents[mode], state.offsets[:, mode], rngs)
-        state.latents[mode] = sample_mode_latents(state, tensor, mode, prior)
+        chains = slice(mode * n_chains, (mode + 1) * n_chains)
+        state.latents[mode] = sample_mode_latents(state, tensor, mode, (means[chains], precisions[chains]), z[mode])
     state.sweep += 1
     return state
 

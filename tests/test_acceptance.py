@@ -271,9 +271,9 @@ def test_c8_determinism(ingested_dir, tmp_path):
         state = init_chains([tensor.dims], 6, [9], alpha=20.0)
         run(state, [tensor], SamplerSchedule(10, 20, 5))
         for mode in range(3):
-            prior = drawn_prior(state, mode)
-            expected = per_row_reference(state, tensor, mode, mode_normals(state, mode), prior)
-            batched = sample_mode_latents(state, tensor, mode, prior)
+            prior, normals = drawn_prior(state, mode), mode_normals(state, mode)
+            expected = per_row_reference(state, tensor, mode, normals, prior)
+            batched = sample_mode_latents(state, tensor, mode, prior, normals)
             assert np.max(np.abs(batched - expected)) <= 1e-12
 
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import re
 import tempfile
@@ -27,7 +28,7 @@ from trialtensor import (
     save_checkpoint,
 )
 from trialtensor import sampler
-from trialtensor.rng import N_SWEEPS, ROLE_HYPER, ROLE_LATENT, StreamTree
+from trialtensor.rng import N_SWEEPS, StreamTree
 
 from conftest import BYTE_EDITS, EDITS, FIXTURE_ENTRIES, splice, tensor_from_entries
 
@@ -89,10 +90,18 @@ def posterior_moments(rows):
     return beta_n, dim + n_rows, n_rows * xbar / beta_n, w_n
 
 
+def prior_noise(rngs, bounds, dim):
+    """Each chain's prior noise ``(chi, normals)``, drawn from its generator in turn: the chi-squares, then the normals."""
+    counts = np.diff(bounds).tolist()
+    chi, normals = zip(*[(rng.chisquare(dim + n - np.arange(dim)), rng.standard_normal(dim * (dim + 1) // 2)) for rng, n in zip(rngs, counts)])
+    return np.array(chi), np.array(normals)
+
+
 def stacked_draws(rows, n_chains, seed):
     """The sweep's draw ``(means, precisions)`` for ``n_chains`` chains that each hold ``rows`` and share one stream."""
-    rng = StreamTree(seed).stream(0, ROLE_HYPER, 0)
-    return sample_mode_hyperparams(np.tile(rows, (n_chains, 1)), np.arange(n_chains + 1) * len(rows), [rng] * n_chains)
+    rng = np.random.Generator(np.random.Philox(key=[seed, 1 << 28]))
+    bounds = np.arange(n_chains + 1) * len(rows)
+    return sample_mode_hyperparams(np.tile(rows, (n_chains, 1)), bounds, *prior_noise([rng] * n_chains, bounds, rows.shape[1]))
 
 
 def whitened_residuals(means, precisions, beta_n, mu_n):
@@ -162,10 +171,10 @@ class TestSampleMvn:
         assert within.mean() >= 0.99
 
 
-def hyperparams_reference(latents, rng):
+def hyperparams_reference(latents, chi, normals):
     """Gaussian-Wishart posterior draw under the fixed prior, written out with ``solve_triangular``.
 
-    Same stream order as the sampler: Bartlett diagonal, Bartlett lower
+    ``chi`` sets the Bartlett diagonal; ``normals`` holds the Bartlett lower
     triangle, then the mean's normal block ``z``. With ``W_n^-1 = L L'``,
     ``Lambda = A A'`` for ``A = L'^-1 B``, and the mean is
     ``mu_n + L B'^-1 z / sqrt(beta_n)``.
@@ -180,20 +189,20 @@ def hyperparams_reference(latents, rng):
     )
     inv_lower = np.linalg.cholesky((scale_inv + scale_inv.T) / 2.0)
     root = solve_triangular(inv_lower, np.eye(dim), lower=True).T
-    bartlett = np.diag(np.sqrt(rng.chisquare(dim + n_rows - np.arange(dim))))
+    bartlett = np.diag(np.sqrt(chi))
     tril = np.tril_indices(dim, k=-1)
-    bartlett[tril] = rng.standard_normal(len(tril[0]))
+    bartlett[tril] = normals[: len(tril[0])]
     precision = root @ bartlett @ (root @ bartlett).T
     precision = (precision + precision.T) / 2.0
     mean_post = n_rows * xbar / beta_post
-    z = rng.standard_normal(dim)
+    z = normals[len(tril[0]) :]
     return mean_post + inv_lower @ solve_triangular(bartlett.T, z, lower=False) / np.sqrt(beta_post), precision
 
 
 class TestModeHyperparams:
     def test_empty_mode_rejected(self):
         with pytest.raises(ValueError, match="empty mode"):
-            sample_mode_hyperparams(np.empty((0, 3)), np.array([0, 0]), [_rng()])
+            sample_mode_hyperparams(np.empty((0, 3)), np.array([0, 0]), np.ones((1, 3)), np.zeros((1, 6)))
 
     def test_posterior_consistency(self):
         # With many rows from a known Gaussian, the sampled precision
@@ -204,50 +213,27 @@ class TestModeHyperparams:
         rows = rng.multivariate_normal(np.zeros(2), cov, size=10_000)
         draws = np.zeros((2, 2))
         n_draws = 200
+        bounds = np.array([0, len(rows)])
         for _ in range(n_draws):
-            draws += sample_mode_hyperparams(rows, np.array([0, len(rows)]), [rng])[1][0]
+            draws += sample_mode_hyperparams(rows, bounds, *prior_noise([rng], bounds, 2))[1][0]
         mean_precision = draws / n_draws
         assert np.all(np.abs(mean_precision - true_precision) <= 0.1 * np.abs(true_precision) + 0.02)
 
     @pytest.mark.parametrize("dim", [1, 8, 32])
     def test_matches_triangular_solve_reference(self, dim):
         latents = 1.5 * _rng(100 + dim).standard_normal((60, dim)) + 0.3
-        means, precisions = sample_mode_hyperparams(latents, np.array([0, len(latents)]), [_rng(7)])
-        mean, precision = hyperparams_reference(latents, _rng(7))
+        bounds = np.array([0, len(latents)])
+        chi, normals = prior_noise([_rng(7)], bounds, dim)
+        means, precisions = sample_mode_hyperparams(latents, bounds, chi, normals)
+        mean, precision = hyperparams_reference(latents, chi[0], normals[0])
         assert np.max(np.abs(precisions[0] - precision)) <= 1e-12
         assert np.max(np.abs(means[0] - mean)) <= 1e-12
 
-    @pytest.mark.parametrize("dim", [1, 2, 8])
-    def test_one_normal_draw_equals_two(self, dim):
-        # Each chain draws its Bartlett lower triangle and z in one call: the
-        # same numbers as two calls from the same stream, triangle first.
-        n_lower = dim * (dim - 1) // 2
-
-        class TwoCalls:
-            def __init__(self, rng):
-                self.rng = rng
-
-            def chisquare(self, dof):
-                return self.rng.chisquare(dof)
-
-            def standard_normal(self, out):
-                out[:n_lower] = self.rng.standard_normal(n_lower)
-                out[n_lower:] = self.rng.standard_normal(len(out) - n_lower)
-
-        latents = _rng(dim).standard_normal((9, dim))
-        bounds = np.array([0, 4, 9])
-
-        def streams():
-            return [StreamTree(seed).stream(0, ROLE_HYPER, 0) for seed in (3, 4)]
-
-        got = sample_mode_hyperparams(latents, bounds, streams())
-        two = sample_mode_hyperparams(latents, bounds, [TwoCalls(rng) for rng in streams()])
-        assert all(np.array_equal(a, b) for a, b in zip(got, two, strict=True))
-
     def test_nan_row_is_numerical_error(self):
         rows = np.array([[0.5, np.nan], [0.1, 0.2], [-0.3, 0.4]])
+        bounds = np.array([0, 2, 5])
         with pytest.raises(NumericalError, match="posterior inverse scale has a non-finite Cholesky factor"):
-            sample_mode_hyperparams(np.concatenate([np.ones((2, 2)), rows]), np.array([0, 2, 5]), [_rng(), _rng()])
+            sample_mode_hyperparams(np.concatenate([np.ones((2, 2)), rows]), bounds, *prior_noise([_rng(), _rng()], bounds, 2))
 
     def test_cached_constants_are_read_only(self):
         rows, cols = sampler._strict_lower(5)
@@ -360,9 +346,9 @@ def identity_prior(state):
 
 
 def drawn_prior(state, mode):
-    """The prior ``(means, precisions)`` the next sweep draws for ``mode``, from each chain's ``ROLE_HYPER`` stream."""
-    rngs = [StreamTree(seed).stream(state.sweep, ROLE_HYPER, mode) for seed in state.seeds]
-    return sample_mode_hyperparams(state.latents[mode], state.offsets[:, mode], rngs)
+    """The prior ``(means, precisions)`` the next sweep draws for ``mode``, from that mode's share of its noise."""
+    chi, normals, _ = sampler._sweep_noise(state)
+    return sample_mode_hyperparams(state.latents[mode], state.offsets[:, mode], chi[mode], normals[mode])
 
 
 def chain_bounds(state, mode):
@@ -372,11 +358,8 @@ def chain_bounds(state, mode):
 
 
 def mode_normals(state, mode):
-    """The standard-normal block the batched update draws for this sweep and mode, chain by chain."""
-    return np.concatenate([
-        StreamTree(state.seeds[chain]).stream(state.sweep, ROLE_LATENT, mode).standard_normal((hi - lo, state.n_latent))
-        for chain, lo, hi in chain_bounds(state, mode)
-    ])
+    """The standard normals of the rows of ``mode`` in the next sweep's noise, chain-major."""
+    return sampler._sweep_noise(state)[2][mode]
 
 
 def fiber_cells(state, tensor, mode, entity):
@@ -472,9 +455,9 @@ def _assert_batched_matches_per_row(tensor, n_latent, seed):
     for _ in range(3):
         gibbs_step(state, tensor)
     for mode in range(3):
-        prior = drawn_prior(state, mode)
-        expected = per_row_reference(state, tensor, mode, mode_normals(state, mode), prior)
-        batched = sample_mode_latents(state, tensor, mode, prior)
+        prior, normals = drawn_prior(state, mode), mode_normals(state, mode)
+        expected = per_row_reference(state, tensor, mode, normals, prior)
+        batched = sample_mode_latents(state, tensor, mode, prior, normals)
         assert np.max(np.abs(batched - expected)) <= 1e-12
 
 
@@ -483,7 +466,7 @@ class TestModeLatents:
         state = _make_state(tiny_tensor, n_latent=2, seed=1)
         state.latents[1][0, 1] = np.nan  # indication 0 has cells with targets 0, 1 and 2
         with pytest.raises(NumericalError, match="row posterior precision has a non-finite Cholesky factor"):
-            sample_mode_latents(state, tiny_tensor, 0, identity_prior(state))
+            sample_mode_latents(state, tiny_tensor, 0, identity_prior(state), mode_normals(state, 0))
 
     def test_unobserved_entity_draws_from_prior(self):
         # Entity 0 of mode 0 has no cells; its redraw should follow the mode
@@ -496,7 +479,7 @@ class TestModeLatents:
         n = 3000
         for sweep in range(n):
             state.sweep = sweep
-            total += sample_mode_latents(state, tensor, 0, prior)[0]
+            total += sample_mode_latents(state, tensor, 0, prior, mode_normals(state, 0))[0]
         avg = total / n
         se = 0.5 / np.sqrt(n)
         assert np.all(np.abs(avg - prior_mean) < 4 * se)
@@ -508,7 +491,7 @@ class TestModeLatents:
         state = _make_state(tensor, n_latent=1, alpha=1e8, seed=2)
         state.latents[1][0, 0] = 2.0
         state.latents[2][0, 0] = 1.0
-        new_rows = sample_mode_latents(state, tensor, 0, identity_prior(state))
+        new_rows = sample_mode_latents(state, tensor, 0, identity_prior(state), mode_normals(state, 0))
         assert abs(new_rows[0, 0] - 0.8 / 2.0) < 1e-3
 
     def test_batched_update_equals_per_row_reference(self):
@@ -553,7 +536,7 @@ class TestModeLatents:
         for mode in range(3):
             prior = drawn_prior(state, mode)
             expected = mode_latents_loop_reference(state, tensor, mode, prior)
-            assert np.array_equal(sample_mode_latents(state, tensor, mode, prior), expected)
+            assert np.array_equal(sample_mode_latents(state, tensor, mode, prior, mode_normals(state, mode)), expected)
 
     # Mode-0 cell counts with runs of 3 empty, 1, 3, 5 and 1 entities (counts
     # 0, 1, 2, 3, 9); the empty ones are the first, fifth and last entity.
@@ -573,7 +556,7 @@ class TestModeLatents:
         for mode in range(3):
             prior = drawn_prior(state, mode)
             expected = mode_latents_loop_reference(state, tensor, mode, prior)
-            assert np.array_equal(sample_mode_latents(state, tensor, mode, prior), expected)
+            assert np.array_equal(sample_mode_latents(state, tensor, mode, prior, mode_normals(state, mode)), expected)
 
     @pytest.mark.parametrize("block_cells", [5, None])
     def test_batched_update_equals_per_row_reference_beyond_one_panel(self, monkeypatch, block_cells):
@@ -628,7 +611,7 @@ class TestModeLatents:
         mean = np.linalg.solve(precision, state.alpha * (q_rows.T @ values))
 
         normals = mode_normals(state, 0)
-        batched = sample_mode_latents(state, tensor, 0, (prior_mean[None], prior_precision[None]))
+        batched = sample_mode_latents(state, tensor, 0, (prior_mean[None], prior_precision[None]), normals)
         assert np.all(np.isfinite(batched))
         assert np.allclose(batched[0], cholesky_draw(mean, precision, normals[0]), rtol=1e-8, atol=0.0)
         q_rows, values = fiber_cells(state, tensor, 0, 1)
@@ -640,7 +623,7 @@ class TestModeLatents:
         tensor = tensor_from_entries((2, 1, 1), [(1, 0, 0, 0.5)])
         state = _make_state(tensor, n_latent=2, seed=4)
         with pytest.raises(NumericalError, match="not SPD after jitter"):
-            sample_mode_latents(state, tensor, 0, (np.zeros((1, 2)), -np.eye(2)[None]))
+            sample_mode_latents(state, tensor, 0, (np.zeros((1, 2)), -np.eye(2)[None]), mode_normals(state, 0))
 
     def test_dims_mismatch(self):
         # Target 2 has a cell, but the state has only two target rows: the
@@ -648,7 +631,7 @@ class TestModeLatents:
         tensor = tensor_from_entries((3, 2, 1), [(2, 1, 0, 0.5)])
         state = init_chains([(2, 2, 1)], 2, [0])
         with pytest.raises(DataError, match="do not match"):
-            sample_mode_latents(state, tensor, 1, identity_prior(state))
+            sample_mode_latents(state, tensor, 1, identity_prior(state), mode_normals(state, 1))
 
 
 def _chain_tensors():
@@ -665,6 +648,16 @@ def _chain_tensors():
         ]
         tensors.append(tensor_from_entries(dims, entries))
     return tensors
+
+
+def unstacked_sweep(state, tensor):
+    """The latents after one sweep taken mode by mode: each mode's prior from its rows at its turn, then its rows."""
+    chi, normals, z = sampler._sweep_noise(state)
+    state = dataclasses.replace(state, latents=list(state.latents))
+    for mode in range(3):
+        prior = sample_mode_hyperparams(state.latents[mode], state.offsets[:, mode], chi[mode], normals[mode])
+        state.latents[mode] = sample_mode_latents(state, tensor, mode, prior, z[mode])
+    return state.latents
 
 
 class TestLockStep:
@@ -699,10 +692,23 @@ class TestLockStep:
         for _ in range(2):
             gibbs_step(state, union)
         for mode in range(3):
-            prior = drawn_prior(state, mode)
+            prior, normals = drawn_prior(state, mode), mode_normals(state, mode)
             assert not np.array_equal(prior[1][0], prior[1][1])
-            expected = per_row_reference(state, union, mode, mode_normals(state, mode), prior)
-            assert np.max(np.abs(sample_mode_latents(state, union, mode, prior) - expected)) <= 1e-12
+            expected = per_row_reference(state, union, mode, normals, prior)
+            assert np.max(np.abs(sample_mode_latents(state, union, mode, prior, normals) - expected)) <= 1e-12
+
+    def test_stacked_priors_equal_per_mode_reference(self):
+        # gibbs_step draws all three modes' priors in one call before any row
+        # is redrawn; at each mode's turn they must be what that mode's rows
+        # give with its share of the sweep's noise. Some targets have no cells.
+        tensors = _chain_tensors()
+        union = block_union(tensors)
+        state = init_chains([t.dims for t in tensors], 4, [8, 9, 10], alpha=5.0)
+        for _ in range(2):
+            gibbs_step(state, union)
+        expected = unstacked_sweep(state, union)
+        gibbs_step(state, union)
+        assert all(np.array_equal(got, want) for got, want in zip(state.latents, expected, strict=True))
 
     def test_run_rejects_tensors_of_other_dims(self, tiny_tensor):
         state = init_chains([tiny_tensor.dims, tiny_tensor.dims], 2, [1, 2])
