@@ -32,7 +32,6 @@ from .metrics import (
     repeated_eval,
     summarize,
 )
-from .rng import StreamTree
 from .sampler import (
     ModelState,
     SamplerSchedule,

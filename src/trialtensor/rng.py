@@ -1,15 +1,13 @@
 """Counter-based random number streams for reproducible sampling.
 
-Every block of random draws in the Gibbs sweep comes from its own Philox
-stream keyed by ``(seed, sweep, role, mode)``: the initial latents of a
-mode, its hyperparameter draw, and the one standard-normal block that
-redraws all of its latent rows. The stream identity depends only on that
-key, never on how many draws came before it.
+Each chain draws from one Philox stream per step, keyed by
+``(seed, index)``: index 0 draws its initial latents and index ``s + 1``
+every draw of sweep ``s``. The stream identity depends only on that key,
+never on how many draws came before it.
 
 Key layout: the seed is the first Philox key word, so seeds are the
-integers in ``[0, 2**64)``. The second word holds ``sweep`` in bits 32+,
-``role`` in bits 28..31 and ``mode`` in bits 0..1. That bounds a run at
-2**32 sweeps, 16 roles and the three tensor modes.
+integers in ``[0, 2**64)``; the index is the second, in
+``[0, N_SWEEPS]``, which bounds a run at 2**32 sweeps.
 """
 
 from __future__ import annotations
@@ -19,25 +17,18 @@ import operator
 import numpy as np
 
 N_SEEDS = 1 << 64  # a seed is one 64-bit Philox key word
-_N_MODES = 3
-_MAX_ROLE = 1 << 4
-N_SWEEPS = 1 << 32  # a sweep number fills the high half of the second key word
-
-# Stream roles.
-ROLE_INIT = 0
-ROLE_HYPER = 1
-ROLE_LATENT = 2
+N_SWEEPS = 1 << 32  # sweeps a run may take; sweep s draws from stream s + 1
 
 
 class StreamTree:
-    """The independent ``numpy`` streams of one seed, keyed by draw identity.
+    """The independent ``numpy`` streams of one seed, keyed by index.
 
     A tree owns one Philox generator. :meth:`stream` re-keys it to
-    ``[seed, path]`` with a zero counter and an empty buffer, the state of a
-    fresh ``Generator(Philox(key=[seed, path]))``, and returns it, so every
-    draw matches that fresh generator's. Taking a stream therefore ends the
-    tree's previous stream: finish one stream's draws before taking the
-    next, and give each chain, or each thread, its own tree.
+    ``[seed, index]`` with a zero counter and an empty buffer, the state of
+    a fresh ``Generator(Philox(key=[seed, index]))``, and returns it, so
+    every draw matches that fresh generator's. Taking a stream therefore
+    ends the tree's previous stream: finish one stream's draws before
+    taking the next, and give each chain, or each thread, its own tree.
     """
 
     __slots__ = ("seed", "_bits", "_generator", "_state")
@@ -51,13 +42,9 @@ class StreamTree:
         self._generator = np.random.Generator(self._bits)
         self._state = self._bits.state  # the fresh state; stream() changes only its key
 
-    def stream(self, sweep: int, role: int, mode: int) -> np.random.Generator:
-        if not 0 <= sweep < N_SWEEPS:
-            raise ValueError(f"sweep {sweep} outside supported range")
-        if not 0 <= role < _MAX_ROLE:
-            raise ValueError(f"role {role} outside supported range")
-        if not 0 <= mode < _N_MODES:
-            raise ValueError(f"mode {mode} outside supported range")
-        self._state["state"]["key"][1] = (sweep << 32) | (role << 28) | mode
+    def stream(self, index: int) -> np.random.Generator:
+        if not 0 <= index <= N_SWEEPS:
+            raise ValueError(f"stream index {index} outside supported range")
+        self._state["state"]["key"][1] = index
         self._bits.state = self._state
         return self._generator

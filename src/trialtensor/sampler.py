@@ -5,20 +5,12 @@ observed cell, whose mean is the three-way latent product
 ``sum_d U[i,d] * V[j,d] * W[k,d]``. Each mode's latent rows get a Gaussian
 prior ``Normal(mu, Lambda^-1)``, and ``(mu, Lambda)`` get one fixed
 conjugate Gaussian-Wishart prior, the BPMF default of Salakhutdinov &
-Mnih (2008): ``mu0 = 0``, ``beta0 = 2``, ``W0 = I`` and ``nu0 = D``. Given a
-mode's ``n`` rows with mean ``xbar`` and centered scatter ``n * S``, the
-posterior has ``beta_n = 2 + n``, ``nu_n = D + n``,
-``mu_n = n * xbar / beta_n`` and
-``W_n^-1 = I + n * S + (2 * n / beta_n) * xbar xbar'``; ``Lambda`` is drawn
-from ``Wishart(W_n, nu_n)``, then ``mu`` from
-``Normal(mu_n, (beta_n * Lambda)^-1)``. The mean reuses the Wishart draw's
-factors: with ``W_n^-1 = L L'`` and Bartlett factor ``B``,
-``Lambda = A A'`` for ``A = L'^-1 B``, so
-``mu = mu_n + L B'^-1 z / sqrt(beta_n)`` for standard-normal ``z`` has
-covariance ``(A A')^-1 / beta_n``, exactly that law, from one triangular
-solve. So the full conditional of every quantity is available in closed
-form and one sweep samples, per mode, hyperparameters from the mode's
-current rows, then all of its latent rows given them. A mode's
+Mnih (2008): ``mu0 = 0``, ``beta0 = 2``, ``W0 = I`` and ``nu0 = D``
+(:func:`sample_mode_hyperparams` gives the conjugate update and how
+``(mu, Lambda)`` are drawn from one factorization). So the full conditional
+of every quantity is available in closed form and one sweep samples, per
+mode, hyperparameters from the mode's current rows, then all of its latent
+rows given them. A mode's
 hyperparameters read only its own rows, which the sweep has not redrawn
 before that mode's turn, so the sweep draws all three modes' priors first,
 in one stacked call. The priors live only within the sweep, so a chain's
@@ -47,8 +39,8 @@ finite. What does not change between sweeps (the runs
 themselves, the Bartlett lower-triangle indices) is computed once. The
 draw functions draw nothing: they are deterministic functions of the noise
 they are given. :func:`_sweep_noise` draws each chain's noise for a sweep
-from its own counter-based streams keyed by ``(seed, sweep, role, mode)``
-(see :mod:`trialtensor.rng`), and every stacked step treats each row or
+from one counter-based stream keyed by ``(seed, sweep + 1)`` (see
+:mod:`trialtensor.rng`), and every stacked step treats each row or
 chain alone, so a chain draws the same numbers alone or in a batch. A
 single chain is the one-chain case of the same code.
 
@@ -69,7 +61,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .io import check, float_rows, read_header, read_json, read_tsv, write_json, write_tsv
-from .rng import N_SWEEPS, ROLE_HYPER, ROLE_INIT, ROLE_LATENT, StreamTree
+from .rng import N_SWEEPS, StreamTree
 from .tensor import OTHER_MODES, CountRuns, SparseTensor, block_union
 
 _JITTER_REL = 1e-6
@@ -157,25 +149,12 @@ def init_chains(
     offsets = np.zeros((len(seeds) + 1, 3), dtype=np.int64)
     offsets[1:] = np.cumsum(np.asarray(chain_dims, dtype=np.int64).reshape(-1, 3), axis=0)
     offsets.flags.writeable = False
-    latents = [
-        np.concatenate([
-            tree.stream(0, ROLE_INIT, mode).standard_normal((int(dims[mode]), n_latent))
-            for tree, dims in zip(trees, chain_dims)
-        ])
-        for mode in range(3)
-    ]
+    draws = []  # per chain, its rows of each mode in turn from its stream 0
+    for tree, dims in zip(trees, chain_dims):
+        rng = tree.stream(0)
+        draws.append([rng.standard_normal((int(d), n_latent)) for d in dims])
+    latents = [np.concatenate(mats) for mats in zip(*draws)]
     return ModelState(latents=latents, alpha=float(alpha), trees=trees, offsets=offsets)
-
-
-def _bartlett(chi: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    # The (..., D, D) Bartlett factors of (..., D) chi-square draws and (..., D(D-1)/2) normals.
-    dim = chi.shape[-1]
-    out = np.zeros(chi.shape + (dim,))
-    diagonal = np.arange(dim)
-    out[..., diagonal, diagonal] = np.sqrt(chi)
-    rows, cols = _strict_lower(dim)
-    out[..., rows, cols] = normals
-    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -275,7 +254,7 @@ def sample_mode_hyperparams(
     scatter = np.empty((len(counts), dim, dim))
     for chain, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
         np.matmul(centered[lo:hi].T, centered[lo:hi], out=scatter[chain])
-    n_lower = len(_strict_lower(dim)[0])
+    lower_rows, lower_cols = _strict_lower(dim)
     beta_post = _BETA0 + counts
     scale_inv = np.eye(dim) + scatter + (_BETA0 * counts / beta_post)[:, None, None] * (
         xbar[:, :, None] * xbar[:, None, :]
@@ -283,11 +262,13 @@ def sample_mode_hyperparams(
     scale_inv = (scale_inv + scale_inv.transpose(0, 2, 1)) / 2.0
     # With scale_inv = L L', Lambda = A A' for A = L'^-1 B.
     inv_lower = _cholesky(scale_inv, "posterior inverse scale")
-    bartlett = _bartlett(chi, normals[:, :n_lower])
+    bartlett = np.zeros((len(counts), dim, dim))
+    bartlett[:, np.arange(dim), np.arange(dim)] = np.sqrt(chi)
+    bartlett[:, lower_rows, lower_cols] = normals[:, : len(lower_rows)]
     factor = np.linalg.inv(inv_lower).transpose(0, 2, 1) @ bartlett
     precision = factor @ factor.transpose(0, 2, 1)
     precision = (precision + precision.transpose(0, 2, 1)) / 2.0
-    shift = inv_lower @ np.linalg.solve(bartlett.transpose(0, 2, 1), normals[:, n_lower:, None])
+    shift = inv_lower @ np.linalg.solve(bartlett.transpose(0, 2, 1), normals[:, len(lower_rows) :, None])
     mean = counts[:, None] * xbar / beta_post[:, None] + shift[..., 0] / np.sqrt(beta_post)[:, None]
     return mean, precision
 
@@ -371,11 +352,11 @@ def sample_mode_latents(
     product of the other two modes' rows at an observed cell with value
     ``y`` and ``(m, P)`` is the chain's prior. :func:`_row_posteriors`
     builds every row's system of the union in count-run order; ``z`` holds
-    each row's standard normals, in entity order. For all rows at once the precisions ``L L'`` are factored and
-    ``x = L'^-1 (L^-1 b + z)`` is solved in :func:`_solve_draw`; the rows
-    then return to entity order. An entity with no cells has a zero Gram,
-    so its row is drawn from its chain's prior. Dims unlike ``tensor``'s
-    raise :class:`DataError` first.
+    each row's standard normals, in entity order. For all rows at once the
+    precisions ``L L'`` are factored and ``x = L'^-1 (L^-1 b + z)`` is
+    solved in :func:`_solve_draw`; the rows then return to entity order.
+    An entity with no cells has a zero Gram, so its row is drawn from its
+    chain's prior. Dims unlike ``tensor``'s raise :class:`DataError` first.
     """
     if state.dims != tensor.dims:
         raise DataError(f"state dims {state.dims} do not match tensor dims {tensor.dims}")
@@ -388,41 +369,39 @@ def sample_mode_latents(
 
 
 def _sweep_noise(state: ModelState) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Every chain's random draws for sweep ``state.sweep``, from its own streams.
+    """Every chain's random draws for sweep ``state.sweep``, from its stream ``state.sweep + 1``.
 
     Returns, per mode and chain, the prior's chi-squares ``(3, n_chains, D)``
     and normals ``(3, n_chains, D(D-1)/2 + D)`` in the layout
     :func:`sample_mode_hyperparams` reads, and per mode the standard normals
-    of every latent row, chain-major like ``state.latents``. The draws
-    depend only on each chain's seed, the sweep and the chain's dims.
+    of every latent row, chain-major like ``state.latents``. A chain draws,
+    in order, its chi-squares of all three modes, its three priors' normals,
+    then each mode's row normals, so its draws depend only on its seed, the
+    sweep and its dims.
     """
     dim = state.n_latent
     chi_dof = (dim + np.diff(state.offsets, axis=0).T)[..., None] - np.arange(dim)
     chi = np.empty(chi_dof.shape)
-    normals = np.empty(chi.shape[:2] + (len(_strict_lower(dim)[0]) + dim,))
+    normals = np.empty(chi.shape[:2] + (dim * (dim + 1) // 2,))  # each Bartlett lower triangle, then z
     z = [np.empty_like(mat) for mat in state.latents]
     bounds = state.offsets.tolist()
     for chain, tree in enumerate(state.trees):
+        rng = tree.stream(state.sweep + 1)
+        chi[:, chain] = rng.chisquare(chi_dof[:, chain])
+        normals[:, chain] = rng.standard_normal((3, normals.shape[2]))
         for mode in range(3):
-            rng = tree.stream(state.sweep, ROLE_HYPER, mode)
-            chi[mode, chain] = rng.chisquare(chi_dof[mode, chain])
-            rng.standard_normal(out=normals[mode, chain])
-            rows = z[mode][bounds[chain][mode] : bounds[chain + 1][mode]]
-            tree.stream(state.sweep, ROLE_LATENT, mode).standard_normal(out=rows)
+            rng.standard_normal(out=z[mode][bounds[chain][mode] : bounds[chain + 1][mode]])
     return chi, normals, z
 
 
 def gibbs_step(state: ModelState, tensor: SparseTensor) -> ModelState:
-    """One lock-step sweep of every chain over their union ``tensor``.
+    """One lock-step sweep of every chain over their union ``tensor``, from :func:`_sweep_noise`.
 
-    A mode's prior reads only that mode's rows, which the sweep has not
-    redrawn before that mode's turn. So one :func:`sample_mode_hyperparams`
-    call first draws every chain's prior of all three modes, over the
-    modes' rows concatenated with ``(mode, chain)`` bounds; then each mode,
-    in target, indication, layer order, has its rows redrawn given its
-    prior. All noise comes from :func:`_sweep_noise`. A ``tensor`` of other
-    dims fails the first mode's :func:`sample_mode_latents`, so it changes
-    no row.
+    One :func:`sample_mode_hyperparams` call draws every chain's prior of all
+    three modes, over their rows concatenated with ``(mode, chain)`` bounds;
+    then each mode in turn has its rows redrawn given its prior. A ``tensor``
+    of other dims fails the first mode's :func:`sample_mode_latents`, so it
+    changes no row.
     """
     chi, normals, z = _sweep_noise(state)
     n_chains = len(state.trees)

@@ -12,11 +12,13 @@ import json
 import time
 from collections import Counter
 from contextlib import contextmanager
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from scipy.stats import rankdata
 
+from trialtensor import sampler
 from trialtensor import (
     SamplerSchedule,
     SparseTensor,
@@ -115,6 +117,112 @@ def test_c2_sampler_distribution_checks():
             # se of a standard-normal covariance entry: sqrt(2 / n) on the diagonal, sqrt(1 / n) off it
             se = np.sqrt((1.0 + np.eye(dim)) / n_chains)
             assert np.all(np.abs(np.cov(residuals.T).reshape(dim, dim) - np.eye(dim)) <= 3.0 * se)
+
+
+def _prior_draws(rng, n_chains, n_rows, dim):
+    """Exact draws of one mode under the model's prior, per chain.
+
+    ``Lambda ~ Wishart(I, D)``, ``mu ~ N(0, (2 Lambda)^-1)`` and rows
+    ``~ N(mu, Lambda^-1)``: with Bartlett factor ``A``, ``Lambda = A A'`` and
+    ``A'^-1 e`` has covariance ``Lambda^-1``. Returns the rows
+    ``(n_chains, n_rows, D)``, the means and the precisions.
+    """
+    bartlett = np.zeros((n_chains, dim, dim))
+    diagonal = np.arange(dim)
+    bartlett[:, diagonal, diagonal] = np.sqrt(rng.chisquare(dim - diagonal, size=(n_chains, dim)))
+    lower = np.tril_indices(dim, k=-1)
+    bartlett[:, lower[0], lower[1]] = rng.standard_normal((n_chains, len(lower[0])))
+    upper = bartlett.transpose(0, 2, 1)[:, None]
+    mean = np.linalg.solve(upper, rng.standard_normal((n_chains, 1, dim, 1)))[:, 0, :, 0] / np.sqrt(2.0)
+    rows = mean[:, None] + np.linalg.solve(upper, rng.standard_normal((n_chains, n_rows, dim, 1)))[..., 0]
+    return rows, mean, bartlett @ bartlett.transpose(0, 2, 1)
+
+
+def _observations(rng, latents, alpha):
+    """``y ~ N(sum_d U V W, 1 / alpha)`` at every cell of each chain's fully observed 3 x 2 x 2 tensor, chain-major."""
+    targets, indications, layers = latents
+    mean = np.einsum("cid,cjd,ckd->cijk", targets, indications, layers).reshape(len(targets), -1)
+    return mean + rng.standard_normal(mean.shape) / np.sqrt(alpha)
+
+
+def _joint_statistics(latents, priors, y):
+    """Per chain, the bounded two-sample test functions ``(n_chains, 20)`` and each mode's mean ``exp(-q / 2)``
+    over its rows ``(n_chains, 3)``, ``q`` the row's Mahalanobis form under the mode's ``(mu, Lambda)``."""
+    two_sample, uniform = [], []
+    for rows, (mean, precision) in zip(latents, priors):
+        centered = rows - rows.mean(axis=1, keepdims=True)
+        two_sample += [
+            np.tanh(rows).mean(axis=(1, 2)),
+            (1.0 / (1.0 + rows**2)).mean(axis=(1, 2)),
+            1.0 / (1.0 + np.trace(precision, axis1=1, axis2=2)),
+            *np.tanh(mean).T,
+            1.0 / (1.0 + np.einsum("cnd,cnd->c", centered, centered)),
+        ]
+        diff = rows - mean[:, None]
+        uniform.append(np.exp(-np.einsum("cnd,cde,cne->cn", diff, precision, diff) / 2.0).mean(axis=1))
+    two_sample += [np.tanh(y).mean(axis=1), (1.0 / (1.0 + y**2)).mean(axis=1)]
+    return np.stack(two_sample, axis=1), np.stack(uniform, axis=1)
+
+
+class _UnboundedUnion:
+    """The chains' union as ``gibbs_step`` reads it, its dims and count runs, with any real ``y`` at the run cells.
+
+    ``union`` holds its ``c``-th cell of ``n_cells`` with value ``c / n_cells``, so each run cell finds ``y[c]``.
+    """
+
+    def __init__(self, union, n_cells):
+        self.dims = union.dims
+        self._runs = [union.count_runs(mode) for mode in range(3)]
+        self._cells = [np.rint(runs.values * n_cells).astype(np.int64) for runs in self._runs]
+        self.y = None
+
+    def count_runs(self, mode):
+        return self._runs[mode]._replace(values=self.y[self._cells[mode]])
+
+
+def test_c2b_sweep_joint_distribution(monkeypatch):
+    with criterion(
+        "2b",
+        "12000 chains from the joint prior stay in it over 10 sweeps with y redrawn: each mode's "
+        "exp(-q/2) under its drawn prior has mean 1/2, 20 bounded functions match exact prior draws, Bonferroni",
+    ):
+        # Geweke's (2004) successive-conditional check, run as independent chains: each starts
+        # from an exact draw of the joint prior, and each sweep, followed by a fresh y given the
+        # latents, must keep it there. y is unbounded, so the union is a stand-in.
+        n_chains, chain_dims, dim, alpha, n_sweeps = 12_000, (3, 2, 2), 2, 2.0, 10
+        cells = np.indices(chain_dims).reshape(3, -1).T
+        coords = (cells + np.arange(n_chains)[:, None, None] * np.array(chain_dims)).reshape(-1, 3)
+        union = SparseTensor(np.multiply(chain_dims, n_chains), coords, np.arange(len(coords)) / len(coords))
+        tensor = _UnboundedUnion(union, len(coords))
+        state = init_chains([chain_dims] * n_chains, dim, range(n_chains), alpha=alpha)
+
+        rng = np.random.default_rng(2004)
+        for mode, n_rows in enumerate(chain_dims):
+            state.latents[mode] = _prior_draws(rng, n_chains, n_rows, dim)[0].reshape(-1, dim)
+        captured = []
+        draw = sampler.sample_mode_hyperparams
+        monkeypatch.setattr(sampler, "sample_mode_hyperparams", lambda *args: captured.append(draw(*args)) or captured[-1])
+        for _ in range(n_sweeps):
+            tensor.y = _observations(rng, [rows.reshape(n_chains, -1, dim) for rows in state.latents], alpha).ravel()
+            gibbs_step(state, tensor)
+        assert len(captured) == n_sweeps  # one prior call per sweep, all three modes stacked mode-major
+        means, precisions = captured[-1]
+        priors = list(zip(means.reshape(3, n_chains, dim), precisions.reshape(3, n_chains, dim, dim)))
+        latents = [rows.reshape(n_chains, -1, dim) for rows in state.latents]
+        sampled, uniform = _joint_statistics(latents, priors, _observations(rng, latents, alpha))
+
+        independent = np.random.default_rng(2006)
+        exact = [_prior_draws(independent, n_chains, n, dim) for n in chain_dims]
+        rows = [draws[0] for draws in exact]
+        reference, _ = _joint_statistics(rows, [draws[1:] for draws in exact], _observations(rng, rows, alpha))
+
+        # Each row's exp(-q/2) is Uniform(0, 1): a chain's mean over n rows has variance 1 / (12 n).
+        z_uniform = (uniform.mean(axis=0) - 0.5) / np.sqrt(1.0 / (12.0 * np.array(chain_dims) * n_chains))
+        se = np.sqrt((sampled.var(axis=0, ddof=1) + reference.var(axis=0, ddof=1)) / n_chains)
+        z = np.concatenate([z_uniform, (sampled.mean(axis=0) - reference.mean(axis=0)) / se])
+        bound = NormalDist().inv_cdf(1.0 - 0.001 / (2 * len(z)))  # family-wise 0.001 over 23 functions
+        print(f"worst |z| {np.max(np.abs(z)):.2f} against {bound:.2f}")
+        assert np.all(np.abs(z) <= bound), f"|z| {np.round(np.abs(z), 2).tolist()} over {bound:.2f}"
 
 
 def test_c3_synthetic_recovery():

@@ -92,8 +92,10 @@ def posterior_moments(rows):
 
 def prior_noise(rngs, bounds, dim):
     """Each chain's prior noise ``(chi, normals)``, drawn from its generator in turn: the chi-squares, then the normals."""
-    counts = np.diff(bounds).tolist()
-    chi, normals = zip(*[(rng.chisquare(dim + n - np.arange(dim)), rng.standard_normal(dim * (dim + 1) // 2)) for rng, n in zip(rngs, counts)])
+    chi, normals = [], []
+    for rng, count in zip(rngs, np.diff(bounds).tolist()):
+        chi.append(rng.chisquare(dim + count - np.arange(dim)))
+        normals.append(rng.standard_normal(dim * (dim + 1) // 2))
     return np.array(chi), np.array(normals)
 
 
@@ -101,7 +103,8 @@ def stacked_draws(rows, n_chains, seed):
     """The sweep's draw ``(means, precisions)`` for ``n_chains`` chains that each hold ``rows`` and share one stream."""
     rng = np.random.Generator(np.random.Philox(key=[seed, 1 << 28]))
     bounds = np.arange(n_chains + 1) * len(rows)
-    return sample_mode_hyperparams(np.tile(rows, (n_chains, 1)), bounds, *prior_noise([rng] * n_chains, bounds, rows.shape[1]))
+    noise = prior_noise([rng] * n_chains, bounds, rows.shape[1])
+    return sample_mode_hyperparams(np.tile(rows, (n_chains, 1)), bounds, *noise)
 
 
 def whitened_residuals(means, precisions, beta_n, mu_n):
@@ -232,8 +235,9 @@ class TestModeHyperparams:
     def test_nan_row_is_numerical_error(self):
         rows = np.array([[0.5, np.nan], [0.1, 0.2], [-0.3, 0.4]])
         bounds = np.array([0, 2, 5])
+        noise = prior_noise([_rng(), _rng()], bounds, 2)
         with pytest.raises(NumericalError, match="posterior inverse scale has a non-finite Cholesky factor"):
-            sample_mode_hyperparams(np.concatenate([np.ones((2, 2)), rows]), bounds, *prior_noise([_rng(), _rng()], bounds, 2))
+            sample_mode_hyperparams(np.concatenate([np.ones((2, 2)), rows]), bounds, *noise)
 
     def test_cached_constants_are_read_only(self):
         rows, cols = sampler._strict_lower(5)
@@ -682,7 +686,7 @@ class TestLockStep:
         for tensor, seed in zip(tensors, seeds):
             run(init_chains([tensor.dims], 2, [seed]), [tensor], schedule)
         assert together == sorted(keys)
-        assert len(together) == 3 * (3 + 3 * 2 * 3)  # per chain: init, then hyper and latent per mode and sweep
+        assert len(together) == 3 * (1 + 3)  # per chain: one stream for the initial rows, then one per sweep
 
     def test_union_update_equals_per_row_reference(self):
         # Each chain's rows use its own prior; a wrong chain offset would mix them.
