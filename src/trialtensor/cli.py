@@ -271,7 +271,10 @@ def cmd_ingest(ns: argparse.Namespace) -> int:
 def cmd_train(ns: argparse.Namespace) -> int:
     out_dir = Path(_require(ns, "--out"))
     schedule = _schedule(ns)
-    tensor, modes = load_tensor(_require_file(ns, "--tensor"))
+    tensor_dir = _require_file(ns, "--tensor")
+    tensor, modes = load_tensor(tensor_dir)
+    if not (tensor.coords[:, 2] == 0).any():  # the scores would be prior draws alone
+        raise DataError(f"empty outcome layer: {tensor_dir} holds no cell in layer {modes[2][0]!r}")
     tensor = select_layers(tensor, _resolve_layer_names(ns.layers, modes[2], "--layers"))
     state = init_chains([tensor.dims], ns.latent_dim, [ns.seed], alpha=ns.alpha)
     (samples,) = run(state, [tensor], schedule)

@@ -2,9 +2,9 @@
 
 AUROC uses the midrank formula, which equals the probability that a random
 positive outscores a random negative with ties counted half. The
-Mann-Whitney test enumerates all label arrangements exactly for pooled
-sizes up to 12 and otherwise uses the tie-corrected, continuity-corrected
-normal approximation. :func:`repeated_eval` returns per-chain metric
+Mann-Whitney test counts the exact permutation null for pooled sizes up to
+60 and otherwise uses the tie-corrected, continuity-corrected normal
+approximation. :func:`repeated_eval` returns per-chain metric
 arrays and :func:`phase_analysis` takes per-pair arrays; :func:`summarize`
 and :func:`phase_analysis` return the plain dicts that the CLI writes as JSON.
 """
@@ -23,8 +23,9 @@ from .io import check
 from .sampler import SamplerSchedule, init_chains, predict_slice, run
 from .tensor import SparseTensor, select_layers, split_cells
 
-# Pooled size at or below which the exact permutation null is enumerated.
-EXACT_MAX_TOTAL = 12
+# Pooled size at or below which the exact permutation null is counted. At 60
+# the largest count, C(60, 30) ~ 1.2e17, is still exact in int64.
+EXACT_MAX_TOTAL = 60
 # Gram doubles (entities x D x D, summed over chains) that the largest mode
 # of one lock-step batch of ``repeated_eval`` may hold: 2 MiB, so 256
 # entities at D = 32 or 4096 at D = 8. The Cholesky factors take as much again.
@@ -110,10 +111,11 @@ def mann_whitney_u(
 ) -> tuple[float, float]:
     """Two-sided Mann-Whitney-Wilcoxon test, returning (U of group A, p).
 
-    The p-value comes from exact enumeration of all label arrangements when
-    the pooled size is at most ``EXACT_MAX_TOTAL`` and otherwise from the
-    normal approximation with tie-corrected variance and a continuity
-    correction of one half. Non-finite scores are a :class:`DataError`.
+    The p-value is exact, counted over every label arrangement of the
+    midranks, when the pooled size is at most ``EXACT_MAX_TOTAL`` (60), and
+    otherwise comes from the normal approximation with tie-corrected
+    variance and a continuity correction of one half. Non-finite scores are
+    a :class:`DataError`.
     """
     a = _finite_scores(group_a)
     b = _finite_scores(group_b)
@@ -131,20 +133,25 @@ def mann_whitney_u(
 
 
 def _exact_two_sided_p(ranks: np.ndarray, n_a: int) -> float:
-    """Fraction of arrangements with |U - mean| at least as large as observed."""
-    n = ranks.shape[0]
-    n_b = n - n_a
-    mean_u = n_a * n_b / 2.0
-    base = n_a * (n_a + 1) / 2.0
-    observed = abs(float(ranks[:n_a].sum()) - base - mean_u)
-    hits = 0
-    total = 0
-    for combo in itertools.combinations(range(n), n_a):
-        u = ranks[list(combo)].sum() - base
-        total += 1
-        if abs(u - mean_u) >= observed - 1e-12:
-            hits += 1
-    return hits / total
+    """Share of the label arrangements whose |U - mean| is at least the observed one.
+
+    Doubled midranks are integers, so the null is counted exactly (Mann &
+    Whitney 1947): one shift-add per rank makes ``counts[j, s]`` the number
+    of j-subsets of the ranks with doubled sum ``s``. The smaller group's
+    k-subsets suffice, since swapping the groups leaves |U - mean| unchanged;
+    U's distance from its mean is half the doubled sum's distance from
+    ``k(n + 1)``.
+    """
+    doubled = (2.0 * ranks).astype(np.int64)
+    n = doubled.size
+    k = min(n_a, n - n_a)
+    observed = abs(int(doubled[:n_a].sum()) - n_a * (n + 1))
+    counts = np.zeros((k + 1, int(doubled.sum()) + 1), dtype=np.int64)
+    counts[0, 0] = 1
+    for rank in doubled.tolist():  # numpy buffers the overlapping operands: each j-subset gains the rank once
+        counts[1:, rank:] += counts[:-1, :-rank]
+    distance = np.abs(np.arange(counts.shape[1]) - k * (n + 1))
+    return int(counts[k, distance >= observed].sum()) / math.comb(n, k)
 
 
 def _normal_two_sided_p(u: float, n_a: int, n_b: int, pooled: np.ndarray) -> float:

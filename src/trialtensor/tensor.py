@@ -235,23 +235,29 @@ def _tensor_files(directory: str | Path) -> tuple[Path, Path]:
 
 
 def save_tensor(tensor: SparseTensor, modes: Sequence[Sequence[str]], directory: str | Path) -> None:
-    """Write ``tensor`` and its per-mode identifiers into ``directory``, creating it if need be."""
+    """Write ``tensor`` and its per-mode identifiers into ``directory``, creating it if need be.
+
+    The metadata must pass the check :func:`load_tensor` applies, so
+    nothing is written that could not be read back.
+    """
     if len(modes) != 3:
         raise DataError("expected one identifier sequence per tensor mode")
-    for key, identifiers, dim in zip(_META_MODES, modes, tensor.dims):
-        if len(identifiers) != dim:
-            raise DataError(f"{len(identifiers)} {key} identifiers do not match dim {dim}")
     tsv_path, meta_path = _tensor_files(directory)
-    write_tsv(tsv_path, _TSV_HEADER, entry_lines(tensor.coords, tensor.values))
     meta = {
         "dims": list(tensor.dims),
         "modes": {key: list(identifiers) for key, identifiers in zip(_META_MODES, modes)},
     }
+    _meta_indices(meta, meta_path)
+    write_tsv(tsv_path, _TSV_HEADER, entry_lines(tensor.coords, tensor.values))
     write_json(meta_path, meta, sort_keys=False)
 
 
 def _meta_indices(meta: object, meta_path: str | Path) -> tuple[tuple[int, int, int], tuple[tuple[str, ...], ...]]:
-    """Validate parsed tensor metadata and return its dims and per-mode identifiers."""
+    """Validate parsed tensor metadata and return its dims and per-mode identifiers.
+
+    An identifier must be non-empty and hold no tab or newline, since it
+    becomes a field of the TSV rows that ``train`` writes.
+    """
     try:
         dims = list(meta["dims"])
         lists = [meta["modes"][key] for key in _META_MODES]
@@ -268,6 +274,9 @@ def _meta_indices(meta: object, meta_path: str | Path) -> tuple[tuple[int, int, 
             raise DataError(f"{meta_path}: {len(idents)} {key} identifiers for dims[{mode}] = {dim}")
         if len(set(idents)) != dim:
             raise DataError(f"{meta_path}: duplicate identifiers in 'modes.{key}'")
+        for ident in idents:
+            if not ident or "\t" in ident or "\n" in ident:
+                raise DataError(f"{meta_path}: 'modes.{key}' identifier {ident!r} is empty or holds a tab or newline")
     return _checked_dims(dims), tuple(tuple(idents) for idents in lists)
 
 

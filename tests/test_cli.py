@@ -251,6 +251,28 @@ class TestTrainCommand:
         assert main(args + SMALL_SCHEDULE) == 2
         assert "--tensor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode,index,ident", [
+        ("targets", 1, "G\t2"), ("indications", 0, "D\n1"), ("layers", 2, ""),
+    ])
+    def test_identifier_that_breaks_a_row_is_data_error(self, ingested_dir, tmp_path, capsys, mode, index, ident):
+        # Written as a predictions.tsv field, such an identifier would split or empty a row.
+        meta_path = ingested_dir / "tensor.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["modes"][mode][index] = ident
+        meta_path.write_text(json.dumps(meta))
+        out = tmp_path / "model"
+        assert main(["train", "--tensor", str(ingested_dir), "--out", str(out)] + SMALL_SCHEDULE) == 2
+        assert f"'modes.{mode}' identifier {ident!r} is empty or holds a tab or newline" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_outcome_layer_is_data_error(self, ingested_dir, tmp_path, capsys):
+        tsv_path = ingested_dir / "tensor.tsv"
+        tsv_path.write_text(tsv_path.read_text().splitlines()[0] + "\n")
+        out = tmp_path / "model"
+        assert main(["train", "--tensor", str(ingested_dir), "--out", str(out)] + SMALL_SCHEDULE) == 2
+        assert "empty outcome layer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_defaults_and_flag_override(self, ingested_dir, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("burnin = 2\nsamples = 6\nthin = 3\nlatent-dim = 2\nseed = 5\n")

@@ -68,6 +68,23 @@ def pairwise_exact_mww_p(a, b):
     return hits / total
 
 
+def enumerated_exact_p(ranks, n_a):
+    """Exact two-sided p by enumerating every label arrangement of the midranks."""
+    n = ranks.shape[0]
+    n_b = n - n_a
+    mean_u = n_a * n_b / 2.0
+    base = n_a * (n_a + 1) / 2.0
+    observed = abs(float(ranks[:n_a].sum()) - base - mean_u)
+    hits = 0
+    total = 0
+    for combo in itertools.combinations(range(n), n_a):
+        u = ranks[list(combo)].sum() - base
+        total += 1
+        if abs(u - mean_u) >= observed - 1e-12:
+            hits += 1
+    return hits / total
+
+
 class TestAuroc:
     def test_perfect_separation(self):
         assert auroc([0.9, 0.8, 0.3, 0.2], [1, 1, 0, 0]) == 1.0
@@ -242,6 +259,29 @@ class TestMannWhitney:
         _, p = mann_whitney_u(a, b)
         assert p == pytest.approx(pairwise_exact_mww_p(a, b), abs=1e-12)
 
+    @pytest.mark.parametrize("values", ["untied", "tied", "all tied"])
+    def test_counting_equals_enumeration_at_every_split_up_to_twelve(self, values):
+        rng = np.random.default_rng(12)
+        for n in range(2, 13):
+            pooled = {"untied": rng.random(n), "tied": rng.integers(0, 4, n), "all tied": np.zeros(n)}[values]
+            ranks = _midranks(pooled.astype(float))
+            for n_a in range(1, n):
+                assert _exact_two_sided_p(ranks, n_a) == enumerated_exact_p(ranks, n_a)
+
+    @pytest.mark.parametrize("n_a,n_b,tied", [(7, 6, False), (7, 6, True), (1, 13, False), (7, 7, True)])
+    def test_exact_path_beyond_twelve_matches_pairwise_oracle(self, n_a, n_b, tied):
+        rng = np.random.default_rng(n_a * n_b + tied)
+        draw = (lambda n: rng.integers(0, 5, n).astype(float)) if tied else rng.random
+        a, b = draw(n_a).tolist(), draw(n_b).tolist()
+        _, p = mann_whitney_u(a, b)
+        assert p == pytest.approx(pairwise_exact_mww_p(a, b), abs=1e-12)
+
+    @pytest.mark.parametrize("n_a,n_b", [(1, 59), (7, 6), (30, 30)])
+    def test_swapping_groups_keeps_exact_p(self, n_a, n_b):
+        rng = np.random.default_rng(n_a + n_b)
+        for a, b in ((rng.random(n_a), rng.random(n_b)), (rng.integers(0, 6, n_a), rng.integers(0, 6, n_b))):
+            assert mann_whitney_u(a, b)[1] == mann_whitney_u(b, a)[1]
+
     def test_normal_path_close_to_exact_at_six_per_group(self):
         # Exhaustive over all arrangements of 12 distinct values.
         values = np.arange(1.0, 13.0)
@@ -251,9 +291,7 @@ class TestMannWhitney:
             a = [values[i] for i in in_a]
             b = [values[i] for i in range(12) if i not in in_a]
             pooled = np.array(a + b)
-            from scipy.stats import rankdata
-
-            ranks = rankdata(pooled)
+            ranks = pooled  # the distinct values 1..12 are their own ranks
             u_a = float(ranks[:6].sum() - 6 * 7 / 2.0)
             p_normal = _normal_two_sided_p(u_a, 6, 6, pooled)
             p_exact = _exact_two_sided_p(ranks, 6)

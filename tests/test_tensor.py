@@ -329,6 +329,17 @@ class TestSerialization:
             save_tensor(tiny_tensor, modes, tmp_path)
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("targets,match", [
+        (("g1", "g\t2", "g3"), r"'modes.targets' identifier 'g\\t2' is empty or holds a tab or newline"),
+        (("g1", "", "g3"), "'modes.targets' identifier '' is empty"),
+        (("g1", "g1", "g3"), "duplicate identifiers in 'modes.targets'"),
+    ])
+    def test_metadata_load_would_reject_is_not_written(self, tiny_tensor, tmp_path, targets, match):
+        modes = (targets, ("d1", "d2"), ("outcome", "rare_disease", "gene_burden", "gwas"))
+        with pytest.raises(DataError, match=match):
+            save_tensor(tiny_tensor, modes, tmp_path)
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("missing", ["tensor.tsv", "tensor.meta.json"])
     def test_missing_file_is_data_error_naming_it(self, tiny_tensor, tmp_path, missing):
         modes = (("g1", "g2", "g3"), ("d1", "d2"), ("outcome", "rare_disease", "gene_burden", "gwas"))
