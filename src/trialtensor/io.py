@@ -163,11 +163,11 @@ def parse_fields(path: str | Path, lines: np.ndarray, fields: list[str], convert
     the first field it rejects is a :class:`DataError` naming its line."""
     dtype = _DTYPES[convert]
     try:
-        return np.fromiter(map(convert, fields), dtype, len(fields))
+        return np.array(fields, dtype)  # each field parsed as convert(field) would, with no text array between
     except (ValueError, OverflowError):
         for line, field in zip(lines.tolist(), fields):
             try:
-                np.fromiter((convert(field),), dtype, 1)
+                np.array([field], dtype)
             except (ValueError, OverflowError) as exc:
                 raise DataError(f"{path}:{line}: bad {name} {field!r}") from exc
         raise

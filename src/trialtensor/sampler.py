@@ -19,8 +19,8 @@ state is its latent rows alone.
 A :class:`ModelState` holds one or more independent chains that advance in
 lock-step over the block-diagonal union of their training tensors
 (:func:`~trialtensor.tensor.block_union`): their latent rows, stacked
-chain-major, each chain's random streams, and the row offsets that address
-each chain's rows. Each sweep draws each mode once for every chain. Given
+chain-major, each chain's seed, and the row offsets that address each
+chain's rows. Each sweep draws each mode once for every chain. Given
 the other two modes, the latent rows of a mode are independent, so each
 mode is redrawn by one stacked Cholesky factorization and one forward and
 back substitution over the rows of all chains. Each row's Gram and
@@ -35,14 +35,14 @@ inverse scales, Bartlett factors, factorizations, products and solves are
 stacked over modes and chains. Every Cholesky factor comes from
 :func:`_cholesky`, which raises :class:`~trialtensor.errors.NumericalError`
 for a matrix that is not SPD after one jitter retry or whose factor is not
-finite. What does not change between sweeps (the runs
-themselves, the Bartlett lower-triangle indices) is computed once. The
-draw functions draw nothing: they are deterministic functions of the noise
-they are given. :func:`_sweep_noise` draws each chain's noise for a sweep
-from one counter-based stream keyed by ``(seed, sweep + 1)`` (see
-:mod:`trialtensor.rng`), and every stacked step treats each row or
-chain alone, so a chain draws the same numbers alone or in a batch. A
-single chain is the one-chain case of the same code.
+finite. What does not change between sweeps (the runs themselves, the
+Bartlett lower-triangle indices) is computed once. The draw functions draw
+nothing: they are deterministic functions of the noise they are given.
+:func:`_sweep_noise` draws each chain's noise for a sweep from its stream
+``(seed, sweep + 1)`` of one :class:`~trialtensor.rng.StreamTree`, re-keyed
+chain by chain, and every stacked step treats each row or chain alone, so a
+chain draws the same numbers alone or in a batch. A single chain is the
+one-chain case of the same code.
 
 The model is the list of ``(U, V, W)`` triples :func:`run` retains for a
 chain; a checkpoint stores exactly them, and :func:`predict_slice` scores a
@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .io import check, float_rows, read_header, read_json, read_tsv, write_json, write_tsv
-from .rng import N_SWEEPS, StreamTree
+from .rng import N_SWEEPS, StreamTree, check_seed
 from .tensor import OTHER_MODES, CountRuns, SparseTensor, block_union
 
 _JITTER_REL = 1e-6
@@ -75,23 +75,19 @@ _BLOCK_DOUBLES = 2**15
 
 @dataclass
 class ModelState:
-    """Latent rows of chains sampled in lock-step, and their random streams.
+    """Latent rows of chains sampled in lock-step, and their seeds.
 
     Chain ``c`` owns rows ``offsets[c, mode]:offsets[c + 1, mode]`` of
-    ``latents[mode]`` (chain-major) and the random streams of ``trees[c]``,
-    whose seed is ``seeds[c]``. ``dims`` are those of the chains'
+    ``latents[mode]`` (chain-major) and the random streams of seed
+    ``seeds[c]``. ``dims`` are those of the chains'
     :func:`~trialtensor.tensor.block_union`.
     """
 
     latents: list[np.ndarray]
     alpha: float
-    trees: tuple[StreamTree, ...]
+    seeds: tuple[int, ...]
     offsets: np.ndarray
     sweep: int = 0
-
-    @property
-    def seeds(self) -> tuple[int, ...]:
-        return tuple(tree.seed for tree in self.trees)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -136,25 +132,25 @@ def init_chains(
 ) -> ModelState:
     """Fresh state of one chain per ``(dims, seed)``: latents i.i.d. standard normal.
 
-    Seeds are integers in ``[0, 2**64)``; :class:`~trialtensor.rng.StreamTree`
-    raises ``ValueError`` for any other.
+    ``seeds`` is any sequence of integers in ``[0, 2**64)``, a numpy array
+    too; a seed outside that range raises ``ValueError`` before any draw.
     """
     if n_latent < 1:
         raise ValueError("n_latent must be at least 1")
     if not 0 < alpha < np.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    seeds = tuple(map(check_seed, seeds))
     if len(chain_dims) != len(seeds) or not seeds:
         raise ValueError(f"need one seed per chain, got {len(seeds)} for {len(chain_dims)} chains")
-    trees = tuple(StreamTree(seed) for seed in seeds)
     offsets = np.zeros((len(seeds) + 1, 3), dtype=np.int64)
     offsets[1:] = np.cumsum(np.asarray(chain_dims, dtype=np.int64).reshape(-1, 3), axis=0)
     offsets.flags.writeable = False
-    draws = []  # per chain, its rows of each mode in turn from its stream 0
-    for tree, dims in zip(trees, chain_dims):
-        rng = tree.stream(0)
+    tree, draws = StreamTree(), []  # per chain, its rows of each mode in turn from its stream 0
+    for seed, dims in zip(seeds, chain_dims):
+        rng = tree.stream(seed, 0)
         draws.append([rng.standard_normal((int(d), n_latent)) for d in dims])
     latents = [np.concatenate(mats) for mats in zip(*draws)]
-    return ModelState(latents=latents, alpha=float(alpha), trees=trees, offsets=offsets)
+    return ModelState(latents=latents, alpha=float(alpha), seeds=seeds, offsets=offsets)
 
 
 @functools.lru_cache(maxsize=None)
@@ -384,9 +380,9 @@ def _sweep_noise(state: ModelState) -> tuple[np.ndarray, np.ndarray, list[np.nda
     chi = np.empty(chi_dof.shape)
     normals = np.empty(chi.shape[:2] + (dim * (dim + 1) // 2,))  # each Bartlett lower triangle, then z
     z = [np.empty_like(mat) for mat in state.latents]
-    bounds = state.offsets.tolist()
-    for chain, tree in enumerate(state.trees):
-        rng = tree.stream(state.sweep + 1)
+    bounds, tree = state.offsets.tolist(), StreamTree()
+    for chain, seed in enumerate(state.seeds):
+        rng = tree.stream(seed, state.sweep + 1)
         chi[:, chain] = rng.chisquare(chi_dof[:, chain])
         normals[:, chain] = rng.standard_normal((3, normals.shape[2]))
         for mode in range(3):
@@ -404,7 +400,7 @@ def gibbs_step(state: ModelState, tensor: SparseTensor) -> ModelState:
     changes no row.
     """
     chi, normals, z = _sweep_noise(state)
-    n_chains = len(state.trees)
+    n_chains = len(state.seeds)
     first_rows = np.cumsum(state.dims) - state.dims  # each mode's first row in the concatenation
     bounds = np.append(0, (state.offsets[1:] + first_rows).T)
     means, precisions = sample_mode_hyperparams(

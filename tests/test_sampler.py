@@ -73,6 +73,51 @@ class TestInitModel:
         state = init_chains([(3, 2, 2)], 2, [2**64 - 1])
         assert state.seeds == (2**64 - 1,)
 
+    def test_numpy_seed_array(self):
+        state = init_chains([(3, 2, 2), (2, 2, 3)], 2, np.array([1, 2]))
+        assert state.seeds == (1, 2) and all(type(seed) is int for seed in state.seeds)
+        expected = init_chains([(3, 2, 2), (2, 2, 3)], 2, [1, 2])
+        assert all(np.array_equal(a, b) for a, b in zip(state.latents, expected.latents, strict=True))
+
+    def test_every_seed_checked_before_any_draw(self, monkeypatch):
+        taken = []
+        stream = StreamTree.stream
+        monkeypatch.setattr(StreamTree, "stream", lambda tree, *key: taken.append(key) or stream(tree, *key))
+        with pytest.raises(ValueError, match=r"seed 18446744073709551616 outside \[0, 2\*\*64\)"):
+            init_chains([(3, 2, 2), (3, 2, 2)], 2, np.array([0, 2**64], dtype=object))
+        assert taken == []
+
+    def test_one_stream_tree_for_all_chains(self, monkeypatch):
+        built = []
+
+        class CountedTree(StreamTree):
+            __slots__ = ()
+
+            def __init__(self):
+                built.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(sampler, "StreamTree", CountedTree)
+        state = init_chains([(3, 2, 2)] * 1000, 2, range(1000))
+        assert len(built) == 1
+        gibbs_step(state, block_union([tensor_from_entries((3, 2, 2), [(0, 0, 0, 0.5)])] * 1000))
+        assert len(built) == 2
+
+    def test_state_is_plain_data(self, tiny_tensor):
+        # The state holds no random generator, so a deep copy continues exactly like the original.
+        assert [field.name for field in dataclasses.fields(sampler.ModelState)] == [
+            "latents", "alpha", "seeds", "offsets", "sweep"
+        ]
+        state = init_chains([tiny_tensor.dims], 3, [4])
+        for _ in range(2):
+            gibbs_step(state, tiny_tensor)
+        copied = copy.deepcopy(state)
+        for _ in range(3):
+            gibbs_step(state, tiny_tensor)
+            gibbs_step(copied, tiny_tensor)
+        assert copied.sweep == state.sweep == 5
+        assert all(np.array_equal(a, b) for a, b in zip(copied.latents, state.latents, strict=True))
+
 
 BETA0 = 2.0  # the model's fixed prior: mu0 = 0, beta0 = 2, W0 = I, nu0 = D
 
@@ -679,7 +724,7 @@ class TestLockStep:
     def test_chains_draw_the_streams_they_draw_alone(self, monkeypatch):
         keys = []
         stream = StreamTree.stream
-        monkeypatch.setattr(StreamTree, "stream", lambda tree, *key: keys.append((tree.seed, *key)) or stream(tree, *key))
+        monkeypatch.setattr(StreamTree, "stream", lambda tree, *key: keys.append(key) or stream(tree, *key))
         tensors, seeds, schedule = _chain_tensors(), [5, 6, 7], SamplerSchedule(1, 2, 1)
         run(init_chains([t.dims for t in tensors], 2, seeds), tensors, schedule)
         together, keys[:] = sorted(keys), []

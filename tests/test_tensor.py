@@ -482,7 +482,8 @@ class TestLoadTensorFuzz:
     @pytest.mark.parametrize(
         "field",
         [" 1", "+1", "0_1", "1__0", "\u0661", "01", "-0", "1.0", "1e0", "0x1", "\u00bd", "", " .5\x0c",
-         "nan", "inf", "1e400", "-1e-400", str(2**63), str(-(2**63) - 1), "9" * 5000],
+         "nan", "inf", "1e400", "-1e-400", str(2**63), str(-(2**63) - 1), "9" * 5000,
+         "1_000.5", "\u0663.\u0665", "infinity", "-NaN", "1e-320"],
     )
     def test_number_forms_load_like_line_loop(self, tensor_texts, tmp_path, column, field):
         lines = tensor_texts["tensor.tsv"].split("\n")
