@@ -12,6 +12,7 @@ optional flag of the subcommand; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from collections import Counter
@@ -28,7 +29,7 @@ from .io import (
 )
 from .metrics import class_imbalance, phase_analysis, repeated_eval, summarize
 from .rng import N_SEEDS
-from .sampler import SamplerSchedule, init_chains, predict_slice, run, save_checkpoint
+from .sampler import SamplerSchedule, predict_slice, run, save_checkpoint
 from .simulate import SynthConfig, generate, synthetic_modes
 from .tensor import load_tensor, save_tensor, select_layers
 
@@ -276,9 +277,8 @@ def cmd_train(ns: argparse.Namespace) -> int:
     if not (tensor.coords[:, 2] == 0).any():  # the scores would be prior draws alone
         raise DataError(f"empty outcome layer: {tensor_dir} holds no cell in layer {modes[2][0]!r}")
     tensor = select_layers(tensor, _resolve_layer_names(ns.layers, modes[2], "--layers"))
-    state = init_chains([tensor.dims], ns.latent_dim, [ns.seed], alpha=ns.alpha)
-    (samples,) = run(state, [tensor], schedule)
-    save_checkpoint(out_dir / "checkpoint", samples, state, schedule)
+    (samples,) = run([tensor], ns.latent_dim, [ns.seed], ns.alpha, schedule)
+    save_checkpoint(out_dir / "checkpoint", samples, ns.seed, ns.alpha, schedule)
     write_tsv(
         out_dir / "predictions.tsv",
         ("target_id", "indication_id", "layer", "score"),
@@ -445,18 +445,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     # Every cell's coordinates in C order, 12 bytes a cell next to the truth's 8.
     coords = np.indices(dims, dtype=np.int32).reshape(3, -1).T
     write_tsv(out_dir / "ground_truth.tsv", ("i", "j", "k", "value"), entry_lines(coords, ground_truth.ravel()))
-    write_json(
-        out_dir / "simulate_manifest.json",
-        {
-            "dims": list(dims),
-            "true_rank": config.true_rank,
-            "noise_sd": config.noise_sd,
-            "observed_fraction": config.observed_fraction,
-            "coupling": config.coupling,
-            "seed": config.seed,
-            "n_entries": tensor.n_entries,
-        },
-    )
+    write_json(out_dir / "simulate_manifest.json", {**dataclasses.asdict(config), "n_entries": tensor.n_entries})
     logger.info("simulated tensor dims=%s entries=%d -> %s", dims, tensor.n_entries, out_dir)
     return 0
 

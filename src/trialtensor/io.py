@@ -28,7 +28,11 @@ FLOAT_BLOCK = 1 << 12  # the most floats a writer formats at a time
 
 @contextmanager
 def atomic_write(path: str | Path) -> Iterator[BinaryIO]:
-    """Open a temp file for writing bytes and rename it onto ``path`` on success."""
+    """Open a temp file for writing bytes and rename it onto ``path`` on success.
+
+    On any failure the temp file is removed; an ``OSError`` (say, ``path`` is
+    a directory) becomes a :class:`DataError` naming ``path``.
+    """
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -43,11 +47,13 @@ def atomic_write(path: str | Path) -> Iterator[BinaryIO]:
         os.umask(umask)
         os.chmod(tmp_name, 0o666 & ~umask)
         os.replace(tmp_name, path)
-    except BaseException:
+    except BaseException as exc:
         try:
             os.unlink(tmp_name)
         except OSError:
             pass
+        if isinstance(exc, OSError):
+            raise DataError(f"cannot write {path}: {exc}") from exc
         raise
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DataError
 from .ingest import MAX_PHASE
 from .io import check
-from .sampler import SamplerSchedule, init_chains, predict_slice, run
+from .sampler import SamplerSchedule, predict_slice, run
 from .tensor import SparseTensor, select_layers, split_cells
 
 # Pooled size at or below which the exact permutation null is counted. At 60
@@ -221,12 +221,11 @@ def repeated_eval(
     for batch in _batches([model_tensors[model].dims for model, _ in chains], n_latent):
         fulls = [model_tensors[chains[i][0]] for i in batch]
         held = [split_cells(full, 0, heldout_fraction, chains[i][1]) for full, i in zip(fulls, batch)]
-        state = init_chains([full.dims for full in fulls], n_latent, [chains[i][1] for i in batch], alpha=alpha)
         # A generator keeps no tensor it has yielded, so the union run builds is the only copy of the cells.
-        chain_samples = run(state, (
+        chain_samples = run((
             SparseTensor(full.dims, np.delete(full.coords, rows, axis=0), np.delete(full.values, rows))
             for full, rows in zip(fulls, held)
-        ), schedule)
+        ), n_latent, [chains[i][1] for i in batch], alpha, schedule)
         for index, samples, full, rows in zip(batch, chain_samples, fulls, held):
             scores = predict_slice(samples, 0)[full.coords[rows, 0], full.coords[rows, 1]]  # layer-0 cells only
             aurocs[index] = auroc(scores, full.values[rows])

@@ -35,24 +35,24 @@ inverse scales, Bartlett factors, factorizations, products and solves are
 stacked over modes and chains. Every Cholesky factor comes from
 :func:`_cholesky`, which raises :class:`~trialtensor.errors.NumericalError`
 for a matrix that is not SPD after one jitter retry or whose factor is not
-finite. What does not change between sweeps (the runs themselves, the
-Bartlett lower-triangle indices) is computed once. The draw functions draw
-nothing: they are deterministic functions of the noise they are given.
+finite. Each mode's count runs do not change between sweeps and are
+computed once. The draw functions draw nothing: they are deterministic
+functions of the noise they are given.
 :func:`_sweep_noise` draws each chain's noise for a sweep from its stream
 ``(seed, sweep + 1)`` of one :class:`~trialtensor.rng.StreamTree`, re-keyed
 chain by chain, and every stacked step treats each row or chain alone, so a
 chain draws the same numbers alone or in a batch. A single chain is the
 one-chain case of the same code.
 
-The model is the list of ``(U, V, W)`` triples :func:`run` retains for a
-chain; a checkpoint stores exactly them, and :func:`predict_slice` scores a
-layer.
+:func:`run` starts one chain per training tensor with :func:`init_chains`
+and samples them together. The model is the list of ``(U, V, W)`` triples
+it retains for a chain; a checkpoint stores exactly them, and
+:func:`predict_slice` scores a layer.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -153,15 +153,6 @@ def init_chains(
     return ModelState(latents=latents, alpha=float(alpha), seeds=seeds, offsets=offsets)
 
 
-@functools.lru_cache(maxsize=None)
-def _strict_lower(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    # Row-major strictly-lower indices, shared by every draw of this size.
-    rows, cols = np.tril_indices(dim, k=-1)
-    rows.flags.writeable = False
-    cols.flags.writeable = False
-    return rows, cols
-
-
 def _cholesky(mats: np.ndarray, what: str) -> np.ndarray:
     """Lower Cholesky factor of a ``(D, D)`` matrix or of each in an ``(n, D, D)`` stack.
 
@@ -250,7 +241,7 @@ def sample_mode_hyperparams(
     scatter = np.empty((len(counts), dim, dim))
     for chain, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
         np.matmul(centered[lo:hi].T, centered[lo:hi], out=scatter[chain])
-    lower_rows, lower_cols = _strict_lower(dim)
+    lower_rows, lower_cols = np.tril_indices(dim, k=-1)
     beta_post = _BETA0 + counts
     scale_inv = np.eye(dim) + scatter + (_BETA0 * counts / beta_post)[:, None, None] * (
         xbar[:, :, None] * xbar[:, None, :]
@@ -420,22 +411,23 @@ Sample = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def run(
-    state: ModelState, tensors: Iterable[SparseTensor], schedule: SamplerSchedule
+    tensors: Iterable[SparseTensor], n_latent: int, seeds: Sequence[int], alpha: float, schedule: SamplerSchedule
 ) -> list[list[Sample]]:
     """Burn in, then sample every chain in lock-step, retaining every ``thin``-th post-burn-in sweep.
 
-    The ``c``-th of ``tensors`` is chain ``c``'s training tensor. Sweeps are numbered
-    1-based after burn-in and a sweep is retained when its number is an
-    exact multiple of ``thin``, so the retained count is
+    The ``c``-th of ``tensors`` is chain ``c``'s training tensor and
+    ``seeds[c]`` its seed; :func:`init_chains` starts the chains with
+    ``n_latent`` and the observation precision ``alpha``, and raises its
+    ``ValueError`` for a seed count unlike the tensor count. Sweeps are
+    numbered 1-based after burn-in and a sweep is retained when its number
+    is an exact multiple of ``thin``, so the retained count is
     ``schedule.retained == samples // thin``. Returns, per chain, its
     retained ``(U, V, W)`` latent triples in retention order, the same
     arrays a run of that chain alone returns; :func:`gibbs_step` assigns
     fresh arrays, so later sweeps never alter a retained triple.
     """
     tensors = list(tensors)
-    chain_dims = [tuple(dims) for dims in np.diff(state.offsets, axis=0).tolist()]
-    if chain_dims != [tensor.dims for tensor in tensors]:
-        raise DataError(f"chain dims {chain_dims} do not match tensor dims {[t.dims for t in tensors]}")
+    state = init_chains([tensor.dims for tensor in tensors], n_latent, seeds, alpha)
     tensor = block_union(tensors)
     del tensors  # the union holds the cells; tensors a caller passed as a generator are freed now
     for _ in range(schedule.burnin):
@@ -478,17 +470,19 @@ def _latent_columns(n_latent: int) -> list[str]:
 def save_checkpoint(
     directory: str | Path,
     samples: Sequence[Sample],
-    state: ModelState,
+    seed: int,
+    alpha: float,
     schedule: SamplerSchedule,
 ) -> None:
+    """Write one chain's retained samples, drawn with ``seed``, ``alpha`` and ``schedule``, as a checkpoint."""
     directory = Path(directory)
-    (seed,) = state.seeds  # a checkpoint holds one chain
-    header = _latent_columns(state.n_latent)
+    n_latent = samples[0][0].shape[1]
+    header = _latent_columns(n_latent)
     for mode, filename in enumerate(_CHECKPOINT_FILES):
         write_tsv(directory / filename, header, (text for sample in samples for text in float_rows(sample[mode])))
     manifest = {
-        "n_latent": state.n_latent,
-        "alpha": state.alpha,
+        "n_latent": n_latent,
+        "alpha": alpha,
         "burnin": schedule.burnin,
         "samples": schedule.samples,
         "thin": schedule.thin,

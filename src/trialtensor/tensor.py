@@ -98,10 +98,6 @@ class SparseTensor:
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("SparseTensor is immutable")
 
-    @classmethod
-    def empty(cls, dims: Sequence[int]) -> "SparseTensor":
-        return cls(dims, np.empty((0, 3), dtype=np.int64), np.empty(0))
-
     @property
     def coords(self) -> np.ndarray:
         return self._coords

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from trialtensor import (
+from trialtensor.ingest import (
     LAYER_ORDER,
     STOP_REASONS,
     UNLABELED,
-    SparseTensor,
     build_tensor,
     label_outcomes,
     load_xref,
@@ -19,6 +18,7 @@ from trialtensor import (
     parse_outcomes,
     parse_rare_disease,
 )
+from trialtensor.tensor import SparseTensor
 
 DATA_DIR = Path(__file__).parent / "data"
 

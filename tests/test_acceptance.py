@@ -19,27 +19,13 @@ import pytest
 from scipy.stats import rankdata
 
 from trialtensor import sampler
-from trialtensor import (
-    SamplerSchedule,
-    SparseTensor,
-    SynthConfig,
-    auroc,
-    class_imbalance,
-    generate,
-    gibbs_step,
-    init_chains,
-    load_xref,
-    map_ontology,
-    mann_whitney_u,
-    predict_slice,
-    repeated_eval,
-    run,
-    sample_mode_latents,
-    split_cells,
-    summarize,
-)
+from trialtensor import SamplerSchedule, SparseTensor, predict_slice, repeated_eval, run, summarize
 from trialtensor.cli import main
-from trialtensor.metrics import _exact_two_sided_p, _normal_two_sided_p
+from trialtensor.ingest import load_xref, map_ontology
+from trialtensor.metrics import _exact_two_sided_p, _normal_two_sided_p, auroc, class_imbalance, mann_whitney_u
+from trialtensor.sampler import gibbs_step, init_chains, sample_mode_latents
+from trialtensor.simulate import SynthConfig, generate
+from trialtensor.tensor import split_cells
 
 from conftest import NO_PAIRS, cell_value, evidence_rows, evidence_table, ingest_fixture, pair_rows
 from test_metrics import brute_force_auroc, pairwise_exact_mww_p
@@ -236,10 +222,9 @@ def test_c3_synthetic_recovery():
         rows = split_cells(tensor, layer=0, heldout_fraction=0.2, seed=7)
         heldout = tensor.coords[rows]
         train_tensor = SparseTensor(tensor.dims, np.delete(tensor.coords, rows, axis=0), np.delete(tensor.values, rows))
-        state = init_chains([tensor.dims], 16, [1], alpha=100.0)
         schedule = SamplerSchedule(200, 800, 80)
         assert schedule.retained == 10
-        (samples,) = run(state, [train_tensor], schedule)
+        (samples,) = run([train_tensor], 16, [1], 100.0, schedule)
         scores = predict_slice(samples, 0)[heldout[:, 0], heldout[:, 1]]
         observed = tensor.values[rows]
         binarized_truth = truth[tuple(heldout.T)] >= 0.5
@@ -377,7 +362,8 @@ def test_c8_determinism(ingested_dir, tmp_path):
         config = SynthConfig(dims=(15, 12, 3), true_rank=4, observed_fraction=0.5, seed=4)
         tensor, _, _ = generate(config)
         state = init_chains([tensor.dims], 6, [9], alpha=20.0)
-        run(state, [tensor], SamplerSchedule(10, 20, 5))
+        for _ in range(10 + 20):  # the sweeps of SamplerSchedule(10, 20, 5)
+            gibbs_step(state, tensor)
         for mode in range(3):
             prior, normals = drawn_prior(state, mode), mode_normals(state, mode)
             expected = per_row_reference(state, tensor, mode, normals, prior)

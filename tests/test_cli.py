@@ -346,6 +346,14 @@ class TestTrainCommand:
         assert main(args + SMALL_SCHEDULE) == 2
         assert "cannot write" in capsys.readouterr().err
 
+    def test_predictions_path_a_directory_is_data_error(self, ingested_dir, tmp_path, capsys):
+        out = tmp_path / "m"
+        (out / "predictions.tsv").mkdir(parents=True)
+        args = ["train", "--tensor", str(ingested_dir), "--out", str(out)]
+        assert main(args + SMALL_SCHEDULE) == 2
+        assert f"data error: cannot write {out / 'predictions.tsv'}: " in capsys.readouterr().err
+        assert not list(out.rglob("*.tmp"))
+
     def test_bad_config_key(self, ingested_dir, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("not_a_flag = 3\n")
@@ -460,6 +468,17 @@ class TestEvaluateCommand:
             assert {"model_name", "auroc", "f1", "imbalance", "n_repeats", "threshold"} <= set(model)
             assert 0.0 <= model["auroc"]["mean"] <= 1.0
             assert model["auroc"]["sd"] >= 0.0
+
+    def test_out_a_directory_is_data_error(self, simulated_dir, tmp_path, capsys):
+        report = tmp_path / "report"
+        report.mkdir()
+        args = [
+            "evaluate", "--tensor", str(simulated_dir), "--out", str(report), "--n-repeats", "2",
+            "--latent-dim", "2", "--burnin", "1", "--samples", "2", "--thin", "1",
+        ]
+        assert main(args) == 2
+        assert f"data error: cannot write {report}: " in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_class_without_heldout_cell_fails_before_sampling(self, tmp_path, capsys, monkeypatch):
         # Two positive outcome cells at --heldout-fraction 0.2 hold out none.
@@ -739,6 +758,18 @@ class TestPhaseJoinReference:
 
 
 class TestTopLevel:
+    def test_package_root_exports_the_documented_api(self):
+        assert sorted(trialtensor.__all__) == [
+            "DataError", "NumericalError", "SamplerSchedule", "SparseTensor", "TrialTensorError", "build_tensor",
+            "load_checkpoint", "load_tensor", "phase_analysis", "predict_slice", "repeated_eval", "run",
+            "save_tensor", "select_layers", "summarize",
+        ]
+        namespace = {}
+        exec("from trialtensor import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == sorted(trialtensor.__all__)
+        readme = README.read_text(encoding="utf-8")
+        assert [name for name in trialtensor.__all__ if f"`{name}" not in readme] == []
+
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 1
 

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trialtensor import (
+from trialtensor import DataError, build_tensor
+from trialtensor.ingest import (
     LAYER_ORDER,
     STOP_REASONS,
-    DataError,
-    build_tensor,
     label_outcomes,
     load_xref,
     map_ontology,

@@ -8,25 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trialtensor import (
-    DataError,
-    SamplerSchedule,
-    SynthConfig,
-    auroc,
-    class_imbalance,
-    f1,
-    generate,
-    mann_whitney_u,
-    phase_analysis,
-    repeated_eval,
-    save_tensor,
-    select_layers,
-    split_cells,
-    summarize,
-    synthetic_modes,
+    DataError, SamplerSchedule, phase_analysis, repeated_eval, save_tensor, select_layers, summarize,
 )
 from trialtensor import metrics, sampler
 from trialtensor.cli import main
-from trialtensor.metrics import _exact_two_sided_p, _midranks, _normal_two_sided_p, bonferroni
+from trialtensor.metrics import (
+    _exact_two_sided_p, _midranks, _normal_two_sided_p, auroc, bonferroni, class_imbalance, f1, mann_whitney_u,
+)
+from trialtensor.simulate import SynthConfig, generate, synthetic_modes
+from trialtensor.tensor import split_cells
 
 
 def brute_force_auroc(scores, labels):
@@ -478,9 +468,9 @@ class TestRepeatedEval:
             alive.append(sum(ref() is not None for ref in refs))
             return real_step(state, tensor)
 
-        def held_run(state, tensors, schedule):
+        def held_run(tensors, *args):
             arguments.append(tensors)
-            return real_run(state, tensors, schedule)
+            return real_run(tensors, *args)
 
         monkeypatch.setattr(sampler, "block_union", union)
         monkeypatch.setattr(sampler, "gibbs_step", step)

@@ -12,23 +12,13 @@ from hypothesis import given, settings
 from scipy.linalg import solve_triangular
 from hypothesis import strategies as st
 
-from trialtensor import (
-    DataError,
-    NumericalError,
-    SamplerSchedule,
-    SparseTensor,
-    block_union,
-    gibbs_step,
-    init_chains,
-    load_checkpoint,
-    predict_slice,
-    run,
-    sample_mode_hyperparams,
-    sample_mode_latents,
-    save_checkpoint,
-)
+from trialtensor import DataError, NumericalError, SamplerSchedule, SparseTensor, load_checkpoint, predict_slice, run
 from trialtensor import sampler
+from trialtensor.sampler import (
+    gibbs_step, init_chains, sample_mode_hyperparams, sample_mode_latents, save_checkpoint,
+)
 from trialtensor.rng import N_SWEEPS, StreamTree
+from trialtensor.tensor import block_union
 
 from conftest import BYTE_EDITS, EDITS, FIXTURE_ENTRIES, splice, tensor_from_entries
 
@@ -283,16 +273,6 @@ class TestModeHyperparams:
         noise = prior_noise([_rng(), _rng()], bounds, 2)
         with pytest.raises(NumericalError, match="posterior inverse scale has a non-finite Cholesky factor"):
             sample_mode_hyperparams(np.concatenate([np.ones((2, 2)), rows]), bounds, *noise)
-
-    def test_cached_constants_are_read_only(self):
-        rows, cols = sampler._strict_lower(5)
-        assert sampler._strict_lower(5)[0] is rows
-        assert np.array_equal(rows, np.tril_indices(5, k=-1)[0])
-        assert np.array_equal(cols, np.tril_indices(5, k=-1)[1])
-        for array in (rows, cols):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 1
 
 
 def _two_solve_draw(lower, rhs, z):
@@ -713,10 +693,10 @@ class TestLockStep:
     @pytest.mark.parametrize("n_latent", [3, 12])
     def test_chains_in_lock_step_equal_chains_alone(self, n_latent):
         tensors, seeds, schedule = _chain_tensors(), [5, 6, 7], SamplerSchedule(2, 4, 2)
-        together = run(init_chains([t.dims for t in tensors], n_latent, seeds, alpha=5.0), tensors, schedule)
+        together = run(tensors, n_latent, seeds, 5.0, schedule)
         assert len(together) == len(tensors)
         for tensor, seed, samples in zip(tensors, seeds, together):
-            (alone,) = run(init_chains([tensor.dims], n_latent, [seed], alpha=5.0), [tensor], schedule)
+            (alone,) = run([tensor], n_latent, [seed], 5.0, schedule)
             assert len(samples) == len(alone) == 2
             for sample, expected in zip(samples, alone):
                 assert all(np.array_equal(a, b) for a, b in zip(sample, expected))
@@ -726,10 +706,10 @@ class TestLockStep:
         stream = StreamTree.stream
         monkeypatch.setattr(StreamTree, "stream", lambda tree, *key: keys.append(key) or stream(tree, *key))
         tensors, seeds, schedule = _chain_tensors(), [5, 6, 7], SamplerSchedule(1, 2, 1)
-        run(init_chains([t.dims for t in tensors], 2, seeds), tensors, schedule)
+        run(tensors, 2, seeds, 5.0, schedule)
         together, keys[:] = sorted(keys), []
         for tensor, seed in zip(tensors, seeds):
-            run(init_chains([tensor.dims], 2, [seed]), [tensor], schedule)
+            run([tensor], 2, [seed], 5.0, schedule)
         assert together == sorted(keys)
         assert len(together) == 3 * (1 + 3)  # per chain: one stream for the initial rows, then one per sweep
 
@@ -759,12 +739,11 @@ class TestLockStep:
         gibbs_step(state, union)
         assert all(np.array_equal(got, want) for got, want in zip(state.latents, expected, strict=True))
 
-    def test_run_rejects_tensors_of_other_dims(self, tiny_tensor):
-        state = init_chains([tiny_tensor.dims, tiny_tensor.dims], 2, [1, 2])
-        with pytest.raises(DataError, match="do not match"):
-            run(state, [tiny_tensor], SamplerSchedule(0, 1, 1))
-        with pytest.raises(DataError, match="do not match"):
-            run(state, [tiny_tensor, SparseTensor.empty((3, 2, 3))], SamplerSchedule(0, 1, 1))
+    def test_run_needs_one_seed_per_tensor(self, tiny_tensor):
+        with pytest.raises(ValueError, match="one seed per chain, got 2 for 1 chains"):
+            run([tiny_tensor], 2, [1, 2], 5.0, SamplerSchedule(0, 1, 1))
+        with pytest.raises(ValueError, match="one seed per chain, got 1 for 2 chains"):
+            run(iter([tiny_tensor, tiny_tensor]), 2, [1], 5.0, SamplerSchedule(0, 1, 1))
 
     def test_one_seed_per_chain(self):
         with pytest.raises(ValueError, match="one seed per chain"):
@@ -792,7 +771,7 @@ class TestGibbsStep:
 
     def test_empty_tensor_draws_every_row_from_its_prior(self):
         # No entity holds a cell, so every row's system is its chain prior alone.
-        _assert_batched_matches_per_row(SparseTensor.empty((3, 2, 2)), n_latent=3, seed=23)
+        _assert_batched_matches_per_row(tensor_from_entries((3, 2, 2), []), n_latent=3, seed=23)
 
     def test_dims_mismatch(self, tiny_tensor):
         # The first mode's update refuses before any row changes: the sweep leaves the state as it was.
@@ -901,8 +880,7 @@ class TestSchedule:
 
 class TestRun:
     def test_single_sample_schedule_equals_one_step(self, tiny_tensor):
-        state = _make_state(tiny_tensor, n_latent=2, seed=13)
-        (samples,) = run(state, [tiny_tensor], SamplerSchedule(0, 1, 1))
+        (samples,) = run([tiny_tensor], 2, [13], 5.0, SamplerSchedule(0, 1, 1))
         assert len(samples) == 1
 
         replay = _make_state(tiny_tensor, n_latent=2, seed=13)
@@ -914,8 +892,7 @@ class TestRun:
         # Burn-in 2, then sweeps 3, 6 and 9 of 10 are retained: the samples
         # are exactly the latents after those sweeps, and the score is the
         # mean of their three predictions.
-        state = _make_state(tiny_tensor, seed=3)
-        (samples,) = run(state, [tiny_tensor], SamplerSchedule(2, 10, 3))
+        (samples,) = run([tiny_tensor], 2, [3], 5.0, SamplerSchedule(2, 10, 3))
 
         replay = _make_state(tiny_tensor, seed=3)
         retained = []
@@ -930,8 +907,7 @@ class TestRun:
         assert predict_slice(samples, 0)[0, 0] == pytest.approx(expected_score, abs=1e-15)
 
     def test_predictions_clamped(self, tiny_tensor):
-        state = _make_state(tiny_tensor, seed=3)
-        scores = all_layers(run(state, [tiny_tensor], SamplerSchedule(1, 4, 2))[0])
+        scores = all_layers(run([tiny_tensor], 2, [3], 5.0, SamplerSchedule(1, 4, 2))[0])
         assert scores.shape == tiny_tensor.dims
         assert ((scores >= 0.0) & (scores <= 1.0)).all()
 
@@ -950,16 +926,14 @@ class TestRun:
             for k in range(3)
         ]
         tensor = tensor_from_entries((10, 8, 3), entries)
-        state = init_chains([tensor.dims], 2, [1], alpha=100.0)
-        predicted = all_layers(run(state, [tensor], SamplerSchedule(150, 50, 10))[0])
+        predicted = all_layers(run([tensor], 2, [1], 100.0, SamplerSchedule(150, 50, 10))[0])
         rmse = float(np.sqrt(np.mean((predicted - values) ** 2)))
         assert rmse <= 0.05
 
 
 def _checkpoint(directory, tensor, n_latent=3, seed=17, schedule=SamplerSchedule(1, 4, 2)):
-    state = _make_state(tensor, n_latent=n_latent, seed=seed)
-    (samples,) = run(state, [tensor], schedule)
-    save_checkpoint(directory, samples, state, schedule)
+    (samples,) = run([tensor], n_latent, [seed], 5.0, schedule)
+    save_checkpoint(directory, samples, seed, 5.0, schedule)
     return samples
 
 

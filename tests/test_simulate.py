@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trialtensor import SynthConfig, generate, synthetic_modes
+from trialtensor.simulate import SynthConfig, generate, synthetic_modes
 
 
 class TestSynthConfig:

@@ -10,17 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trialtensor import (
-    DataError,
-    SparseTensor,
-    block_union,
-    build_tensor,
-    label_outcomes,
-    load_tensor,
-    save_tensor,
-    select_layers,
-    split_cells,
-)
+from trialtensor import DataError, SparseTensor, build_tensor, load_tensor, save_tensor, select_layers
+from trialtensor.ingest import label_outcomes
+from trialtensor.tensor import block_union, split_cells
 from trialtensor.io import read_json, read_text
 from trialtensor.tensor import _meta_indices
 
@@ -161,7 +153,7 @@ class TestSparseTensor:
             assert not any(array.flags.writeable for array in runs)
 
     def test_count_runs_of_empty_tensor(self):
-        runs = SparseTensor.empty((3, 2, 1)).count_runs(0)
+        runs = tensor_from_entries((3, 2, 1), []).count_runs(0)
         assert runs.entities.tolist() == [0, 1, 2]
         assert runs.offsets.tolist() == [0, 0, 0, 0]
         assert runs.starts.tolist() == [0, 3]
@@ -350,7 +342,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("empty", [False, True])
     def test_tsv_bytes_match_per_field_writer(self, tmp_path, empty):
-        tensor = SparseTensor.empty((3, 2, 4)) if empty else tensor_from_entries((3, 2, 4), FIXTURE_ENTRIES)
+        tensor = tensor_from_entries((3, 2, 4), []) if empty else tensor_from_entries((3, 2, 4), FIXTURE_ENTRIES)
         save_tensor(tensor, FIXTURE_NAMES, tmp_path)
         assert (tmp_path / "tensor.tsv").read_bytes() == _reference_tsv_text(tensor).encode()
 
