@@ -91,7 +91,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     subparsers = parser.add_subparsers(dest="command", metavar="COMMAND")
     commands: dict[str, argparse.ArgumentParser] = {}
 
-    p = subparsers.add_parser("ingest", parents=[], description="Parse evidence TSVs into a tensor.")
+    p = subparsers.add_parser("ingest", description="Parse evidence TSVs into a tensor.")
     p.add_argument("--rare", help="rare-disease evidence TSV")
     p.add_argument("--burden", help="gene-burden evidence TSV")
     p.add_argument("--gwas", help="GWAS locus-to-gene TSV")
@@ -475,13 +475,10 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except np.linalg.LinAlgError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 

@@ -221,7 +221,7 @@ def repeated_eval(
     for batch in _batches([model_tensors[model].dims for model, _ in chains], n_latent):
         fulls = [model_tensors[chains[i][0]] for i in batch]
         held = [split_cells(full, 0, heldout_fraction, chains[i][1]) for full, i in zip(fulls, batch)]
-        # A generator keeps no tensor it has yielded, so the union run builds is the only copy of the cells.
+        # A generator keeps no tensor it has yielded, so the count runs that run builds are the only copy of the cells.
         chain_samples = run((
             SparseTensor(full.dims, np.delete(full.coords, rows, axis=0), np.delete(full.values, rows))
             for full, rows in zip(fulls, held)
@@ -242,8 +242,11 @@ def summarize(
     Each holds ``model_name``, ``auroc`` and ``f1`` (each the ``mean`` and
     the sample standard deviation ``sd`` over the seeds), ``imbalance`` (the
     outcome layer's positive share, the same for every model, since each
-    keeps layer 0), ``n_repeats`` and ``threshold``.
+    keeps layer 0), ``n_repeats`` and ``threshold``. Names and metric rows
+    of unequal counts are a :class:`DataError`.
     """
+    if not len(names) == len(aurocs) == len(f1s):
+        raise DataError(f"{len(names)} model names for {len(aurocs)} AUROC rows and {len(f1s)} F1 rows")
     return [
         {
             "model_name": name,
@@ -288,9 +291,12 @@ def phase_analysis(scores: np.ndarray, phases: np.ndarray) -> dict:
     Returns the ``phase_analysis.json`` payload: per-phase ``groups`` (in
     pair order) and ``group_sizes`` (keyed by the phase as a string), the
     ``tests`` in ascending phase order, ``n_comparisons``,
-    ``excluded_phases`` and ``unmatched_pairs``.
+    ``excluded_phases`` and ``unmatched_pairs``. Scores and phases of
+    unequal lengths are a :class:`DataError`.
     """
     scores, phases = np.asarray(scores, dtype=np.float64), np.asarray(phases)
+    if scores.shape != phases.shape:
+        raise DataError(f"{scores.size} scores for {phases.size} phases")
     scored = ~np.isnan(scores)
     check(None, None, ~scored | ((phases >= 0) & (phases <= MAX_PHASE)),
           lambda p: f"max_phase {phases[p]} outside 0..{MAX_PHASE}")

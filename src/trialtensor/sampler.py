@@ -17,10 +17,11 @@ in one stacked call. The priors live only within the sweep, so a chain's
 state is its latent rows alone.
 
 A :class:`ModelState` holds one or more independent chains that advance in
-lock-step over the block-diagonal union of their training tensors
-(:func:`~trialtensor.tensor.block_union`): their latent rows, stacked
-chain-major, each chain's seed, and the row offsets that address each
-chain's rows. Each sweep draws each mode once for every chain. Given
+lock-step over the block-diagonal union of their training tensors: their
+latent rows, stacked chain-major, each chain's seed, and the row offsets
+that address each chain's rows. :func:`count_runs` lays out the union's
+cells of each mode once per :func:`run`, and every sweep reads that
+layout. Each sweep draws each mode once for every chain. Given
 the other two modes, the latent rows of a mode are independent, so each
 mode is redrawn by one stacked Cholesky factorization and one forward and
 back substitution over the rows of all chains. Each row's Gram and
@@ -35,8 +36,7 @@ inverse scales, Bartlett factors, factorizations, products and solves are
 stacked over modes and chains. Every Cholesky factor comes from
 :func:`_cholesky`, which raises :class:`~trialtensor.errors.NumericalError`
 for a matrix that is not SPD after one jitter retry or whose factor is not
-finite. Each mode's count runs do not change between sweeps and are
-computed once. The draw functions draw nothing: they are deterministic
+finite. The draw functions draw nothing: they are deterministic
 functions of the noise they are given.
 :func:`_sweep_noise` draws each chain's noise for a sweep from its stream
 ``(seed, sweep + 1)`` of one :class:`~trialtensor.rng.StreamTree`, re-keyed
@@ -55,14 +55,14 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DataError, NumericalError
 from .io import check, float_rows, read_header, read_json, read_tsv, write_json, write_tsv
 from .rng import N_SWEEPS, StreamTree, check_seed
-from .tensor import OTHER_MODES, CountRuns, SparseTensor, block_union
+from .tensor import SparseTensor
 
 _JITTER_REL = 1e-6
 # Strength beta0 with which the Gaussian-Wishart prior's zero mean ties down each mode's mean.
@@ -71,6 +71,9 @@ _BETA0 = 2.0
 # 256 KiB, so 1024 cells at D=32 or 4096 at D=8 (two such buffers, each with
 # one more column, for ``y``). A larger entity is gathered in chunks of that many cells.
 _BLOCK_DOUBLES = 2**15
+# Each mode's two other modes, lower mode first: whose coordinates are a
+# mode's CountRuns.index_a and index_b.
+OTHER_MODES = ((1, 2), (0, 2), (0, 1))
 
 
 @dataclass
@@ -79,8 +82,7 @@ class ModelState:
 
     Chain ``c`` owns rows ``offsets[c, mode]:offsets[c + 1, mode]`` of
     ``latents[mode]`` (chain-major) and the random streams of seed
-    ``seeds[c]``. ``dims`` are those of the chains'
-    :func:`~trialtensor.tensor.block_union`.
+    ``seeds[c]``. ``dims`` are the sums of the chains' dims.
     """
 
     latents: list[np.ndarray]
@@ -145,11 +147,12 @@ def init_chains(
     offsets = np.zeros((len(seeds) + 1, 3), dtype=np.int64)
     offsets[1:] = np.cumsum(np.asarray(chain_dims, dtype=np.int64).reshape(-1, 3), axis=0)
     offsets.flags.writeable = False
-    tree, draws = StreamTree(), []  # per chain, its rows of each mode in turn from its stream 0
-    for seed, dims in zip(seeds, chain_dims):
+    latents = [np.empty((int(rows), n_latent)) for rows in offsets[-1]]
+    bounds, tree = offsets.tolist(), StreamTree()
+    for chain, seed in enumerate(seeds):  # a chain's rows of each mode in turn, from its stream 0
         rng = tree.stream(seed, 0)
-        draws.append([rng.standard_normal((int(d), n_latent)) for d in dims])
-    latents = [np.concatenate(mats) for mats in zip(*draws)]
+        for mode, mat in enumerate(latents):
+            rng.standard_normal(out=mat[bounds[chain][mode] : bounds[chain + 1][mode]])
     return ModelState(latents=latents, alpha=float(alpha), seeds=seeds, offsets=offsets)
 
 
@@ -260,12 +263,62 @@ def sample_mode_hyperparams(
     return mean, precision
 
 
+class CountRuns(NamedTuple):
+    """One mode's cells laid out by entity, entities in (cell count, id) order.
+
+    ``entities`` holds the sorted entity ids; the cells of ``entities[e]``
+    are ``offsets[e]:offsets[e + 1]`` of ``index_a``, ``index_b`` (their
+    coordinates in the two other modes, lower mode first) and ``values``,
+    in coordinate order. Runs of equal-count entities start at the
+    positions in ``starts``, which ends with ``len(entities)``; entities
+    without cells form the first run when there are any.
+    """
+
+    entities: np.ndarray
+    offsets: np.ndarray
+    starts: np.ndarray
+    index_a: np.ndarray
+    index_b: np.ndarray
+    values: np.ndarray
+
+
+def count_runs(tensors: Sequence[SparseTensor], offsets: np.ndarray) -> tuple[CountRuns, CountRuns, CountRuns]:
+    """Each mode's :class:`CountRuns` of the block-diagonal union of the chains' training ``tensors``.
+
+    Chain ``c``'s entity ``e`` of each mode is union entity
+    ``offsets[c, mode] + e``, with ``offsets`` those of the chains'
+    :class:`ModelState`. No cell links two chains, the chains' entities
+    follow chain order and each tensor keeps its cells in coordinate order,
+    so the chain-major concatenation of the shifted cells is already the
+    union in coordinate order: each union entity holds exactly its chain
+    entity's cells, in the same order.
+    """
+    coords = np.concatenate([tensor.coords + offset for tensor, offset in zip(tensors, offsets)])
+    values = np.concatenate([tensor.values for tensor in tensors])
+    layout = []
+    for mode, (other_a, other_b) in enumerate(OTHER_MODES):
+        counts = np.bincount(coords[:, mode], minlength=offsets[-1, mode])
+        entities = np.argsort(counts, kind="stable")
+        rank = np.empty_like(entities)
+        rank[entities] = np.arange(entities.size)
+        # Cells by their entity's rank; each entity's cells stay in coordinate order.
+        cells = np.argsort(rank[coords[:, mode]], kind="stable")
+        sorted_counts = counts[entities]
+        cell_offsets = np.concatenate([[0], np.cumsum(sorted_counts)])
+        starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_counts)) + 1, [len(entities)]])
+        runs = CountRuns(entities, cell_offsets, starts, coords[cells, other_a], coords[cells, other_b], values[cells])
+        for array in runs:
+            array.flags.writeable = False
+        layout.append(runs)
+    return tuple(layout)
+
+
 def _row_posteriors(
     state: ModelState, runs: CountRuns, mode: int, prior: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every row's posterior precision ``P + alpha q'q`` and right-hand side ``P m + alpha q'y``, in count-run order.
 
-    ``runs`` is the mode's :meth:`SparseTensor.count_runs` layout, so row
+    ``runs`` is the mode's :func:`count_runs` layout, so row
     ``r`` of each result belongs to entity ``runs.entities[r]``. Each cell
     is gathered as a row ``[q | y]``, both scaled by ``sqrt(alpha)``, in
     blocks of whole entities of at most ``_BLOCK_DOUBLES // D`` cells; each
@@ -326,11 +379,11 @@ def _row_posteriors(
 
 
 def sample_mode_latents(
-    state: ModelState, tensor: SparseTensor, mode: int, prior: tuple[np.ndarray, np.ndarray], z: np.ndarray
+    state: ModelState, runs: Sequence[CountRuns], mode: int, prior: tuple[np.ndarray, np.ndarray], z: np.ndarray
 ) -> np.ndarray:
     """Redraw every latent row of one mode, for every chain, from its full conditional.
 
-    ``tensor`` is the chains' :func:`~trialtensor.tensor.block_union` and
+    ``runs`` is the chains' :func:`count_runs` layout and
     ``prior`` the ``(means, precisions)`` that
     :func:`sample_mode_hyperparams` drew for this mode in the same sweep. Rows
     are conditionally independent given the other two modes: a row's
@@ -343,15 +396,17 @@ def sample_mode_latents(
     precisions ``L L'`` are factored and ``x = L'^-1 (L^-1 b + z)`` is
     solved in :func:`_solve_draw`; the rows then return to entity order.
     An entity with no cells has a zero Gram, so its row is drawn from its
-    chain's prior. Dims unlike ``tensor``'s raise :class:`DataError` first.
+    chain's prior. State dims unlike the layout's entity counts raise
+    :class:`DataError` first.
     """
-    if state.dims != tensor.dims:
-        raise DataError(f"state dims {state.dims} do not match tensor dims {tensor.dims}")
-    runs = tensor.count_runs(mode)
-    grams, rhs = _row_posteriors(state, runs, mode, prior)
+    counts = tuple(len(mode_runs.entities) for mode_runs in runs)
+    if state.dims != counts:
+        raise DataError(f"state dims {state.dims} do not match the layout's entity counts {counts}")
+    entities = runs[mode].entities
+    grams, rhs = _row_posteriors(state, runs[mode], mode, prior)
     lower = _cholesky(grams, "row posterior precision")
     rows = np.empty_like(rhs)
-    rows[runs.entities] = _solve_draw(lower, rhs, z[runs.entities])
+    rows[entities] = _solve_draw(lower, rhs, z[entities])
     return rows
 
 
@@ -381,14 +436,14 @@ def _sweep_noise(state: ModelState) -> tuple[np.ndarray, np.ndarray, list[np.nda
     return chi, normals, z
 
 
-def gibbs_step(state: ModelState, tensor: SparseTensor) -> ModelState:
-    """One lock-step sweep of every chain over their union ``tensor``, from :func:`_sweep_noise`.
+def gibbs_step(state: ModelState, runs: Sequence[CountRuns]) -> ModelState:
+    """One lock-step sweep of every chain over their :func:`count_runs` layout ``runs``, from :func:`_sweep_noise`.
 
     One :func:`sample_mode_hyperparams` call draws every chain's prior of all
     three modes, over their rows concatenated with ``(mode, chain)`` bounds;
-    then each mode in turn has its rows redrawn given its prior. A ``tensor``
-    of other dims fails the first mode's :func:`sample_mode_latents`, so it
-    changes no row.
+    then each mode in turn has its rows redrawn given its prior. A layout
+    of other entity counts fails the first mode's :func:`sample_mode_latents`,
+    so it changes no row.
     """
     chi, normals, z = _sweep_noise(state)
     n_chains = len(state.seeds)
@@ -399,7 +454,7 @@ def gibbs_step(state: ModelState, tensor: SparseTensor) -> ModelState:
     )
     for mode in range(3):
         chains = slice(mode * n_chains, (mode + 1) * n_chains)
-        state.latents[mode] = sample_mode_latents(state, tensor, mode, (means[chains], precisions[chains]), z[mode])
+        state.latents[mode] = sample_mode_latents(state, runs, mode, (means[chains], precisions[chains]), z[mode])
     state.sweep += 1
     return state
 
@@ -418,7 +473,8 @@ def run(
     The ``c``-th of ``tensors`` is chain ``c``'s training tensor and
     ``seeds[c]`` its seed; :func:`init_chains` starts the chains with
     ``n_latent`` and the observation precision ``alpha``, and raises its
-    ``ValueError`` for a seed count unlike the tensor count. Sweeps are
+    ``ValueError`` for a seed count unlike the tensor count. The chains'
+    cells are laid out once, by :func:`count_runs`. Sweeps are
     numbered 1-based after burn-in and a sweep is retained when its number
     is an exact multiple of ``thin``, so the retained count is
     ``schedule.retained == samples // thin``. Returns, per chain, its
@@ -428,13 +484,13 @@ def run(
     """
     tensors = list(tensors)
     state = init_chains([tensor.dims for tensor in tensors], n_latent, seeds, alpha)
-    tensor = block_union(tensors)
-    del tensors  # the union holds the cells; tensors a caller passed as a generator are freed now
+    runs = count_runs(tensors, state.offsets)
+    del tensors  # the runs hold the cells; tensors a caller passed as a generator are freed now
     for _ in range(schedule.burnin):
-        gibbs_step(state, tensor)
+        gibbs_step(state, runs)
     retained = []
     for sweep_number in range(1, schedule.samples + 1):
-        gibbs_step(state, tensor)
+        gibbs_step(state, runs)
         if sweep_number % schedule.thin == 0:
             retained.append(state.chain_latents())
     return [list(samples) for samples in zip(*retained)]

@@ -3,9 +3,7 @@
 Observations live in coordinate (COO) form: an ``(n, 3)`` integer array of
 ``(i, j, k)`` coordinates plus a value vector, kept in coordinate
 (lexicographic ``(i, j, k)``) order whatever order they were given in.
-Tensors are immutable after construction; each mode's count-sorted layout
-is built lazily and cached, which is safe because nothing mutates the
-arrays afterwards.
+Tensors are immutable after construction.
 
 Layer convention used throughout the package: ``k = 0`` holds the clinical
 outcome labels, ``k >= 1`` hold the evidence layers.
@@ -14,36 +12,12 @@ outcome labels, ``k >= 1`` hold the evidence layers.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError
 from .io import check, entry_lines, read_json, read_tsv, repeats, write_json, write_tsv
-
-# Each mode's two other modes, lower mode first: whose coordinates are a
-# mode's CountRuns.index_a and index_b.
-OTHER_MODES = ((1, 2), (0, 2), (0, 1))
-
-
-class CountRuns(NamedTuple):
-    """One mode's cells laid out by entity, entities in (cell count, id) order.
-
-    ``entities`` holds the sorted entity ids; the cells of ``entities[e]``
-    are ``offsets[e]:offsets[e + 1]`` of ``index_a``, ``index_b`` (their
-    coordinates in the two other modes, lower mode first) and ``values``,
-    in coordinate order. Runs of equal-count entities start at the
-    positions in ``starts``, which ends with ``len(entities)``; entities
-    without cells form the first run when there are any.
-    """
-
-    entities: np.ndarray
-    offsets: np.ndarray
-    starts: np.ndarray
-    index_a: np.ndarray
-    index_b: np.ndarray
-    values: np.ndarray
-
 
 def _checked_dims(dims: Sequence[int]) -> tuple[int, int, int]:
     dims = tuple(int(d) for d in dims)
@@ -66,7 +40,7 @@ class SparseTensor:
     must be resolved upstream, not silently here.
     """
 
-    __slots__ = ("dims", "_coords", "_values", "_runs")
+    __slots__ = ("dims", "_coords", "_values")
 
     def __init__(
         self, dims: Sequence[int], coords: np.ndarray, values: np.ndarray,
@@ -93,7 +67,6 @@ class SparseTensor:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "_coords", coords)
         object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_runs", {})
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("SparseTensor is immutable")
@@ -110,51 +83,10 @@ class SparseTensor:
     def n_entries(self) -> int:
         return int(self._values.shape[0])
 
-    def count_runs(self, mode: int) -> CountRuns:
-        """The cells of ``mode`` grouped by entity in (cell count, id) order; see :class:`CountRuns`."""
-        mode = int(mode)
-        if mode not in self._runs:
-            counts = np.bincount(self._coords[:, mode], minlength=self.dims[mode])
-            entities = np.argsort(counts, kind="stable")
-            rank = np.empty_like(entities)
-            rank[entities] = np.arange(entities.size)
-            # Cells by their entity's rank; each entity's cells stay in coordinate order.
-            cells = np.argsort(rank[self._coords[:, mode]], kind="stable")
-            sorted_counts = counts[entities]
-            offsets = np.concatenate([[0], np.cumsum(sorted_counts)])
-            starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_counts)) + 1, [len(entities)]])
-            other_a, other_b = OTHER_MODES[mode]
-            coords_a, coords_b = self._coords[cells, other_a], self._coords[cells, other_b]
-            runs = CountRuns(entities, offsets, starts, coords_a, coords_b, self._values[cells])
-            for array in runs:
-                array.flags.writeable = False
-            self._runs[mode] = runs
-        return self._runs[mode]
-
     def layer_entries(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """Coordinates and values of one frontal slice."""
         mask = self._coords[:, 2] == layer
         return self._coords[mask], self._values[mask]
-
-
-def block_union(tensors: Sequence[SparseTensor]) -> SparseTensor:
-    """Block-diagonal union: tensor ``c``'s entity ``e`` of each mode becomes ``offsets[c, mode] + e``.
-
-    ``offsets`` are the running sums of the tensors' dims, starting at 0.
-    No cell links two tensors, so each union entity holds exactly the cells
-    of its own entity, in the same coordinate order, and each block keeps
-    its :meth:`SparseTensor.count_runs` layout up to the offset. One tensor
-    is its own union.
-    """
-    if len(tensors) == 1:
-        return tensors[0]
-    if not tensors:
-        raise DataError("union of no tensors")
-    dims = np.array([tensor.dims for tensor in tensors], dtype=np.int64)
-    offsets = np.cumsum(dims, axis=0) - dims
-    coords = np.concatenate([tensor.coords + offset for tensor, offset in zip(tensors, offsets)])
-    values = np.concatenate([tensor.values for tensor in tensors])
-    return SparseTensor(dims.sum(axis=0), coords, values)
 
 
 def select_layers(tensor: SparseTensor, keep: Sequence[int]) -> SparseTensor:

@@ -32,6 +32,7 @@ from test_metrics import brute_force_auroc, pairwise_exact_mww_p
 from test_sampler import (
     all_layers,
     drawn_prior,
+    layout,
     mode_normals,
     per_row_reference,
     posterior_moments,
@@ -150,22 +151,6 @@ def _joint_statistics(latents, priors, y):
     return np.stack(two_sample, axis=1), np.stack(uniform, axis=1)
 
 
-class _UnboundedUnion:
-    """The chains' union as ``gibbs_step`` reads it, its dims and count runs, with any real ``y`` at the run cells.
-
-    ``union`` holds its ``c``-th cell of ``n_cells`` with value ``c / n_cells``, so each run cell finds ``y[c]``.
-    """
-
-    def __init__(self, union, n_cells):
-        self.dims = union.dims
-        self._runs = [union.count_runs(mode) for mode in range(3)]
-        self._cells = [np.rint(runs.values * n_cells).astype(np.int64) for runs in self._runs]
-        self.y = None
-
-    def count_runs(self, mode):
-        return self._runs[mode]._replace(values=self.y[self._cells[mode]])
-
-
 def test_c2b_sweep_joint_distribution(monkeypatch):
     with criterion(
         "2b",
@@ -174,13 +159,15 @@ def test_c2b_sweep_joint_distribution(monkeypatch):
     ):
         # Geweke's (2004) successive-conditional check, run as independent chains: each starts
         # from an exact draw of the joint prior, and each sweep, followed by a fresh y given the
-        # latents, must keep it there. y is unbounded, so the union is a stand-in.
+        # latents, must keep it there. y is unbounded, so each sweep's runs take it in place of
+        # their values: the union's c-th cell of n holds c / n, so each run cell finds y[c].
         n_chains, chain_dims, dim, alpha, n_sweeps = 12_000, (3, 2, 2), 2, 2.0, 10
         cells = np.indices(chain_dims).reshape(3, -1).T
         coords = (cells + np.arange(n_chains)[:, None, None] * np.array(chain_dims)).reshape(-1, 3)
         union = SparseTensor(np.multiply(chain_dims, n_chains), coords, np.arange(len(coords)) / len(coords))
-        tensor = _UnboundedUnion(union, len(coords))
         state = init_chains([chain_dims] * n_chains, dim, range(n_chains), alpha=alpha)
+        runs = layout(union)
+        run_cells = [np.rint(mode_runs.values * len(coords)).astype(np.int64) for mode_runs in runs]
 
         rng = np.random.default_rng(2004)
         for mode, n_rows in enumerate(chain_dims):
@@ -189,8 +176,8 @@ def test_c2b_sweep_joint_distribution(monkeypatch):
         draw = sampler.sample_mode_hyperparams
         monkeypatch.setattr(sampler, "sample_mode_hyperparams", lambda *args: captured.append(draw(*args)) or captured[-1])
         for _ in range(n_sweeps):
-            tensor.y = _observations(rng, [rows.reshape(n_chains, -1, dim) for rows in state.latents], alpha).ravel()
-            gibbs_step(state, tensor)
+            y = _observations(rng, [rows.reshape(n_chains, -1, dim) for rows in state.latents], alpha).ravel()
+            gibbs_step(state, [mode_runs._replace(values=y[c]) for mode_runs, c in zip(runs, run_cells)])
         assert len(captured) == n_sweeps  # one prior call per sweep, all three modes stacked mode-major
         means, precisions = captured[-1]
         priors = list(zip(means.reshape(3, n_chains, dim), precisions.reshape(3, n_chains, dim, dim)))
@@ -361,13 +348,13 @@ def test_c8_determinism(ingested_dir, tmp_path):
 
         config = SynthConfig(dims=(15, 12, 3), true_rank=4, observed_fraction=0.5, seed=4)
         tensor, _, _ = generate(config)
-        state = init_chains([tensor.dims], 6, [9], alpha=20.0)
+        state, runs = init_chains([tensor.dims], 6, [9], alpha=20.0), layout(tensor)
         for _ in range(10 + 20):  # the sweeps of SamplerSchedule(10, 20, 5)
-            gibbs_step(state, tensor)
+            gibbs_step(state, runs)
         for mode in range(3):
             prior, normals = drawn_prior(state, mode), mode_normals(state, mode)
             expected = per_row_reference(state, tensor, mode, normals, prior)
-            batched = sample_mode_latents(state, tensor, mode, prior, normals)
+            batched = sample_mode_latents(state, runs, mode, prior, normals)
             assert np.max(np.abs(batched - expected)) <= 1e-12
 
 
@@ -376,7 +363,7 @@ def test_c9_sign_flip_invariance():
         tensor, _, _ = generate(SynthConfig(dims=(10, 8, 4), true_rank=3, seed=6))
         state = init_chains([tensor.dims], 5, [2], alpha=10.0)
         for _ in range(3):
-            gibbs_step(state, tensor)
+            gibbs_step(state, layout(tensor))
         baseline = all_layers([tuple(state.latents)])
         for first, second in itertools.combinations(range(3), 2):
             for column in range(5):

@@ -382,6 +382,11 @@ class TestPhaseAnalysis:
         assert len(rows) == 3
         assert all(len(row) == 5 for row in rows)
 
+    def test_scores_and_phases_of_unequal_length(self):
+        predictions, pairs = self._build({0: 4, 1: 4})
+        with pytest.raises(DataError, match="8 scores for 7 phases"):
+            phase_analysis(predictions, pairs[:-1])
+
 
 @pytest.fixture(scope="module")
 def coupled_tensor():
@@ -437,10 +442,10 @@ class TestRepeatedEval:
             repeated_eval(coupled_tensor, [(0, 1), layers], [1, 2], 4, 30.0, SamplerSchedule(1, 2, 1), 0.2, 0.5)
 
     def test_chain_trains_on_model_tensor_without_heldout_rows(self, coupled_tensor, monkeypatch):
-        # run takes the chains' tensors as an iterable; block_union gets them as a list.
+        # run takes the chains' tensors as an iterable; count_runs gets them as a list.
         trained = []
-        real_union = sampler.block_union
-        monkeypatch.setattr(sampler, "block_union", lambda tensors: trained.extend(tensors) or real_union(tensors))
+        real_runs = sampler.count_runs
+        monkeypatch.setattr(sampler, "count_runs", lambda tensors, *args: trained.extend(tensors) or real_runs(tensors, *args))
         models, seeds = [(0, 1, 2), (0, 2)], [5, 6]
         repeated_eval(coupled_tensor, models, seeds, 4, 30.0, SamplerSchedule(1, 2, 1), 0.2, 0.5)
         chains = [(layers, seed) for layers in models for seed in seeds]
@@ -454,25 +459,25 @@ class TestRepeatedEval:
             assert np.array_equal(train.values, model_tensor.values[kept])
 
     def test_batch_keeps_no_training_tensor_while_it_samples(self, coupled_tensor, monkeypatch):
-        # The union that run samples holds the batch's cells; every per-chain
+        # The count runs that run samples hold the batch's cells; every per-chain
         # training tensor must be gone by the first sweep, even while the
         # caller's frame still holds run's argument (as CPython 3.10's does).
         refs, alive, arguments = [], [], []
-        real_union, real_step, real_run = sampler.block_union, sampler.gibbs_step, metrics.run
+        real_runs, real_step, real_run = sampler.count_runs, sampler.gibbs_step, metrics.run
 
-        def union(tensors):
+        def count_runs(tensors, offsets):
             refs.extend(weakref.ref(train.coords) for train in tensors)
-            return real_union(tensors)
+            return real_runs(tensors, offsets)
 
-        def step(state, tensor):
+        def step(state, runs):
             alive.append(sum(ref() is not None for ref in refs))
-            return real_step(state, tensor)
+            return real_step(state, runs)
 
         def held_run(tensors, *args):
             arguments.append(tensors)
             return real_run(tensors, *args)
 
-        monkeypatch.setattr(sampler, "block_union", union)
+        monkeypatch.setattr(sampler, "count_runs", count_runs)
         monkeypatch.setattr(sampler, "gibbs_step", step)
         monkeypatch.setattr(metrics, "run", held_run)
         repeated_eval(coupled_tensor, [(0, 1, 2), (0, 2)], [5, 6], 4, 30.0, SamplerSchedule(1, 2, 1), 0.2, 0.5)
@@ -486,6 +491,11 @@ class TestRepeatedEval:
     def test_needs_a_model(self, coupled_tensor):
         with pytest.raises(DataError, match="no model"):
             repeated_eval(coupled_tensor, [], [1, 2], 32, 5.0, SamplerSchedule(), 0.2, 0.5)
+
+    def test_summary_needs_one_name_per_metric_row(self):
+        aurocs, f1s = np.full((2, 3), 0.75), np.full((2, 3), 0.5)
+        with pytest.raises(DataError, match="3 model names for 2 AUROC rows and 2 F1 rows"):
+            summarize(["combined", "rare", "gwas"], aurocs, f1s, 0.5, 0.5)
 
 
 @pytest.fixture(scope="module")
@@ -538,8 +548,8 @@ class TestLockStepEvaluation:
         if budget is not None:
             monkeypatch.setattr(metrics, "_BATCH_GRAM_DOUBLES", budget)
         batches = []
-        real_union = sampler.block_union
-        monkeypatch.setattr(sampler, "block_union", lambda tensors: batches.append(len(tensors)) or real_union(tensors))
+        real_runs = sampler.count_runs
+        monkeypatch.setattr(sampler, "count_runs", lambda tensors, *args: batches.append(len(tensors)) or real_runs(tensors, *args))
         assert _evaluate(evidence_dir, tmp_path / "split.json", "combined,rare", 8) == expected
         assert batches == sizes
 

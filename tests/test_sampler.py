@@ -18,13 +18,32 @@ from trialtensor.sampler import (
     gibbs_step, init_chains, sample_mode_hyperparams, sample_mode_latents, save_checkpoint,
 )
 from trialtensor.rng import N_SWEEPS, StreamTree
-from trialtensor.tensor import block_union
 
 from conftest import BYTE_EDITS, EDITS, FIXTURE_ENTRIES, splice, tensor_from_entries
 
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def chain_offsets(tensors):
+    """The ``ModelState.offsets`` of chains with these tensors' dims: running sums from 0."""
+    return np.cumsum([(0, 0, 0)] + [tensor.dims for tensor in tensors], axis=0)
+
+
+def layout(*tensors):
+    """Each mode's count runs of the chains with training ``tensors``, as ``run`` lays them out."""
+    return sampler.count_runs(tensors, chain_offsets(tensors))
+
+
+def block_union(tensors):
+    """Oracle of the chains' union: one validated tensor, chain ``c``'s entities shifted by its offsets.
+
+    The blocks go in last chain first, so only the tensor's own sort puts the cells in coordinate order.
+    """
+    offsets = chain_offsets(tensors)
+    coords = np.concatenate([tensor.coords + offset for tensor, offset in zip(tensors, offsets)][::-1])
+    return SparseTensor(offsets[-1], coords, np.concatenate([tensor.values for tensor in tensors][::-1]))
 
 
 class TestInitModel:
@@ -90,7 +109,7 @@ class TestInitModel:
         monkeypatch.setattr(sampler, "StreamTree", CountedTree)
         state = init_chains([(3, 2, 2)] * 1000, 2, range(1000))
         assert len(built) == 1
-        gibbs_step(state, block_union([tensor_from_entries((3, 2, 2), [(0, 0, 0, 0.5)])] * 1000))
+        gibbs_step(state, layout(*[tensor_from_entries((3, 2, 2), [(0, 0, 0, 0.5)])] * 1000))
         assert len(built) == 2
 
     def test_state_is_plain_data(self, tiny_tensor):
@@ -100,11 +119,11 @@ class TestInitModel:
         ]
         state = init_chains([tiny_tensor.dims], 3, [4])
         for _ in range(2):
-            gibbs_step(state, tiny_tensor)
+            gibbs_step(state, layout(tiny_tensor))
         copied = copy.deepcopy(state)
         for _ in range(3):
-            gibbs_step(state, tiny_tensor)
-            gibbs_step(copied, tiny_tensor)
+            gibbs_step(state, layout(tiny_tensor))
+            gibbs_step(copied, layout(tiny_tensor))
         assert copied.sweep == state.sweep == 5
         assert all(np.array_equal(a, b) for a, b in zip(copied.latents, state.latents, strict=True))
 
@@ -480,13 +499,13 @@ def _tensor_with_cell_counts(counts, dims, seed):
 
 
 def _assert_batched_matches_per_row(tensor, n_latent, seed):
-    state = _make_state(tensor, n_latent=n_latent, alpha=5.0, seed=seed)
+    state, runs = _make_state(tensor, n_latent=n_latent, alpha=5.0, seed=seed), layout(tensor)
     for _ in range(3):
-        gibbs_step(state, tensor)
+        gibbs_step(state, runs)
     for mode in range(3):
         prior, normals = drawn_prior(state, mode), mode_normals(state, mode)
         expected = per_row_reference(state, tensor, mode, normals, prior)
-        batched = sample_mode_latents(state, tensor, mode, prior, normals)
+        batched = sample_mode_latents(state, runs, mode, prior, normals)
         assert np.max(np.abs(batched - expected)) <= 1e-12
 
 
@@ -495,20 +514,20 @@ class TestModeLatents:
         state = _make_state(tiny_tensor, n_latent=2, seed=1)
         state.latents[1][0, 1] = np.nan  # indication 0 has cells with targets 0, 1 and 2
         with pytest.raises(NumericalError, match="row posterior precision has a non-finite Cholesky factor"):
-            sample_mode_latents(state, tiny_tensor, 0, identity_prior(state), mode_normals(state, 0))
+            sample_mode_latents(state, layout(tiny_tensor), 0, identity_prior(state), mode_normals(state, 0))
 
     def test_unobserved_entity_draws_from_prior(self):
         # Entity 0 of mode 0 has no cells; its redraw should follow the mode
         # prior. Averaging over many sweeps checks the prior mean.
         tensor = tensor_from_entries((3, 2, 2), [(1, 0, 0, 0.5), (2, 1, 1, 0.25)])
-        state = _make_state(tensor, n_latent=2, seed=1)
+        state, runs = _make_state(tensor, n_latent=2, seed=1), layout(tensor)
         prior_mean = np.array([1.0, -0.5])
         prior = (prior_mean[None], 4.0 * np.eye(2)[None])
         total = np.zeros(2)
         n = 3000
         for sweep in range(n):
             state.sweep = sweep
-            total += sample_mode_latents(state, tensor, 0, prior, mode_normals(state, 0))[0]
+            total += sample_mode_latents(state, runs, 0, prior, mode_normals(state, 0))[0]
         avg = total / n
         se = 0.5 / np.sqrt(n)
         assert np.all(np.abs(avg - prior_mean) < 4 * se)
@@ -520,7 +539,7 @@ class TestModeLatents:
         state = _make_state(tensor, n_latent=1, alpha=1e8, seed=2)
         state.latents[1][0, 0] = 2.0
         state.latents[2][0, 0] = 1.0
-        new_rows = sample_mode_latents(state, tensor, 0, identity_prior(state), mode_normals(state, 0))
+        new_rows = sample_mode_latents(state, layout(tensor), 0, identity_prior(state), mode_normals(state, 0))
         assert abs(new_rows[0, 0] - 0.8 / 2.0) < 1e-3
 
     def test_batched_update_equals_per_row_reference(self):
@@ -559,13 +578,13 @@ class TestModeLatents:
         if block_cells is not None:
             monkeypatch.setattr(sampler, "_BLOCK_DOUBLES", block_cells * n_latent)
         tensor = _tensor_with_cell_counts(self._BLOCK_COUNTS, (9, 4, 4), seed=5)
-        state = _make_state(tensor, n_latent=n_latent, seed=6)
+        state, runs = _make_state(tensor, n_latent=n_latent, seed=6), layout(tensor)
         for _ in range(2):
-            gibbs_step(state, tensor)
+            gibbs_step(state, runs)
         for mode in range(3):
             prior = drawn_prior(state, mode)
             expected = mode_latents_loop_reference(state, tensor, mode, prior)
-            assert np.array_equal(sample_mode_latents(state, tensor, mode, prior, mode_normals(state, mode)), expected)
+            assert np.array_equal(sample_mode_latents(state, runs, mode, prior, mode_normals(state, mode)), expected)
 
     # Mode-0 cell counts with runs of 3 empty, 1, 3, 5 and 1 entities (counts
     # 0, 1, 2, 3, 9); the empty ones are the first, fifth and last entity.
@@ -578,14 +597,15 @@ class TestModeLatents:
         if block_cells is not None:
             monkeypatch.setattr(sampler, "_BLOCK_DOUBLES", block_cells * n_latent)
         tensor = _tensor_with_cell_counts(self._RUN_COUNTS, (13, 5, 4), seed=15)
-        assert tensor.count_runs(0).starts.tolist() == [0, 3, 4, 7, 12, 13]
+        runs = layout(tensor)
+        assert runs[0].starts.tolist() == [0, 3, 4, 7, 12, 13]
         state = _make_state(tensor, n_latent=n_latent, seed=16)
         for _ in range(2):
-            gibbs_step(state, tensor)
+            gibbs_step(state, runs)
         for mode in range(3):
             prior = drawn_prior(state, mode)
             expected = mode_latents_loop_reference(state, tensor, mode, prior)
-            assert np.array_equal(sample_mode_latents(state, tensor, mode, prior, mode_normals(state, mode)), expected)
+            assert np.array_equal(sample_mode_latents(state, runs, mode, prior, mode_normals(state, mode)), expected)
 
     @pytest.mark.parametrize("block_cells", [5, None])
     def test_batched_update_equals_per_row_reference_beyond_one_panel(self, monkeypatch, block_cells):
@@ -605,7 +625,7 @@ class TestModeLatents:
         coords = np.stack(np.unravel_index(np.arange(dims[0] * dims[1]), dims), axis=1)
         tensor = SparseTensor(dims, coords, _rng(21).uniform(size=len(coords)))
         state = _make_state(tensor, n_latent=n_latent, seed=22)
-        runs, prior = tensor.count_runs(2), drawn_prior(state, 2)
+        runs, prior = layout(tensor)[2], drawn_prior(state, 2)
         tracemalloc.start()
         try:
             grams, rhs = sampler._row_posteriors(state, runs, 2, prior)
@@ -640,7 +660,7 @@ class TestModeLatents:
         mean = np.linalg.solve(precision, state.alpha * (q_rows.T @ values))
 
         normals = mode_normals(state, 0)
-        batched = sample_mode_latents(state, tensor, 0, (prior_mean[None], prior_precision[None]), normals)
+        batched = sample_mode_latents(state, layout(tensor), 0, (prior_mean[None], prior_precision[None]), normals)
         assert np.all(np.isfinite(batched))
         assert np.allclose(batched[0], cholesky_draw(mean, precision, normals[0]), rtol=1e-8, atol=0.0)
         q_rows, values = fiber_cells(state, tensor, 0, 1)
@@ -652,7 +672,7 @@ class TestModeLatents:
         tensor = tensor_from_entries((2, 1, 1), [(1, 0, 0, 0.5)])
         state = _make_state(tensor, n_latent=2, seed=4)
         with pytest.raises(NumericalError, match="not SPD after jitter"):
-            sample_mode_latents(state, tensor, 0, (np.zeros((1, 2)), -np.eye(2)[None]), mode_normals(state, 0))
+            sample_mode_latents(state, layout(tensor), 0, (np.zeros((1, 2)), -np.eye(2)[None]), mode_normals(state, 0))
 
     def test_dims_mismatch(self):
         # Target 2 has a cell, but the state has only two target rows: the
@@ -660,7 +680,7 @@ class TestModeLatents:
         tensor = tensor_from_entries((3, 2, 1), [(2, 1, 0, 0.5)])
         state = init_chains([(2, 2, 1)], 2, [0])
         with pytest.raises(DataError, match="do not match"):
-            sample_mode_latents(state, tensor, 1, identity_prior(state), mode_normals(state, 1))
+            sample_mode_latents(state, layout(tensor), 1, identity_prior(state), mode_normals(state, 1))
 
 
 def _chain_tensors():
@@ -679,13 +699,13 @@ def _chain_tensors():
     return tensors
 
 
-def unstacked_sweep(state, tensor):
+def unstacked_sweep(state, runs):
     """The latents after one sweep taken mode by mode: each mode's prior from its rows at its turn, then its rows."""
     chi, normals, z = sampler._sweep_noise(state)
     state = dataclasses.replace(state, latents=list(state.latents))
     for mode in range(3):
         prior = sample_mode_hyperparams(state.latents[mode], state.offsets[:, mode], chi[mode], normals[mode])
-        state.latents[mode] = sample_mode_latents(state, tensor, mode, prior, z[mode])
+        state.latents[mode] = sample_mode_latents(state, runs, mode, prior, z[mode])
     return state.latents
 
 
@@ -717,26 +737,26 @@ class TestLockStep:
         # Each chain's rows use its own prior; a wrong chain offset would mix them.
         tensors = _chain_tensors()
         state = init_chains([t.dims for t in tensors], 4, [8, 9, 10], alpha=5.0)
-        union = block_union(tensors)
+        union, runs = block_union(tensors), layout(*tensors)
         for _ in range(2):
-            gibbs_step(state, union)
+            gibbs_step(state, runs)
         for mode in range(3):
             prior, normals = drawn_prior(state, mode), mode_normals(state, mode)
             assert not np.array_equal(prior[1][0], prior[1][1])
             expected = per_row_reference(state, union, mode, normals, prior)
-            assert np.max(np.abs(sample_mode_latents(state, union, mode, prior, normals) - expected)) <= 1e-12
+            assert np.max(np.abs(sample_mode_latents(state, runs, mode, prior, normals) - expected)) <= 1e-12
 
     def test_stacked_priors_equal_per_mode_reference(self):
         # gibbs_step draws all three modes' priors in one call before any row
         # is redrawn; at each mode's turn they must be what that mode's rows
         # give with its share of the sweep's noise. Some targets have no cells.
         tensors = _chain_tensors()
-        union = block_union(tensors)
+        runs = layout(*tensors)
         state = init_chains([t.dims for t in tensors], 4, [8, 9, 10], alpha=5.0)
         for _ in range(2):
-            gibbs_step(state, union)
-        expected = unstacked_sweep(state, union)
-        gibbs_step(state, union)
+            gibbs_step(state, runs)
+        expected = unstacked_sweep(state, runs)
+        gibbs_step(state, runs)
         assert all(np.array_equal(got, want) for got, want in zip(state.latents, expected, strict=True))
 
     def test_run_needs_one_seed_per_tensor(self, tiny_tensor):
@@ -752,20 +772,81 @@ class TestLockStep:
             init_chains([], 2, [])
 
 
+class TestCountRuns:
+    def test_count_runs_group_fibers_by_count(self, tiny_tensor):
+        for mode in range(3):
+            counts = np.bincount(tiny_tensor.coords[:, mode], minlength=tiny_tensor.dims[mode])
+            runs = layout(tiny_tensor)[mode]
+            assert runs.entities.tolist() == sorted(range(tiny_tensor.dims[mode]), key=lambda e: (counts[e], e))
+            sorted_counts = counts[runs.entities]
+            assert np.array_equal(np.diff(runs.offsets), sorted_counts)
+            assert runs.starts[0] == 0 and runs.starts[-1] == len(runs.entities)
+            for lo, hi in zip(runs.starts[:-1], runs.starts[1:]):
+                assert (sorted_counts[lo:hi] == sorted_counts[lo]).all()
+                assert hi == len(runs.entities) or sorted_counts[hi] != sorted_counts[lo]
+            other_a, other_b = (other for other in range(3) if other != mode)
+            for pos, entity in enumerate(runs.entities):
+                rows = np.flatnonzero(tiny_tensor.coords[:, mode] == entity)  # the entity's cells in storage order
+                cells = slice(runs.offsets[pos], runs.offsets[pos + 1])
+                assert np.array_equal(runs.index_a[cells], tiny_tensor.coords[rows, other_a])
+                assert np.array_equal(runs.index_b[cells], tiny_tensor.coords[rows, other_b])
+                assert np.array_equal(runs.values[cells], tiny_tensor.values[rows])
+            assert not any(array.flags.writeable for array in runs)
+
+    def test_count_runs_of_empty_tensor(self):
+        runs = layout(tensor_from_entries((3, 2, 1), []))[0]
+        assert runs.entities.tolist() == [0, 1, 2]
+        assert runs.offsets.tolist() == [0, 0, 0, 0]
+        assert runs.starts.tolist() == [0, 3]
+        assert runs.index_a.shape == runs.values.shape == (0,)
+
+    def test_block_union_offsets_each_block(self, tiny_tensor):
+        other = tensor_from_entries((2, 3, 2), [(1, 2, 0, 0.25), (0, 0, 1, 1.0), (1, 0, 1, 0.5)])
+        blocks = [tiny_tensor, other, tiny_tensor]
+        union = block_union(blocks)
+        offsets = np.cumsum([(0, 0, 0)] + [block.dims for block in blocks], axis=0)
+        assert union.dims == tuple(offsets[-1])
+        assert np.array_equal(union.coords, np.concatenate([b.coords + o for b, o in zip(blocks, offsets)]))
+        assert np.array_equal(union.values, np.concatenate([b.values for b in blocks]))
+        chains, own_union = sampler.count_runs(blocks, offsets), layout(union)
+        for mode in range(3):
+            other_a, other_b = (m for m in range(3) if m != mode)
+            runs = chains[mode]
+            # The chains' layout is the union tensor's own, array for array.
+            assert all(np.array_equal(got, want) for got, want in zip(runs, own_union[mode], strict=True))
+            for block, offset in zip(blocks, offsets):
+                own = layout(block)[mode]
+                for pos, entity in enumerate(own.entities):
+                    # The union entity holds the block entity's cells, in the same order.
+                    (upos,) = np.flatnonzero(runs.entities == entity + offset[mode])
+                    cells, ucells = (slice(r.offsets[p], r.offsets[p + 1]) for r, p in ((own, pos), (runs, upos)))
+                    assert np.array_equal(runs.index_a[ucells], own.index_a[cells] + offset[other_a])
+                    assert np.array_equal(runs.index_b[ucells], own.index_b[cells] + offset[other_b])
+                    assert np.array_equal(runs.values[ucells], own.values[cells])
+
+    def test_one_chain_layout_is_its_tensors_own(self, tiny_tensor):
+        union = block_union([tiny_tensor])
+        assert union.dims == tiny_tensor.dims
+        assert np.array_equal(union.coords, tiny_tensor.coords) and np.array_equal(union.values, tiny_tensor.values)
+        chain = sampler.count_runs([tiny_tensor], init_chains([tiny_tensor.dims], 2, [0]).offsets)
+        for got, want in zip(chain, layout(union), strict=True):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
 class TestGibbsStep:
     def test_state_changes_and_is_deterministic(self, tiny_tensor):
         state_a = _make_state(tiny_tensor, n_latent=3, seed=5)
         before = [m.copy() for m in state_a.latents]
-        gibbs_step(state_a, tiny_tensor)
+        gibbs_step(state_a, layout(tiny_tensor))
         assert any(not np.array_equal(b, m) for b, m in zip(before, state_a.latents))
         assert state_a.sweep == 1
 
         state_b = _make_state(tiny_tensor, n_latent=3, seed=5)
         for _ in range(3):
-            gibbs_step(state_b, tiny_tensor)
+            gibbs_step(state_b, layout(tiny_tensor))
         state_c = _make_state(tiny_tensor, n_latent=3, seed=5)
         for _ in range(3):
-            gibbs_step(state_c, tiny_tensor)
+            gibbs_step(state_c, layout(tiny_tensor))
         for mat_b, mat_c in zip(state_b.latents, state_c.latents):
             assert np.array_equal(mat_b, mat_c)
 
@@ -779,7 +860,7 @@ class TestGibbsStep:
         latents = list(state.latents)
         copies = [mat.copy() for mat in latents]
         with pytest.raises(DataError):
-            gibbs_step(state, tiny_tensor)
+            gibbs_step(state, layout(tiny_tensor))
         assert all(now is then for now, then in zip(state.latents, latents, strict=True))
         assert all(np.array_equal(now, copy) for now, copy in zip(state.latents, copies, strict=True))
         assert state.sweep == 0
@@ -884,7 +965,7 @@ class TestRun:
         assert len(samples) == 1
 
         replay = _make_state(tiny_tensor, n_latent=2, seed=13)
-        gibbs_step(replay, tiny_tensor)
+        gibbs_step(replay, layout(tiny_tensor))
         for retained, expected in zip(samples[0], replay.latents):
             assert np.array_equal(retained, expected)
 
@@ -897,7 +978,7 @@ class TestRun:
         replay = _make_state(tiny_tensor, seed=3)
         retained = []
         for sweep in range(1, 13):
-            gibbs_step(replay, tiny_tensor)
+            gibbs_step(replay, layout(tiny_tensor))
             if sweep > 2 and (sweep - 2) % 3 == 0:
                 retained.append(tuple(mat.copy() for mat in replay.latents))
         assert len(samples) == len(retained) == 3

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from trialtensor import DataError, SparseTensor, build_tensor, load_tensor, save_tensor, select_layers
 from trialtensor.ingest import label_outcomes
-from trialtensor.tensor import block_union, split_cells
+from trialtensor.tensor import split_cells
 from trialtensor.io import read_json, read_text
 from trialtensor.tensor import _meta_indices
 
@@ -130,60 +130,6 @@ class TestSparseTensor:
         coords[:], values[:] = 0, 1.0
         assert tensor.coords.tolist() == [[0, 0, 0], [1, 0, 0]]
         assert tensor.values.tolist() == [0.5, 0.25]
-
-    def test_count_runs_group_fibers_by_count(self, tiny_tensor):
-        for mode in range(3):
-            counts = np.bincount(tiny_tensor.coords[:, mode], minlength=tiny_tensor.dims[mode])
-            runs = tiny_tensor.count_runs(mode)
-            assert runs.entities.tolist() == sorted(range(tiny_tensor.dims[mode]), key=lambda e: (counts[e], e))
-            sorted_counts = counts[runs.entities]
-            assert np.array_equal(np.diff(runs.offsets), sorted_counts)
-            assert runs.starts[0] == 0 and runs.starts[-1] == len(runs.entities)
-            for lo, hi in zip(runs.starts[:-1], runs.starts[1:]):
-                assert (sorted_counts[lo:hi] == sorted_counts[lo]).all()
-                assert hi == len(runs.entities) or sorted_counts[hi] != sorted_counts[lo]
-            other_a, other_b = (other for other in range(3) if other != mode)
-            for pos, entity in enumerate(runs.entities):
-                rows = np.flatnonzero(tiny_tensor.coords[:, mode] == entity)  # the entity's cells in storage order
-                cells = slice(runs.offsets[pos], runs.offsets[pos + 1])
-                assert np.array_equal(runs.index_a[cells], tiny_tensor.coords[rows, other_a])
-                assert np.array_equal(runs.index_b[cells], tiny_tensor.coords[rows, other_b])
-                assert np.array_equal(runs.values[cells], tiny_tensor.values[rows])
-            assert tiny_tensor.count_runs(mode) is runs
-            assert not any(array.flags.writeable for array in runs)
-
-    def test_count_runs_of_empty_tensor(self):
-        runs = tensor_from_entries((3, 2, 1), []).count_runs(0)
-        assert runs.entities.tolist() == [0, 1, 2]
-        assert runs.offsets.tolist() == [0, 0, 0, 0]
-        assert runs.starts.tolist() == [0, 3]
-        assert runs.index_a.shape == runs.values.shape == (0,)
-
-    def test_block_union_offsets_each_block(self, tiny_tensor):
-        other = tensor_from_entries((2, 3, 2), [(1, 2, 0, 0.25), (0, 0, 1, 1.0), (1, 0, 1, 0.5)])
-        blocks = [tiny_tensor, other, tiny_tensor]
-        union = block_union(blocks)
-        offsets = np.cumsum([(0, 0, 0)] + [block.dims for block in blocks], axis=0)
-        assert union.dims == tuple(offsets[-1])
-        assert np.array_equal(union.coords, np.concatenate([b.coords + o for b, o in zip(blocks, offsets)]))
-        assert np.array_equal(union.values, np.concatenate([b.values for b in blocks]))
-        for mode in range(3):
-            other_a, other_b = (m for m in range(3) if m != mode)
-            runs = union.count_runs(mode)
-            for block, offset in zip(blocks, offsets):
-                own = block.count_runs(mode)
-                for pos, entity in enumerate(own.entities):
-                    # The union entity holds the block entity's cells, in the same order.
-                    (upos,) = np.flatnonzero(runs.entities == entity + offset[mode])
-                    cells, ucells = (slice(r.offsets[p], r.offsets[p + 1]) for r, p in ((own, pos), (runs, upos)))
-                    assert np.array_equal(runs.index_a[ucells], own.index_a[cells] + offset[other_a])
-                    assert np.array_equal(runs.index_b[ucells], own.index_b[cells] + offset[other_b])
-                    assert np.array_equal(runs.values[ucells], own.values[cells])
-
-    def test_block_union_of_one_tensor_is_the_tensor(self, tiny_tensor):
-        assert block_union([tiny_tensor]) is tiny_tensor
-        with pytest.raises(DataError, match="no tensors"):
-            block_union([])
 
 
 class TestSelectLayers:
